@@ -77,6 +77,10 @@ class NotCohenMacaulay(McurveError):
     pass
 
 
+class InvariantViolation(McurveError):
+    """An internal precondition or invariant does not hold."""
+
+
 # -- Koszul layer -----------------------------------------------------------
 
 class WrongN(McurveError):

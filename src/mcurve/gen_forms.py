@@ -9,7 +9,7 @@ Hilbert data through the arithmetic closed forms.
 Hilbert data of the quotient: HF(s) = sum_{i<h} HF_{C'}(s-i) + Delta_{s+1}
 with Delta_s the staircase count below the beta profile, and the Hilbert
 polynomial is m_n s - m_n (h-1)/2 + h gamma + h sum_{i=1}^{delta/h-1} beta_i.
-Both are pinned against standard-monomial counting across the test sweeps.
+Both are pinned against the oracle's K-polynomial across the test sweeps.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .arith_forms import ArithHilbert, gb_arithmetic, hilbert_arithmetic, irred_dec_arithmetic
 from .errors import CaseNotApplicable, GcdViolation, NotGeneralizedArithmetic
-from .monideal import IrreducibleComponent, IrreducibleDecomposition
+from .monideal import IrreducibleComponent, IrreducibleDecomposition, _polyadd, _polymul, _trim
 from .poly import Binomial, DegRevLex, is_member_binomial, make_binomial, shift_binomial
 from .seq import (
     CurveSequence,
@@ -165,29 +165,6 @@ def reg_generalized(seq: CurveSequence) -> int:
     """Regularity: delta - 1 when n-1 does not divide m_1, else delta."""
     prof = generalized_profile(seq)
     return prof.delta if seq.m1 % (seq.n - 1) == 0 else prof.delta - 1
-
-
-def _polyadd(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
-
-
-def _polymul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _trim(coeffs: list[int]) -> tuple[int, ...]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,21 @@
 """Monomial-ideal combinatorics.
 
 Irreducible decomposition by recursive generator splitting, nested-type
-regularity, standard-monomial counting (Hilbert functions / series of the
-quotient), Cohen-Macaulay detection on initial ideals, the bidegree-based
+regularity, the K-polynomial (Hilbert function and series of the quotient),
+Cohen-Macaulay detection on initial ideals, the bidegree-based
 Cohen-Macaulay type oracle, and the last-step F-set regularity check.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import NonTerminating, NotCohenMacaulay, NotNestedType
+from .errors import InvariantViolation, NonTerminating, NotCohenMacaulay, NotNestedType
 from .poly import Monomial, bidegree, mono_divides
 from .seq import CurveSequence
 
@@ -40,7 +42,8 @@ class MonomialIdeal:
     @staticmethod
     def from_gens(nvars: int, gens: Iterable[Monomial]) -> "MonomialIdeal":
         gens = tuple(gens)
-        assert all(len(g) == nvars for g in gens)
+        if any(len(g) != nvars for g in gens):
+            raise InvariantViolation(f"generator length differs from nvars = {nvars}")
         return MonomialIdeal(nvars, _minimalize(gens))
 
     @property
@@ -50,8 +53,10 @@ class MonomialIdeal:
     def contains(self, m: Monomial) -> bool:
         return any(mono_divides(g, m) for g in self.gens)
 
-    def plus(self, extra: Iterable[Monomial]) -> "MonomialIdeal":
-        return MonomialIdeal.from_gens(self.nvars, self.gens + tuple(extra))
+    @cached_property
+    def k_polynomial(self) -> tuple[int, ...]:
+        """Numerator of the Hilbert series of R/I over (1-t)^nvars."""
+        return _trim(_k_polynomial(self.gens, self.nvars))
 
     def restrict(self, start: int) -> "MonomialIdeal":
         """Intersection with the subring on variables x_{start+1}, ..."""
@@ -61,6 +66,11 @@ class MonomialIdeal:
     def __str__(self) -> str:
         from .poly import format_monomial
         return "<" + ", ".join(format_monomial(g) for g in self.gens) + ">"
+
+
+def _require_nvars(ideal: MonomialIdeal, n: int) -> None:
+    if ideal.nvars != n + 1:
+        raise InvariantViolation(f"ideal has {ideal.nvars} variables, the curve needs {n + 1}")
 
 
 # -- irreducible decomposition -------------------------------------------------
@@ -73,7 +83,8 @@ class IrreducibleComponent:
 
     @staticmethod
     def from_map(powers: dict[int, int]) -> "IrreducibleComponent":
-        assert powers and all(e >= 1 for e in powers.values())
+        if not powers or any(e < 1 for e in powers.values()):
+            raise InvariantViolation(f"component powers {powers} are not all positive")
         return IrreducibleComponent(tuple(sorted(powers.items())))
 
     @property
@@ -92,14 +103,6 @@ class IrreducibleComponent:
     def regularity(self) -> int:
         """reg of R modulo the component: sum of generator degrees minus count."""
         return sum(e for _, e in self.powers) - len(self.powers)
-
-    def as_ideal(self, nvars: int) -> MonomialIdeal:
-        gens = []
-        for i, e in self.powers:
-            g = [0] * nvars
-            g[i] = e
-            gens.append(tuple(g))
-        return MonomialIdeal.from_gens(nvars, gens)
 
     def __str__(self) -> str:
         parts = [f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}" for i, e in self.powers]
@@ -143,7 +146,8 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> IrreducibleDecomposition:
     (I + <x_i^e>) /\\ (I + <v>); pure-power leaves are the components, pruned
     by pairwise containment.
     """
-    assert not ideal.is_zero, "decomposition of the zero ideal is undefined"
+    if ideal.is_zero:
+        raise InvariantViolation("decomposition of the zero ideal is undefined")
     comps: set[IrreducibleComponent] = set()
     stack = [ideal.gens]
     while stack:
@@ -185,24 +189,50 @@ def reg_nested_type(ideal: MonomialIdeal) -> int:
     return max(c.regularity() for c in dec.components)
 
 
-# -- standard-monomial counting -------------------------------------------------
+# -- Hilbert series via the K-polynomial ----------------------------------------
 
-@lru_cache(maxsize=1 << 18)
-def _count_standard(gens: tuple[Monomial, ...], nvars: int, s: int) -> int:
-    """Number of degree-s monomials in nvars variables outside <gens>."""
-    if s < 0:
-        return 0
-    if any(all(e == 0 for e in g) for g in gens):
-        return 0  # unit ideal
-    if nvars == 0:
-        return 1 if s == 0 else 0
+def _polyadd(a: list[int], b: list[int]) -> list[int]:
+    return [x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+
+
+def _polymul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _trim(coeffs: list[int]) -> tuple[int, ...]:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _k_polynomial(gens: tuple[Monomial, ...], nvars: int) -> list[int]:
+    """K-polynomial of R/<gens> by Bigatti's pivot recursion
+    K(I) = K(I + <p>) + t^deg(p) K(I : p), with p = x_i^e for the variable in
+    the most mixed generators and e the median of its exponents there.  No
+    generator divides p (a pure power of x_i exceeds every mixed exponent), so
+    I + <p> has fewer mixed generators and I : p strictly contains I."""
     if not gens:
-        return math.comb(s + nvars - 1, nvars - 1)
-    total = 0
-    for e in range(s + 1):
-        sub = _minimalize(g[:-1] for g in gens if g[-1] <= e)
-        total += _count_standard(sub, nvars - 1, s - e)
-    return total
+        return [1]
+    if any(not any(g) for g in gens):
+        return []  # unit ideal
+    occurs = [sum(1 for g in gens if g[i]) for i in range(nvars)]
+    if max(occurs) <= 1:  # pairwise coprime: a complete intersection
+        out = [1]
+        for g in gens:
+            out = _polymul(out, [1] + [0] * (sum(g) - 1) + [-1])
+        return out
+    mixed = [g for g in gens if sum(1 for e in g if e) > 1]
+    i = max(range(nvars), key=lambda j: (sum(1 for g in mixed if g[j]), occurs[j]))
+    exps = sorted(g[i] for g in mixed if g[i])
+    e = exps[len(exps) // 2]
+    pivot = tuple(e if j == i else 0 for j in range(nvars))
+    plus = tuple(g for g in gens if g[i] < e) + (pivot,)
+    colon = _minimalize(g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens)
+    return _polyadd(_k_polynomial(plus, nvars), [0] * e + _k_polynomial(colon, nvars))
 
 
 def _count_standard_brute(gens: tuple[Monomial, ...], nvars: int, s: int) -> int:
@@ -221,79 +251,51 @@ def _count_standard_brute(gens: tuple[Monomial, ...], nvars: int, s: int) -> int
 
 
 def hf_quotient(ideal: MonomialIdeal, s: int, *, brute: bool = False) -> int:
-    """Hilbert function of R/I at degree s (count of standard monomials)."""
+    """Hilbert function of R/I at degree s: sum_k K_k C(s - k + n - 1, n - 1)
+    for the K-polynomial K of R/I in n variables."""
     if brute:
         return _count_standard_brute(ideal.gens, ideal.nvars, s)
-    return _count_standard(ideal.gens, ideal.nvars, s)
+    if s < 0:
+        return 0
+    k, n = ideal.k_polynomial, ideal.nvars
+    if n == 0:
+        return k[s] if s < len(k) else 0
+    return sum(c * math.comb(s - j + n - 1, n - 1) for j, c in enumerate(k[:s + 1]))
 
 
-def _trim(coeffs: list[int]) -> tuple[int, ...]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+def hs_numerator(ideal: MonomialIdeal) -> tuple[int, ...]:
+    """Numerator of the Hilbert series of R/I over (1-t)^2: K(t) / (1-t)^(n-2).
 
-
-def hs_numerator(ideal: MonomialIdeal, *, cap: int | None = None) -> tuple[int, ...]:
-    """Numerator of the Hilbert series of R/I over (1-t)^2.
-
-    Valid when the quotient has Krull dimension <= 2: the second difference
-    of the Hilbert function vanishes beyond the regularity, which the Taylor
-    resolution bounds by the degree of the lcm of the generators.  The
-    trailing window beyond that bound must come out zero, else the dimension
-    hypothesis fails and NonTerminating is raised.
-    """
-    lcm_deg = sum(max(g[i] for g in ideal.gens) for i in range(ideal.nvars)) if ideal.gens else 0
-    window = max(ideal.nvars, 2) + 2
-    bound = lcm_deg + window
-    if cap is not None and bound > cap:
-        raise NonTerminating(f"series bound {bound} exceeds cap {cap}")
-    coeffs = [
-        hf_quotient(ideal, s) - 2 * hf_quotient(ideal, s - 1) + hf_quotient(ideal, s - 2)
-        for s in range(bound + 1)
-    ]
-    if any(c != 0 for c in coeffs[lcm_deg + 2:]):
-        raise NonTerminating("second differences do not stabilize: quotient dimension > 2")
-    return _trim(coeffs)
-
-
-def _pure_power_bounds(gens: tuple[Monomial, ...], nvars: int) -> list[int] | None:
-    """Per-variable pure-power exponents, or None if some variable has none
-    (the quotient is then not artinian)."""
-    bounds = [None] * nvars
-    for g in gens:
-        support = [i for i, e in enumerate(g) if e > 0]
-        if len(support) == 1:
-            i = support[0]
-            if bounds[i] is None or g[i] < bounds[i]:
-                bounds[i] = g[i]
-    if any(b is None for b in bounds):
-        return None
-    return list(bounds)  # type: ignore[return-value]
+    K(t) = (1-t)^(n - dim) Q(t) with Q(1) > 0, so the division is exact iff
+    dim R/I <= 2; otherwise NonTerminating.  Dividing by 1 - t takes prefix
+    sums, exact iff the coefficients sum to zero."""
+    num = list(ideal.k_polynomial)
+    for _ in range(ideal.nvars - 2):
+        if sum(num) != 0:
+            raise NonTerminating("K-polynomial not divisible by (1-t)^(n-2): quotient dimension > 2")
+        num = list(itertools.accumulate(num))[:-1]
+    for _ in range(2 - ideal.nvars):
+        num = _polymul(num, [1, -1])
+    return _trim(num)
 
 
 def _standard_monomials(gens: tuple[Monomial, ...], nvars: int) -> list[Monomial]:
     """All standard monomials of an artinian monomial ideal."""
-    bounds = _pure_power_bounds(gens, nvars)
-    if bounds is None:
+    # per-variable pure-power exponents bound the grid of standard monomials
+    bounds = [min((g[i] for g in gens if g[i] == sum(g) > 0), default=None)
+              for i in range(nvars)]
+    if None in bounds:
         raise NonTerminating("quotient is not artinian: some variable has no pure power")
-    size = 1
-    for b in bounds:
-        size *= b
-        if size > _GRID_CAP:
-            raise NonTerminating(f"standard-monomial grid exceeds {_GRID_CAP}")
-    out = []
+    if math.prod(bounds) > _GRID_CAP:
+        raise NonTerminating(f"standard-monomial grid exceeds {_GRID_CAP}")
+    return [m for m in itertools.product(*(range(b) for b in bounds))
+            if not any(mono_divides(g, m) for g in gens)]
 
-    def walk(prefix: list[int], pos: int) -> None:
-        if pos == nvars:
-            m = tuple(prefix)
-            if not any(mono_divides(g, m) for g in gens):
-                out.append(m)
-            return
-        for e in range(bounds[pos]):
-            walk(prefix + [e], pos + 1)
 
-    walk([], 0)
-    return out
+def _degree_counts(monos: Iterable[Monomial]) -> tuple[int, ...]:
+    """Coefficients of the sum of t^deg(m) over the given monomials."""
+    counts = Counter(sum(m) for m in monos)
+    return tuple(counts[d] for d in range(max(counts, default=-1) + 1))
 
 
 def hs_general_split(ideal: MonomialIdeal, seq: CurveSequence) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -305,18 +307,14 @@ def hs_general_split(ideal: MonomialIdeal, seq: CurveSequence) -> tuple[tuple[in
     but x_n * x^g inside it (the non-Cohen-Macaulay jump term).
     """
     n = seq.n
-    assert ideal.nvars == n + 1
-    assert all(g[n] == 0 for g in ideal.gens), "x_{n+1} in a minimal generator"
+    _require_nvars(ideal, n)
+    if any(g[n] for g in ideal.gens):
+        raise InvariantViolation("x_{n+1} in a minimal generator")
 
     first_gens = tuple(g[:n - 1] for g in ideal.gens
                        if all(e == 0 for e in g[n - 1:]))
     first_gens = _minimalize(first_gens)
-    main: list[int] = []
-    for m in _standard_monomials(first_gens, n - 1):
-        d = sum(m)
-        while len(main) <= d:
-            main.append(0)
-        main[d] += 1
+    main = _degree_counts(_standard_monomials(first_gens, n - 1))
 
     qualifying: set[Monomial] = set()
     seen: set[Monomial] = set()
@@ -337,13 +335,7 @@ def hs_general_split(ideal: MonomialIdeal, seq: CurveSequence) -> tuple[tuple[in
             qualifying.add(m)
             for i in range(n):  # never extend x_{n+1}
                 stack.append(tuple(e + 1 if j == i else e for j, e in enumerate(m)))
-    corr: list[int] = []
-    for m in qualifying:
-        d = sum(m)
-        while len(corr) <= d:
-            corr.append(0)
-        corr[d] += 1
-    return _trim(main), _trim(corr)
+    return main, _degree_counts(qualifying)
 
 
 # -- Cohen-Macaulay detection and type ------------------------------------------
@@ -351,7 +343,7 @@ def hs_general_split(ideal: MonomialIdeal, seq: CurveSequence) -> tuple[tuple[in
 def cm_via_initial(ideal: MonomialIdeal, n: int) -> bool:
     """Cohen-Macaulay criterion on in(I(C)) under degrevlex: the last two
     variables appear in no minimal generator."""
-    assert ideal.nvars == n + 1
+    _require_nvars(ideal, n)
     return all(g[n - 1] == 0 and g[n] == 0 for g in ideal.gens)
 
 
@@ -390,7 +382,7 @@ def last_step_check(seq: CurveSequence, ideal: MonomialIdeal, reg: int) -> bool:
     minimal graded free resolution.
     """
     n = seq.n
-    assert ideal.nvars == n + 1
+    _require_nvars(ideal, n)
     ones = _minimalize(g[:n - 1] for g in ideal.gens)  # x_n = x_{n+1} = 1
     zeros = _minimalize(g[:n - 1] for g in ideal.gens
                         if g[n - 1] == 0 and g[n] == 0)  # x_n = x_{n+1} = 0

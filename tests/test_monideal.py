@@ -1,10 +1,12 @@
-"""Monomial-ideal combinatorics: decomposition, regularity, Hilbert counting."""
+"""Monomial-ideal combinatorics: decomposition, regularity, Hilbert data."""
+
+import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mcurve.errors import NotCohenMacaulay, NotNestedType
+from mcurve.errors import InvariantViolation, NonTerminating, NotCohenMacaulay, NotNestedType
 from mcurve.grobner import initial_ideal, toric_ideal
 from mcurve.monideal import (
     IrreducibleComponent,
@@ -52,6 +54,10 @@ class TestDecomposition:
     def test_pure_power_is_its_own_decomposition(self):
         dec = irreducible_decomposition(_ideal(3, "x1^2"))
         assert set(dec.components) == {_comp(x1=2)}
+
+    def test_zero_ideal_is_rejected(self):
+        with pytest.raises(InvariantViolation):
+            irreducible_decomposition(MonomialIdeal.from_gens(3, []))
 
     def test_golden_generalized(self):
         ini = initial_ideal(toric_ideal(GOLDEN_GEN))
@@ -182,6 +188,54 @@ class TestHilbertCounting:
         while combined and combined[-1] == 0:
             combined.pop()
         assert tuple(combined) == hs_numerator(ini)
+
+
+def _krull_dimension(ideal):
+    """Largest set of variables containing the support of no generator
+    (-1 for the unit ideal, whose quotient is zero)."""
+    supports = [{i for i, e in enumerate(g) if e} for g in ideal.gens]
+    return max((len(free) for k in range(ideal.nvars + 1)
+                for free in map(set, itertools.combinations(range(ideal.nvars), k))
+                if not any(sup <= free for sup in supports)), default=-1)
+
+
+@st.composite
+def _monomial_ideals(draw):
+    nvars = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.tuples(*([st.integers(0, 4)] * nvars)), max_size=6))
+    return MonomialIdeal.from_gens(nvars, gens)
+
+
+class TestKPolynomial:
+    @given(ideal=_monomial_ideals())
+    @example(ideal=MonomialIdeal.from_gens(3, []))
+    @example(ideal=MonomialIdeal.from_gens(3, [(0, 0, 0)]))
+    @example(ideal=MonomialIdeal.from_gens(4, [(1, 0, 0, 0)]))
+    @example(ideal=MonomialIdeal.from_gens(5, [(2, 1, 0, 0, 0), (0, 3, 0, 1, 0)]))
+    @example(ideal=MonomialIdeal.from_gens(2, [(4, 0), (2, 2), (0, 4)]))
+    @settings(max_examples=150)
+    def test_matches_brute_force(self, ideal):
+        counts = [hf_quotient(ideal, s, brute=True) for s in range(9)]
+        assert [hf_quotient(ideal, s) for s in range(9)] == counts
+        if _krull_dimension(ideal) > 2:
+            with pytest.raises(NonTerminating):
+                hs_numerator(ideal)
+            return
+        num = hs_numerator(ideal)
+        for s, count in enumerate(counts):
+            assert sum(c * (s - j + 1) for j, c in enumerate(num) if j <= s) == count
+
+    @pytest.mark.parametrize("text, reg, numerator, hf", [
+        ("1,500,1000", 500, (1,) + (2,) * 499 + (1,), (253000, 254000)),
+        ("13,29,31,47,59,71,80", 6, (1, 6, 19, 37, 32, -4, -9, -2), (525, 605)),
+    ])
+    def test_hard_ladder_pins(self, text, reg, numerator, hf):
+        # pinned from degree-by-degree standard-monomial counting; brute force
+        # cannot reach degrees near 500
+        ini = initial_ideal(toric_ideal(parse_sequence(text)))
+        assert reg_nested_type(ini) == reg
+        assert hs_numerator(ini) == numerator
+        assert (hf_quotient(ini, reg + 2), hf_quotient(ini, reg + 3)) == hf
 
 
 class TestCohenMacaulay:
