@@ -14,7 +14,7 @@ SWEEPS = [
     ("arithmetic", ["--family", "arithmetic", "--max-mn", "30"]),
     ("generalized", ["--family", "generalized", "--max-mn", "60"]),
     ("n3", ["--family", "n3", "--max-mn", "12"]),
-    ("n4", ["--family", "n4", "--max-m4", "10"]),
+    ("n4", ["--family", "n4", "--max-mn", "10"]),
     ("random", ["--family", "random", "--count", "100", "--seed", "0"]),
 ]
 

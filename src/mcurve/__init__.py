@@ -44,7 +44,6 @@ from .monideal import (
     IrreducibleComponent,
     IrreducibleDecomposition,
     irreducible_decomposition,
-    reg_irreducible,
     is_nested_type,
     reg_nested_type,
     hf_quotient,

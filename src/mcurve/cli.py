@@ -15,15 +15,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, NamedTuple
 
 from . import sweeps
 from .arith_forms import (
+    ArithHilbert,
     betti1_arithmetic,
     cm_type_arithmetic,
     gb_arithmetic,
@@ -33,13 +34,21 @@ from .arith_forms import (
 )
 from .errors import McurveError, SequenceError
 from .gen_forms import (
+    GenHilbert,
     gb_generalized,
     hilbert_generalized,
     is_cm_generalized,
     is_complete_intersection,
     reg_generalized,
 )
-from .grobner import initial_ideal, reduce_basis, render_gb, toric_ideal
+from .grobner import (
+    GroebnerBasis,
+    buchberger,
+    initial_ideal,
+    reduce_basis,
+    render_gb,
+    toric_ideal,
+)
 from .koszul import koszul_status
 from .monideal import (
     cm_type_oracle,
@@ -48,7 +57,7 @@ from .monideal import (
     hs_numerator,
     reg_nested_type,
 )
-from .poly import DegRevLex, format_binomial, parse_order
+from .poly import Binomial, DegRevLex, format_binomial, parse_order
 from .seq import CurveSequence, arithmetic_profile, classify, parse_sequence
 
 
@@ -146,6 +155,29 @@ class Mismatch(McurveError):
     """Closed form and oracle disagree."""
 
 
+class ClosedForms(NamedTuple):
+    """The closed forms of one family (see SequenceClass.closed_family)."""
+
+    gb: Callable[[CurveSequence], list[Binomial]]
+    hilbert: Callable[[CurveSequence], ArithHilbert | GenHilbert]
+    regularity: Callable[[CurveSequence], int]
+
+    def reduced_gb(self, seq: CurveSequence) -> tuple[Binomial, ...]:
+        """The closed-form basis, self-reduced into the oracle's canonical form."""
+        return reduce_basis(self.gb(seq), DegRevLex(seq.n + 1))
+
+
+def closed_forms(family: str | None) -> ClosedForms | None:
+    """The closed forms of a family (SequenceClass.closed_family), or None.
+
+    The table is built per call, so a function replaced on this module (a test
+    double, or a tracing wrapper) is the one that runs."""
+    return {
+        "arithmetic": ClosedForms(gb_arithmetic, hilbert_arithmetic, reg_arithmetic),
+        "generalized": ClosedForms(gb_generalized, hilbert_generalized, reg_generalized),
+    }.get(family)
+
+
 def _cap_from(args: argparse.Namespace) -> int | None:
     if getattr(args, "cap_degree", None) is not None:
         return args.cap_degree
@@ -171,20 +203,15 @@ def build_report(seq: CurveSequence, verify: bool, cap: int | None = None) -> In
         prov[name] = "oracle"
         return oracle
 
-    closed_applies = cls.is_generalized_arithmetic and math.gcd(seq.m1, cls.d or 1) == 1
-    closed_hd = (closed_applies and cls.kind == "generalized"
-                 and cls.d is not None and cls.h is not None and cls.d % cls.h == 0)
-    arith = closed_applies and cls.kind == "arithmetic"
-    use_oracle = verify or not (arith or closed_hd)
-
+    family = cls.closed_family
+    forms = closed_forms(family)
     gb = ini = None
-    if use_oracle:
+    if verify or forms is None:
         gb = toric_ideal(seq, cap)
         ini = initial_ideal(gb)
 
-    if arith:
-        prof = arithmetic_profile(seq)
-        hil = hilbert_arithmetic(seq)
+    hil = forms.hilbert(seq) if forms else None
+    if family == "arithmetic":
         report.cm = settle("cm", True, cm_via_initial(ini, seq.n) if ini else None)
         report.cm_type = settle("cm_type", cm_type_arithmetic(seq),
                                 cm_type_oracle(seq, ini) if ini else None)
@@ -193,52 +220,32 @@ def build_report(seq: CurveSequence, verify: bool, cap: int | None = None) -> In
         report.complete_intersection = settle(
             "complete_intersection", is_complete_intersection(seq),
             (len(gb) == seq.n - 1) if gb else None)
-        report.regularity = settle("regularity", reg_arithmetic(seq),
-                                   reg_nested_type(ini) if ini else None)
         report.hf_regularity = settle("hf_regularity", hil.hf_reg, None)
-        report.betti1 = settle("betti1", betti1_arithmetic(prof, seq.n),
+        report.betti1 = settle("betti1", betti1_arithmetic(arithmetic_profile(seq), seq.n),
                                len(gb) if gb else None)
-        report.hs_numerator = settle("hs_numerator", hil.hs_numerator,
-                                     hs_numerator(ini) if ini else None)
-        report.hilbert_polynomial = settle(
-            "hilbert_polynomial", (hil.hp_slope, hil.hp_constant),
-            _fitted_polynomial(ini, report.regularity) if ini else None)
-        if verify and gb is not None:
-            closed = reduce_basis(gb_arithmetic(seq), DegRevLex(seq.n + 1))
-            if set(closed) != gb.element_set():
-                raise Mismatch(f"groebner basis: closed form != oracle for ({seq})")
-    elif closed_hd and seq.n >= 3:
-        hil = hilbert_generalized(seq)
+    elif family == "generalized":
         report.cm = settle("cm", is_cm_generalized(seq),
                            cm_via_initial(ini, seq.n) if ini else None)
         report.gorenstein = False if not report.cm else None
         prov["gorenstein"] = prov["cm"]
         report.complete_intersection = settle(
             "complete_intersection", is_complete_intersection(seq), None)
-        report.regularity = settle("regularity", reg_generalized(seq),
-                                   reg_nested_type(ini) if ini else None)
-        report.betti1 = settle("betti1", len(gb_generalized(seq)),
-                               len(gb) if gb else None)
-        report.hs_numerator = settle("hs_numerator", hil.hs_numerator,
-                                     hs_numerator(ini) if ini else None)
-        report.hilbert_polynomial = settle(
-            "hilbert_polynomial", (hil.hp_slope, hil.hp_constant),
-            _fitted_polynomial(ini, report.regularity) if ini else None)
-        if verify and gb is not None:
-            closed = reduce_basis(gb_generalized(seq), DegRevLex(seq.n + 1))
-            if set(closed) != gb.element_set():
-                raise Mismatch(f"groebner basis: closed form != oracle for ({seq})")
+        report.betti1 = settle("betti1", len(gb_generalized(seq)), len(gb) if gb else None)
     else:
-        assert ini is not None and gb is not None
         cm = cm_via_initial(ini, seq.n)
         report.cm = settle("cm", None, cm)
         if cm:
             report.cm_type = settle("cm_type", None, cm_type_oracle(seq, ini))
             report.gorenstein = settle("gorenstein", None, report.cm_type == 1)
-        report.regularity = settle("regularity", None, reg_nested_type(ini))
-        report.hs_numerator = settle("hs_numerator", None, hs_numerator(ini))
-        report.hilbert_polynomial = settle(
-            "hilbert_polynomial", None, _fitted_polynomial(ini, report.regularity))
+    report.regularity = settle("regularity", forms.regularity(seq) if forms else None,
+                               reg_nested_type(ini) if ini else None)
+    report.hs_numerator = settle("hs_numerator", hil.hs_numerator if hil else None,
+                                 hs_numerator(ini) if ini else None)
+    report.hilbert_polynomial = settle(
+        "hilbert_polynomial", (hil.hp_slope, hil.hp_constant) if hil else None,
+        _fitted_polynomial(ini, report.regularity) if ini else None)
+    if verify and forms is not None and set(forms.reduced_gb(seq)) != gb.element_set():
+        raise Mismatch(f"groebner basis: closed form != oracle for ({seq})")
 
     status = koszul_status(seq, cap)
     report.koszul_verdict = status.verdict
@@ -268,27 +275,22 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     return 0
 
 
-def _closed_form_gb(seq: CurveSequence):
-    cls = classify(seq)
-    if not cls.is_generalized_arithmetic or math.gcd(seq.m1, cls.d or 1) != 1:
-        return None
-    if cls.kind == "arithmetic":
-        return reduce_basis(gb_arithmetic(seq), DegRevLex(seq.n + 1))
-    if cls.d is not None and cls.h is not None and cls.d % cls.h == 0 and seq.n >= 3:
-        return reduce_basis(gb_generalized(seq), DegRevLex(seq.n + 1))
-    return None
-
-
 def cmd_gb(args: argparse.Namespace) -> int:
     seq = parse_sequence(args.sequence)
     cap = _cap_from(args)
     order = parse_order(args.order, seq.n + 1)
 
-    if args.diff:
-        closed = _closed_form_gb(seq)
-        if closed is None:
+    if args.diff or args.source == "closed":
+        if order != DegRevLex(seq.n + 1):
+            raise ValueError("--order applies to the oracle basis only, not to --diff "
+                             "or --source closed")
+        forms = closed_forms(classify(seq).closed_family)
+        if forms is None:
             print(f"no closed form applies to ({seq})", file=sys.stderr)
             return 2
+        closed = forms.reduced_gb(seq)
+
+    if args.diff:
         oracle = toric_ideal(seq, cap)
         only_closed = sorted(set(closed) - oracle.element_set(), key=str)
         only_oracle = sorted(oracle.element_set() - set(closed), key=str)
@@ -302,16 +304,10 @@ def cmd_gb(args: argparse.Namespace) -> int:
         return 0
 
     if args.source == "closed":
-        closed = _closed_form_gb(seq)
-        if closed is None:
-            print(f"no closed form applies to ({seq})", file=sys.stderr)
-            return 2
-        from .grobner import GroebnerBasis
-        gb = GroebnerBasis(DegRevLex(seq.n + 1), closed, reduced=True)
+        gb = GroebnerBasis(DegRevLex(seq.n + 1), closed)
     else:
         gb = toric_ideal(seq, cap)
         if order != gb.order:
-            from .grobner import buchberger
             gb = buchberger(gb.elements, order, cap)
     sys.stdout.write(render_gb(gb, seq))
     return 0
@@ -319,17 +315,9 @@ def cmd_gb(args: argparse.Namespace) -> int:
 
 def cmd_hilbert(args: argparse.Namespace) -> int:
     seq = parse_sequence(args.sequence)
-    cap = _cap_from(args)
-    cls = classify(seq)
-    gb = toric_ideal(seq, cap)
-    ini = initial_ideal(gb)
-
-    closed_hf = None
-    if cls.is_generalized_arithmetic and math.gcd(seq.m1, cls.d or 1) == 1:
-        if cls.kind == "arithmetic":
-            closed_hf = hilbert_arithmetic(seq).hf_at
-        elif cls.d is not None and cls.h is not None and cls.d % cls.h == 0 and seq.n >= 3:
-            closed_hf = hilbert_generalized(seq).hf_at
+    ini = initial_ideal(toric_ideal(seq, _cap_from(args)))
+    forms = closed_forms(classify(seq).closed_family)
+    closed_hf = forms.hilbert(seq).hf_at if forms else None
 
     rows = []
     mismatch = False
@@ -354,47 +342,43 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
     return 1 if mismatch else 0
 
 
-def _sweep_instances(args: argparse.Namespace):
-    if args.family == "arithmetic":
-        cfg = sweeps.ArithmeticSweep(max_mn=args.max_mn or 30)
-        return list(sweeps.arithmetic_instances(cfg)), sweeps.check_arithmetic_instance, cfg
-    if args.family == "generalized":
-        hs = tuple(int(x) for x in args.h.split(",")) if args.h else (2, 3)
-        cfg = sweeps.GeneralizedSweep(h_values=hs, max_mn=args.max_mn or 60)
-        return list(sweeps.generalized_instances(cfg)), sweeps.check_generalized_instance, cfg
-    if args.family == "n3":
-        import itertools
-        bound = args.max_mn or 12
-        cfg = sweeps.KoszulN3Sweep(max_m3=bound)
-        seqs = [CurveSequence(m) for m in itertools.combinations(range(1, bound + 1), 3)
-                if math.gcd(*m) == 1]
-        return seqs, sweeps.check_koszul_n3_instance, cfg
-    if args.family == "n4":
-        import itertools
-        bound = args.max_m4 or 10
-        cfg = sweeps.KoszulN4Sweep(max_m4=bound)
-        seqs = [CurveSequence(m) for m in itertools.combinations(range(1, bound + 1), 4)
-                if math.gcd(*m) == 1]
-        return seqs, sweeps.check_koszul_n4_instance, cfg
-    if args.family == "random":
-        cfg = sweeps.RandomSweep(count=args.count, max_mn=args.max_mn or 25, seed=args.seed)
-        return list(sweeps.random_instances(cfg)), sweeps.check_random_instance, cfg
-    raise ValueError(f"unknown family {args.family!r}")
+class SweepFamily(NamedTuple):
+    """A sweep family: its config from the bound on m_n and the arguments, the
+    instances of a config, the per-instance checker, and the default bound."""
+
+    config: Callable[[int, argparse.Namespace], Any]
+    instances: Callable[[Any], Iterable[CurveSequence]]
+    check: Callable[[CurveSequence, int | None], dict[str, bool]]
+    bound: int
+
+
+SWEEP_FAMILIES = {
+    "arithmetic": SweepFamily(
+        lambda bound, args: sweeps.ArithmeticSweep(max_mn=bound),
+        sweeps.arithmetic_instances, sweeps.check_arithmetic_instance, 30),
+    "generalized": SweepFamily(
+        lambda bound, args: sweeps.GeneralizedSweep(
+            h_values=tuple(int(x) for x in args.h.split(",")) if args.h else (2, 3),
+            max_mn=bound),
+        sweeps.generalized_instances, sweeps.check_generalized_instance, 60),
+    "n3": SweepFamily(
+        lambda bound, args: sweeps.KoszulN3Sweep(max_m3=bound),
+        lambda cfg: sweeps.koszul_instances(3, cfg.max_m3), sweeps.check_koszul_n3_instance, 12),
+    "n4": SweepFamily(
+        lambda bound, args: sweeps.KoszulN4Sweep(max_m4=bound),
+        lambda cfg: sweeps.koszul_instances(4, cfg.max_m4), sweeps.check_koszul_n4_instance, 10),
+    "random": SweepFamily(
+        lambda bound, args: sweeps.RandomSweep(count=args.count, max_mn=bound, seed=args.seed),
+        sweeps.random_instances, sweeps.check_random_instance, 25),
+}
 
 
 def _run_one(payload: tuple[str, tuple[int, ...], int | None]) -> dict:
     family, m, cap = payload
-    checker = {
-        "arithmetic": sweeps.check_arithmetic_instance,
-        "generalized": sweeps.check_generalized_instance,
-        "n3": sweeps.check_koszul_n3_instance,
-        "n4": sweeps.check_koszul_n4_instance,
-        "random": sweeps.check_random_instance,
-    }[family]
     seq = CurveSequence(m)
     started = time.perf_counter()
     try:
-        checks = checker(seq, cap)
+        checks = SWEEP_FAMILIES[family].check(seq, cap)
         ok = all(checks.values())
         record = {"seq": list(m), "ok": ok, "checks": checks}
     except McurveError as exc:
@@ -405,7 +389,9 @@ def _run_one(payload: tuple[str, tuple[int, ...], int | None]) -> dict:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cap = _cap_from(args)
-    seqs, _, cfg = _sweep_instances(args)
+    family = SWEEP_FAMILIES[args.family]
+    cfg = family.config(args.max_mn or family.bound, args)
+    seqs = list(family.instances(cfg))
     out = open(args.out, "w") if args.out else sys.stdout
     payloads = [(args.family, s.m, cap) for s in seqs]
     failures = 0
@@ -474,10 +460,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a family verification sweep (JSONL)")
     add_common(p, sequence=False)
-    p.add_argument("--family", required=True,
-                   choices=["arithmetic", "generalized", "n3", "n4", "random"])
-    p.add_argument("--max-mn", type=int, default=None)
-    p.add_argument("--max-m4", type=int, default=None)
+    p.add_argument("--family", required=True, choices=list(SWEEP_FAMILIES))
+    p.add_argument("--max-mn", type=int, default=None,
+                   help="bound on the largest term m_n (default per family: " + ", ".join(
+                       f"{name} {f.bound}" for name, f in SWEEP_FAMILIES.items()) + ")")
     p.add_argument("--h", default=None, help="comma-separated h values (generalized family)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=50, help="instances for the random family")

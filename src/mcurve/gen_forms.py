@@ -15,7 +15,6 @@ Both are pinned against the oracle's K-polynomial across the test sweeps.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .arith_forms import ArithHilbert, gb_arithmetic, hilbert_arithmetic, irred_dec_arithmetic
@@ -68,29 +67,26 @@ def not_cm_witness(seq: CurveSequence) -> NotCmWitness | None:
     return None
 
 
-def _require_generalized(seq: CurveSequence) -> tuple[int, int]:
+def _require_generalized(seq: CurveSequence) -> int:
+    """h of a generalized arithmetic sequence with gcd(m_1, d) = 1."""
     cls = classify(seq)
     if not cls.is_generalized_arithmetic:
         raise NotGeneralizedArithmetic(f"({seq}) is not generalized arithmetic")
-    assert cls.h is not None and cls.d is not None
-    return cls.h, cls.d
+    if cls.gcd_m1_d != 1:
+        raise GcdViolation(f"gcd(m_1, d) != 1 for ({seq})")
+    return cls.h
 
 
 def is_cm_generalized(seq: CurveSequence) -> bool:
     """Cohen-Macaulay iff the sequence is arithmetic (h = 1); needs n >= 3."""
-    h, d = _require_generalized(seq)
     if seq.n < 3:
         raise NotGeneralizedArithmetic("criterion needs n >= 3 (n = 2 is always arithmetic)")
-    if math.gcd(seq.m1, d) != 1:
-        raise GcdViolation(f"gcd(m_1, d) != 1 for ({seq})")
-    return h == 1
+    return _require_generalized(seq) == 1
 
 
 def is_complete_intersection(seq: CurveSequence) -> bool:
     """I(C) is a complete intersection iff n = 2, or n = 3 with h = 1 and m_1 even."""
-    h, d = _require_generalized(seq)
-    if math.gcd(seq.m1, d) != 1:
-        raise GcdViolation(f"gcd(m_1, d) != 1 for ({seq})")
+    h = _require_generalized(seq)
     if seq.n == 2:
         return True
     return seq.n == 3 and h == 1 and seq.m1 % 2 == 0

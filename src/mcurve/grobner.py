@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DegreeCapExceeded, McurveError
+from .errors import DegreeCapExceeded, InvariantViolation, McurveError
 from .monideal import MonomialIdeal
 from .poly import (
     Binomial,
@@ -39,7 +39,6 @@ class GroebnerBasis:
 
     order: TermOrder
     elements: tuple[Binomial, ...]
-    reduced: bool = True
 
     @property
     def nvars(self) -> int:
@@ -86,7 +85,7 @@ def _normal_form(a: Monomial, b: Monomial, leads: list[Monomial],
 
 
 def buchberger(gens: Iterable[Binomial], order: TermOrder,
-               cap: int | None = None, *, use_chain_criterion: bool = False) -> GroebnerBasis:
+               cap: int | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the binomial ideal generated by `gens`.
 
     Pair selection is the normal strategy (lowest lcm degree first, ties by
@@ -111,7 +110,6 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder,
             seed.append(pair)
 
     pairs: list[tuple[int, tuple, int, int]] = []
-    treated: set[tuple[int, int]] = set()  # popped, or skipped by a criterion
 
     def push_pairs(new_idx: int) -> None:
         la = leads[new_idx]
@@ -119,8 +117,7 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder,
             lb = leads[i]
             lcm = tuple(max(x, y) for x, y in zip(la, lb))
             if all(l == x + y for l, x, y in zip(lcm, la, lb)):
-                treated.add((i, new_idx))  # coprime leads: S-polynomial drops
-                continue
+                continue  # coprime leads: S-polynomial drops
             heapq.heappush(pairs, (sum(lcm), key(lcm), i, new_idx))
 
     def add_element(a: Monomial, b: Monomial) -> None:
@@ -140,15 +137,6 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder,
         _, _, i, j = heapq.heappop(pairs)
         la, lb = leads[i], leads[j]
         lcm = tuple(max(x, y) for x, y in zip(la, lb))
-        if use_chain_criterion:
-            # sound only when both sub-pairs were themselves treated already
-            def _done(a: int, b: int) -> bool:
-                return (min(a, b), max(a, b)) in treated
-            if any(k != i and k != j and mono_divides(leads[k], lcm)
-                   and _done(i, k) and _done(j, k) for k in range(len(leads))):
-                treated.add((i, j))
-                continue
-        treated.add((i, j))
         if cap is not None and sum(lcm) > cap:
             raise DegreeCapExceeded(f"S-pair degree {sum(lcm)} exceeds cap {cap}")
         a = tuple(l - x + t for l, x, t in zip(lcm, la, trails[i]))
@@ -158,7 +146,7 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder,
             add_element(*nf)
 
     basis = [Binomial(a, b) for a, b in zip(leads, trails)]
-    return GroebnerBasis(order, _interreduce(basis, order), reduced=True)
+    return GroebnerBasis(order, _interreduce(basis, order))
 
 
 def _interreduce(basis: Sequence[Binomial], order: TermOrder) -> tuple[Binomial, ...]:
@@ -169,22 +157,22 @@ def _interreduce(basis: Sequence[Binomial], order: TermOrder) -> tuple[Binomial,
     for g in ordered:
         if not any(mono_divides(h.lead, g.lead) for h in kept):
             kept.append(g)
+    if any(g.trail is None for g in kept):
+        raise InvariantViolation("bare monomial in a basis to interreduce")
     leads = [g.lead for g in kept]
     out: list[Binomial] = []
     for g in kept:
         trail = g.trail
-        assert trail is not None
         changed = True
         while changed:
             changed = False
             for i, lt in enumerate(leads):
                 if mono_divides(lt, trail):
-                    tt = kept[i].trail
-                    assert tt is not None
-                    trail = tuple(x - y + z for x, y, z in zip(trail, lt, tt))
+                    trail = tuple(x - y + z for x, y, z in zip(trail, lt, kept[i].trail))
                     changed = True
                     break
-        assert trail != g.lead
+        if trail == g.lead:
+            raise InvariantViolation(f"{g} reduces to zero in interreduction")
         out.append(Binomial(g.lead, trail))
     out.sort(key=lambda g: (key(g.lead), key(g.trail)))
     return tuple(out)
@@ -195,7 +183,8 @@ def reduce_basis(gens: Iterable[Binomial], order: TermOrder) -> tuple[Binomial, 
     form): minimal leads, reduced trails, canonical sort."""
     oriented = []
     for g in gens:
-        assert g.trail is not None
+        if g.trail is None:
+            raise InvariantViolation(f"bare monomial {g} in a basis to reduce")
         ori = make_binomial(g.lead, g.trail, order)
         if ori is not None:
             oriented.append(ori)
@@ -243,7 +232,8 @@ def _integer_kernel(rows: list[list[int]]) -> list[list[int]]:
                 break
     kernel = [[U[i][j] for i in range(ncols)] for j in range(rank, ncols)]
     for v in kernel:
-        assert all(sum(r[i] * v[i] for i in range(ncols)) == 0 for r in rows)
+        if any(sum(r[i] * v[i] for i in range(ncols)) != 0 for r in rows):
+            raise InvariantViolation(f"kernel vector {v} not in the kernel")
     return kernel
 
 
@@ -298,7 +288,8 @@ def lattice_basis(seq: CurveSequence) -> list[tuple[int, ...]]:
         [seq.mn - seq.m[i] for i in range(n)] + [seq.mn],
     ]
     kernel = _integer_kernel(rows)
-    assert len(kernel) == n - 1, f"kernel rank {len(kernel)} != n-1 for ({seq})"
+    if len(kernel) != n - 1:
+        raise InvariantViolation(f"kernel rank {len(kernel)} != n-1 for ({seq})")
     return [tuple(v) for v in _lll(kernel)]
 
 
@@ -332,7 +323,6 @@ def toric_ideal(seq: CurveSequence, cap: int | None = None) -> GroebnerBasis:
             gb = buchberger(current, degrevlex_cheapest(nv, i), cap)
             nxt: list[Binomial] = []
             for g in gb.elements:
-                assert g.trail is not None
                 k = min(g.lead[i], g.trail[i])
                 if k:
                     changed = True
@@ -351,7 +341,8 @@ def toric_ideal(seq: CurveSequence, cap: int | None = None) -> GroebnerBasis:
     for g in final.elements:
         if g.trail is None or g.lead == g.trail:
             raise McurveError(f"monomial {g} in toric basis for ({seq}): saturation bug")
-        assert is_member_binomial(seq, g), f"non-member {g} in toric basis for ({seq})"
+        if not is_member_binomial(seq, g):
+            raise InvariantViolation(f"non-member {g} in toric basis for ({seq})")
     return final
 
 
@@ -360,21 +351,20 @@ def initial_ideal(gb: GroebnerBasis) -> MonomialIdeal:
     return MonomialIdeal.from_gens(gb.nvars, gb.leads())
 
 
-def eliminate(seq: CurveSequence, keep_from: int, cap: int | None = None) -> GroebnerBasis:
-    """Reduced degrevlex basis of I(C) /\\ K[x_{keep_from+1}, ..., x_{n+1}],
-    computed with a block order eliminating the leading variables.  The
-    result lives in the smaller ring (n + 1 - keep_from variables)."""
-    nv = seq.n + 1
-    assert 0 <= keep_from < nv
-    if cap is None:
-        cap = default_degree_cap(seq)
-    full = toric_ideal(seq, cap)
+def eliminate(gb: GroebnerBasis, keep_from: int, cap: int | None = None) -> GroebnerBasis:
+    """Reduced degrevlex basis of I /\\ K[x_{keep_from+1}, ..., x_{n+1}] for the
+    ideal I with basis `gb` (a toric basis from `toric_ideal`), computed with a
+    block order eliminating the leading variables.  The result lives in the
+    smaller ring (n + 1 - keep_from variables); `cap` bounds the Buchberger
+    degrees (None: no bound)."""
+    nv = gb.nvars
+    if not 0 <= keep_from < nv:
+        raise InvariantViolation(f"keep_from {keep_from} outside 0..{nv - 1}")
     if keep_from == 0:
-        return full
-    block = buchberger(full.elements, BlockOrder(nv, keep_from), cap)
+        return gb
+    block = buchberger(gb.elements, BlockOrder(nv, keep_from), cap)
     kept: list[Binomial] = []
     for g in block.elements:
-        assert g.trail is not None
         if all(e == 0 for e in g.lead[:keep_from]) and all(e == 0 for e in g.trail[:keep_from]):
             kept.append(Binomial(g.lead[keep_from:], g.trail[keep_from:]))
     return buchberger(kept, DegRevLex(nv - keep_from), cap)
@@ -397,24 +387,22 @@ def quadrics_in_ideal(seq: CurveSequence) -> list[Binomial]:
     return sorted(out, key=lambda g: (order.key(g.lead), order.key(g.trail)))
 
 
-def is_generated_by_quadrics(seq: CurveSequence, cap: int | None = None) -> bool:
-    """True iff the degree-2 members of I(C) generate the whole ideal."""
+def is_generated_by_quadrics(seq: CurveSequence, gb: GroebnerBasis,
+                             cap: int | None = None) -> bool:
+    """True iff the degree-2 members of I(C) generate the whole ideal; `gb` is
+    the degrevlex toric basis of `seq` (from `toric_ideal`)."""
     if cap is None:
         cap = default_degree_cap(seq)
     quad_gb = buchberger(quadrics_in_ideal(seq), DegRevLex(seq.n + 1), cap)
-    return quad_gb.element_set() == toric_ideal(seq, cap).element_set()
+    return quad_gb.element_set() == gb.element_set()
 
 
-def has_quadratic_gb(seq: CurveSequence, order: TermOrder | None = None,
+def has_quadratic_gb(gb: GroebnerBasis, order: TermOrder | None = None,
                      cap: int | None = None) -> bool:
-    """True iff the reduced Groebner basis of I(C) under `order` is all quadrics."""
-    if cap is None:
-        cap = default_degree_cap(seq)
-    base = toric_ideal(seq, cap)
-    if order is None or order == base.order:
-        gb = base
-    else:
-        gb = buchberger(base.elements, order, cap)
+    """True iff the reduced Groebner basis under `order` of the ideal with basis
+    `gb` is all quadrics; `cap` bounds the Buchberger degrees (None: no bound)."""
+    if order is not None and order != gb.order:
+        gb = buchberger(gb.elements, order, cap)
     return all(g.degree == 2 for g in gb.elements)
 
 
@@ -432,9 +420,10 @@ def parse_gb(text: str) -> GroebnerBasis:
     from .poly import parse_binomial, parse_order
     lines = [ln for ln in text.splitlines() if ln.strip()]
     header = lines[0]
-    assert header.startswith("# order=")
+    if not header.startswith("# order="):
+        raise InvariantViolation(f"not a basis header: {header!r}")
     fields = dict(part.split("=", 1) for part in header[2:].split() if "=" in part)
     nvars = int(fields["vars"])
     order = parse_order(fields["order"], nvars)
     elements = tuple(parse_binomial(ln, nvars) for ln in lines[1:])
-    return GroebnerBasis(order, elements, reduced=True)
+    return GroebnerBasis(order, elements)

@@ -10,11 +10,16 @@ Outside all of these the honest verdict is "unknown".
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import GcdViolation, NotGeneralizedArithmetic, WrongN
-from .grobner import has_quadratic_gb, is_generated_by_quadrics
+from .grobner import (
+    GroebnerBasis,
+    default_degree_cap,
+    has_quadratic_gb,
+    is_generated_by_quadrics,
+    toric_ideal,
+)
 from .poly import DegRevLex, YWeighted
 from .seq import CurveSequence, classify
 
@@ -44,8 +49,7 @@ def koszul_generalized(seq: CurveSequence) -> bool:
     cls = classify(seq)
     if not cls.is_generalized_arithmetic:
         raise NotGeneralizedArithmetic(f"({seq}) is not generalized arithmetic")
-    assert cls.h is not None and cls.d is not None
-    if math.gcd(seq.m1, cls.d) != 1:
+    if cls.gcd_m1_d != 1:
         raise GcdViolation(f"gcd(m_1, d) != 1 for ({seq})")
     return cls.h == 1 and cls.d == 1 and seq.n > seq.m1
 
@@ -110,22 +114,25 @@ def koszul_status(seq: CurveSequence, cap: int | None = None) -> KoszulStatus:
 
     if not necessary_quadric_conditions(base):
         return KoszulStatus("not_koszul", "fails_necessary_quadric")
-    if not is_generated_by_quadrics(base, cap):
+    cap = default_degree_cap(base) if cap is None else cap
+    gb = toric_ideal(base, cap)
+    if not is_generated_by_quadrics(base, gb, cap):
         return KoszulStatus("not_koszul", "fails_quadric_generation")
-    witness = quadratic_gb_witness(base, cap)
+    witness = quadratic_gb_witness(gb, cap)
     if witness is not None:
         return KoszulStatus("koszul", f"quadratic_gb:{witness}")
     return KoszulStatus("unknown", "inconclusive")
 
 
-def quadratic_gb_witness(seq: CurveSequence, cap: int | None = None) -> str | None:
-    """Name of an order under which I(C) has a quadratic reduced basis:
-    degrevlex first, then each y-dominant order on a sequence variable."""
-    nv = seq.n + 1
-    if has_quadratic_gb(seq, DegRevLex(nv), cap):
+def quadratic_gb_witness(gb: GroebnerBasis, cap: int | None = None) -> str | None:
+    """Name of an order under which the toric ideal with degrevlex basis `gb`
+    has a quadratic reduced basis: degrevlex first, then each y-dominant order
+    on a sequence variable.  `cap` bounds the Buchberger degrees (None: no bound)."""
+    nv = gb.nvars
+    if has_quadratic_gb(gb, DegRevLex(nv), cap):
         return "degrevlex"
-    for idx in range(seq.n - 1):
+    for idx in range(nv - 2):
         order = YWeighted(nv, idx)
-        if has_quadratic_gb(seq, order, cap):
+        if has_quadratic_gb(gb, order, cap):
             return order.name
     return None

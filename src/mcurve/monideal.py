@@ -124,10 +124,6 @@ class IrreducibleDecomposition:
         return "\n".join(str(c) for c in self.components)
 
 
-def reg_irreducible(c: IrreducibleComponent) -> int:
-    return c.regularity()
-
-
 def _split_candidate(gens: tuple[Monomial, ...]) -> Monomial | None:
     """Generator with the most mixed support, or None if all are pure powers."""
     best = None
@@ -244,8 +240,10 @@ def _count_standard_brute(gens: tuple[Monomial, ...], nvars: int, s: int) -> int
         for e in range(left + 1):
             yield from gen(prefix + [e], left - e, pos + 1)
 
+    if s < 0:
+        return 0
     if nvars == 0:
-        return 1 if s == 0 else 0
+        return 1 if s == 0 and not gens else 0
     return sum(1 for m in gen([], s, 0)
                if not any(mono_divides(g, m) for g in gens))
 

@@ -18,29 +18,8 @@ Monomial = tuple[int, ...]
 
 # -- exponent-vector arithmetic ---------------------------------------------
 
-def mono_degree(m: Monomial) -> int:
-    return sum(m)
-
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """a / b, assuming b divides a."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def mono_gcd(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(min(x, y) for x, y in zip(a, b))
 
 
 # -- term orders -------------------------------------------------------------
@@ -159,10 +138,6 @@ class Binomial:
     def degree(self) -> int:
         return sum(self.lead)
 
-    @property
-    def is_monomial(self) -> bool:
-        return self.trail is None
-
     def __str__(self) -> str:
         return format_binomial(self)
 
@@ -271,9 +246,3 @@ def shift_monomial(m: Monomial, offset: int, nvars: int) -> Monomial:
 def shift_binomial(b: Binomial, offset: int, nvars: int) -> Binomial:
     trail = None if b.trail is None else shift_monomial(b.trail, offset, nvars)
     return Binomial(shift_monomial(b.lead, offset, nvars), trail)
-
-
-def restrict_monomial(m: Monomial, start: int) -> Monomial:
-    """Drop the first `start` coordinates (assumed zero)."""
-    assert all(e == 0 for e in m[:start])
-    return m[start:]

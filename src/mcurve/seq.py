@@ -112,6 +112,14 @@ class SequenceClass:
     def is_generalized_arithmetic(self) -> bool:
         return self.kind in ("arithmetic", "generalized")
 
+    @property
+    def closed_family(self) -> str | None:
+        """The family whose closed forms apply: "arithmetic", or "generalized"
+        when h | d; both need gcd(m_1, d) = 1.  None when no closed form applies."""
+        if self.gcd_m1_d != 1 or (self.kind == "generalized" and self.d % self.h != 0):
+            return None
+        return self.kind
+
 
 def classify(seq: CurveSequence) -> SequenceClass:
     """Detect the unique exact (h, d) fit, falling back to "general".

@@ -8,6 +8,7 @@ acceptance suite and the ``mcurve sweep`` command.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -33,7 +34,9 @@ from .gen_forms import (
 )
 from .grobner import (
     buchberger,
+    default_degree_cap,
     initial_ideal,
+    is_generated_by_quadrics,
     reduce_basis,
     toric_ideal,
 )
@@ -107,6 +110,13 @@ def generalized_instances(cfg: GeneralizedSweep) -> Iterator[CurveSequence]:
                         yield CurveSequence(
                             (m1,) + tuple(h * m1 + i * d for i in range(1, n)))
                     m1 += 1
+
+
+def koszul_instances(n: int, max_mn: int) -> Iterator[CurveSequence]:
+    """Every sequence of n terms up to max_mn with gcd 1 (the n = 3, 4 lists)."""
+    for m in itertools.combinations(range(1, max_mn + 1), n):
+        if math.gcd(*m) == 1:
+            yield CurveSequence(m)
 
 
 def random_instances(cfg: RandomSweep) -> Iterator[CurveSequence]:
@@ -184,22 +194,24 @@ def check_generalized_instance(seq: CurveSequence, cap: int | None = None) -> di
     return checks
 
 
-def check_koszul_n3_instance(seq: CurveSequence, cap: int | None = None) -> dict[str, bool]:
-    from .grobner import is_generated_by_quadrics
-    listed = seq.m in N3_KOSZUL
-    checks = {"quadric_iff_listed": is_generated_by_quadrics(seq, cap) == listed}
+def _check_koszul_list(seq: CurveSequence, koszul: frozenset, cap: int | None) -> dict[str, bool]:
+    """A Koszul list against the oracle: quadric generation iff listed, and a
+    quadratic Groebner basis for every listed sequence."""
+    cap = default_degree_cap(seq) if cap is None else cap
+    gb = toric_ideal(seq, cap)
+    listed = seq.m in koszul
+    checks = {"quadric_iff_listed": is_generated_by_quadrics(seq, gb, cap) == listed}
     if listed:
-        checks["quadratic_gb_witness"] = quadratic_gb_witness(seq, cap) is not None
+        checks["quadratic_gb_witness"] = quadratic_gb_witness(gb, cap) is not None
     return checks
+
+
+def check_koszul_n3_instance(seq: CurveSequence, cap: int | None = None) -> dict[str, bool]:
+    return _check_koszul_list(seq, N3_KOSZUL, cap)
 
 
 def check_koszul_n4_instance(seq: CurveSequence, cap: int | None = None) -> dict[str, bool]:
-    from .grobner import is_generated_by_quadrics
-    listed = seq.m in N4_KOSZUL
-    checks = {"quadric_iff_listed": is_generated_by_quadrics(seq, cap) == listed}
-    if listed:
-        checks["quadratic_gb_witness"] = quadratic_gb_witness(seq, cap) is not None
-    return checks
+    return _check_koszul_list(seq, N4_KOSZUL, cap)
 
 
 def check_random_instance(seq: CurveSequence, cap: int | None = None) -> dict[str, bool]:

@@ -172,16 +172,16 @@ def test_koszul_exhaustive_lists():
         if math.gcd(*m) != 1:
             continue
         s = CurveSequence(m)
-        assert is_generated_by_quadrics(s) == (m in N3_KOSZUL), m
+        assert is_generated_by_quadrics(s, toric_ideal(s)) == (m in N3_KOSZUL), m
 
     for m in itertools.combinations(range(1, 11), 4):
         if math.gcd(*m) != 1:
             continue
         s = CurveSequence(m)
-        assert is_generated_by_quadrics(s) == (m in N4_KOSZUL), m
+        assert is_generated_by_quadrics(s, toric_ideal(s)) == (m in N4_KOSZUL), m
 
     for m in sorted(N4_KOSZUL):
-        witness = quadratic_gb_witness(CurveSequence(m))
+        witness = quadratic_gb_witness(toric_ideal(CurveSequence(m)))
         assert witness is not None, m
 
     _report("koszul n=3 (m3<=12) and n=4 (m4<=10) exhaustive", started)

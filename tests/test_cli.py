@@ -50,6 +50,12 @@ class TestGb:
     def test_closed_source_unavailable(self, capsys):
         assert main(["gb", "-m", "1,2,5", "--source", "closed"]) == 2
 
+    def test_order_with_closed_or_diff_is_usage_error(self, capsys):
+        for flags in (["--source", "closed"], ["--diff"]):
+            assert main(["gb", "-m", "1,2,3", *flags, "--order", "yweighted:x1"]) == 2
+            assert "usage error" in capsys.readouterr().err
+            assert main(["gb", "-m", "1,2,3", *flags, "--order", "degrevlex"]) == 0
+
     def test_serialization_parses_back(self, capsys):
         from mcurve.grobner import parse_gb, toric_ideal
         assert main(["gb", "-m", "3,5,7"]) == 0
@@ -86,6 +92,13 @@ class TestSweep:
         for line in lines[:-1]:
             record = json.loads(line)
             assert record["ok"]
+
+    def test_max_mn_bounds_n4(self, capsys):
+        assert main(["sweep", "--family", "n4", "--max-mn", "6"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        summary = json.loads(lines[-1])["summary"]
+        assert summary["config"] == {"max_m4": 6} and summary["failures"] == 0
+        assert max(json.loads(line)["seq"][-1] for line in lines[:-1]) == 6
 
     def test_random_sweep_seeded(self, capsys, tmp_path):
         out_file = tmp_path / "sweep.jsonl"

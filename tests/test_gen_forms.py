@@ -120,9 +120,8 @@ class TestDecomposition:
         assert dec == oracle
 
     def test_last_component_regularity(self):
-        from mcurve.monideal import reg_irreducible
         dec = irred_dec_generalized(GOLDEN)
-        assert max(reg_irreducible(c) for c in dec.components) == 14
+        assert max(c.regularity() for c in dec.components) == 14
 
     def test_irredundancy_witness_monomials(self):
         # x1^{jh-1} x2^{beta_{j-1}-1} lies outside the initial ideal

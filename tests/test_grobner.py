@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcurve.errors import DegreeCapExceeded
+from mcurve import grobner
+from mcurve.errors import DegreeCapExceeded, InvariantViolation
 from mcurve.grobner import (
     buchberger,
     eliminate,
@@ -56,13 +57,10 @@ class TestBuchberger:
         with pytest.raises(DegreeCapExceeded):
             toric_ideal(s, cap=3)
 
-    def test_chain_criterion_agrees(self):
-        from mcurve.grobner import lattice_basis, _binomial_from_vector
-        s = parse_sequence("10,13,16,19,22")
-        gens = [_binomial_from_vector(v, DegRevLex(6)) for v in lattice_basis(s)]
-        a = buchberger(gens, DegRevLex(6), use_chain_criterion=False)
-        b = buchberger(gens, DegRevLex(6), use_chain_criterion=True)
-        assert a.elements == b.elements
+    def test_non_member_raises(self, monkeypatch):
+        monkeypatch.setattr(grobner, "is_member_binomial", lambda seq, g: False)
+        with pytest.raises(InvariantViolation):
+            toric_ideal(parse_sequence("3,5,7"))
 
 
 class TestLatticeBasis:
@@ -130,22 +128,22 @@ class TestInitialIdeal:
 class TestEliminate:
     def test_keep_all_is_toric(self):
         s = parse_sequence("3,5,7")
-        assert eliminate(s, 0).element_set() == toric_ideal(s).element_set()
+        assert eliminate(toric_ideal(s), 0).element_set() == toric_ideal(s).element_set()
 
     def test_counterexample_sequences(self):
         # elimination ideal equals the toric ideal of the tail curve
         for m in [(2, 35, 46, 57, 68), (5, 26, 32, 38)]:
             s = CurveSequence(m)
-            elim = eliminate(s, 1)
+            elim = eliminate(toric_ideal(s), 1)
             tail = toric_ideal(CurveSequence(m[1:]))
             assert elim.element_set() == tail.element_set()
 
     def test_h_divides_d_restriction_equality(self):
         s = parse_sequence("7,30,39,48,57,66")
-        ini = initial_ideal(toric_ideal(s))
+        gb = toric_ideal(s)
         tail_ini = initial_ideal(toric_ideal(CurveSequence(s.m[1:])))
-        assert ini.restrict(1) == tail_ini
-        assert initial_ideal(eliminate(s, 1)) == tail_ini
+        assert initial_ideal(gb).restrict(1) == tail_ini
+        assert initial_ideal(eliminate(gb, 1)) == tail_ini
 
 
 class TestQuadrics:
@@ -164,19 +162,20 @@ class TestQuadrics:
             5, "x1^2 - x2*x5", "x2^2 - x3*x5", "x3^2 - x4*x5"))
 
     def test_generated_by_quadrics(self):
-        assert is_generated_by_quadrics(CurveSequence((1, 2, 3)))
-        assert not is_generated_by_quadrics(CurveSequence((3, 5, 7)))
-        assert is_generated_by_quadrics(CurveSequence((1, 2, 3, 5)))
+        for m, expected in [((1, 2, 3), True), ((3, 5, 7), False), ((1, 2, 3, 5), True)]:
+            s = CurveSequence(m)
+            assert is_generated_by_quadrics(s, toric_ideal(s)) == expected, m
 
     def test_quadratic_gb(self):
-        assert has_quadratic_gb(CurveSequence((1, 2, 3)))
-        assert not has_quadratic_gb(parse_sequence("10,13,16,19,22"))
-        assert has_quadratic_gb(CurveSequence((1, 2, 4, 8)))
+        assert has_quadratic_gb(toric_ideal(CurveSequence((1, 2, 3))))
+        assert not has_quadratic_gb(toric_ideal(parse_sequence("10,13,16,19,22")))
+        assert has_quadratic_gb(toric_ideal(CurveSequence((1, 2, 4, 8))))
 
     def test_quadratic_gb_yweighted(self):
         # base (2,4,6) with distinguished variable of weight 1
-        assert has_quadratic_gb(CurveSequence((1, 2, 4, 6)), YWeighted(5, 0))
-        assert not has_quadratic_gb(CurveSequence((1, 2, 4, 6)), YWeighted(5, 2))
+        gb = toric_ideal(CurveSequence((1, 2, 4, 6)))
+        assert has_quadratic_gb(gb, YWeighted(5, 0))
+        assert not has_quadratic_gb(gb, YWeighted(5, 2))
 
 
 class TestSerialization:

@@ -3,6 +3,7 @@
 import pytest
 
 from mcurve.errors import GcdViolation, NotGeneralizedArithmetic, WrongN
+from mcurve.grobner import toric_ideal
 from mcurve.koszul import (
     N3_KOSZUL,
     N4_KOSZUL,
@@ -121,10 +122,10 @@ class TestCascade:
 class TestWitness:
     def test_all_14_have_quadratic_witness(self):
         for m in sorted(N4_KOSZUL):
-            assert quadratic_gb_witness(CurveSequence(m)) is not None, m
+            assert quadratic_gb_witness(toric_ideal(CurveSequence(m))) is not None, m
 
     def test_yweighted_only_case(self):
         # (1,2,4,6) with the weight-1 coordinate dominant has a quadratic basis
         from mcurve.grobner import has_quadratic_gb
         from mcurve.poly import YWeighted
-        assert has_quadratic_gb(CurveSequence((1, 2, 4, 6)), YWeighted(5, 0))
+        assert has_quadratic_gb(toric_ideal(CurveSequence((1, 2, 4, 6))), YWeighted(5, 0))

@@ -19,7 +19,6 @@ from mcurve.monideal import (
     irreducible_decomposition,
     is_nested_type,
     last_step_check,
-    reg_irreducible,
     reg_nested_type,
 )
 from mcurve.poly import parse_monomial
@@ -118,10 +117,10 @@ def _degree_monomials(nvars, max_degree):
 
 class TestRegularity:
     def test_reg_irreducible_examples(self):
-        assert reg_irreducible(_comp(x1=5, x2=1, x3=2, x4=1)) == 5
-        assert reg_irreducible(_comp(x1=1)) == 0
-        assert reg_irreducible(
-            IrreducibleComponent.from_map({0: 15, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1})) == 14
+        assert _comp(x1=5, x2=1, x3=2, x4=1).regularity() == 5
+        assert _comp(x1=1).regularity() == 0
+        assert IrreducibleComponent.from_map(
+            {0: 15, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1}).regularity() == 14
 
     def test_nested_type_detection(self):
         assert is_nested_type(initial_ideal(toric_ideal(GOLDEN)))
@@ -201,13 +200,15 @@ def _krull_dimension(ideal):
 
 @st.composite
 def _monomial_ideals(draw):
-    nvars = draw(st.integers(1, 5))
+    nvars = draw(st.integers(0, 5))
     gens = draw(st.lists(st.tuples(*([st.integers(0, 4)] * nvars)), max_size=6))
     return MonomialIdeal.from_gens(nvars, gens)
 
 
 class TestKPolynomial:
     @given(ideal=_monomial_ideals())
+    @example(ideal=MonomialIdeal.from_gens(0, [()]))
+    @example(ideal=MonomialIdeal.from_gens(1, []))
     @example(ideal=MonomialIdeal.from_gens(3, []))
     @example(ideal=MonomialIdeal.from_gens(3, [(0, 0, 0)]))
     @example(ideal=MonomialIdeal.from_gens(4, [(1, 0, 0, 0)]))
@@ -215,14 +216,15 @@ class TestKPolynomial:
     @example(ideal=MonomialIdeal.from_gens(2, [(4, 0), (2, 2), (0, 4)]))
     @settings(max_examples=150)
     def test_matches_brute_force(self, ideal):
-        counts = [hf_quotient(ideal, s, brute=True) for s in range(9)]
-        assert [hf_quotient(ideal, s) for s in range(9)] == counts
+        degrees = range(-1, 9)
+        counts = [hf_quotient(ideal, s, brute=True) for s in degrees]
+        assert [hf_quotient(ideal, s) for s in degrees] == counts
         if _krull_dimension(ideal) > 2:
             with pytest.raises(NonTerminating):
                 hs_numerator(ideal)
             return
         num = hs_numerator(ideal)
-        for s, count in enumerate(counts):
+        for s, count in zip(degrees, counts):
             assert sum(c * (s - j + 1) for j, c in enumerate(num) if j <= s) == count
 
     @pytest.mark.parametrize("text, reg, numerator, hf", [
