@@ -3,7 +3,7 @@
 Covers the minimal Groebner basis, the irreducible decomposition of the
 initial ideal, regularity, Hilbert series / function / polynomial, the
 Cohen-Macaulay type, Gorensteinness, and the first Betti number.  Every
-constructed binomial is membership-asserted against the bidegree kernel test.
+constructed binomial is membership-checked against the bidegree kernel test.
 """
 
 from __future__ import annotations
@@ -11,9 +11,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import InvariantViolation
 from .monideal import IrreducibleComponent, IrreducibleDecomposition
 from .poly import Binomial, DegRevLex, is_member_binomial, make_binomial
 from .seq import ArithmeticProfile, CurveSequence, arithmetic_profile
+
+
+def _require_oriented_members(seq: CurveSequence, basis: list[Binomial], order: DegRevLex) -> None:
+    """Raise InvariantViolation unless every lead leads under `order` and every
+    element lies in I(C)."""
+    for b in basis:
+        oriented = make_binomial(b.lead, b.trail, order)
+        if oriented is None or oriented.lead != b.lead:
+            raise InvariantViolation(f"misoriented {b} for ({seq})")
+        if not is_member_binomial(seq, b):
+            raise InvariantViolation(f"non-member {b} for ({seq})")
 
 
 def gb_arithmetic(seq: CurveSequence) -> list[Binomial]:
@@ -49,10 +61,7 @@ def gb_arithmetic(seq: CurveSequence) -> list[Binomial]:
         trail = mono((n - prof.k + i - 1, 1), (n - 1, prof.q), (n, prof.d))
         basis.append(Binomial(lead, trail))
 
-    for b in basis:
-        oriented = make_binomial(b.lead, b.trail, order)
-        assert oriented is not None and oriented.lead == b.lead, f"misoriented {b}"
-        assert is_member_binomial(seq, b), f"non-member {b} for ({seq})"
+    _require_oriented_members(seq, basis, order)
     return basis
 
 
@@ -89,7 +98,8 @@ def reg_arithmetic(seq: CurveSequence) -> int:
     """Castelnuovo-Mumford regularity: ceil((m_n - 1)/(n - 1))."""
     prof = arithmetic_profile(seq)
     reg = -((1 - seq.mn) // (seq.n - 1))
-    assert reg == (prof.alpha if prof.k == seq.n - 1 else prof.alpha + 1)
+    if reg != (prof.alpha if prof.k == seq.n - 1 else prof.alpha + 1):
+        raise InvariantViolation(f"regularity {reg} disagrees with the profile of ({seq})")
     return reg
 
 
@@ -138,7 +148,8 @@ def cm_type_arithmetic(seq: CurveSequence) -> int:
     """Cohen-Macaulay type: tau with m_1 - 1 = c(n-1) + tau, 1 <= tau <= n-1."""
     prof = arithmetic_profile(seq)
     n = seq.n
-    assert prof.tau == (n - 1 if prof.k == n - 1 else n - 1 - prof.k)
+    if prof.tau != (n - 1 if prof.k == n - 1 else n - 1 - prof.k):
+        raise InvariantViolation(f"type {prof.tau} disagrees with the profile of ({seq})")
     return prof.tau
 
 

@@ -13,6 +13,7 @@ cap; --cap-degree wins over the environment.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -391,34 +392,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cap = _cap_from(args)
     family = SWEEP_FAMILIES[args.family]
     cfg = family.config(args.max_mn or family.bound, args)
-    seqs = list(family.instances(cfg))
-    out = open(args.out, "w") if args.out else sys.stdout
-    payloads = [(args.family, s.m, cap) for s in seqs]
-    failures = 0
-    try:
+    payloads = [(args.family, s.m, cap) for s in family.instances(cfg)]
+    written = failures = 0
+    with contextlib.ExitStack() as stack:
+        out = stack.enter_context(open(args.out, "w")) if args.out else sys.stdout
+        run = map
         if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                records = list(pool.map(_run_one, payloads))
-        else:
-            records = [_run_one(p) for p in payloads]
-        for record in records:
-            if not record["ok"]:
-                failures += 1
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs)).map
+        # both maps yield in input order as results arrive: records stream out
+        for record in run(_run_one, payloads):
+            written += 1
+            failures += not record["ok"]
             out.write(json.dumps(record, sort_keys=True) + "\n")
+            out.flush()
         summary = {
             "summary": {
                 "family": args.family,
                 "config": dataclasses.asdict(cfg),
-                "instances": len(records),
+                "instances": written,
                 "failures": failures,
             }
         }
         if args.family == "random":
             summary["summary"]["seed"] = args.seed
         out.write(json.dumps(summary, sort_keys=True) + "\n")
-    finally:
-        if args.out:
-            out.close()
     return 1 if failures else 0
 
 

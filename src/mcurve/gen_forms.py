@@ -17,10 +17,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .arith_forms import ArithHilbert, gb_arithmetic, hilbert_arithmetic, irred_dec_arithmetic
-from .errors import CaseNotApplicable, GcdViolation, NotGeneralizedArithmetic
+from .arith_forms import (ArithHilbert, _require_oriented_members, gb_arithmetic, hilbert_arithmetic,
+                          irred_dec_arithmetic)
+from .errors import CaseNotApplicable, GcdViolation, InvariantViolation, NotGeneralizedArithmetic
 from .monideal import IrreducibleComponent, IrreducibleDecomposition, _polyadd, _polymul, _trim
-from .poly import Binomial, DegRevLex, is_member_binomial, make_binomial, shift_binomial
+from .poly import Binomial, DegRevLex, shift_binomial
 from .seq import (
     CurveSequence,
     arithmetic_profile,
@@ -128,10 +129,7 @@ def gb_generalized(seq: CurveSequence) -> list[Binomial]:
             mono((prof.sigma[j] - 1, 1), (n - 1, prof.lam[j]), (n, j * (h - 1) + prof.d // h)),
         ))
 
-    for b in basis:
-        oriented = make_binomial(b.lead, b.trail, order)
-        assert oriented is not None and oriented.lead == b.lead, f"misoriented {b}"
-        assert is_member_binomial(seq, b), f"non-member {b} for ({seq})"
+    _require_oriented_members(seq, basis, order)
     return basis
 
 
@@ -208,7 +206,8 @@ def hilbert_generalized(seq: CurveSequence) -> GenHilbert:
     num = _polyadd(num, [-c for c in corr])
 
     gamma = tail.hp_constant
-    assert seq.mn * (h - 1) % 2 == 0
+    if seq.mn * (h - 1) % 2:
+        raise InvariantViolation(f"m_n (h - 1) is odd for ({seq})")
     constant = (-seq.mn * (h - 1) // 2 + h * gamma
                 + h * sum(prof.beta[1:dp]))
     return GenHilbert(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DegreeCapExceeded, InvariantViolation, McurveError
+from .errors import DegreeCapExceeded, InvariantViolation
 from .monideal import MonomialIdeal
 from .poly import (
     Binomial,
@@ -100,7 +100,7 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder,
     seen: set[tuple[Monomial, Monomial]] = set()
     for g in gens:
         if g.trail is None:
-            raise McurveError(f"bare monomial {g} fed to buchberger: saturation bug upstream")
+            raise InvariantViolation(f"bare monomial {g} fed to buchberger: saturation bug upstream")
         ori = make_binomial(g.lead, g.trail, order)
         if ori is None:
             continue
@@ -238,13 +238,12 @@ def _integer_kernel(rows: list[list[int]]) -> list[list[int]]:
 
 
 def _lll(basis: list[list[int]]) -> list[list[int]]:
-    """Textbook LLL (delta = 0.99) with exact Fraction arithmetic; the
-    dimensions here are tiny, so clarity beats speed."""
+    """Textbook LLL (delta = 0.99) with exact Fraction arithmetic.  A
+    size-reduction step b_k -= r b_j leaves the Gram-Schmidt vectors as they
+    are and updates mu[k][0..j] in place; only a swap recomputes them."""
     delta = Fraction(99, 100)
     b = [list(v) for v in basis]
     n = len(b)
-    if n <= 1:
-        return b
 
     def dot(u, v):
         return sum(x * y for x, y in zip(u, v))
@@ -255,8 +254,7 @@ def _lll(basis: list[list[int]]) -> list[list[int]]:
         for i in range(n):
             v = [Fraction(x) for x in b[i]]
             for j in range(i):
-                denom = dot(star[j], star[j])
-                mu[i][j] = Fraction(dot([Fraction(x) for x in b[i]], star[j]), 1) / denom
+                mu[i][j] = dot(b[i], star[j]) / dot(star[j], star[j])
                 v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
             star.append(v)
         return star, mu
@@ -269,7 +267,9 @@ def _lll(basis: list[list[int]]) -> list[list[int]]:
             r = int(q + Fraction(1, 2)) if q >= 0 else -int(-q + Fraction(1, 2))
             if r != 0:
                 b[k] = [x - r * y for x, y in zip(b[k], b[j])]
-                star, mu = gso()
+                for t in range(j):
+                    mu[k][t] -= r * mu[j][t]
+                mu[k][j] -= r
         if dot(star[k], star[k]) >= (delta - mu[k][k - 1] ** 2) * dot(star[k - 1], star[k - 1]):
             k += 1
         else:
@@ -302,9 +302,12 @@ def _binomial_from_vector(v: Sequence[int], order: TermOrder) -> Binomial | None
 def toric_ideal(seq: CurveSequence, cap: int | None = None) -> GroebnerBasis:
     """Reduced degrevlex Groebner basis of the vanishing ideal I(C).
 
-    Saturation: for every variable in turn, compute a Groebner basis in a
-    degrevlex order making that variable cheapest and divide each element by
-    the largest power of the variable dividing it; iterate to a fixed point.
+    Saturation, one pass per variable: compute a Groebner basis in a degrevlex
+    order making that variable cheapest and divide each element by the largest
+    power of the variable dividing it.  By Sturmfels' Lemma 12.1 the divided
+    basis is a Groebner basis of the saturation in that order; the last pass
+    (x_{n+1} cheapest) is plain degrevlex, so interreducing its output gives
+    the reduced basis of I(C).
     """
     n = seq.n
     nv = n + 1
@@ -317,30 +320,19 @@ def toric_ideal(seq: CurveSequence, cap: int | None = None) -> GroebnerBasis:
         if b is not None:
             current.append(b)
 
-    for _ in range(4):
-        changed = False
-        for i in range(nv):
-            gb = buchberger(current, degrevlex_cheapest(nv, i), cap)
-            nxt: list[Binomial] = []
-            for g in gb.elements:
-                k = min(g.lead[i], g.trail[i])
-                if k:
-                    changed = True
-                    lead = tuple(e - k if j == i else e for j, e in enumerate(g.lead))
-                    trail = tuple(e - k if j == i else e for j, e in enumerate(g.trail))
-                    nxt.append(Binomial(lead, trail))
-                else:
-                    nxt.append(g)
-            current = nxt
-        if not changed:
-            break
-    else:
-        raise McurveError(f"saturation did not stabilize for ({seq})")
+    for i in range(nv):
+        gb = buchberger(current, degrevlex_cheapest(nv, i), cap)
+        current = []
+        for g in gb.elements:
+            k = min(g.lead[i], g.trail[i])
+            current.append(Binomial(
+                tuple(e - k if j == i else e for j, e in enumerate(g.lead)),
+                tuple(e - k if j == i else e for j, e in enumerate(g.trail))))
 
-    final = buchberger(current, plain, cap)
+    final = GroebnerBasis(plain, _interreduce(current, plain))
     for g in final.elements:
         if g.trail is None or g.lead == g.trail:
-            raise McurveError(f"monomial {g} in toric basis for ({seq}): saturation bug")
+            raise InvariantViolation(f"monomial {g} in toric basis for ({seq}): saturation bug")
         if not is_member_binomial(seq, g):
             raise InvariantViolation(f"non-member {g} in toric basis for ({seq})")
     return final

@@ -18,6 +18,7 @@ from .errors import (
     BoundExceeded,
     GcdViolation,
     HNotDividingD,
+    InvariantViolation,
     NonIncreasing,
     NonPositive,
     NotArithmetic,
@@ -65,7 +66,8 @@ class CurveSequence:
 
     def scaled_down(self, g: int) -> "CurveSequence":
         """Divide every entry by a common factor g (same curve)."""
-        assert all(v % g == 0 for v in self.m)
+        if any(v % g for v in self.m):
+            raise InvariantViolation(f"{g} does not divide every entry of ({self})")
         return CurveSequence(tuple(v // g for v in self.m))
 
     def with_gcd_one(self) -> "CurveSequence":
@@ -169,7 +171,6 @@ def arithmetic_profile(seq: CurveSequence) -> ArithmeticProfile:
     if not cls.is_arithmetic:
         raise NotArithmetic(f"({seq}) is not an arithmetic sequence")
     d = cls.d
-    assert d is not None
     if math.gcd(seq.m1, d) != 1:
         raise GcdViolation(f"gcd(m_1, d) = {math.gcd(seq.m1, d)} != 1 for ({seq})")
     n, m1 = seq.n, seq.m1
@@ -182,7 +183,8 @@ def arithmetic_profile(seq: CurveSequence) -> ArithmeticProfile:
     prof = ArithmeticProfile(d=d, q=q, r=r, alpha=alpha, k=k, c=c, tau=tau)
     # alpha*m_1 + m_i = m_{n-k+i} + q*m_n for all i in 1..k
     for i in range(1, k + 1):
-        assert alpha * m1 + seq.m[i - 1] == seq.m[n - k + i - 1] + q * seq.mn
+        if alpha * m1 + seq.m[i - 1] != seq.m[n - k + i - 1] + q * seq.mn:
+            raise InvariantViolation(f"profile identity fails at i = {i} for ({seq})")
     return prof
 
 
@@ -211,7 +213,6 @@ def generalized_profile(seq: CurveSequence) -> GeneralizedProfile:
     if cls.kind != "generalized":
         raise NotGeneralizedArithmetic(f"({seq}) has no fit with h >= 2")
     h, d = cls.h, cls.d
-    assert h is not None and d is not None
     if math.gcd(seq.m1, d) != 1:
         raise GcdViolation(f"gcd(m_1, d) = {math.gcd(seq.m1, d)} != 1 for ({seq})")
     if d % h != 0:
@@ -236,14 +237,15 @@ def generalized_profile(seq: CurveSequence) -> GeneralizedProfile:
     # closed form must reproduce the recursion
     for j in range(1, dp + 1):
         bump = (j + s - 2) // (n - 2) if n > 2 else 0
-        assert beta[dp - j] == j + bump, (seq, j)
-        assert lam[dp - j] == p + bump, (seq, j)
-        assert sigma[dp - j] == (s + 1 + j - 3) % (n - 2) + 3, (seq, j)
+        if (beta[dp - j], lam[dp - j], sigma[dp - j]) != (j + bump, p + bump, (s + j - 2) % (n - 2) + 3):
+            raise InvariantViolation(f"recursion and closed form differ at j = {j} for ({seq})")
 
     # defining identity at every index, and the membership form of beta_0
     for j in range(dp + 1):
-        assert j * h * m1 + beta[j] * seq.m[1] == seq.m[sigma[j] - 1] + lam[j] * mn, (seq, j)
-    assert beta[0] == (mn - h) // (n * h - 2 * h) + 1, seq
+        if j * h * m1 + beta[j] * seq.m[1] != seq.m[sigma[j] - 1] + lam[j] * mn:
+            raise InvariantViolation(f"defining identity fails at j = {j} for ({seq})")
+    if beta[0] != (mn - h) // (n * h - 2 * h) + 1:
+        raise InvariantViolation(f"beta_0 = {beta[0]} is off its membership form for ({seq})")
 
     return GeneralizedProfile(
         h=h, d=d, p=p, s=s, delta=delta, delta_prime=dp,

@@ -248,9 +248,17 @@ def test_property_gb_determinism(seq, salt):
 @given(seq=_seqs)
 @settings(max_examples=200)
 def test_property_no_monomial_in_toric(seq):
-    for g in toric_ideal(seq).elements:
+    gb = toric_ideal(seq)
+    for g in gb.elements:
         assert g.trail is not None and g.lead != g.trail
         assert is_member_binomial(seq, g)
+    # complete, not only sound: HF(s) of K[C] is the size of the s-fold
+    # sumset of {0, m_1, ..., m_n}, counted without any Groebner basis
+    ini = initial_ideal(gb)
+    sums = {0}
+    for s in range(9):
+        assert hf_quotient(ini, s) == len(sums), (seq, s)
+        sums = {x + a for x in sums for a in (0,) + seq.m}
 
 
 @given(seq=_seqs, data=st.data())

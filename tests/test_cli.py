@@ -113,6 +113,18 @@ class TestSweep:
         lines = capsys.readouterr().out.strip().splitlines()
         assert json.loads(lines[-1])["summary"]["failures"] == 0
 
+    def test_jobs_2_matches_jobs_1(self, capsys):
+        def records(jobs):
+            assert main(["sweep", "--family", "n3", "--jobs", jobs]) == 0
+            out = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+            for record in out[:-1]:
+                del record["elapsed_ms"]
+            return out
+
+        serial = records("1")
+        assert records("2") == serial
+        assert serial[-1]["summary"]["instances"] == len(serial) - 1 > 0
+
 
 class TestCap:
     def test_cap_flag_fails_fast(self, capsys):

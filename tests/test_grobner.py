@@ -1,5 +1,7 @@
 """Buchberger oracle: bases, saturation, elimination, quadric tests."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,8 @@ from mcurve.grobner import (
     toric_ideal,
 )
 from mcurve.monideal import MonomialIdeal
-from mcurve.poly import DegRevLex, YWeighted, bidegree, is_member_binomial, parse_binomial, parse_monomial
+from mcurve.poly import (DegRevLex, YWeighted, bidegree, degrevlex_cheapest, is_member_binomial,
+                         parse_binomial, parse_monomial)
 from mcurve.seq import CurveSequence, parse_sequence
 
 
@@ -63,9 +66,29 @@ class TestBuchberger:
             toric_ideal(parse_sequence("3,5,7"))
 
 
+LADDER = [(1, 500, 1000), (5, 26, 32, 38, 101), (11, 17, 23, 41, 53, 60),
+          (13, 29, 31, 47, 59, 71, 80)]
+
+
+def _assert_lll_reduced(basis):
+    """|mu_ij| <= 1/2 and the Lovasz condition with delta = 99/100."""
+    star, norms = [], []
+    for i, b in enumerate(basis):
+        v = [Fraction(x) for x in b]
+        mu = []
+        for j in range(i):
+            mu.append(sum(x * y for x, y in zip(b, star[j])) / norms[j])
+            v = [x - mu[j] * y for x, y in zip(v, star[j])]
+        assert all(abs(c) <= Fraction(1, 2) for c in mu), (basis, i)
+        star.append(v)
+        norms.append(sum(x * x for x in v))
+        if i:
+            assert norms[i] >= (Fraction(99, 100) - mu[i - 1] ** 2) * norms[i - 1], (basis, i)
+
+
 class TestLatticeBasis:
     def test_rank_and_kernel(self):
-        for m in [(1, 2), (3, 5, 7), (10, 13, 16, 19, 22), (2, 35, 46, 57, 68)]:
+        for m in [(1, 2), (3, 5, 7), (10, 13, 16, 19, 22), (2, 35, 46, 57, 68)] + LADDER:
             s = CurveSequence(m)
             basis = lattice_basis(s)
             assert len(basis) == s.n - 1
@@ -73,6 +96,18 @@ class TestLatticeBasis:
                 plus = tuple(max(x, 0) for x in v)
                 minus = tuple(max(-x, 0) for x in v)
                 assert bidegree(s, plus) == bidegree(s, minus)
+            _assert_lll_reduced(basis)
+
+    def test_ladder_pinned(self):
+        expected = [
+            [(0, -2, 1, 1), (-500, 167, -83, 416)],
+            [(0, 1, -2, 1, 0, 0), (-1, -1, -1, -1, 1, 3), (3, -2, -2, 0, 1, 0), (-1, -3, 1, 4, -1, 0)],
+            [(1, 0, -1, -1, 1, 0, 0), (1, -2, 1, 0, 0, 0, 0), (-1, 0, -1, 1, 1, -1, 1),
+             (-1, 1, 1, -2, 1, 0, 0), (1, 2, 0, 2, 1, -3, -3)],
+            [(1, -1, -1, 1, 0, 0, 0, 0), (0, 0, 0, 1, -2, 1, 0, 0), (2, 0, 0, -1, -1, 0, 1, -1),
+             (0, -1, 0, 1, 0, 2, -2, 0), (-1, 1, -1, -1, 0, 2, -1, 1), (1, -2, 0, -1, -1, 1, 1, 1)],
+        ]
+        assert [lattice_basis(CurveSequence(m)) for m in LADDER] == expected
 
 
 class TestToricIdeal:
@@ -104,6 +139,19 @@ class TestToricIdeal:
         a = toric_ideal(CurveSequence((26, 32, 38)))
         b = toric_ideal(CurveSequence((13, 16, 19)))
         assert a.element_set() == b.element_set()
+
+    def test_one_buchberger_run_per_variable(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return buchberger(*args, **kwargs)
+
+        monkeypatch.setattr(grobner, "buchberger", counting)
+        for m in [(1, 2, 3), (3, 5, 7), (5, 26, 32, 38), (10, 13, 16, 19, 22), (1, 2, 3, 4, 6)]:
+            calls.clear()
+            toric_ideal(CurveSequence(m))
+            assert calls == [degrevlex_cheapest(len(m) + 1, i) for i in range(len(m) + 1)], m
 
 
 class TestInitialIdeal:

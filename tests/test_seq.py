@@ -10,6 +10,7 @@ from mcurve.errors import (
     BoundExceeded,
     GcdViolation,
     HNotDividingD,
+    InvariantViolation,
     NonIncreasing,
     NonPositive,
     NotArithmetic,
@@ -62,6 +63,11 @@ class TestParse:
     def test_rejects_garbage(self):
         with pytest.raises(NonPositive):
             parse_sequence("1,two")
+
+    def test_scaled_down_needs_a_common_factor(self):
+        assert CurveSequence((4, 6)).scaled_down(2).m == (2, 3)
+        with pytest.raises(InvariantViolation):
+            CurveSequence((4, 6)).scaled_down(4)
 
 
 class TestClassify:
