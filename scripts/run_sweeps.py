@@ -2,6 +2,9 @@
 """Run every family verification sweep and write JSONL results to out/.
 
 Usage: python scripts/run_sweeps.py [--jobs N]
+
+The Buchberger degree cap comes from the MCURVE_CAP_DEGREE environment
+variable (default 4 (m_n + n) per curve).
 """
 
 import argparse

@@ -28,6 +28,14 @@ def _require_oriented_members(seq: CurveSequence, basis: list[Binomial], order: 
             raise InvariantViolation(f"non-member {b} for ({seq})")
 
 
+def _mono(nv: int, *pairs: tuple[int, int]) -> tuple[int, ...]:
+    """Exponent vector in nv variables from (variable index, power) pairs."""
+    out = [0] * nv
+    for idx, power in pairs:
+        out[idx] += power
+    return tuple(out)
+
+
 def gb_arithmetic(seq: CurveSequence) -> list[Binomial]:
     """Minimal degrevlex Groebner basis of I(C).
 
@@ -41,24 +49,15 @@ def gb_arithmetic(seq: CurveSequence) -> list[Binomial]:
     nv = n + 1
     order = DegRevLex(nv)
 
-    def e(idx: int, power: int = 1) -> tuple[int, ...]:
-        return tuple(power if t == idx else 0 for t in range(nv))
-
-    def mono(*pairs: tuple[int, int]) -> tuple[int, ...]:
-        out = [0] * nv
-        for idx, power in pairs:
-            out[idx] += power
-        return tuple(out)
-
     basis: list[Binomial] = []
     for i in range(2, n):
         for j in range(i, n):
-            lead = mono((i - 1, 1), (j - 1, 1))
-            trail = mono((i - 2, 1), (j, 1))
+            lead = _mono(nv, (i - 1, 1), (j - 1, 1))
+            trail = _mono(nv, (i - 2, 1), (j, 1))
             basis.append(Binomial(lead, trail))
     for i in range(1, prof.k + 1):
-        lead = mono((0, prof.alpha), (i - 1, 1))
-        trail = mono((n - prof.k + i - 1, 1), (n - 1, prof.q), (n, prof.d))
+        lead = _mono(nv, (0, prof.alpha), (i - 1, 1))
+        trail = _mono(nv, (n - prof.k + i - 1, 1), (n - 1, prof.q), (n, prof.d))
         basis.append(Binomial(lead, trail))
 
     _require_oriented_members(seq, basis, order)

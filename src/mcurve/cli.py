@@ -7,7 +7,8 @@ verification runs, JSONL output).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 The MCURVE_CAP_DEGREE environment variable overrides the Buchberger degree
-cap; --cap-degree wins over the environment.
+cap of the toric basis; --cap-degree wins over the environment.  Every run
+made from that basis (Koszul witnesses, gb --order) stays under its cap.
 """
 
 from __future__ import annotations
@@ -117,17 +118,18 @@ class InvariantReport:
         if self.h is not None:
             cls += f" (h={self.h}, d={self.d})"
         lines.append(f"class              {cls}")
-        for label, value in [
-            ("cohen-macaulay", self.cm),
-            ("cm type", self.cm_type),
-            ("gorenstein", self.gorenstein),
-            ("complete int.", self.complete_intersection),
-            ("regularity", self.regularity),
-            ("hf regularity", self.hf_regularity),
-            ("betti_1", self.betti1),
+        for label, name in [
+            ("cohen-macaulay", "cm"),
+            ("cm type", "cm_type"),
+            ("gorenstein", "gorenstein"),
+            ("complete int.", "complete_intersection"),
+            ("regularity", "regularity"),
+            ("hf regularity", "hf_regularity"),
+            ("betti_1", "betti1"),
         ]:
+            value = getattr(self, name)
             if value is not None:
-                src = self.provenance.get(_FIELD_BY_LABEL[label], "")
+                src = self.provenance.get(name, "")
                 lines.append(f"{label:<18} {value} [{src}]" if src else f"{label:<18} {value}")
         if self.hs_numerator is not None:
             src = self.provenance.get("hs_numerator", "")
@@ -139,17 +141,6 @@ class InvariantReport:
         if self.koszul_verdict is not None:
             lines.append(f"koszul             {self.koszul_verdict} ({self.koszul_reason})")
         return "\n".join(lines)
-
-
-_FIELD_BY_LABEL = {
-    "cohen-macaulay": "cm",
-    "cm type": "cm_type",
-    "gorenstein": "gorenstein",
-    "complete int.": "complete_intersection",
-    "regularity": "regularity",
-    "hf regularity": "hf_regularity",
-    "betti_1": "betti1",
-}
 
 
 class Mismatch(McurveError):
@@ -180,13 +171,16 @@ def closed_forms(family: str | None) -> ClosedForms | None:
 
 
 def _cap_from(args: argparse.Namespace) -> int | None:
-    if getattr(args, "cap_degree", None) is not None:
+    if args.cap_degree is not None:
         return args.cap_degree
     env = os.environ.get("MCURVE_CAP_DEGREE")
     return int(env) if env else None
 
 
 def build_report(seq: CurveSequence, verify: bool, cap: int | None = None) -> InvariantReport:
+    """The invariant report of `seq`.  The toric basis (under `cap`; None: the
+    default) is computed once, when verifying or when no closed form applies,
+    and the Koszul cascade reuses it."""
     cls = classify(seq)
     report = InvariantReport(sequence=seq.m, kind=cls.kind, h=cls.h, d=cls.d)
     prov = report.provenance
@@ -217,7 +211,7 @@ def build_report(seq: CurveSequence, verify: bool, cap: int | None = None) -> In
         report.cm_type = settle("cm_type", cm_type_arithmetic(seq),
                                 cm_type_oracle(seq, ini) if ini else None)
         report.gorenstein = settle("gorenstein", is_gorenstein(seq),
-                                   (cm_type_oracle(seq, ini) == 1) if ini else None)
+                                   (report.cm_type == 1) if ini else None)
         report.complete_intersection = settle(
             "complete_intersection", is_complete_intersection(seq),
             (len(gb) == seq.n - 1) if gb else None)
@@ -248,7 +242,7 @@ def build_report(seq: CurveSequence, verify: bool, cap: int | None = None) -> In
     if verify and forms is not None and set(forms.reduced_gb(seq)) != gb.element_set():
         raise Mismatch(f"groebner basis: closed form != oracle for ({seq})")
 
-    status = koszul_status(seq, cap)
+    status = koszul_status(seq, gb)
     report.koszul_verdict = status.verdict
     report.koszul_reason = status.reason
     prov["koszul"] = "oracle"
@@ -309,7 +303,7 @@ def cmd_gb(args: argparse.Namespace) -> int:
     else:
         gb = toric_ideal(seq, cap)
         if order != gb.order:
-            gb = buchberger(gb.elements, order, cap)
+            gb = buchberger(gb.elements, order, gb.cap)
     sys.stdout.write(render_gb(gb, seq))
     return 0
 
@@ -391,7 +385,9 @@ def _run_one(payload: tuple[str, tuple[int, ...], int | None]) -> dict:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cap = _cap_from(args)
     family = SWEEP_FAMILIES[args.family]
-    cfg = family.config(args.max_mn or family.bound, args)
+    if args.max_mn is not None and args.max_mn < 1:
+        raise ValueError(f"--max-mn must be at least 1, got {args.max_mn}")
+    cfg = family.config(family.bound if args.max_mn is None else args.max_mn, args)
     payloads = [(args.family, s.m, cap) for s in family.instances(cfg)]
     written = failures = 0
     with contextlib.ExitStack() as stack:
@@ -461,7 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-mn", type=int, default=None,
                    help="bound on the largest term m_n (default per family: " + ", ".join(
                        f"{name} {f.bound}" for name, f in SWEEP_FAMILIES.items()) + ")")
-    p.add_argument("--h", default=None, help="comma-separated h values (generalized family)")
+    p.add_argument("--h", default=None,
+                   help="comma-separated h values, each at least 2 (generalized family)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=50, help="instances for the random family")
     p.add_argument("--jobs", type=int, default=1)

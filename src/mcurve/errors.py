@@ -49,10 +49,6 @@ class GcdViolation(McurveError):
     pass
 
 
-class BoundExceeded(McurveError):
-    pass
-
-
 # -- polynomial layer -------------------------------------------------------
 
 class DimensionMismatch(McurveError):

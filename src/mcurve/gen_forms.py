@@ -17,8 +17,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .arith_forms import (ArithHilbert, _require_oriented_members, gb_arithmetic, hilbert_arithmetic,
-                          irred_dec_arithmetic)
+from .arith_forms import (ArithHilbert, _mono, _require_oriented_members, gb_arithmetic,
+                          hilbert_arithmetic, irred_dec_arithmetic)
 from .errors import CaseNotApplicable, GcdViolation, InvariantViolation, NotGeneralizedArithmetic
 from .monideal import IrreducibleComponent, IrreducibleDecomposition, _polyadd, _polymul, _trim
 from .poly import Binomial, DegRevLex, shift_binomial
@@ -111,22 +111,17 @@ def gb_generalized(seq: CurveSequence) -> list[Binomial]:
     nv = n + 1
     order = DegRevLex(nv)
 
-    def mono(*pairs: tuple[int, int]) -> tuple[int, ...]:
-        out = [0] * nv
-        for idx, power in pairs:
-            out[idx] += power
-        return tuple(out)
-
     basis = [shift_binomial(b, 1, nv) for b in gb_arithmetic(_tail_curve(seq, h))]
     for i in range(3, n + 1):
         basis.append(Binomial(
-            mono((0, h), (i - 1, 1)),
-            mono((1, 1), (i - 2, 1), (n, h - 1)),
+            _mono(nv, (0, h), (i - 1, 1)),
+            _mono(nv, (1, 1), (i - 2, 1), (n, h - 1)),
         ))
     for j in range(1, prof.delta_prime + 1):
         basis.append(Binomial(
-            mono((0, j * h), (1, prof.beta[j])),
-            mono((prof.sigma[j] - 1, 1), (n - 1, prof.lam[j]), (n, j * (h - 1) + prof.d // h)),
+            _mono(nv, (0, j * h), (1, prof.beta[j])),
+            _mono(nv, (prof.sigma[j] - 1, 1), (n - 1, prof.lam[j]),
+                  (n, j * (h - 1) + prof.d // h)),
         ))
 
     _require_oriented_members(seq, basis, order)

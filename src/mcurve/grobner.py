@@ -35,10 +35,16 @@ from .seq import CurveSequence
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Canonically sorted reduced Groebner basis of a binomial ideal."""
+    """Canonically sorted reduced Groebner basis of a binomial ideal.
+
+    `cap` is the Buchberger degree cap the basis was computed under (None: no
+    bound); every run made from this basis (elimination, quadric tests, other
+    orders) runs under the same cap.
+    """
 
     order: TermOrder
     elements: tuple[Binomial, ...]
+    cap: int | None = None
 
     @property
     def nvars(self) -> int:
@@ -52,10 +58,6 @@ class GroebnerBasis:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-
-def default_degree_cap(seq: CurveSequence) -> int:
-    return 4 * (seq.mn + seq.n)
 
 
 def _normal_form(a: Monomial, b: Monomial, leads: list[Monomial],
@@ -90,7 +92,9 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder,
 
     Pair selection is the normal strategy (lowest lcm degree first, ties by
     the order on the lcm), which together with final inter-reduction makes
-    the output independent of the generator ordering.
+    the output independent of the generator ordering.  A basis element or an
+    S-pair of degree above `cap` raises DegreeCapExceeded (None: no bound);
+    the result records the cap it ran under.
     """
     key = order.key
     leads: list[Monomial] = []
@@ -146,7 +150,7 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder,
             add_element(*nf)
 
     basis = [Binomial(a, b) for a, b in zip(leads, trails)]
-    return GroebnerBasis(order, _interreduce(basis, order))
+    return GroebnerBasis(order, _interreduce(basis, order), cap)
 
 
 def _interreduce(basis: Sequence[Binomial], order: TermOrder) -> tuple[Binomial, ...]:
@@ -307,12 +311,13 @@ def toric_ideal(seq: CurveSequence, cap: int | None = None) -> GroebnerBasis:
     power of the variable dividing it.  By Sturmfels' Lemma 12.1 the divided
     basis is a Groebner basis of the saturation in that order; the last pass
     (x_{n+1} cheapest) is plain degrevlex, so interreducing its output gives
-    the reduced basis of I(C).
+    the reduced basis of I(C).  `cap` bounds the Buchberger degrees (None: the
+    default 4 (m_n + n)); the basis carries it.
     """
     n = seq.n
     nv = n + 1
     if cap is None:
-        cap = default_degree_cap(seq)
+        cap = 4 * (seq.mn + n)
     plain = DegRevLex(nv)
     current: list[Binomial] = []
     for v in lattice_basis(seq):
@@ -329,7 +334,7 @@ def toric_ideal(seq: CurveSequence, cap: int | None = None) -> GroebnerBasis:
                 tuple(e - k if j == i else e for j, e in enumerate(g.lead)),
                 tuple(e - k if j == i else e for j, e in enumerate(g.trail))))
 
-    final = GroebnerBasis(plain, _interreduce(current, plain))
+    final = GroebnerBasis(plain, _interreduce(current, plain), cap)
     for g in final.elements:
         if g.trail is None or g.lead == g.trail:
             raise InvariantViolation(f"monomial {g} in toric basis for ({seq}): saturation bug")
@@ -343,23 +348,22 @@ def initial_ideal(gb: GroebnerBasis) -> MonomialIdeal:
     return MonomialIdeal.from_gens(gb.nvars, gb.leads())
 
 
-def eliminate(gb: GroebnerBasis, keep_from: int, cap: int | None = None) -> GroebnerBasis:
+def eliminate(gb: GroebnerBasis, keep_from: int) -> GroebnerBasis:
     """Reduced degrevlex basis of I /\\ K[x_{keep_from+1}, ..., x_{n+1}] for the
     ideal I with basis `gb` (a toric basis from `toric_ideal`), computed with a
-    block order eliminating the leading variables.  The result lives in the
-    smaller ring (n + 1 - keep_from variables); `cap` bounds the Buchberger
-    degrees (None: no bound)."""
+    block order eliminating the leading variables, under the cap of `gb`.  The
+    result lives in the smaller ring (n + 1 - keep_from variables)."""
     nv = gb.nvars
     if not 0 <= keep_from < nv:
         raise InvariantViolation(f"keep_from {keep_from} outside 0..{nv - 1}")
     if keep_from == 0:
         return gb
-    block = buchberger(gb.elements, BlockOrder(nv, keep_from), cap)
+    block = buchberger(gb.elements, BlockOrder(nv, keep_from), gb.cap)
     kept: list[Binomial] = []
     for g in block.elements:
         if all(e == 0 for e in g.lead[:keep_from]) and all(e == 0 for e in g.trail[:keep_from]):
             kept.append(Binomial(g.lead[keep_from:], g.trail[keep_from:]))
-    return buchberger(kept, DegRevLex(nv - keep_from), cap)
+    return buchberger(kept, DegRevLex(nv - keep_from), gb.cap)
 
 
 def quadrics_in_ideal(seq: CurveSequence) -> list[Binomial]:
@@ -379,22 +383,20 @@ def quadrics_in_ideal(seq: CurveSequence) -> list[Binomial]:
     return sorted(out, key=lambda g: (order.key(g.lead), order.key(g.trail)))
 
 
-def is_generated_by_quadrics(seq: CurveSequence, gb: GroebnerBasis,
-                             cap: int | None = None) -> bool:
+def is_generated_by_quadrics(seq: CurveSequence, gb: GroebnerBasis) -> bool:
     """True iff the degree-2 members of I(C) generate the whole ideal; `gb` is
-    the degrevlex toric basis of `seq` (from `toric_ideal`)."""
-    if cap is None:
-        cap = default_degree_cap(seq)
-    quad_gb = buchberger(quadrics_in_ideal(seq), DegRevLex(seq.n + 1), cap)
+    the degrevlex toric basis of `seq` (from `toric_ideal`), and the quadrics'
+    basis is computed under its cap."""
+    quad_gb = buchberger(quadrics_in_ideal(seq), DegRevLex(seq.n + 1), gb.cap)
     return quad_gb.element_set() == gb.element_set()
 
 
-def has_quadratic_gb(gb: GroebnerBasis, order: TermOrder | None = None,
-                     cap: int | None = None) -> bool:
+def has_quadratic_gb(gb: GroebnerBasis, order: TermOrder | None = None) -> bool:
     """True iff the reduced Groebner basis under `order` of the ideal with basis
-    `gb` is all quadrics; `cap` bounds the Buchberger degrees (None: no bound)."""
+    `gb` is all quadrics; a basis in another order is computed under the cap
+    of `gb`."""
     if order is not None and order != gb.order:
-        gb = buchberger(gb.elements, order, cap)
+        gb = buchberger(gb.elements, order, gb.cap)
     return all(g.degree == 2 for g in gb.elements)
 
 

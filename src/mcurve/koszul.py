@@ -13,13 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GcdViolation, NotGeneralizedArithmetic, WrongN
-from .grobner import (
-    GroebnerBasis,
-    default_degree_cap,
-    has_quadratic_gb,
-    is_generated_by_quadrics,
-    toric_ideal,
-)
+from .grobner import GroebnerBasis, has_quadratic_gb, is_generated_by_quadrics, toric_ideal
 from .poly import DegRevLex, YWeighted
 from .seq import CurveSequence, classify
 
@@ -92,12 +86,15 @@ def is_geometric(seq: CurveSequence) -> bool:
     return all(v == (1 << i) * d for i, v in enumerate(seq.m))
 
 
-def koszul_status(seq: CurveSequence, cap: int | None = None) -> KoszulStatus:
+def koszul_status(seq: CurveSequence, gb: GroebnerBasis | None = None) -> KoszulStatus:
     """Decision cascade: classified families first, then necessary-condition
     failures, then quadratic-Groebner-basis witnesses, else unknown.
 
     The input is first divided by the gcd of its terms (same curve), which
-    also makes gcd(m_1, d) = 1 whenever a (h, d) fit exists.
+    also makes gcd(m_1, d) = 1 whenever a (h, d) fit exists.  `gb` is the
+    curve's toric basis when the caller has it (the gcd-reduced sequence has
+    the same lattice, hence the same basis); the oracle stage computes it only
+    when it is None, and runs every witness under its cap.
     """
     base = seq.with_gcd_one()
     cls = classify(base)
@@ -114,25 +111,25 @@ def koszul_status(seq: CurveSequence, cap: int | None = None) -> KoszulStatus:
 
     if not necessary_quadric_conditions(base):
         return KoszulStatus("not_koszul", "fails_necessary_quadric")
-    cap = default_degree_cap(base) if cap is None else cap
-    gb = toric_ideal(base, cap)
-    if not is_generated_by_quadrics(base, gb, cap):
+    if gb is None:
+        gb = toric_ideal(base)
+    if not is_generated_by_quadrics(base, gb):
         return KoszulStatus("not_koszul", "fails_quadric_generation")
-    witness = quadratic_gb_witness(gb, cap)
+    witness = quadratic_gb_witness(gb)
     if witness is not None:
         return KoszulStatus("koszul", f"quadratic_gb:{witness}")
     return KoszulStatus("unknown", "inconclusive")
 
 
-def quadratic_gb_witness(gb: GroebnerBasis, cap: int | None = None) -> str | None:
+def quadratic_gb_witness(gb: GroebnerBasis) -> str | None:
     """Name of an order under which the toric ideal with degrevlex basis `gb`
     has a quadratic reduced basis: degrevlex first, then each y-dominant order
-    on a sequence variable.  `cap` bounds the Buchberger degrees (None: no bound)."""
+    on a sequence variable (each basis computed under the cap of `gb`)."""
     nv = gb.nvars
-    if has_quadratic_gb(gb, DegRevLex(nv), cap):
+    if has_quadratic_gb(gb, DegRevLex(nv)):
         return "degrevlex"
     for idx in range(nv - 2):
         order = YWeighted(nv, idx)
-        if has_quadratic_gb(gb, order, cap):
+        if has_quadratic_gb(gb, order):
             return order.name
     return None

@@ -58,6 +58,11 @@ class MonomialIdeal:
         """Numerator of the Hilbert series of R/I over (1-t)^nvars."""
         return _trim(_k_polynomial(self.gens, self.nvars))
 
+    @cached_property
+    def decomposition(self) -> "IrreducibleDecomposition":
+        """Irredundant irreducible decomposition, computed once per ideal."""
+        return irreducible_decomposition(self)
+
     def restrict(self, start: int) -> "MonomialIdeal":
         """Intersection with the subring on variables x_{start+1}, ..."""
         kept = [g[start:] for g in self.gens if all(e == 0 for e in g[:start])]
@@ -171,18 +176,16 @@ def is_nested_type(ideal: MonomialIdeal) -> bool:
     """True iff every irreducible component is supported on a prefix x_1..x_i."""
     if ideal.is_zero:
         return True
-    dec = irreducible_decomposition(ideal)
-    return all(c.support == tuple(range(len(c.support))) for c in dec.components)
+    return all(c.support == tuple(range(len(c.support))) for c in ideal.decomposition.components)
 
 
 def reg_nested_type(ideal: MonomialIdeal) -> int:
     """Regularity of R/I for a nested-type monomial ideal: max over components."""
     if ideal.is_zero:
         return 0
-    dec = irreducible_decomposition(ideal)
-    if not all(c.support == tuple(range(len(c.support))) for c in dec.components):
+    if not is_nested_type(ideal):
         raise NotNestedType(f"{ideal} has a non-prefix associated prime")
-    return max(c.regularity() for c in dec.components)
+    return max(c.regularity() for c in ideal.decomposition.components)
 
 
 # -- Hilbert series via the K-polynomial ----------------------------------------

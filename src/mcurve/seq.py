@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
-    BoundExceeded,
     GcdViolation,
     HNotDividingD,
     InvariantViolation,
@@ -253,29 +252,20 @@ def generalized_profile(seq: CurveSequence) -> GeneralizedProfile:
     )
 
 
-def min_multiple(seq: CurveSequence, cap: int | None = None) -> int:
+def min_multiple(seq: CurveSequence) -> int:
     """Smallest b >= 1 with b*m_1 in the additive span N m_2 + ... + N m_n.
 
     Computed by a subset-sum style DP over reachable values, independent of
     the alpha / delta closed forms (which predict alpha+1 resp. delta).
+    b = m_2 always works (m_2 m_1 is m_1 copies of m_2), so the DP runs up
+    to m_1 m_2.
     """
     m = seq.m
-    if cap is None:
-        cls = classify(seq)
-        if cls.is_generalized_arithmetic:
-            h, d = cls.h, cls.d
-            est = (seq.m1 - 1) // (seq.n - 1) * h + d + h
-        else:
-            est = seq.m1 + seq.mn
-        cap = 10 * (seq.mn + est)
-    limit = cap * m[0]
+    limit = m[0] * m[1]
     reach = bytearray(limit + 1)
     reach[0] = 1
     for v in m[1:]:
         for x in range(v, limit + 1):
             if reach[x - v]:
                 reach[x] = 1
-    for b in range(1, cap + 1):
-        if reach[b * m[0]]:
-            return b
-    raise BoundExceeded(f"no multiple of m_1 found up to cap {cap} for ({seq})")
+    return next(b for b in range(1, m[1] + 1) if reach[b * m[0]])

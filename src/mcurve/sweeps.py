@@ -34,7 +34,6 @@ from .gen_forms import (
 )
 from .grobner import (
     buchberger,
-    default_degree_cap,
     initial_ideal,
     is_generated_by_quadrics,
     reduce_basis,
@@ -47,7 +46,6 @@ from .monideal import (
     hf_quotient,
     hs_general_split,
     hs_numerator,
-    irreducible_decomposition,
     is_nested_type,
     last_step_check,
     reg_nested_type,
@@ -69,6 +67,11 @@ class GeneralizedSweep:
     e_values: tuple[int, ...] = (1, 2, 3)  # d = h * e
     n_values: tuple[int, ...] = (3, 4, 5, 6)
     max_mn: int = 60
+
+    def __post_init__(self) -> None:
+        # the family needs h >= 2; h <= 0 would also stall generalized_instances
+        if any(h < 2 for h in self.h_values):
+            raise ValueError(f"the generalized family needs h >= 2, got h = {self.h_values}")
 
 
 @dataclass(frozen=True)
@@ -148,7 +151,7 @@ def check_arithmetic_instance(seq: CurveSequence, cap: int | None = None) -> dic
         "cm_type": cm_type_arithmetic(seq) == cm_type_oracle(seq, ini),
         "gorenstein": is_gorenstein(seq) == (cm_type_arithmetic(seq) == 1),
         "betti1": betti1_arithmetic(prof, n) == len(gb),
-        "decomposition": irred_dec_arithmetic(prof, n) == irreducible_decomposition(ini),
+        "decomposition": irred_dec_arithmetic(prof, n) == ini.decomposition,
         "min_multiple": min_multiple(seq) == prof.alpha + 1,
         "split_correction_zero": hs_general_split(ini, seq)[1] == (),
     }
@@ -186,7 +189,7 @@ def check_generalized_instance(seq: CurveSequence, cap: int | None = None) -> di
         "hf_counts": all(hil.hf_at(s) == hf[s] for s in range(reg + 4)),
         "hs_numerator": hil.hs_numerator == hs_numerator(ini),
         "hp_fitted": (slope, constant) == (hil.hp_slope, hil.hp_constant),
-        "decomposition": irred_dec_generalized(seq) == irreducible_decomposition(ini),
+        "decomposition": irred_dec_generalized(seq) == ini.decomposition,
         "min_multiple": min_multiple(seq) == prof.delta,
     }
     if n == 3:
@@ -197,12 +200,11 @@ def check_generalized_instance(seq: CurveSequence, cap: int | None = None) -> di
 def _check_koszul_list(seq: CurveSequence, koszul: frozenset, cap: int | None) -> dict[str, bool]:
     """A Koszul list against the oracle: quadric generation iff listed, and a
     quadratic Groebner basis for every listed sequence."""
-    cap = default_degree_cap(seq) if cap is None else cap
     gb = toric_ideal(seq, cap)
     listed = seq.m in koszul
-    checks = {"quadric_iff_listed": is_generated_by_quadrics(seq, gb, cap) == listed}
+    checks = {"quadric_iff_listed": is_generated_by_quadrics(seq, gb) == listed}
     if listed:
-        checks["quadratic_gb_witness"] = quadratic_gb_witness(gb, cap) is not None
+        checks["quadratic_gb_witness"] = quadratic_gb_witness(gb) is not None
     return checks
 
 
@@ -221,7 +223,7 @@ def check_random_instance(seq: CurveSequence, cap: int | None = None) -> dict[st
     gb = toric_ideal(seq, cap)
     ini = initial_ideal(gb)
     rng = random.Random(hash(seq.m) & 0xFFFF)
-    dec = irreducible_decomposition(ini) if not ini.is_zero else None
+    dec = ini.decomposition if not ini.is_zero else None
     reg = reg_nested_type(ini)
     num = hs_numerator(ini)
     main, corr = hs_general_split(ini, seq)
@@ -233,7 +235,7 @@ def check_random_instance(seq: CurveSequence, cap: int | None = None) -> dict[st
     no_monomial = all(g.trail is not None and g.lead != g.trail for g in gb.elements)
     perm = list(gb.elements)
     rng.shuffle(perm)
-    deterministic = buchberger(perm, DegRevLex(seq.n + 1), cap).elements == gb.elements
+    deterministic = buchberger(perm, DegRevLex(seq.n + 1), gb.cap).elements == gb.elements
 
     dec_ok = True
     if dec is not None:

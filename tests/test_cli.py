@@ -1,8 +1,18 @@
 """CLI contract: exit codes, JSON round-trips, diff semantics, sweeps."""
 
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import mcurve
+from mcurve import cli, grobner, koszul
 from mcurve.cli import InvariantReport, build_report, main
+from mcurve.errors import InvariantViolation
 from mcurve.seq import parse_sequence
 
 
@@ -34,6 +44,21 @@ class TestInvariants:
         data = json.loads(capsys.readouterr().out)
         assert data["provenance"]["regularity"] == "oracle"
         assert data["cm"] is not None
+
+    def test_one_toric_basis_per_report(self, monkeypatch):
+        # 1,2,3,4,6 reaches the quadric stage of the Koszul cascade, which
+        # reuses the basis the report already computed
+        calls = []
+
+        def counted(seq, cap=None):
+            calls.append(seq.m)
+            return grobner.toric_ideal(seq, cap)
+
+        monkeypatch.setattr(cli, "toric_ideal", counted)
+        monkeypatch.setattr(koszul, "toric_ideal", counted)
+        report = build_report(parse_sequence("1,2,3,4,6"), verify=True)
+        assert report.koszul_reason.startswith("quadratic_gb:")
+        assert calls == [(1, 2, 3, 4, 6)]
 
 
 class TestGb:
@@ -124,6 +149,68 @@ class TestSweep:
         serial = records("1")
         assert records("2") == serial
         assert serial[-1]["summary"]["instances"] == len(serial) - 1 > 0
+
+    def test_bad_bounds_are_usage_errors(self, capsys):
+        for flags in (["--family", "generalized", "--h", "1"],
+                      ["--family", "generalized", "--h", "2,1"],
+                      ["--family", "n3", "--max-mn", "0"],
+                      ["--family", "arithmetic", "--max-mn", "-4"]):
+            assert main(["sweep", *flags]) == 2, flags
+            captured = capsys.readouterr()
+            assert captured.out == "" and "usage error" in captured.err
+
+    def test_nonpositive_h_exits_instead_of_hanging(self):
+        # h <= 0 once made the instance generator loop forever: run it in a
+        # child process with a timeout, so that a regression fails this test
+        src = str(Path(mcurve.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for h in ("0", "-1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "mcurve.cli", "sweep", "--family", "generalized",
+                 "--h", h], capture_output=True, text=True, env=env, timeout=60)
+            assert proc.returncode == 2 and proc.stdout == "", h
+            assert "usage error" in proc.stderr
+
+
+def _failing_n3_check(seq, cap=None):
+    if seq.m == (1, 2, 3):
+        raise InvariantViolation("forced failure")
+    return {"ok": True}
+
+
+class TestExitCodes:
+    """0 success, 1 verification failure, 2 usage or internal error."""
+
+    @pytest.mark.parametrize("jobs", [
+        "1",
+        pytest.param("2", marks=pytest.mark.skipif(
+            multiprocessing.get_start_method() != "fork",
+            reason="the patched family table reaches pool workers only by fork")),
+    ])
+    def test_sweep_records_an_internal_failure(self, capsys, monkeypatch, jobs):
+        monkeypatch.setitem(cli.SWEEP_FAMILIES, "n3",
+                            cli.SWEEP_FAMILIES["n3"]._replace(check=_failing_n3_check))
+        assert main(["sweep", "--family", "n3", "--max-mn", "5", "--jobs", jobs]) == 1
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        failed = [r for r in lines[:-1] if not r["ok"]]
+        assert [r["seq"] for r in failed] == [[1, 2, 3]]
+        assert failed[0]["error"] == "InvariantViolation: forced failure"
+        assert lines[-1]["summary"]["failures"] == 1
+        assert lines[-1]["summary"]["instances"] == len(lines) - 1 > 1
+
+    def test_invariants_internal_failure_exits_2(self, capsys, monkeypatch):
+        def broken(seq, cap=None):
+            raise InvariantViolation("forced failure")
+
+        monkeypatch.setattr(cli, "toric_ideal", broken)
+        assert main(["invariants", "-m", "1,2,5"]) == 2
+        assert "forced failure" in capsys.readouterr().err
+
+    def test_invariants_mismatch_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "reg_arithmetic", lambda seq: -1)
+        assert main(["invariants", "-m", "10,13,16,19,22", "--verify"]) == 1
+        assert "verification failure: regularity" in capsys.readouterr().err
 
 
 class TestCap:

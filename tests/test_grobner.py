@@ -1,5 +1,6 @@
 """Buchberger oracle: bases, saturation, elimination, quadric tests."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,13 @@ class TestToricIdeal:
             toric_ideal(CurveSequence(m))
             assert calls == [degrevlex_cheapest(len(m) + 1, i) for i in range(len(m) + 1)], m
 
+    def test_basis_carries_its_cap(self):
+        s = parse_sequence("10,13,16,19,22")
+        assert toric_ideal(s, cap=40).cap == 40
+        assert toric_ideal(s).cap == 4 * (22 + 5)
+        assert buchberger(TWISTED, DegRevLex(4), 7).cap == 7
+        assert buchberger(TWISTED, DegRevLex(4)).cap is None
+
 
 class TestInitialIdeal:
     def test_twisted_cubic(self):
@@ -193,6 +201,12 @@ class TestEliminate:
         assert initial_ideal(gb).restrict(1) == tail_ini
         assert initial_ideal(eliminate(gb, 1)) == tail_ini
 
+    def test_runs_under_the_cap_of_the_basis(self):
+        gb = toric_ideal(parse_sequence("5,26,32,38"))
+        assert eliminate(gb, 1).cap == gb.cap
+        with pytest.raises(DegreeCapExceeded):
+            eliminate(dataclasses.replace(gb, cap=2), 1)
+
 
 class TestQuadrics:
     def test_twisted_cubic_exact(self):
@@ -224,6 +238,14 @@ class TestQuadrics:
         gb = toric_ideal(CurveSequence((1, 2, 4, 6)))
         assert has_quadratic_gb(gb, YWeighted(5, 0))
         assert not has_quadratic_gb(gb, YWeighted(5, 2))
+
+    def test_quadric_runs_use_the_cap_of_the_basis(self):
+        s = CurveSequence((1, 2, 4, 6))
+        capped = dataclasses.replace(toric_ideal(s), cap=2)
+        with pytest.raises(DegreeCapExceeded):
+            has_quadratic_gb(capped, YWeighted(5, 2))
+        with pytest.raises(DegreeCapExceeded):
+            is_generated_by_quadrics(s, dataclasses.replace(toric_ideal(s), cap=1))
 
 
 class TestSerialization:

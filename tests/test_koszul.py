@@ -1,8 +1,10 @@
 """Koszul classification: lists, necessary conditions, decision cascade."""
 
+import dataclasses
+
 import pytest
 
-from mcurve.errors import GcdViolation, NotGeneralizedArithmetic, WrongN
+from mcurve.errors import DegreeCapExceeded, GcdViolation, NotGeneralizedArithmetic, WrongN
 from mcurve.grobner import toric_ideal
 from mcurve.koszul import (
     N3_KOSZUL,
@@ -102,6 +104,15 @@ class TestCascade:
         if st.verdict == "koszul":
             assert st.reason.startswith("quadratic_gb") or st.reason in (
                 "classified_generalized", "geometric")
+
+    def test_oracle_stage_uses_the_given_basis(self):
+        # a curve and its gcd-reduced sequence share the toric basis
+        for m in [(1, 2, 3, 4, 6), (2, 4, 6, 8, 12), (2, 3, 4, 5, 6, 8)]:
+            s = CurveSequence(m)
+            assert koszul_status(s, toric_ideal(s)) == koszul_status(s), m
+        s = CurveSequence((1, 2, 3, 4, 6))
+        with pytest.raises(DegreeCapExceeded):
+            koszul_status(s, dataclasses.replace(toric_ideal(s), cap=2))
 
     def test_fall_through_is_legal(self):
         st = koszul_status(CurveSequence((1, 2, 5)))

@@ -1,11 +1,13 @@
 """Monomial-ideal combinatorics: decomposition, regularity, Hilbert data."""
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mcurve import monideal, sweeps
 from mcurve.errors import InvariantViolation, NonTerminating, NotCohenMacaulay, NotNestedType
 from mcurve.grobner import initial_ideal, toric_ideal
 from mcurve.monideal import (
@@ -57,6 +59,28 @@ class TestDecomposition:
     def test_zero_ideal_is_rejected(self):
         with pytest.raises(InvariantViolation):
             irreducible_decomposition(MonomialIdeal.from_gens(3, []))
+
+    def test_property_matches_function(self):
+        ini = initial_ideal(toric_ideal(GOLDEN))
+        assert ini.decomposition == irreducible_decomposition(ini)
+        assert ini.decomposition is ini.decomposition
+
+    @pytest.mark.parametrize("check, m", [
+        (sweeps.check_arithmetic_instance, (10, 13, 16, 19, 22)),
+        (sweeps.check_generalized_instance, (7, 30, 39, 48, 57, 66)),
+        (sweeps.check_random_instance, (3, 5, 7, 11)),
+    ])
+    def test_sweep_checker_decomposes_each_ideal_once(self, monkeypatch, check, m):
+        calls = Counter()
+
+        def counted(ideal):
+            calls[ideal.nvars, ideal.gens] += 1
+            return irreducible_decomposition(ideal)
+
+        monkeypatch.setattr(monideal, "irreducible_decomposition", counted)
+        monkeypatch.setattr(sweeps, "irreducible_decomposition", counted, raising=False)
+        assert all(check(CurveSequence(m)).values())
+        assert calls and set(calls.values()) == {1}
 
     def test_golden_generalized(self):
         ini = initial_ideal(toric_ideal(GOLDEN_GEN))

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcurve.errors import (
-    BoundExceeded,
     GcdViolation,
     HNotDividingD,
     InvariantViolation,
@@ -234,10 +233,7 @@ class TestMinMultiple:
     def test_matches_brute_force(self):
         for m in [(3, 5, 7), (4, 5, 6, 7, 8), (2, 9, 12), (5, 26, 32, 38), (1, 2, 5)]:
             assert min_multiple(CurveSequence(m)) == _min_multiple_brute(m)
-
-    def test_cap_exceeded(self):
-        with pytest.raises(BoundExceeded):
-            min_multiple(CurveSequence((10, 13, 16, 19, 22)), cap=3)
+            assert min_multiple(CurveSequence(m)) <= m[1]
 
     @given(
         m1=st.integers(1, 20),
