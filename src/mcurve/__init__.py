@@ -21,12 +21,9 @@ from .seq import (
 )
 from .poly import (
     Binomial,
-    BiDegree,
     DegRevLex,
-    BlockOrder,
     YWeighted,
     bidegree,
-    compare,
     is_member_binomial,
 )
 from .grobner import (
@@ -34,7 +31,6 @@ from .grobner import (
     buchberger,
     toric_ideal,
     initial_ideal,
-    eliminate,
     quadrics_in_ideal,
     is_generated_by_quadrics,
     has_quadratic_gb,

@@ -101,17 +101,6 @@ class InvariantReport:
             }
         return out
 
-    @staticmethod
-    def from_dict(data: dict) -> "InvariantReport":
-        data = dict(data)
-        data["sequence"] = tuple(data["sequence"])
-        if data.get("hs_numerator") is not None:
-            data["hs_numerator"] = tuple(data["hs_numerator"])
-        hp = data.get("hilbert_polynomial")
-        if hp is not None:
-            data["hilbert_polynomial"] = (hp["slope"], hp["constant"])
-        return InvariantReport(**data)
-
     def render_text(self) -> str:
         lines = [f"sequence           {','.join(map(str, self.sequence))}"]
         cls = self.kind
@@ -387,14 +376,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     family = SWEEP_FAMILIES[args.family]
     if args.max_mn is not None and args.max_mn < 1:
         raise ValueError(f"--max-mn must be at least 1, got {args.max_mn}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = family.config(family.bound if args.max_mn is None else args.max_mn, args)
     payloads = [(args.family, s.m, cap) for s in family.instances(cfg)]
+    # a fork pool starts all its workers at once: no more than there are instances
+    workers = min(args.jobs, len(payloads))
     written = failures = 0
     with contextlib.ExitStack() as stack:
         out = stack.enter_context(open(args.out, "w")) if args.out else sys.stdout
         run = map
-        if args.jobs > 1:
-            run = stack.enter_context(ProcessPoolExecutor(max_workers=args.jobs)).map
+        if workers > 1:
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
         # both maps yield in input order as results arrive: records stream out
         for record in run(_run_one, payloads):
             written += 1
@@ -461,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated h values, each at least 2 (generalized family)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=50, help="instances for the random family")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (at least 1)")
     p.add_argument("--out", default=None, help="JSONL output path (default stdout)")
     p.set_defaults(func=cmd_sweep)
     return parser

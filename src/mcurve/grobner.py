@@ -20,12 +20,12 @@ from .errors import DegreeCapExceeded, InvariantViolation
 from .monideal import MonomialIdeal
 from .poly import (
     Binomial,
-    BlockOrder,
     DegRevLex,
     Monomial,
     TermOrder,
     bidegree,
     degrevlex_cheapest,
+    format_binomial,
     is_member_binomial,
     make_binomial,
     mono_divides,
@@ -38,8 +38,8 @@ class GroebnerBasis:
     """Canonically sorted reduced Groebner basis of a binomial ideal.
 
     `cap` is the Buchberger degree cap the basis was computed under (None: no
-    bound); every run made from this basis (elimination, quadric tests, other
-    orders) runs under the same cap.
+    bound); every run made from this basis (quadric tests, other orders) runs
+    under the same cap.
     """
 
     order: TermOrder
@@ -103,8 +103,6 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder,
     seed: list[tuple[Monomial, Monomial]] = []
     seen: set[tuple[Monomial, Monomial]] = set()
     for g in gens:
-        if g.trail is None:
-            raise InvariantViolation(f"bare monomial {g} fed to buchberger: saturation bug upstream")
         ori = make_binomial(g.lead, g.trail, order)
         if ori is None:
             continue
@@ -161,8 +159,6 @@ def _interreduce(basis: Sequence[Binomial], order: TermOrder) -> tuple[Binomial,
     for g in ordered:
         if not any(mono_divides(h.lead, g.lead) for h in kept):
             kept.append(g)
-    if any(g.trail is None for g in kept):
-        raise InvariantViolation("bare monomial in a basis to interreduce")
     leads = [g.lead for g in kept]
     out: list[Binomial] = []
     for g in kept:
@@ -187,8 +183,6 @@ def reduce_basis(gens: Iterable[Binomial], order: TermOrder) -> tuple[Binomial, 
     form): minimal leads, reduced trails, canonical sort."""
     oriented = []
     for g in gens:
-        if g.trail is None:
-            raise InvariantViolation(f"bare monomial {g} in a basis to reduce")
         ori = make_binomial(g.lead, g.trail, order)
         if ori is not None:
             oriented.append(ori)
@@ -336,7 +330,7 @@ def toric_ideal(seq: CurveSequence, cap: int | None = None) -> GroebnerBasis:
 
     final = GroebnerBasis(plain, _interreduce(current, plain), cap)
     for g in final.elements:
-        if g.trail is None or g.lead == g.trail:
+        if g.lead == g.trail:
             raise InvariantViolation(f"monomial {g} in toric basis for ({seq}): saturation bug")
         if not is_member_binomial(seq, g):
             raise InvariantViolation(f"non-member {g} in toric basis for ({seq})")
@@ -348,24 +342,6 @@ def initial_ideal(gb: GroebnerBasis) -> MonomialIdeal:
     return MonomialIdeal.from_gens(gb.nvars, gb.leads())
 
 
-def eliminate(gb: GroebnerBasis, keep_from: int) -> GroebnerBasis:
-    """Reduced degrevlex basis of I /\\ K[x_{keep_from+1}, ..., x_{n+1}] for the
-    ideal I with basis `gb` (a toric basis from `toric_ideal`), computed with a
-    block order eliminating the leading variables, under the cap of `gb`.  The
-    result lives in the smaller ring (n + 1 - keep_from variables)."""
-    nv = gb.nvars
-    if not 0 <= keep_from < nv:
-        raise InvariantViolation(f"keep_from {keep_from} outside 0..{nv - 1}")
-    if keep_from == 0:
-        return gb
-    block = buchberger(gb.elements, BlockOrder(nv, keep_from), gb.cap)
-    kept: list[Binomial] = []
-    for g in block.elements:
-        if all(e == 0 for e in g.lead[:keep_from]) and all(e == 0 for e in g.trail[:keep_from]):
-            kept.append(Binomial(g.lead[keep_from:], g.trail[keep_from:]))
-    return buchberger(kept, DegRevLex(nv - keep_from), gb.cap)
-
-
 def quadrics_in_ideal(seq: CurveSequence) -> list[Binomial]:
     """All degree-2 pure differences in I(C), deduplicated and oriented."""
     nv = seq.n + 1
@@ -373,7 +349,7 @@ def quadrics_in_ideal(seq: CurveSequence) -> list[Binomial]:
     by_bideg: dict[tuple[int, int], list[Monomial]] = {}
     for i, j in itertools.combinations_with_replacement(range(nv), 2):
         m = tuple((i == t) + (j == t) for t in range(nv))
-        by_bideg.setdefault(tuple(bidegree(seq, m)), []).append(m)
+        by_bideg.setdefault(bidegree(seq, m), []).append(m)
     out: set[Binomial] = set()
     for monos in by_bideg.values():
         for a, b in itertools.combinations(monos, 2):
@@ -391,33 +367,19 @@ def is_generated_by_quadrics(seq: CurveSequence, gb: GroebnerBasis) -> bool:
     return quad_gb.element_set() == gb.element_set()
 
 
-def has_quadratic_gb(gb: GroebnerBasis, order: TermOrder | None = None) -> bool:
+def has_quadratic_gb(gb: GroebnerBasis, order: TermOrder) -> bool:
     """True iff the reduced Groebner basis under `order` of the ideal with basis
     `gb` is all quadrics; a basis in another order is computed under the cap
     of `gb`."""
-    if order is not None and order != gb.order:
+    if order != gb.order:
         gb = buchberger(gb.elements, order, gb.cap)
     return all(g.degree == 2 for g in gb.elements)
 
 
 # -- serialization -----------------------------------------------------------------
 
-def render_gb(gb: GroebnerBasis, seq: CurveSequence | None = None) -> str:
-    from .poly import format_binomial
-    seq_part = f" seq={seq}" if seq is not None else ""
-    lines = [f"# order={gb.order.name} vars={gb.nvars}{seq_part}"]
+def render_gb(gb: GroebnerBasis, seq: CurveSequence) -> str:
+    lines = [f"# order={gb.order.name} vars={gb.nvars} seq={seq}"]
     lines.extend(format_binomial(g) for g in gb.elements)
     return "\n".join(lines) + "\n"
 
-
-def parse_gb(text: str) -> GroebnerBasis:
-    from .poly import parse_binomial, parse_order
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0]
-    if not header.startswith("# order="):
-        raise InvariantViolation(f"not a basis header: {header!r}")
-    fields = dict(part.split("=", 1) for part in header[2:].split() if "=" in part)
-    nvars = int(fields["vars"])
-    order = parse_order(fields["order"], nvars)
-    elements = tuple(parse_binomial(ln, nvars) for ln in lines[1:])
-    return GroebnerBasis(order, elements)

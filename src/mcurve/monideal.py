@@ -251,11 +251,9 @@ def _count_standard_brute(gens: tuple[Monomial, ...], nvars: int, s: int) -> int
                if not any(mono_divides(g, m) for g in gens))
 
 
-def hf_quotient(ideal: MonomialIdeal, s: int, *, brute: bool = False) -> int:
+def hf_quotient(ideal: MonomialIdeal, s: int) -> int:
     """Hilbert function of R/I at degree s: sum_k K_k C(s - k + n - 1, n - 1)
     for the K-polynomial K of R/I in n variables."""
-    if brute:
-        return _count_standard_brute(ideal.gens, ideal.nvars, s)
     if s < 0:
         return 0
     k, n = ideal.k_polynomial, ideal.nvars
@@ -362,7 +360,7 @@ def cm_type_oracle(seq: CurveSequence, ideal: MonomialIdeal) -> int:
     bidegs = set()
     for m in _standard_monomials(restricted, n - 1):
         full = m + (0, 0)
-        bidegs.add(tuple(bidegree(seq, full)))
+        bidegs.add(bidegree(seq, full))
     steps = [(seq.m[i], seq.mn - seq.m[i]) for i in range(n - 1)]
     count = 0
     for b in bidegs:

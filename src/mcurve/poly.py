@@ -69,22 +69,6 @@ def degrevlex_cheapest(nvars: int, cheap: int) -> DegRevLex:
 
 
 @dataclass(frozen=True)
-class BlockOrder(TermOrder):
-    """Elimination order: degree in the first n_elim variables dominates,
-    ties broken by degrevlex on the full vector."""
-
-    nvars: int
-    n_elim: int
-
-    def key(self, m: Monomial):
-        return (sum(m[:self.n_elim]),) + _degrevlex_key(m)
-
-    @property
-    def name(self) -> str:
-        return f"block[elim<{self.n_elim}]"
-
-
-@dataclass(frozen=True)
 class YWeighted(TermOrder):
     """Order with one distinguished variable dominating, ties by degrevlex
     on the remaining variables in their natural priority."""
@@ -113,26 +97,14 @@ def parse_order(text: str, nvars: int) -> TermOrder:
     raise ValueError(f"unknown order {text!r}")
 
 
-def compare(order: TermOrder, a: Monomial, b: Monomial) -> int:
-    """-1, 0, +1 according to the order."""
-    if len(a) != len(b) or len(a) != order.nvars:
-        raise DimensionMismatch(f"variable counts differ: {len(a)}, {len(b)}, order {order.nvars}")
-    ka, kb = order.key(a), order.key(b)
-    return (ka > kb) - (ka < kb)
-
-
 # -- binomials ---------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
 class Binomial:
-    """Pure difference lead - trail with lead >= trail under the ambient order.
-
-    trail is None only for the formal "bare monomial" marker; it cannot arise
-    inside a prime toric ideal and is treated as a diagnostic everywhere.
-    """
+    """Pure difference lead - trail with lead >= trail under the ambient order."""
 
     lead: Monomial
-    trail: Monomial | None
+    trail: Monomial
 
     @property
     def degree(self) -> int:
@@ -153,38 +125,20 @@ def make_binomial(a: Monomial, b: Monomial, order: TermOrder) -> Binomial | None
 
 # -- parametrization degree map ----------------------------------------------
 
-class BiDegree(tuple):
-    """(s_deg, t_deg) of a monomial under x_i -> s^{m_i} t^{m_n - m_i}."""
-
-    __slots__ = ()
-
-    def __new__(cls, s_deg: int, t_deg: int):
-        return super().__new__(cls, (s_deg, t_deg))
-
-    @property
-    def s_deg(self) -> int:
-        return self[0]
-
-    @property
-    def t_deg(self) -> int:
-        return self[1]
-
-
-def bidegree(seq: CurveSequence, m: Monomial) -> BiDegree:
-    """Image degree of a monomial: x_i -> (m_i, m_n - m_i), x_{n+1} -> (0, m_n)."""
+def bidegree(seq: CurveSequence, m: Monomial) -> tuple[int, int]:
+    """Image degree (s_deg, t_deg) of a monomial under x_i -> s^{m_i} t^{m_n - m_i}:
+    x_i -> (m_i, m_n - m_i), x_{n+1} -> (0, m_n)."""
     n = seq.n
     if len(m) != n + 1:
         raise DimensionMismatch(f"monomial has {len(m)} vars, curve ring has {n + 1}")
     s_deg = sum(e * seq.m[i] for i, e in enumerate(m[:n]))
     t_deg = sum(e * (seq.mn - seq.m[i]) for i, e in enumerate(m[:n])) + m[n] * seq.mn
-    return BiDegree(s_deg, t_deg)
+    return s_deg, t_deg
 
 
 def is_member_binomial(seq: CurveSequence, b: Binomial) -> bool:
     """Kernel test: a pure difference vanishes on the curve iff its two
     monomials have equal bidegree."""
-    if b.trail is None:
-        return False  # a monomial never lies in the prime toric ideal
     return bidegree(seq, b.lead) == bidegree(seq, b.trail)
 
 
@@ -221,15 +175,11 @@ def parse_monomial(text: str, nvars: int) -> Monomial:
 
 
 def format_binomial(b: Binomial) -> str:
-    if b.trail is None:
-        return format_monomial(b.lead)
     return f"{format_monomial(b.lead)} - {format_monomial(b.trail)}"
 
 
 def parse_binomial(text: str, nvars: int) -> Binomial:
     parts = text.split(" - ")
-    if len(parts) == 1:
-        return Binomial(parse_monomial(parts[0], nvars), None)
     if len(parts) != 2:
         raise ValueError(f"bad binomial {text!r}")
     return Binomial(parse_monomial(parts[0], nvars), parse_monomial(parts[1], nvars))
@@ -244,5 +194,5 @@ def shift_monomial(m: Monomial, offset: int, nvars: int) -> Monomial:
 
 
 def shift_binomial(b: Binomial, offset: int, nvars: int) -> Binomial:
-    trail = None if b.trail is None else shift_monomial(b.trail, offset, nvars)
-    return Binomial(shift_monomial(b.lead, offset, nvars), trail)
+    return Binomial(shift_monomial(b.lead, offset, nvars),
+                    shift_monomial(b.trail, offset, nvars))

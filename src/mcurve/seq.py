@@ -63,16 +63,10 @@ class CurveSequence:
     def mn(self) -> int:
         return self.m[-1]
 
-    def scaled_down(self, g: int) -> "CurveSequence":
-        """Divide every entry by a common factor g (same curve)."""
-        if any(v % g for v in self.m):
-            raise InvariantViolation(f"{g} does not divide every entry of ({self})")
-        return CurveSequence(tuple(v // g for v in self.m))
-
     def with_gcd_one(self) -> "CurveSequence":
         """Divide by the gcd of all entries (defines the same curve)."""
         g = math.gcd(*self.m)
-        return self if g == 1 else self.scaled_down(g)
+        return self if g == 1 else CurveSequence(tuple(v // g for v in self.m))
 
     def __str__(self) -> str:
         return ",".join(str(v) for v in self.m)
@@ -102,7 +96,6 @@ class SequenceClass:
     kind: str
     h: int | None
     d: int | None
-    gcd_all: int
     gcd_m1_d: int | None
 
     @property
@@ -130,22 +123,18 @@ def classify(seq: CurveSequence) -> SequenceClass:
     pair is arithmetic with d = m_2 - m_1.
     """
     m = seq.m
-    gcd_all = math.gcd(*m)
     if seq.n == 2:
         d = m[1] - m[0]
-        return SequenceClass("arithmetic", 1, d, gcd_all, math.gcd(m[0], d))
+        return SequenceClass("arithmetic", 1, d, math.gcd(m[0], d))
     d = m[2] - m[1]
     if any(m[i + 1] - m[i] != d for i in range(1, seq.n - 1)):
-        return SequenceClass("general", None, None, gcd_all, None)
+        return SequenceClass("general", None, None, None)
     rem = m[1] - d
     if rem <= 0 or rem % m[0] != 0:
-        return SequenceClass("general", None, None, gcd_all, None)
+        return SequenceClass("general", None, None, None)
     h = rem // m[0]
     kind = "arithmetic" if h == 1 else "generalized"
-    if kind == "arithmetic" and m[1] - m[0] != d:
-        # h == 1 forces m_2 = m_1 + d already; kept as a guard
-        return SequenceClass("general", None, None, gcd_all, None)
-    return SequenceClass(kind, h, d, gcd_all, math.gcd(m[0], d))
+    return SequenceClass(kind, h, d, math.gcd(m[0], d))
 
 
 @dataclass(frozen=True)

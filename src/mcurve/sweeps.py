@@ -139,6 +139,7 @@ def check_arithmetic_instance(seq: CurveSequence, cap: int | None = None) -> dic
     closed = reduce_basis(gb_arithmetic(seq), DegRevLex(n + 1))
     hil = hilbert_arithmetic(seq)
     reg = reg_arithmetic(seq)
+    cm_type = cm_type_arithmetic(seq)
 
     checks = {
         "gb_equals_oracle": set(closed) == gb.element_set(),
@@ -148,8 +149,8 @@ def check_arithmetic_instance(seq: CurveSequence, cap: int | None = None) -> dic
         "reg_h_degree": reg == len(hil.hs_numerator) - 1,
         "hf_counts": all(hil.hf_at(s) == hf_quotient(ini, s) for s in range(reg + 4)),
         "hs_numerator": hil.hs_numerator == hs_numerator(ini),
-        "cm_type": cm_type_arithmetic(seq) == cm_type_oracle(seq, ini),
-        "gorenstein": is_gorenstein(seq) == (cm_type_arithmetic(seq) == 1),
+        "cm_type": cm_type == cm_type_oracle(seq, ini),
+        "gorenstein": is_gorenstein(seq) == (cm_type == 1),
         "betti1": betti1_arithmetic(prof, n) == len(gb),
         "decomposition": irred_dec_arithmetic(prof, n) == ini.decomposition,
         "min_multiple": min_multiple(seq) == prof.alpha + 1,
@@ -232,7 +233,7 @@ def check_random_instance(seq: CurveSequence, cap: int | None = None) -> dict[st
         return sum(c * (s - j + 1) for j, c in enumerate(num) if j <= s)
 
     member_ok = all(is_member_binomial(seq, g) for g in gb.elements)
-    no_monomial = all(g.trail is not None and g.lead != g.trail for g in gb.elements)
+    no_monomial = all(g.lead != g.trail for g in gb.elements)
     perm = list(gb.elements)
     rng.shuffle(perm)
     deterministic = buchberger(perm, DegRevLex(seq.n + 1), gb.cap).elements == gb.elements

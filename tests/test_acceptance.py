@@ -27,7 +27,7 @@ from mcurve.monideal import (
     last_step_check,
     reg_nested_type,
 )
-from mcurve.poly import DegRevLex, BlockOrder, YWeighted, bidegree, compare, degrevlex_cheapest, is_member_binomial, parse_monomial
+from mcurve.poly import DegRevLex, YWeighted, bidegree, degrevlex_cheapest, is_member_binomial, parse_monomial
 from mcurve.seq import (
     CurveSequence,
     arithmetic_profile,
@@ -195,21 +195,25 @@ _seqs = st.lists(st.integers(1, 14), min_size=2, max_size=4, unique=True).map(
 
 
 def _orders(nvars):
-    return [DegRevLex(nvars), degrevlex_cheapest(nvars, 0),
-            BlockOrder(nvars, 1), YWeighted(nvars, nvars - 1)]
+    return [DegRevLex(nvars), degrevlex_cheapest(nvars, 0), YWeighted(nvars, nvars - 1)]
 
 
-@given(a=_monos5, b=_monos5, c=_monos5, idx=st.integers(0, 3))
+def _cmp(order, a, b):
+    ka, kb = order.key(a), order.key(b)
+    return (ka > kb) - (ka < kb)
+
+
+@given(a=_monos5, b=_monos5, c=_monos5, idx=st.integers(0, 2))
 @settings(max_examples=300)
 def test_property_term_order_axioms(a, b, c, idx):
     o = _orders(5)[idx]
-    assert compare(o, a, b) == -compare(o, b, a)
-    assert (compare(o, a, b) == 0) == (a == b)
-    if compare(o, a, b) >= 0 and compare(o, b, c) >= 0:
-        assert compare(o, a, c) >= 0
+    assert _cmp(o, a, b) == -_cmp(o, b, a)
+    assert (_cmp(o, a, b) == 0) == (a == b)
+    if _cmp(o, a, b) >= 0 and _cmp(o, b, c) >= 0:
+        assert _cmp(o, a, c) >= 0
     ac = tuple(x + y for x, y in zip(a, c))
     bc = tuple(x + y for x, y in zip(b, c))
-    assert compare(o, a, b) == compare(o, ac, bc)
+    assert _cmp(o, a, b) == _cmp(o, ac, bc)
 
 
 @given(
@@ -220,7 +224,7 @@ def test_property_term_order_axioms(a, b, c, idx):
 def test_property_bidegree_additive(a, b):
     s = CurveSequence((4, 5, 6, 7))
     ab = tuple(x + y for x, y in zip(a, b))
-    assert tuple(bidegree(s, ab)) == (
+    assert bidegree(s, ab) == (
         bidegree(s, a)[0] + bidegree(s, b)[0],
         bidegree(s, a)[1] + bidegree(s, b)[1],
     )
@@ -250,7 +254,7 @@ def test_property_gb_determinism(seq, salt):
 def test_property_no_monomial_in_toric(seq):
     gb = toric_ideal(seq)
     for g in gb.elements:
-        assert g.trail is not None and g.lead != g.trail
+        assert g.lead != g.trail
         assert is_member_binomial(seq, g)
     # complete, not only sound: HF(s) of K[C] is the size of the s-fold
     # sumset of {0, m_1, ..., m_n}, counted without any Groebner basis

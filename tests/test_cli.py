@@ -11,7 +11,7 @@ import pytest
 
 import mcurve
 from mcurve import cli, grobner, koszul
-from mcurve.cli import InvariantReport, build_report, main
+from mcurve.cli import build_report, main
 from mcurve.errors import InvariantViolation
 from mcurve.seq import parse_sequence
 
@@ -36,8 +36,7 @@ class TestInvariants:
     def test_json_round_trip(self, capsys):
         assert main(["invariants", "-m", "10,13,16,19,22", "--verify", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
-        report = InvariantReport.from_dict(data)
-        assert report == build_report(parse_sequence("10,13,16,19,22"), verify=True)
+        assert data == build_report(parse_sequence("10,13,16,19,22"), verify=True).to_dict()
 
     def test_general_sequence_oracle_only(self, capsys):
         assert main(["invariants", "-m", "1,2,5", "--json"]) == 0
@@ -82,11 +81,9 @@ class TestGb:
             assert main(["gb", "-m", "1,2,3", *flags, "--order", "degrevlex"]) == 0
 
     def test_serialization_parses_back(self, capsys):
-        from mcurve.grobner import parse_gb, toric_ideal
+        s = parse_sequence("3,5,7")
         assert main(["gb", "-m", "3,5,7"]) == 0
-        text = capsys.readouterr().out
-        gb = parse_gb(text)
-        assert gb.elements == toric_ideal(parse_sequence("3,5,7")).elements
+        assert capsys.readouterr().out == grobner.render_gb(grobner.toric_ideal(s), s)
 
 
 class TestHilbert:
@@ -154,10 +151,38 @@ class TestSweep:
         for flags in (["--family", "generalized", "--h", "1"],
                       ["--family", "generalized", "--h", "2,1"],
                       ["--family", "n3", "--max-mn", "0"],
-                      ["--family", "arithmetic", "--max-mn", "-4"]):
+                      ["--family", "arithmetic", "--max-mn", "-4"],
+                      ["--family", "n3", "--max-mn", "5", "--jobs", "0"],
+                      ["--family", "n3", "--max-mn", "5", "--jobs", "-1"]):
             assert main(["sweep", *flags]) == 2, flags
             captured = capsys.readouterr()
             assert captured.out == "" and "usage error" in captured.err
+
+    def test_pool_has_no_more_workers_than_instances(self, capsys, monkeypatch):
+        # a stand-in pool records its size and maps in this process, so no
+        # large --jobs value starts real workers
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        for count, pools in (("3", [3]), ("1", [])):
+            sizes.clear()
+            assert main(["sweep", "--family", "random", "--count", count, "--jobs", "64"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert json.loads(lines[-1])["summary"]["instances"] == int(count)
+            assert sizes == pools, count
 
     def test_nonpositive_h_exits_instead_of_hanging(self):
         # h <= 0 once made the instance generator loop forever: run it in a

@@ -1,6 +1,7 @@
 """Buchberger oracle: bases, saturation, elimination, quadric tests."""
 
 import dataclasses
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -11,20 +12,18 @@ from mcurve import grobner
 from mcurve.errors import DegreeCapExceeded, InvariantViolation
 from mcurve.grobner import (
     buchberger,
-    eliminate,
     has_quadratic_gb,
     initial_ideal,
     is_generated_by_quadrics,
     lattice_basis,
-    parse_gb,
     quadrics_in_ideal,
     reduce_basis,
     render_gb,
     toric_ideal,
 )
 from mcurve.monideal import MonomialIdeal
-from mcurve.poly import (DegRevLex, YWeighted, bidegree, degrevlex_cheapest, is_member_binomial,
-                         parse_binomial, parse_monomial)
+from mcurve.poly import (Binomial, DegRevLex, YWeighted, bidegree, degrevlex_cheapest,
+                         is_member_binomial, parse_binomial, parse_monomial)
 from mcurve.seq import CurveSequence, parse_sequence
 
 
@@ -133,7 +132,7 @@ class TestToricIdeal:
             s = CurveSequence(m)
             gb = toric_ideal(s)
             for g in gb.elements:
-                assert g.trail is not None and g.lead != g.trail
+                assert g.lead != g.trail
                 assert is_member_binomial(s, g)
 
     def test_scaled_sequences_same_ideal(self):
@@ -181,16 +180,37 @@ class TestInitialIdeal:
         assert initial_ideal(gb).is_zero
 
 
+@dataclass(frozen=True)
+class _BlockOrder:
+    """Elimination order: degree in the first n_elim variables dominates,
+    ties broken by degrevlex on the full vector."""
+
+    nvars: int
+    n_elim: int
+
+    def key(self, m):
+        return (sum(m[:self.n_elim]),) + DegRevLex(self.nvars).key(m)
+
+
+def _eliminate(gb, keep_from):
+    """Reduced degrevlex basis of I /\\ K[x_{keep_from+1}, ..., x_{n+1}] for the
+    ideal I with basis `gb`, by a block order, under the cap of `gb`; it lives
+    in the ring of the last n + 1 - keep_from variables."""
+    block = buchberger(gb.elements, _BlockOrder(gb.nvars, keep_from), gb.cap)
+    kept = [Binomial(g.lead[keep_from:], g.trail[keep_from:]) for g in block.elements
+            if not any(g.lead[:keep_from]) and not any(g.trail[:keep_from])]
+    return buchberger(kept, DegRevLex(gb.nvars - keep_from), gb.cap)
+
+
 class TestEliminate:
-    def test_keep_all_is_toric(self):
-        s = parse_sequence("3,5,7")
-        assert eliminate(toric_ideal(s), 0).element_set() == toric_ideal(s).element_set()
+    """I(C) /\\ K[x_2, ..., x_{n+1}] = I(C') as ideals, with C' the tail curve,
+    also where the initial ideals differ (the paper's counterexamples)."""
 
     def test_counterexample_sequences(self):
         # elimination ideal equals the toric ideal of the tail curve
         for m in [(2, 35, 46, 57, 68), (5, 26, 32, 38)]:
             s = CurveSequence(m)
-            elim = eliminate(toric_ideal(s), 1)
+            elim = _eliminate(toric_ideal(s), 1)
             tail = toric_ideal(CurveSequence(m[1:]))
             assert elim.element_set() == tail.element_set()
 
@@ -199,13 +219,7 @@ class TestEliminate:
         gb = toric_ideal(s)
         tail_ini = initial_ideal(toric_ideal(CurveSequence(s.m[1:])))
         assert initial_ideal(gb).restrict(1) == tail_ini
-        assert initial_ideal(eliminate(gb, 1)) == tail_ini
-
-    def test_runs_under_the_cap_of_the_basis(self):
-        gb = toric_ideal(parse_sequence("5,26,32,38"))
-        assert eliminate(gb, 1).cap == gb.cap
-        with pytest.raises(DegreeCapExceeded):
-            eliminate(dataclasses.replace(gb, cap=2), 1)
+        assert initial_ideal(_eliminate(gb, 1)) == tail_ini
 
 
 class TestQuadrics:
@@ -229,9 +243,9 @@ class TestQuadrics:
             assert is_generated_by_quadrics(s, toric_ideal(s)) == expected, m
 
     def test_quadratic_gb(self):
-        assert has_quadratic_gb(toric_ideal(CurveSequence((1, 2, 3))))
-        assert not has_quadratic_gb(toric_ideal(parse_sequence("10,13,16,19,22")))
-        assert has_quadratic_gb(toric_ideal(CurveSequence((1, 2, 4, 8))))
+        assert has_quadratic_gb(toric_ideal(CurveSequence((1, 2, 3))), DegRevLex(4))
+        assert not has_quadratic_gb(toric_ideal(parse_sequence("10,13,16,19,22")), DegRevLex(6))
+        assert has_quadratic_gb(toric_ideal(CurveSequence((1, 2, 4, 8))), DegRevLex(5))
 
     def test_quadratic_gb_yweighted(self):
         # base (2,4,6) with distinguished variable of weight 1
@@ -249,13 +263,16 @@ class TestQuadrics:
 
 
 class TestSerialization:
-    def test_round_trip(self):
+    def test_round_trip(self, capsys):
+        from mcurve.cli import main
         s = parse_sequence("3,5,7")
-        gb = toric_ideal(s)
-        text = render_gb(gb, s)
-        back = parse_gb(text)
-        assert back.elements == gb.elements
-        assert back.order == gb.order
+        text = render_gb(toric_ideal(s), s)
+        assert text == ("# order=degrevlex vars=4 seq=3,5,7\n"
+                        "x2^2 - x1*x3\n"
+                        "x1^3*x2 - x3^2*x4^2\n"
+                        "x1^4 - x2*x3*x4^2\n")
+        assert main(["gb", "-m", "3,5,7"]) == 0
+        assert capsys.readouterr().out == text
 
 
 seq_strategy = st.lists(
@@ -279,5 +296,5 @@ class TestOracleProperties:
     def test_no_monomial_in_toric_gb(self, seq):
         gb = toric_ideal(seq)
         for g in gb.elements:
-            assert g.trail is not None and g.lead != g.trail
+            assert g.lead != g.trail
             assert is_member_binomial(seq, g)

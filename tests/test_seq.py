@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from mcurve.errors import (
     GcdViolation,
     HNotDividingD,
-    InvariantViolation,
     NonIncreasing,
     NonPositive,
     NotArithmetic,
@@ -63,17 +62,17 @@ class TestParse:
         with pytest.raises(NonPositive):
             parse_sequence("1,two")
 
-    def test_scaled_down_needs_a_common_factor(self):
-        assert CurveSequence((4, 6)).scaled_down(2).m == (2, 3)
-        with pytest.raises(InvariantViolation):
-            CurveSequence((4, 6)).scaled_down(4)
+    def test_with_gcd_one_divides_by_the_gcd(self):
+        assert CurveSequence((4, 6)).with_gcd_one().m == (2, 3)
+        s = CurveSequence((3, 5, 7))
+        assert s.with_gcd_one() is s
 
 
 class TestClassify:
     def test_arithmetic(self):
         cls = classify(parse_sequence("10,13,16,19,22"))
         assert cls.kind == "arithmetic" and (cls.h, cls.d) == (1, 3)
-        assert cls.gcd_all == 1 and cls.gcd_m1_d == 1
+        assert cls.gcd_m1_d == 1
 
     def test_generalized(self):
         cls = classify(parse_sequence("7,30,39,48,57,66"))
@@ -91,7 +90,7 @@ class TestClassify:
     def test_gcd_fields(self):
         cls = classify(CurveSequence((2, 35, 46, 57, 68)))
         assert cls.kind == "generalized" and (cls.h, cls.d) == (12, 11)
-        assert cls.gcd_all == 1 and cls.gcd_m1_d == 1
+        assert cls.gcd_m1_d == 1
 
     @given(
         m1=st.integers(1, 40),
