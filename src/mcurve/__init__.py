@@ -21,9 +21,9 @@ from .seq import (
 )
 from .poly import (
     Binomial,
-    DegRevLex,
-    YWeighted,
+    TermOrder,
     bidegree,
+    yweighted,
     is_member_binomial,
 )
 from .grobner import (
@@ -31,7 +31,6 @@ from .grobner import (
     buchberger,
     toric_ideal,
     initial_ideal,
-    quadrics_in_ideal,
     is_generated_by_quadrics,
     has_quadratic_gb,
 )

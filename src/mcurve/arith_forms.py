@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolation
 from .monideal import IrreducibleComponent, IrreducibleDecomposition
-from .poly import Binomial, DegRevLex, is_member_binomial, make_binomial
+from .poly import Binomial, TermOrder, is_member_binomial, make_binomial
 from .seq import ArithmeticProfile, CurveSequence, arithmetic_profile
 
 
-def _require_oriented_members(seq: CurveSequence, basis: list[Binomial], order: DegRevLex) -> None:
+def _require_oriented_members(seq: CurveSequence, basis: list[Binomial], order: TermOrder) -> None:
     """Raise InvariantViolation unless every lead leads under `order` and every
     element lies in I(C)."""
     for b in basis:
@@ -47,7 +47,7 @@ def gb_arithmetic(seq: CurveSequence) -> list[Binomial]:
     prof = arithmetic_profile(seq)
     n = seq.n
     nv = n + 1
-    order = DegRevLex(nv)
+    order = TermOrder(nv)
 
     basis: list[Binomial] = []
     for i in range(2, n):

@@ -55,11 +55,12 @@ from .koszul import koszul_status
 from .monideal import (
     cm_type_oracle,
     cm_via_initial,
+    fitted_polynomial,
     hf_quotient,
     hs_numerator,
     reg_nested_type,
 )
-from .poly import Binomial, DegRevLex, format_binomial, parse_order
+from .poly import Binomial, TermOrder, format_binomial, parse_order
 from .seq import CurveSequence, arithmetic_profile, classify, parse_sequence
 
 
@@ -145,7 +146,7 @@ class ClosedForms(NamedTuple):
 
     def reduced_gb(self, seq: CurveSequence) -> tuple[Binomial, ...]:
         """The closed-form basis, self-reduced into the oracle's canonical form."""
-        return reduce_basis(self.gb(seq), DegRevLex(seq.n + 1))
+        return reduce_basis(self.gb(seq), TermOrder(seq.n + 1))
 
 
 def closed_forms(family: str | None) -> ClosedForms | None:
@@ -227,7 +228,7 @@ def build_report(seq: CurveSequence, verify: bool, cap: int | None = None) -> In
                                  hs_numerator(ini) if ini else None)
     report.hilbert_polynomial = settle(
         "hilbert_polynomial", (hil.hp_slope, hil.hp_constant) if hil else None,
-        _fitted_polynomial(ini, report.regularity) if ini else None)
+        fitted_polynomial(ini, report.regularity) if ini else None)
     if verify and forms is not None and set(forms.reduced_gb(seq)) != gb.element_set():
         raise Mismatch(f"groebner basis: closed form != oracle for ({seq})")
 
@@ -236,14 +237,6 @@ def build_report(seq: CurveSequence, verify: bool, cap: int | None = None) -> In
     report.koszul_reason = status.reason
     prov["koszul"] = "oracle"
     return report
-
-
-def _fitted_polynomial(ini, reg: int) -> tuple[int, int]:
-    """Line through the counted Hilbert function beyond the regularity."""
-    a = hf_quotient(ini, reg + 2)
-    b = hf_quotient(ini, reg + 3)
-    slope = b - a
-    return slope, b - slope * (reg + 3)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -265,7 +258,7 @@ def cmd_gb(args: argparse.Namespace) -> int:
     order = parse_order(args.order, seq.n + 1)
 
     if args.diff or args.source == "closed":
-        if order != DegRevLex(seq.n + 1):
+        if order != TermOrder(seq.n + 1):
             raise ValueError("--order applies to the oracle basis only, not to --diff "
                              "or --source closed")
         forms = closed_forms(classify(seq).closed_family)
@@ -288,7 +281,7 @@ def cmd_gb(args: argparse.Namespace) -> int:
         return 0
 
     if args.source == "closed":
-        gb = GroebnerBasis(DegRevLex(seq.n + 1), closed)
+        gb = GroebnerBasis(TermOrder(seq.n + 1), closed)
     else:
         gb = toric_ideal(seq, cap)
         if order != gb.order:

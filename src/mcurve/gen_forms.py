@@ -21,7 +21,7 @@ from .arith_forms import (ArithHilbert, _mono, _require_oriented_members, gb_ari
                           hilbert_arithmetic, irred_dec_arithmetic)
 from .errors import CaseNotApplicable, GcdViolation, InvariantViolation, NotGeneralizedArithmetic
 from .monideal import IrreducibleComponent, IrreducibleDecomposition, _polyadd, _polymul, _trim
-from .poly import Binomial, DegRevLex, shift_binomial
+from .poly import Binomial, TermOrder, shift_binomial
 from .seq import (
     CurveSequence,
     arithmetic_profile,
@@ -109,7 +109,7 @@ def gb_generalized(seq: CurveSequence) -> list[Binomial]:
     prof = generalized_profile(seq)
     n, h = seq.n, prof.h
     nv = n + 1
-    order = DegRevLex(nv)
+    order = TermOrder(nv)
 
     basis = [shift_binomial(b, 1, nv) for b in gb_arithmetic(_tail_curve(seq, h))]
     for i in range(3, n + 1):

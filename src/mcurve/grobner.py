@@ -11,7 +11,6 @@ throughout; coefficients never leave {+1, -1}.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -20,10 +19,8 @@ from .errors import DegreeCapExceeded, InvariantViolation
 from .monideal import MonomialIdeal
 from .poly import (
     Binomial,
-    DegRevLex,
     Monomial,
     TermOrder,
-    bidegree,
     degrevlex_cheapest,
     format_binomial,
     is_member_binomial,
@@ -37,9 +34,9 @@ from .seq import CurveSequence
 class GroebnerBasis:
     """Canonically sorted reduced Groebner basis of a binomial ideal.
 
-    `cap` is the Buchberger degree cap the basis was computed under (None: no
-    bound); every run made from this basis (quadric tests, other orders) runs
-    under the same cap.
+    `cap` is the Buchberger degree cap the basis was computed under (None only
+    for a closed form that no run produced); every run made from this basis
+    (quadric tests, other orders) runs under the same cap.
     """
 
     order: TermOrder
@@ -86,15 +83,14 @@ def _normal_form(a: Monomial, b: Monomial, leads: list[Monomial],
                 return a, b
 
 
-def buchberger(gens: Iterable[Binomial], order: TermOrder,
-               cap: int | None = None) -> GroebnerBasis:
+def buchberger(gens: Iterable[Binomial], order: TermOrder, cap: int) -> GroebnerBasis:
     """Reduced Groebner basis of the binomial ideal generated by `gens`.
 
     Pair selection is the normal strategy (lowest lcm degree first, ties by
     the order on the lcm), which together with final inter-reduction makes
     the output independent of the generator ordering.  A basis element or an
-    S-pair of degree above `cap` raises DegreeCapExceeded (None: no bound);
-    the result records the cap it ran under.
+    S-pair of degree above `cap` raises DegreeCapExceeded; the result records
+    the cap it ran under.
     """
     key = order.key
     leads: list[Monomial] = []
@@ -123,7 +119,7 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder,
             heapq.heappush(pairs, (sum(lcm), key(lcm), i, new_idx))
 
     def add_element(a: Monomial, b: Monomial) -> None:
-        if cap is not None and sum(a) > cap:
+        if sum(a) > cap:
             raise DegreeCapExceeded(
                 f"basis element of degree {sum(a)} exceeds cap {cap}")
         leads.append(a)
@@ -139,7 +135,7 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder,
         _, _, i, j = heapq.heappop(pairs)
         la, lb = leads[i], leads[j]
         lcm = tuple(max(x, y) for x, y in zip(la, lb))
-        if cap is not None and sum(lcm) > cap:
+        if sum(lcm) > cap:
             raise DegreeCapExceeded(f"S-pair degree {sum(lcm)} exceeds cap {cap}")
         a = tuple(l - x + t for l, x, t in zip(lcm, la, trails[i]))
         b = tuple(l - x + t for l, x, t in zip(lcm, lb, trails[j]))
@@ -312,7 +308,7 @@ def toric_ideal(seq: CurveSequence, cap: int | None = None) -> GroebnerBasis:
     nv = n + 1
     if cap is None:
         cap = 4 * (seq.mn + n)
-    plain = DegRevLex(nv)
+    plain = TermOrder(nv)
     current: list[Binomial] = []
     for v in lattice_basis(seq):
         b = _binomial_from_vector(v, plain)
@@ -342,29 +338,15 @@ def initial_ideal(gb: GroebnerBasis) -> MonomialIdeal:
     return MonomialIdeal.from_gens(gb.nvars, gb.leads())
 
 
-def quadrics_in_ideal(seq: CurveSequence) -> list[Binomial]:
-    """All degree-2 pure differences in I(C), deduplicated and oriented."""
-    nv = seq.n + 1
-    order = DegRevLex(nv)
-    by_bideg: dict[tuple[int, int], list[Monomial]] = {}
-    for i, j in itertools.combinations_with_replacement(range(nv), 2):
-        m = tuple((i == t) + (j == t) for t in range(nv))
-        by_bideg.setdefault(bidegree(seq, m), []).append(m)
-    out: set[Binomial] = set()
-    for monos in by_bideg.values():
-        for a, b in itertools.combinations(monos, 2):
-            bi = make_binomial(a, b, order)
-            if bi is not None:
-                out.add(bi)
-    return sorted(out, key=lambda g: (order.key(g.lead), order.key(g.trail)))
-
-
-def is_generated_by_quadrics(seq: CurveSequence, gb: GroebnerBasis) -> bool:
-    """True iff the degree-2 members of I(C) generate the whole ideal; `gb` is
-    the degrevlex toric basis of `seq` (from `toric_ideal`), and the quadrics'
-    basis is computed under its cap."""
-    quad_gb = buchberger(quadrics_in_ideal(seq), DegRevLex(seq.n + 1), gb.cap)
-    return quad_gb.element_set() == gb.element_set()
+def is_generated_by_quadrics(gb: GroebnerBasis) -> bool:
+    """True iff the degree-2 members of the ideal generate it, for its reduced
+    degrevlex basis `gb` (from `toric_ideal`).  I(C) has no linear forms, so
+    dividing a quadric by `gb` uses only its quadrics G_2, and <I_2> = <G_2>;
+    their basis is computed under the cap of `gb`."""
+    if gb.order != TermOrder(gb.nvars):
+        raise InvariantViolation(f"quadric generation needs degrevlex, not {gb.order.name}")
+    quadrics = [g for g in gb.elements if g.degree == 2]
+    return buchberger(quadrics, gb.order, gb.cap).element_set() == gb.element_set()
 
 
 def has_quadratic_gb(gb: GroebnerBasis, order: TermOrder) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import GcdViolation, NotGeneralizedArithmetic, WrongN
 from .grobner import GroebnerBasis, has_quadratic_gb, is_generated_by_quadrics, toric_ideal
-from .poly import DegRevLex, YWeighted
+from .poly import TermOrder, yweighted
 from .seq import CurveSequence, classify
 
 N3_KOSZUL = frozenset({(1, 2, 3), (1, 2, 4), (2, 3, 4)})
@@ -113,7 +113,7 @@ def koszul_status(seq: CurveSequence, gb: GroebnerBasis | None = None) -> Koszul
         return KoszulStatus("not_koszul", "fails_necessary_quadric")
     if gb is None:
         gb = toric_ideal(base)
-    if not is_generated_by_quadrics(base, gb):
+    if not is_generated_by_quadrics(gb):
         return KoszulStatus("not_koszul", "fails_quadric_generation")
     witness = quadratic_gb_witness(gb)
     if witness is not None:
@@ -126,10 +126,10 @@ def quadratic_gb_witness(gb: GroebnerBasis) -> str | None:
     has a quadratic reduced basis: degrevlex first, then each y-dominant order
     on a sequence variable (each basis computed under the cap of `gb`)."""
     nv = gb.nvars
-    if has_quadratic_gb(gb, DegRevLex(nv)):
+    if has_quadratic_gb(gb, TermOrder(nv)):
         return "degrevlex"
     for idx in range(nv - 2):
-        order = YWeighted(nv, idx)
+        order = yweighted(nv, idx)
         if has_quadratic_gb(gb, order):
             return order.name
     return None

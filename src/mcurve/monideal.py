@@ -161,7 +161,7 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> IrreducibleDecomposition:
                 powers[i] = min(powers.get(i, g[i]), g[i])
             comps.add(IrreducibleComponent.from_map(powers))
             continue
-        i = next(j for j, e in enumerate(mixed) if e > 0)  # highest-priority variable
+        i = next(j for j, e in enumerate(mixed) if e > 0)  # first variable in its support
         u = tuple(mixed[j] if j == i else 0 for j in range(len(mixed)))
         v = tuple(0 if j == i else mixed[j] for j in range(len(mixed)))
         stack.append(_minimalize(gens + (u,)))
@@ -260,6 +260,13 @@ def hf_quotient(ideal: MonomialIdeal, s: int) -> int:
     if n == 0:
         return k[s] if s < len(k) else 0
     return sum(c * math.comb(s - j + n - 1, n - 1) for j, c in enumerate(k[:s + 1]))
+
+
+def fitted_polynomial(ideal: MonomialIdeal, reg: int) -> tuple[int, int]:
+    """(slope, constant) of the line through the Hilbert function of R/I at
+    reg + 2 and reg + 3, beyond the regularity `reg`."""
+    a, b = hf_quotient(ideal, reg + 2), hf_quotient(ideal, reg + 3)
+    return b - a, b - (b - a) * (reg + 3)
 
 
 def hs_numerator(ideal: MonomialIdeal) -> tuple[int, ...]:

@@ -9,6 +9,7 @@ differences stay pure differences, so no general polynomial type is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import DimensionMismatch
 from .seq import CurveSequence
@@ -24,76 +25,56 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
 
 # -- term orders -------------------------------------------------------------
 
+@dataclass(frozen=True)
 class TermOrder:
-    """Total multiplicative well-order on monomials, realized as a sort key."""
+    """Degrevlex with x_1 > ... > x_nvars, refined by weight rows: monomials
+    compare first by w.m for each row w of `weights` in turn, then by total
+    degree, then the smaller exponent on the latest variable wins.  No
+    weights is plain degrevlex; the constructors below give the others."""
 
     nvars: int
-    name: str
+    weights: tuple[tuple[int, ...], ...] = ()
 
     def key(self, m: Monomial):
-        raise NotImplementedError
-
-
-def _degrevlex_key(m: Monomial):
-    # larger total degree wins; ties: smaller exponent on the latest variable wins
-    return (sum(m), tuple(-e for e in reversed(m)))
-
-
-@dataclass(frozen=True)
-class DegRevLex(TermOrder):
-    """Degree reverse lexicographic order with x_1 > ... > x_nvars.
-
-    An optional priority permutation (most significant variable first) allows
-    the "variable x_i cheapest" variants used during saturation.
-    """
-
-    nvars: int
-    priority: tuple[int, ...] | None = None
-
-    def key(self, m: Monomial):
-        if self.priority is not None:
-            m = tuple(m[i] for i in self.priority)
-        return _degrevlex_key(m)
+        out = (sum(m),) + tuple([-e for e in reversed(m)])
+        for w in reversed(self.weights):
+            out = (sum(map(mul, w, m)),) + out
+        return out
 
     @property
     def name(self) -> str:
-        if self.priority is None:
+        if not self.weights:
             return "degrevlex"
-        return "degrevlex[" + ",".join(f"x{i+1}" for i in self.priority) + "]"
+        if len(self.weights) == 1 and sorted(self.weights[0]) == [0] * (self.nvars - 1) + [1]:
+            return f"yweighted:x{self.weights[0].index(1) + 1}"
+        return "degrevlex" + "".join(f"[{','.join(map(str, w))}]" for w in self.weights)
 
 
-def degrevlex_cheapest(nvars: int, cheap: int) -> DegRevLex:
-    """Degrevlex with variable `cheap` (0-based) moved to the end."""
-    prio = tuple(i for i in range(nvars) if i != cheap) + (cheap,)
-    return DegRevLex(nvars, prio)
+def _unit(nvars: int, i: int, e: int = 1) -> tuple[int, ...]:
+    return tuple(e if j == i else 0 for j in range(nvars))
 
 
-@dataclass(frozen=True)
-class YWeighted(TermOrder):
-    """Order with one distinguished variable dominating, ties by degrevlex
-    on the remaining variables in their natural priority."""
+def degrevlex_cheapest(nvars: int, cheap: int) -> TermOrder:
+    """Degree first, then the smaller exponent on x_cheap (0-based) wins."""
+    if cheap == nvars - 1:
+        return TermOrder(nvars)  # degrevlex already makes the last variable cheapest
+    return TermOrder(nvars, ((1,) * nvars, _unit(nvars, cheap, -1)))
 
-    nvars: int
-    y_index: int
 
-    def key(self, m: Monomial):
-        rest = m[:self.y_index] + m[self.y_index + 1:]
-        return (m[self.y_index],) + _degrevlex_key(rest)
-
-    @property
-    def name(self) -> str:
-        return f"yweighted:x{self.y_index + 1}"
+def yweighted(nvars: int, y: int) -> TermOrder:
+    """The exponent on x_y (0-based) dominates; ties by degrevlex."""
+    return TermOrder(nvars, (_unit(nvars, y),))
 
 
 def parse_order(text: str, nvars: int) -> TermOrder:
     """Parse "degrevlex" or "yweighted:xK" into a term order."""
     if text == "degrevlex":
-        return DegRevLex(nvars)
+        return TermOrder(nvars)
     if text.startswith("yweighted:x"):
         idx = int(text[len("yweighted:x"):]) - 1
         if not 0 <= idx < nvars:
             raise DimensionMismatch(f"variable index out of range in {text!r}")
-        return YWeighted(nvars, idx)
+        return yweighted(nvars, idx)
     raise ValueError(f"unknown order {text!r}")
 
 
@@ -154,35 +135,8 @@ def format_monomial(m: Monomial) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def parse_monomial(text: str, nvars: int) -> Monomial:
-    text = text.strip()
-    exps = [0] * nvars
-    if text == "1":
-        return tuple(exps)
-    for factor in text.split("*"):
-        factor = factor.strip()
-        if not factor.startswith("x"):
-            raise ValueError(f"bad factor {factor!r}")
-        if "^" in factor:
-            var, exp = factor[1:].split("^")
-            idx, e = int(var) - 1, int(exp)
-        else:
-            idx, e = int(factor[1:]) - 1, 1
-        if not 0 <= idx < nvars:
-            raise DimensionMismatch(f"variable x{idx + 1} out of range ({nvars} vars)")
-        exps[idx] += e
-    return tuple(exps)
-
-
 def format_binomial(b: Binomial) -> str:
     return f"{format_monomial(b.lead)} - {format_monomial(b.trail)}"
-
-
-def parse_binomial(text: str, nvars: int) -> Binomial:
-    parts = text.split(" - ")
-    if len(parts) != 2:
-        raise ValueError(f"bad binomial {text!r}")
-    return Binomial(parse_monomial(parts[0], nvars), parse_monomial(parts[1], nvars))
 
 
 def shift_monomial(m: Monomial, offset: int, nvars: int) -> Monomial:

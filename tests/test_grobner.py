@@ -1,7 +1,7 @@
 """Buchberger oracle: bases, saturation, elimination, quadric tests."""
 
 import dataclasses
-from dataclasses import dataclass
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -16,15 +16,15 @@ from mcurve.grobner import (
     initial_ideal,
     is_generated_by_quadrics,
     lattice_basis,
-    quadrics_in_ideal,
     reduce_basis,
     render_gb,
     toric_ideal,
 )
 from mcurve.monideal import MonomialIdeal
-from mcurve.poly import (Binomial, DegRevLex, YWeighted, bidegree, degrevlex_cheapest,
-                         is_member_binomial, parse_binomial, parse_monomial)
+from mcurve.poly import (Binomial, TermOrder, bidegree, degrevlex_cheapest, is_member_binomial,
+                         yweighted)
 from mcurve.seq import CurveSequence, parse_sequence
+from textforms import parse_binomial, parse_monomial
 
 
 def _ideal(nvars, *texts):
@@ -40,20 +40,21 @@ TWISTED = _binomials(4, "x2^2 - x1*x3", "x1^2 - x2*x4", "x1*x2 - x3*x4")
 
 class TestBuchberger:
     def test_twisted_cubic_already_groebner(self):
-        gb = buchberger(TWISTED, DegRevLex(4))
+        gb = buchberger(TWISTED, TermOrder(4), 8)
         assert gb.element_set() == set(TWISTED)
 
     def test_empty_input(self):
-        gb = buchberger([], DegRevLex(4))
+        gb = buchberger([], TermOrder(4), 2)
         assert gb.elements == ()
 
     def test_closed_form_reduces_to_oracle(self):
         from mcurve.arith_forms import gb_arithmetic
         s = parse_sequence("10,13,16,19,22")
         closed = gb_arithmetic(s)
-        gb = buchberger(closed, DegRevLex(6))
-        assert gb.element_set() == set(reduce_basis(closed, DegRevLex(6)))
-        assert gb.element_set() == toric_ideal(s).element_set()
+        oracle = toric_ideal(s)
+        gb = buchberger(closed, TermOrder(6), oracle.cap)
+        assert gb.element_set() == set(reduce_basis(closed, TermOrder(6)))
+        assert gb.element_set() == oracle.element_set()
 
     def test_cap_exceeded(self):
         s = parse_sequence("10,13,16,19,22")
@@ -157,8 +158,7 @@ class TestToricIdeal:
         s = parse_sequence("10,13,16,19,22")
         assert toric_ideal(s, cap=40).cap == 40
         assert toric_ideal(s).cap == 4 * (22 + 5)
-        assert buchberger(TWISTED, DegRevLex(4), 7).cap == 7
-        assert buchberger(TWISTED, DegRevLex(4)).cap is None
+        assert buchberger(TWISTED, TermOrder(4), 7).cap == 7
 
 
 class TestInitialIdeal:
@@ -176,30 +176,21 @@ class TestInitialIdeal:
         assert ini == expected
 
     def test_empty_gb(self):
-        gb = buchberger([], DegRevLex(3))
+        gb = buchberger([], TermOrder(3), 2)
         assert initial_ideal(gb).is_zero
-
-
-@dataclass(frozen=True)
-class _BlockOrder:
-    """Elimination order: degree in the first n_elim variables dominates,
-    ties broken by degrevlex on the full vector."""
-
-    nvars: int
-    n_elim: int
-
-    def key(self, m):
-        return (sum(m[:self.n_elim]),) + DegRevLex(self.nvars).key(m)
 
 
 def _eliminate(gb, keep_from):
     """Reduced degrevlex basis of I /\\ K[x_{keep_from+1}, ..., x_{n+1}] for the
-    ideal I with basis `gb`, by a block order, under the cap of `gb`; it lives
-    in the ring of the last n + 1 - keep_from variables."""
-    block = buchberger(gb.elements, _BlockOrder(gb.nvars, keep_from), gb.cap)
-    kept = [Binomial(g.lead[keep_from:], g.trail[keep_from:]) for g in block.elements
+    ideal I with basis `gb`, by a block order (degree in the eliminated
+    variables first), under the cap of `gb`; it lives in the ring of the last
+    n + 1 - keep_from variables."""
+    nv = gb.nvars
+    block = TermOrder(nv, ((1,) * keep_from + (0,) * (nv - keep_from),))
+    kept = [Binomial(g.lead[keep_from:], g.trail[keep_from:])
+            for g in buchberger(gb.elements, block, gb.cap).elements
             if not any(g.lead[:keep_from]) and not any(g.trail[:keep_from])]
-    return buchberger(kept, DegRevLex(gb.nvars - keep_from), gb.cap)
+    return buchberger(kept, TermOrder(nv - keep_from), gb.cap)
 
 
 class TestEliminate:
@@ -222,44 +213,76 @@ class TestEliminate:
         assert initial_ideal(_eliminate(gb, 1)) == tail_ini
 
 
+def _quadrics(gb):
+    """The degree-2 elements of a basis."""
+    return {g for g in gb.elements if g.degree == 2}
+
+
+def _quadric_pairs(seq):
+    """Reference spanning set of I(C)_2: every difference of two degree-2
+    monomials of equal bidegree."""
+    nv = seq.n + 1
+    by_bideg = {}
+    for i, j in itertools.combinations_with_replacement(range(nv), 2):
+        m = tuple((i == t) + (j == t) for t in range(nv))
+        by_bideg.setdefault(bidegree(seq, m), []).append(m)
+    return [Binomial(a, b) for monos in by_bideg.values()
+            for a, b in itertools.combinations(monos, 2)]
+
+
+QUADRIC_CURVES = [(1, 2, 3), (3, 5, 7), (1, 2, 4, 8), (1, 2, 3, 5), (1, 2, 4, 6),
+                  (10, 13, 16, 19, 22)]
+
+
 class TestQuadrics:
     def test_twisted_cubic_exact(self):
-        q = quadrics_in_ideal(CurveSequence((1, 2, 3)))
-        assert set(q) == set(TWISTED)
+        assert _quadrics(toric_ideal(CurveSequence((1, 2, 3)))) == set(TWISTED)
 
     def test_3_5_7_unique_relation(self):
-        q = quadrics_in_ideal(CurveSequence((3, 5, 7)))
-        assert q == _binomials(4, "x2^2 - x1*x3")
+        assert _quadrics(toric_ideal(CurveSequence((3, 5, 7)))) == set(
+            _binomials(4, "x2^2 - x1*x3"))
 
     def test_geometric_pattern(self):
         # doubling sequence: 2 m_i = m_{i+1}, so x_i^2 - x_{i+1} x_{n+1} for each i
-        q = quadrics_in_ideal(CurveSequence((1, 2, 4, 8)))
-        assert set(q) == set(_binomials(
+        assert _quadrics(toric_ideal(CurveSequence((1, 2, 4, 8)))) == set(_binomials(
             5, "x1^2 - x2*x5", "x2^2 - x3*x5", "x3^2 - x4*x5"))
+
+    def test_quadrics_of_the_basis_span_every_quadric_pair(self):
+        # I(C) has no linear forms, so the reduced degrevlex bases of I(C)
+        # and of <I(C)_2> share their degree-2 elements
+        for m in QUADRIC_CURVES:
+            s = CurveSequence(m)
+            gb = toric_ideal(s)
+            pairs = buchberger(_quadric_pairs(s), TermOrder(s.n + 1), gb.cap)
+            assert _quadrics(pairs) == _quadrics(gb), m
 
     def test_generated_by_quadrics(self):
         for m, expected in [((1, 2, 3), True), ((3, 5, 7), False), ((1, 2, 3, 5), True)]:
-            s = CurveSequence(m)
-            assert is_generated_by_quadrics(s, toric_ideal(s)) == expected, m
+            assert is_generated_by_quadrics(toric_ideal(CurveSequence(m))) == expected, m
+
+    def test_quadric_generation_needs_a_degrevlex_basis(self):
+        gb = toric_ideal(CurveSequence((1, 2, 4, 6)))
+        with pytest.raises(InvariantViolation):
+            is_generated_by_quadrics(buchberger(gb.elements, yweighted(5, 0), gb.cap))
 
     def test_quadratic_gb(self):
-        assert has_quadratic_gb(toric_ideal(CurveSequence((1, 2, 3))), DegRevLex(4))
-        assert not has_quadratic_gb(toric_ideal(parse_sequence("10,13,16,19,22")), DegRevLex(6))
-        assert has_quadratic_gb(toric_ideal(CurveSequence((1, 2, 4, 8))), DegRevLex(5))
+        assert has_quadratic_gb(toric_ideal(CurveSequence((1, 2, 3))), TermOrder(4))
+        assert not has_quadratic_gb(toric_ideal(parse_sequence("10,13,16,19,22")), TermOrder(6))
+        assert has_quadratic_gb(toric_ideal(CurveSequence((1, 2, 4, 8))), TermOrder(5))
 
     def test_quadratic_gb_yweighted(self):
         # base (2,4,6) with distinguished variable of weight 1
         gb = toric_ideal(CurveSequence((1, 2, 4, 6)))
-        assert has_quadratic_gb(gb, YWeighted(5, 0))
-        assert not has_quadratic_gb(gb, YWeighted(5, 2))
+        assert has_quadratic_gb(gb, yweighted(5, 0))
+        assert not has_quadratic_gb(gb, yweighted(5, 2))
 
     def test_quadric_runs_use_the_cap_of_the_basis(self):
         s = CurveSequence((1, 2, 4, 6))
         capped = dataclasses.replace(toric_ideal(s), cap=2)
         with pytest.raises(DegreeCapExceeded):
-            has_quadratic_gb(capped, YWeighted(5, 2))
+            has_quadratic_gb(capped, yweighted(5, 2))
         with pytest.raises(DegreeCapExceeded):
-            is_generated_by_quadrics(s, dataclasses.replace(toric_ideal(s), cap=1))
+            is_generated_by_quadrics(dataclasses.replace(toric_ideal(s), cap=1))
 
 
 class TestSerialization:
@@ -288,7 +311,7 @@ class TestOracleProperties:
         gb = toric_ideal(seq)
         perm = list(gb.elements)
         random.Random(salt).shuffle(perm)
-        again = buchberger(perm, DegRevLex(seq.n + 1))
+        again = buchberger(perm, TermOrder(seq.n + 1), gb.cap)
         assert again.elements == gb.elements
 
     @given(seq=seq_strategy)

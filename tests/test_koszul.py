@@ -138,5 +138,5 @@ class TestWitness:
     def test_yweighted_only_case(self):
         # (1,2,4,6) with the weight-1 coordinate dominant has a quadratic basis
         from mcurve.grobner import has_quadratic_gb
-        from mcurve.poly import YWeighted
-        assert has_quadratic_gb(toric_ideal(CurveSequence((1, 2, 4, 6))), YWeighted(5, 0))
+        from mcurve.poly import yweighted
+        assert has_quadratic_gb(toric_ideal(CurveSequence((1, 2, 4, 6))), yweighted(5, 0))

@@ -23,8 +23,8 @@ from mcurve.monideal import (
     last_step_check,
     reg_nested_type,
 )
-from mcurve.poly import parse_monomial
 from mcurve.seq import CurveSequence, parse_sequence
+from textforms import parse_monomial
 
 
 def _ideal(nvars, *texts):
