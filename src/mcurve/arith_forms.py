@@ -2,8 +2,9 @@
 
 Covers the minimal Groebner basis, the irreducible decomposition of the
 initial ideal, regularity, Hilbert series / function / polynomial, the
-Cohen-Macaulay type, Gorensteinness, and the first Betti number.  Every
-constructed binomial is membership-checked against the bidegree kernel test.
+Cohen-Macaulay type, Gorensteinness, and the first Betti number.  Each form
+takes the sequence's ArithmeticProfile.  Every constructed binomial is
+membership-checked against the bidegree kernel test.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from .errors import InvariantViolation
 from .monideal import IrreducibleComponent, IrreducibleDecomposition
 from .poly import Binomial, TermOrder, is_member_binomial, make_binomial
-from .seq import ArithmeticProfile, CurveSequence, arithmetic_profile
+from .seq import ArithmeticProfile, CurveSequence
 
 
 def _require_oriented_members(seq: CurveSequence, basis: list[Binomial], order: TermOrder) -> None:
@@ -36,7 +37,7 @@ def _mono(nv: int, *pairs: tuple[int, int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def gb_arithmetic(seq: CurveSequence) -> list[Binomial]:
+def gb_arithmetic(prof: ArithmeticProfile) -> list[Binomial]:
     """Minimal degrevlex Groebner basis of I(C).
 
     Two families: the staircase quadrics x_i x_j - x_{i-1} x_{j+1} for
@@ -44,8 +45,7 @@ def gb_arithmetic(seq: CurveSequence) -> list[Binomial]:
     1 <= i <= k, whose trail index realizes the defining identity
     alpha m_1 + m_i = m_{n-k+i} + q m_n.
     """
-    prof = arithmetic_profile(seq)
-    n = seq.n
+    n = prof.seq.n
     nv = n + 1
     order = TermOrder(nv)
 
@@ -60,16 +60,16 @@ def gb_arithmetic(seq: CurveSequence) -> list[Binomial]:
         trail = _mono(nv, (n - prof.k + i - 1, 1), (n - 1, prof.q), (n, prof.d))
         basis.append(Binomial(lead, trail))
 
-    _require_oriented_members(seq, basis, order)
+    _require_oriented_members(prof.seq, basis, order)
     return basis
 
 
-def betti1_arithmetic(profile: ArithmeticProfile, n: int) -> int:
+def betti1_arithmetic(prof: ArithmeticProfile) -> int:
     """First Betti number: C(n-1, 2) + k (the basis is a minimal generating set)."""
-    return math.comb(n - 1, 2) + profile.k
+    return math.comb(prof.seq.n - 1, 2) + prof.k
 
 
-def irred_dec_arithmetic(profile: ArithmeticProfile, n: int) -> IrreducibleDecomposition:
+def irred_dec_arithmetic(prof: ArithmeticProfile) -> IrreducibleDecomposition:
     """Irredundant irreducible decomposition of in(I(C)) in n+1 variables.
 
     Components <x_1^{alpha + delta_i}, x_2, ..., x_{i-1}, x_i^2, x_{i+1},
@@ -77,7 +77,7 @@ def irred_dec_arithmetic(profile: ArithmeticProfile, n: int) -> IrreducibleDecom
     when k = n-1 all delta_i vanish and <x_1^{alpha+1}, x_2, ..., x_{n-1}>
     is appended.
     """
-    alpha, k = profile.alpha, profile.k
+    n, alpha, k = prof.seq.n, prof.alpha, prof.k
     comps = []
     for i in range(2, n):
         bump = 0 if (k == n - 1 or i <= k) else 1
@@ -93,9 +93,9 @@ def irred_dec_arithmetic(profile: ArithmeticProfile, n: int) -> IrreducibleDecom
     return IrreducibleDecomposition.from_components(comps)
 
 
-def reg_arithmetic(seq: CurveSequence) -> int:
+def reg_arithmetic(prof: ArithmeticProfile) -> int:
     """Castelnuovo-Mumford regularity: ceil((m_n - 1)/(n - 1))."""
-    prof = arithmetic_profile(seq)
+    seq = prof.seq
     reg = -((1 - seq.mn) // (seq.n - 1))
     if reg != (prof.alpha if prof.k == seq.n - 1 else prof.alpha + 1):
         raise InvariantViolation(f"regularity {reg} disagrees with the profile of ({seq})")
@@ -127,9 +127,8 @@ class ArithHilbert:
         return self.hp_slope * s + self.hp_constant
 
 
-def hilbert_arithmetic(seq: CurveSequence) -> ArithHilbert:
-    prof = arithmetic_profile(seq)
-    n, alpha, k = seq.n, prof.alpha, prof.k
+def hilbert_arithmetic(prof: ArithmeticProfile) -> ArithHilbert:
+    n, alpha, k = prof.seq.n, prof.alpha, prof.k
     numerator = [1] + [n - 1] * alpha + [n - 1 - k]
     while numerator and numerator[-1] == 0:
         numerator.pop()
@@ -139,20 +138,19 @@ def hilbert_arithmetic(seq: CurveSequence) -> ArithHilbert:
     return ArithHilbert(
         n=n, alpha=alpha, k=k,
         hs_numerator=tuple(numerator),
-        hp_slope=seq.mn, hp_constant=constant, hf_reg=hf_reg,
+        hp_slope=prof.seq.mn, hp_constant=constant, hf_reg=hf_reg,
     )
 
 
-def cm_type_arithmetic(seq: CurveSequence) -> int:
+def cm_type_arithmetic(prof: ArithmeticProfile) -> int:
     """Cohen-Macaulay type: tau with m_1 - 1 = c(n-1) + tau, 1 <= tau <= n-1."""
-    prof = arithmetic_profile(seq)
-    n = seq.n
+    n = prof.seq.n
     if prof.tau != (n - 1 if prof.k == n - 1 else n - 1 - prof.k):
-        raise InvariantViolation(f"type {prof.tau} disagrees with the profile of ({seq})")
+        raise InvariantViolation(f"type {prof.tau} disagrees with the profile of ({prof.seq})")
     return prof.tau
 
 
-def is_gorenstein(seq: CurveSequence) -> bool:
+def is_gorenstein(prof: ArithmeticProfile) -> bool:
     """Gorenstein iff m_1 = 2 (mod n-1), i.e. the type is 1."""
-    arithmetic_profile(seq)  # enforce preconditions
+    seq = prof.seq
     return seq.m1 % (seq.n - 1) == 2 % (seq.n - 1)

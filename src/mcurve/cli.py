@@ -44,7 +44,6 @@ from .gen_forms import (
     reg_generalized,
 )
 from .grobner import (
-    GroebnerBasis,
     buchberger,
     initial_ideal,
     reduce_basis,
@@ -61,7 +60,8 @@ from .monideal import (
     reg_nested_type,
 )
 from .poly import Binomial, TermOrder, format_binomial, parse_order
-from .seq import CurveSequence, arithmetic_profile, classify, parse_sequence
+from .seq import (ArithmeticProfile, CurveSequence, GeneralizedProfile, classify,
+                  closed_profile, parse_sequence)
 
 
 @dataclass
@@ -137,27 +137,30 @@ class Mismatch(McurveError):
     """Closed form and oracle disagree."""
 
 
+Profile = ArithmeticProfile | GeneralizedProfile
+
+
 class ClosedForms(NamedTuple):
-    """The closed forms of one family (see SequenceClass.closed_family)."""
+    """The closed forms of one family, each taking the family's profile."""
 
-    gb: Callable[[CurveSequence], list[Binomial]]
-    hilbert: Callable[[CurveSequence], ArithHilbert | GenHilbert]
-    regularity: Callable[[CurveSequence], int]
+    gb: Callable[[Profile], list[Binomial]]
+    hilbert: Callable[[Profile], ArithHilbert | GenHilbert]
+    regularity: Callable[[Profile], int]
 
-    def reduced_gb(self, seq: CurveSequence) -> tuple[Binomial, ...]:
+    def reduced_gb(self, prof: Profile) -> tuple[Binomial, ...]:
         """The closed-form basis, self-reduced into the oracle's canonical form."""
-        return reduce_basis(self.gb(seq), TermOrder(seq.n + 1))
+        return reduce_basis(self.gb(prof), TermOrder(prof.seq.n + 1))
 
 
-def closed_forms(family: str | None) -> ClosedForms | None:
-    """The closed forms of a family (SequenceClass.closed_family), or None.
+def closed_forms(prof: Profile | None) -> ClosedForms | None:
+    """The closed forms of the family of a profile (seq.closed_profile), or None.
 
     The table is built per call, so a function replaced on this module (a test
     double, or a tracing wrapper) is the one that runs."""
     return {
-        "arithmetic": ClosedForms(gb_arithmetic, hilbert_arithmetic, reg_arithmetic),
-        "generalized": ClosedForms(gb_generalized, hilbert_generalized, reg_generalized),
-    }.get(family)
+        ArithmeticProfile: ClosedForms(gb_arithmetic, hilbert_arithmetic, reg_arithmetic),
+        GeneralizedProfile: ClosedForms(gb_generalized, hilbert_generalized, reg_generalized),
+    }.get(type(prof))
 
 
 def _cap_from(args: argparse.Namespace) -> int | None:
@@ -188,48 +191,47 @@ def build_report(seq: CurveSequence, verify: bool, cap: int | None = None) -> In
         prov[name] = "oracle"
         return oracle
 
-    family = cls.closed_family
-    forms = closed_forms(family)
+    prof = closed_profile(seq)
+    forms = closed_forms(prof)
     gb = ini = None
     if verify or forms is None:
         gb = toric_ideal(seq, cap)
         ini = initial_ideal(gb)
 
-    hil = forms.hilbert(seq) if forms else None
-    if family == "arithmetic":
+    hil = forms.hilbert(prof) if forms else None
+    if isinstance(prof, ArithmeticProfile):
         report.cm = settle("cm", True, cm_via_initial(ini, seq.n) if ini else None)
-        report.cm_type = settle("cm_type", cm_type_arithmetic(seq),
+        report.cm_type = settle("cm_type", cm_type_arithmetic(prof),
                                 cm_type_oracle(seq, ini) if ini else None)
-        report.gorenstein = settle("gorenstein", is_gorenstein(seq),
+        report.gorenstein = settle("gorenstein", is_gorenstein(prof),
                                    (report.cm_type == 1) if ini else None)
         report.complete_intersection = settle(
             "complete_intersection", is_complete_intersection(seq),
             (len(gb) == seq.n - 1) if gb else None)
         report.hf_regularity = settle("hf_regularity", hil.hf_reg, None)
-        report.betti1 = settle("betti1", betti1_arithmetic(arithmetic_profile(seq), seq.n),
-                               len(gb) if gb else None)
-    elif family == "generalized":
+        report.betti1 = settle("betti1", betti1_arithmetic(prof), len(gb) if gb else None)
+    elif isinstance(prof, GeneralizedProfile):
         report.cm = settle("cm", is_cm_generalized(seq),
                            cm_via_initial(ini, seq.n) if ini else None)
         report.gorenstein = False if not report.cm else None
         prov["gorenstein"] = prov["cm"]
         report.complete_intersection = settle(
             "complete_intersection", is_complete_intersection(seq), None)
-        report.betti1 = settle("betti1", len(gb_generalized(seq)), len(gb) if gb else None)
+        report.betti1 = settle("betti1", len(gb_generalized(prof)), len(gb) if gb else None)
     else:
         cm = cm_via_initial(ini, seq.n)
         report.cm = settle("cm", None, cm)
         if cm:
             report.cm_type = settle("cm_type", None, cm_type_oracle(seq, ini))
             report.gorenstein = settle("gorenstein", None, report.cm_type == 1)
-    report.regularity = settle("regularity", forms.regularity(seq) if forms else None,
+    report.regularity = settle("regularity", forms.regularity(prof) if forms else None,
                                reg_nested_type(ini) if ini else None)
     report.hs_numerator = settle("hs_numerator", hil.hs_numerator if hil else None,
                                  hs_numerator(ini) if ini else None)
     report.hilbert_polynomial = settle(
         "hilbert_polynomial", (hil.hp_slope, hil.hp_constant) if hil else None,
         fitted_polynomial(ini, report.regularity) if ini else None)
-    if verify and forms is not None and set(forms.reduced_gb(seq)) != gb.element_set():
+    if verify and forms is not None and set(forms.reduced_gb(prof)) != gb.element_set():
         raise Mismatch(f"groebner basis: closed form != oracle for ({seq})")
 
     status = koszul_status(seq, gb)
@@ -261,11 +263,12 @@ def cmd_gb(args: argparse.Namespace) -> int:
         if order != TermOrder(seq.n + 1):
             raise ValueError("--order applies to the oracle basis only, not to --diff "
                              "or --source closed")
-        forms = closed_forms(classify(seq).closed_family)
+        prof = closed_profile(seq)
+        forms = closed_forms(prof)
         if forms is None:
             print(f"no closed form applies to ({seq})", file=sys.stderr)
             return 2
-        closed = forms.reduced_gb(seq)
+        closed = forms.reduced_gb(prof)
 
     if args.diff:
         oracle = toric_ideal(seq, cap)
@@ -281,20 +284,21 @@ def cmd_gb(args: argparse.Namespace) -> int:
         return 0
 
     if args.source == "closed":
-        gb = GroebnerBasis(TermOrder(seq.n + 1), closed)
-    else:
-        gb = toric_ideal(seq, cap)
-        if order != gb.order:
-            gb = buchberger(gb.elements, order, gb.cap)
-    sys.stdout.write(render_gb(gb, seq))
+        sys.stdout.write(render_gb(order, closed, seq))
+        return 0
+    gb = toric_ideal(seq, cap)
+    if order != gb.order:
+        gb = buchberger(gb.elements, order, gb.cap)
+    sys.stdout.write(render_gb(gb.order, gb.elements, seq))
     return 0
 
 
 def cmd_hilbert(args: argparse.Namespace) -> int:
     seq = parse_sequence(args.sequence)
     ini = initial_ideal(toric_ideal(seq, _cap_from(args)))
-    forms = closed_forms(classify(seq).closed_family)
-    closed_hf = forms.hilbert(seq).hf_at if forms else None
+    prof = closed_profile(seq)
+    forms = closed_forms(prof)
+    closed_hf = forms.hilbert(prof).hf_at if forms else None
 
     rows = []
     mismatch = False

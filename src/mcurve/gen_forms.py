@@ -1,10 +1,10 @@
 """Closed forms for generalized arithmetic sequences m_i = h m_1 + (i-1)d.
 
-The non-Cohen-Macaulay witness search works on arbitrary sequences; the rest
-assumes h >= 2, h | d, gcd(m_1, d) = 1 and n >= 3.  The curve C' of the tail
-(m_2, ..., m_n) equals the curve of the rescaled arithmetic sequence
-(m_2/h, ..., m_n/h), which supplies its Groebner basis, decomposition and
-Hilbert data through the arithmetic closed forms.
+The non-Cohen-Macaulay witness search works on arbitrary sequences and the CM
+and complete-intersection criteria on generalized arithmetic ones; the rest
+take the profile of a sequence with h >= 2, h | d, gcd(m_1, d) = 1, n >= 3.
+The tail curve C' of (m_2, ..., m_n) is that of (m_2/h, ..., m_n/h), whose
+profile gives C' its basis, decomposition and Hilbert data by the arithmetic forms.
 
 Hilbert data of the quotient: HF(s) = sum_{i<h} HF_{C'}(s-i) + Delta_{s+1}
 with Delta_s the staircase count below the beta profile, and the Hilbert
@@ -19,15 +19,10 @@ from dataclasses import dataclass
 
 from .arith_forms import (ArithHilbert, _mono, _require_oriented_members, gb_arithmetic,
                           hilbert_arithmetic, irred_dec_arithmetic)
-from .errors import CaseNotApplicable, GcdViolation, InvariantViolation, NotGeneralizedArithmetic
+from .errors import CaseNotApplicable, InvariantViolation, NotGeneralizedArithmetic
 from .monideal import IrreducibleComponent, IrreducibleDecomposition, _polyadd, _polymul, _trim
 from .poly import Binomial, TermOrder, shift_binomial
-from .seq import (
-    CurveSequence,
-    arithmetic_profile,
-    classify,
-    generalized_profile,
-)
+from .seq import CurveSequence, GeneralizedProfile, generalized_class
 
 
 @dataclass(frozen=True)
@@ -68,37 +63,22 @@ def not_cm_witness(seq: CurveSequence) -> NotCmWitness | None:
     return None
 
 
-def _require_generalized(seq: CurveSequence) -> int:
-    """h of a generalized arithmetic sequence with gcd(m_1, d) = 1."""
-    cls = classify(seq)
-    if not cls.is_generalized_arithmetic:
-        raise NotGeneralizedArithmetic(f"({seq}) is not generalized arithmetic")
-    if cls.gcd_m1_d != 1:
-        raise GcdViolation(f"gcd(m_1, d) != 1 for ({seq})")
-    return cls.h
-
-
 def is_cm_generalized(seq: CurveSequence) -> bool:
     """Cohen-Macaulay iff the sequence is arithmetic (h = 1); needs n >= 3."""
     if seq.n < 3:
         raise NotGeneralizedArithmetic("criterion needs n >= 3 (n = 2 is always arithmetic)")
-    return _require_generalized(seq) == 1
+    return generalized_class(seq).h == 1
 
 
 def is_complete_intersection(seq: CurveSequence) -> bool:
     """I(C) is a complete intersection iff n = 2, or n = 3 with h = 1 and m_1 even."""
-    h = _require_generalized(seq)
+    h = generalized_class(seq).h
     if seq.n == 2:
         return True
     return seq.n == 3 and h == 1 and seq.m1 % 2 == 0
 
 
-def _tail_curve(seq: CurveSequence, h: int) -> CurveSequence:
-    """The rescaled tail (m_2/h, ..., m_n/h): same curve as (m_2, ..., m_n)."""
-    return CurveSequence(tuple(v // h for v in seq.m[1:]))
-
-
-def gb_generalized(seq: CurveSequence) -> list[Binomial]:
+def gb_generalized(prof: GeneralizedProfile) -> list[Binomial]:
     """Minimal degrevlex Groebner basis of I(C) for h >= 2, h | d.
 
     Union of: the arithmetic basis of the tail curve shifted into the
@@ -106,12 +86,11 @@ def gb_generalized(seq: CurveSequence) -> list[Binomial]:
     for 3 <= i <= n; and x_1^{jh} x_2^{beta_j} - x_{sigma_j} x_n^{lambda_j}
     x_{n+1}^{j(h-1) + d/h} for 1 <= j <= delta/h.
     """
-    prof = generalized_profile(seq)
-    n, h = seq.n, prof.h
+    n, h = prof.seq.n, prof.h
     nv = n + 1
     order = TermOrder(nv)
 
-    basis = [shift_binomial(b, 1, nv) for b in gb_arithmetic(_tail_curve(seq, h))]
+    basis = [shift_binomial(b, 1, nv) for b in gb_arithmetic(prof.tail)]
     for i in range(3, n + 1):
         basis.append(Binomial(
             _mono(nv, (0, h), (i - 1, 1)),
@@ -124,18 +103,16 @@ def gb_generalized(seq: CurveSequence) -> list[Binomial]:
                   (n, j * (h - 1) + prof.d // h)),
         ))
 
-    _require_oriented_members(seq, basis, order)
+    _require_oriented_members(prof.seq, basis, order)
     return basis
 
 
-def irred_dec_generalized(seq: CurveSequence) -> IrreducibleDecomposition:
+def irred_dec_generalized(prof: GeneralizedProfile) -> IrreducibleDecomposition:
     """Irredundant irreducible decomposition of in(I(C)) for h >= 2, h | d:
     <x_1^h> + (components of in(I(C'))) together with
     <x_1^{jh}, x_2^{beta_{j-1}}, x_3, ..., x_n> for j = 2..delta/h."""
-    prof = generalized_profile(seq)
-    n, h = seq.n, prof.h
-    tail = _tail_curve(seq, h)
-    tail_dec = irred_dec_arithmetic(arithmetic_profile(tail), tail.n)
+    n, h = prof.seq.n, prof.h
+    tail_dec = irred_dec_arithmetic(prof.tail)
     comps = []
     for c in tail_dec.components:
         powers = {0: h}
@@ -150,10 +127,9 @@ def irred_dec_generalized(seq: CurveSequence) -> IrreducibleDecomposition:
     return IrreducibleDecomposition.from_components(comps)
 
 
-def reg_generalized(seq: CurveSequence) -> int:
+def reg_generalized(prof: GeneralizedProfile) -> int:
     """Regularity: delta - 1 when n-1 does not divide m_1, else delta."""
-    prof = generalized_profile(seq)
-    return prof.delta if seq.m1 % (seq.n - 1) == 0 else prof.delta - 1
+    return prof.delta if prof.seq.m1 % (prof.seq.n - 1) == 0 else prof.delta - 1
 
 
 @dataclass(frozen=True)
@@ -187,10 +163,10 @@ class GenHilbert:
         return head + self.delta_at(s + 1)
 
 
-def hilbert_generalized(seq: CurveSequence) -> GenHilbert:
-    prof = generalized_profile(seq)
+def hilbert_generalized(prof: GeneralizedProfile) -> GenHilbert:
+    seq = prof.seq
     h, delta, dp = prof.h, prof.delta, prof.delta_prime
-    tail = hilbert_arithmetic(_tail_curve(seq, h))
+    tail = hilbert_arithmetic(prof.tail)
 
     num = _polymul([1] * h, list(tail.hs_numerator))
     num = _polyadd(num, [0] * h + [1] * (delta - h))
@@ -217,7 +193,7 @@ def hilbert_generalized(seq: CurveSequence) -> GenHilbert:
     )
 
 
-def hs_n3(seq: CurveSequence) -> tuple[int, ...]:
+def hs_n3(prof: GeneralizedProfile) -> tuple[int, ...]:
     """Hilbert-series numerator for n = 3, by the five-case closed form.
 
     Selection: delta = 2h splits on the parity of m_1; otherwise h = 2 is its
@@ -225,12 +201,9 @@ def hs_n3(seq: CurveSequence) -> tuple[int, ...]:
     parity again.  Verification path only; hilbert_generalized is the
     production route and the two must agree.
     """
+    seq = prof.seq
     if seq.n != 3:
         raise CaseNotApplicable(f"n = {seq.n}, need n = 3")
-    try:
-        prof = generalized_profile(seq)
-    except NotGeneralizedArithmetic as exc:
-        raise CaseNotApplicable(str(exc)) from exc
     h, delta, beta = prof.h, prof.delta, prof.beta
     m3 = seq.mn
     out = [0] * (delta + 2)

@@ -34,14 +34,13 @@ from .seq import CurveSequence
 class GroebnerBasis:
     """Canonically sorted reduced Groebner basis of a binomial ideal.
 
-    `cap` is the Buchberger degree cap the basis was computed under (None only
-    for a closed form that no run produced); every run made from this basis
-    (quadric tests, other orders) runs under the same cap.
+    `cap` is the Buchberger degree cap the basis was computed under; every run
+    made from this basis (quadric tests, other orders) runs under the same cap.
     """
 
     order: TermOrder
     elements: tuple[Binomial, ...]
-    cap: int | None = None
+    cap: int
 
     @property
     def nvars(self) -> int:
@@ -360,8 +359,8 @@ def has_quadratic_gb(gb: GroebnerBasis, order: TermOrder) -> bool:
 
 # -- serialization -----------------------------------------------------------------
 
-def render_gb(gb: GroebnerBasis, seq: CurveSequence) -> str:
-    lines = [f"# order={gb.order.name} vars={gb.nvars} seq={seq}"]
-    lines.extend(format_binomial(g) for g in gb.elements)
+def render_gb(order: TermOrder, elements: Iterable[Binomial], seq: CurveSequence) -> str:
+    lines = [f"# order={order.name} vars={order.nvars} seq={seq}"]
+    lines.extend(format_binomial(g) for g in elements)
     return "\n".join(lines) + "\n"
 

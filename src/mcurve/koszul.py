@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GcdViolation, NotGeneralizedArithmetic, WrongN
+from .errors import GcdViolation, WrongN
 from .grobner import GroebnerBasis, has_quadratic_gb, is_generated_by_quadrics, toric_ideal
 from .poly import TermOrder, yweighted
-from .seq import CurveSequence, classify
+from .seq import CurveSequence, classify, generalized_class
 
 N3_KOSZUL = frozenset({(1, 2, 3), (1, 2, 4), (2, 3, 4)})
 
@@ -31,20 +31,11 @@ class KoszulStatus:
     verdict: str  # "koszul" | "not_koszul" | "unknown"
     reason: str
 
-    SUFFICIENT = ("classified_generalized", "listed_n3", "listed_n4",
-                  "geometric", "quadratic_gb")
-    NECESSARY = ("classified_generalized", "listed_n3", "listed_n4",
-                 "fails_necessary_quadric", "fails_quadric_generation")
-
 
 def koszul_generalized(seq: CurveSequence) -> bool:
     """Generalized arithmetic with gcd(m_1, d) = 1: Koszul iff the terms are
     consecutive integers (h = d = 1) and n > m_1."""
-    cls = classify(seq)
-    if not cls.is_generalized_arithmetic:
-        raise NotGeneralizedArithmetic(f"({seq}) is not generalized arithmetic")
-    if cls.gcd_m1_d != 1:
-        raise GcdViolation(f"gcd(m_1, d) != 1 for ({seq})")
+    cls = generalized_class(seq)
     return cls.h == 1 and cls.d == 1 and seq.n > seq.m1
 
 

@@ -304,6 +304,12 @@ def _degree_counts(monos: Iterable[Monomial]) -> tuple[int, ...]:
     return tuple(counts[d] for d in range(max(counts, default=-1) + 1))
 
 
+def _artinian_reduction(ideal: MonomialIdeal, n: int) -> list[Monomial]:
+    """Standard monomials modulo in(I(C)) + <x_n, x_{n+1}>, on x_1..x_{n-1}."""
+    gens = _minimalize(g[:n - 1] for g in ideal.gens if g[n - 1] == 0 and g[n] == 0)
+    return _standard_monomials(gens, n - 1)
+
+
 def hs_general_split(ideal: MonomialIdeal, seq: CurveSequence) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The two finite sums whose combination main(t) - t*corr(t) is the
     Hilbert-series numerator of R/in(I(C)) over (1-t)^2.
@@ -317,10 +323,7 @@ def hs_general_split(ideal: MonomialIdeal, seq: CurveSequence) -> tuple[tuple[in
     if any(g[n] for g in ideal.gens):
         raise InvariantViolation("x_{n+1} in a minimal generator")
 
-    first_gens = tuple(g[:n - 1] for g in ideal.gens
-                       if all(e == 0 for e in g[n - 1:]))
-    first_gens = _minimalize(first_gens)
-    main = _degree_counts(_standard_monomials(first_gens, n - 1))
+    main = _degree_counts(_artinian_reduction(ideal, n))
 
     qualifying: set[Monomial] = set()
     seen: set[Monomial] = set()
@@ -363,9 +366,8 @@ def cm_type_oracle(seq: CurveSequence, ideal: MonomialIdeal) -> int:
     n = seq.n
     if not cm_via_initial(ideal, n):
         raise NotCohenMacaulay(f"({seq}) initial ideal has a generator in x_n or x_{{n+1}}")
-    restricted = _minimalize(g[:n - 1] for g in ideal.gens)
     bidegs = set()
-    for m in _standard_monomials(restricted, n - 1):
+    for m in _artinian_reduction(ideal, n):
         full = m + (0, 0)
         bidegs.add(bidegree(seq, full))
     steps = [(seq.m[i], seq.mn - seq.m[i]) for i in range(n - 1)]
@@ -390,10 +392,8 @@ def last_step_check(seq: CurveSequence, ideal: MonomialIdeal, reg: int) -> bool:
     n = seq.n
     _require_nvars(ideal, n)
     ones = _minimalize(g[:n - 1] for g in ideal.gens)  # x_n = x_{n+1} = 1
-    zeros = _minimalize(g[:n - 1] for g in ideal.gens
-                        if g[n - 1] == 0 and g[n] == 0)  # x_n = x_{n+1} = 0
     best = -1
-    for m in _standard_monomials(zeros, n - 1):
+    for m in _artinian_reduction(ideal, n):  # x_n = x_{n+1} = 0
         if any(mono_divides(g, m) for g in ones):
             best = max(best, sum(m))
     return best == reg

@@ -106,14 +106,6 @@ class SequenceClass:
     def is_generalized_arithmetic(self) -> bool:
         return self.kind in ("arithmetic", "generalized")
 
-    @property
-    def closed_family(self) -> str | None:
-        """The family whose closed forms apply: "arithmetic", or "generalized"
-        when h | d; both need gcd(m_1, d) = 1.  None when no closed form applies."""
-        if self.gcd_m1_d != 1 or (self.kind == "generalized" and self.d % self.h != 0):
-            return None
-        return self.kind
-
 
 def classify(seq: CurveSequence) -> SequenceClass:
     """Detect the unique exact (h, d) fit, falling back to "general".
@@ -137,6 +129,17 @@ def classify(seq: CurveSequence) -> SequenceClass:
     return SequenceClass(kind, h, d, math.gcd(m[0], d))
 
 
+def generalized_class(seq: CurveSequence) -> SequenceClass:
+    """The class of a generalized arithmetic sequence (h >= 1) with
+    gcd(m_1, d) = 1; NotGeneralizedArithmetic or GcdViolation otherwise."""
+    cls = classify(seq)
+    if not cls.is_generalized_arithmetic:
+        raise NotGeneralizedArithmetic(f"({seq}) is not generalized arithmetic")
+    if cls.gcd_m1_d != 1:
+        raise GcdViolation(f"gcd(m_1, d) != 1 for ({seq})")
+    return cls
+
+
 @dataclass(frozen=True)
 class ArithmeticProfile:
     """Derived data of an arithmetic sequence with gcd(m_1, d) = 1.
@@ -145,6 +148,7 @@ class ArithmeticProfile:
     m_1 - 1 = c (n-1) + tau with 1 <= tau <= n-1 (c = -1 when m_1 = 1).
     """
 
+    seq: CurveSequence
     d: int
     q: int
     r: int
@@ -159,8 +163,8 @@ def arithmetic_profile(seq: CurveSequence) -> ArithmeticProfile:
     if not cls.is_arithmetic:
         raise NotArithmetic(f"({seq}) is not an arithmetic sequence")
     d = cls.d
-    if math.gcd(seq.m1, d) != 1:
-        raise GcdViolation(f"gcd(m_1, d) = {math.gcd(seq.m1, d)} != 1 for ({seq})")
+    if cls.gcd_m1_d != 1:
+        raise GcdViolation(f"gcd(m_1, d) = {cls.gcd_m1_d} != 1 for ({seq})")
     n, m1 = seq.n, seq.m1
     r = (m1 - 1) % (n - 1) + 1
     q = (m1 - r) // (n - 1)
@@ -168,7 +172,7 @@ def arithmetic_profile(seq: CurveSequence) -> ArithmeticProfile:
     k = n - r
     tau = (m1 - 2) % (n - 1) + 1
     c = (m1 - 1 - tau) // (n - 1)
-    prof = ArithmeticProfile(d=d, q=q, r=r, alpha=alpha, k=k, c=c, tau=tau)
+    prof = ArithmeticProfile(seq=seq, d=d, q=q, r=r, alpha=alpha, k=k, c=c, tau=tau)
     # alpha*m_1 + m_i = m_{n-k+i} + q*m_n for all i in 1..k
     for i in range(1, k + 1):
         if alpha * m1 + seq.m[i - 1] != seq.m[n - k + i - 1] + q * seq.mn:
@@ -182,9 +186,11 @@ class GeneralizedProfile:
 
     m_1 = p (n-1) + s with 1 <= s <= n-1 and delta = p h + d + h.  The arrays
     beta, sigma, lam are indexed j = 0 .. delta' (delta' = delta / h) and
-    satisfy j h m_1 + beta_j m_2 = m_{sigma_j} + lam_j m_n.
+    satisfy j h m_1 + beta_j m_2 = m_{sigma_j} + lam_j m_n.  tail is the
+    profile of (m_2/h, ..., m_n/h), the arithmetic sequence of the tail curve.
     """
 
+    seq: CurveSequence
     h: int
     d: int
     p: int
@@ -194,6 +200,7 @@ class GeneralizedProfile:
     beta: tuple[int, ...]
     sigma: tuple[int, ...]
     lam: tuple[int, ...]
+    tail: ArithmeticProfile
 
 
 def generalized_profile(seq: CurveSequence) -> GeneralizedProfile:
@@ -201,8 +208,8 @@ def generalized_profile(seq: CurveSequence) -> GeneralizedProfile:
     if cls.kind != "generalized":
         raise NotGeneralizedArithmetic(f"({seq}) has no fit with h >= 2")
     h, d = cls.h, cls.d
-    if math.gcd(seq.m1, d) != 1:
-        raise GcdViolation(f"gcd(m_1, d) = {math.gcd(seq.m1, d)} != 1 for ({seq})")
+    if cls.gcd_m1_d != 1:
+        raise GcdViolation(f"gcd(m_1, d) = {cls.gcd_m1_d} != 1 for ({seq})")
     if d % h != 0:
         raise HNotDividingD(f"h = {h} does not divide d = {d} for ({seq})")
     n, m1, mn = seq.n, seq.m1, seq.mn
@@ -236,9 +243,20 @@ def generalized_profile(seq: CurveSequence) -> GeneralizedProfile:
         raise InvariantViolation(f"beta_0 = {beta[0]} is off its membership form for ({seq})")
 
     return GeneralizedProfile(
-        h=h, d=d, p=p, s=s, delta=delta, delta_prime=dp,
+        seq=seq, h=h, d=d, p=p, s=s, delta=delta, delta_prime=dp,
         beta=tuple(beta), sigma=tuple(sigma), lam=tuple(lam),
+        tail=arithmetic_profile(CurveSequence(tuple(v // h for v in seq.m[1:]))),
     )
+
+
+def closed_profile(seq: CurveSequence) -> ArithmeticProfile | GeneralizedProfile | None:
+    """The one decision whether (and which) closed forms apply: the profile of
+    an arithmetic sequence, or of a generalized one with h | d; both need
+    gcd(m_1, d) = 1.  None when no closed form applies."""
+    cls = classify(seq)
+    if cls.gcd_m1_d != 1 or (cls.kind == "generalized" and cls.d % cls.h != 0):
+        return None
+    return arithmetic_profile(seq) if cls.is_arithmetic else generalized_profile(seq)
 
 
 def min_multiple(seq: CurveSequence) -> int:

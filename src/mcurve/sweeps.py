@@ -92,6 +92,12 @@ class RandomSweep:
     max_mn: int = 25
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.count < 1:
+            raise ValueError(f"the random family needs --count >= 1, got {self.count}")
+        if self.max_mn < 2:
+            raise ValueError(f"the random family needs --max-mn >= 2, got {self.max_mn}")
+
 
 def arithmetic_instances(cfg: ArithmeticSweep) -> Iterator[CurveSequence]:
     for n in cfg.n_values:
@@ -126,7 +132,7 @@ def koszul_instances(n: int, max_mn: int) -> Iterator[CurveSequence]:
 def random_instances(cfg: RandomSweep) -> Iterator[CurveSequence]:
     rng = random.Random(cfg.seed)
     for _ in range(cfg.count):
-        n = rng.randint(2, cfg.max_n)
+        n = rng.randint(2, min(cfg.max_n, cfg.max_mn))
         values = rng.sample(range(1, cfg.max_mn + 1), n)
         yield CurveSequence(tuple(sorted(values)))
 
@@ -137,10 +143,10 @@ def check_arithmetic_instance(seq: CurveSequence, cap: int | None = None) -> dic
     n = seq.n
     gb = toric_ideal(seq, cap)
     ini = initial_ideal(gb)
-    closed = reduce_basis(gb_arithmetic(seq), TermOrder(n + 1))
-    hil = hilbert_arithmetic(seq)
-    reg = reg_arithmetic(seq)
-    cm_type = cm_type_arithmetic(seq)
+    closed = reduce_basis(gb_arithmetic(prof), TermOrder(n + 1))
+    hil = hilbert_arithmetic(prof)
+    reg = reg_arithmetic(prof)
+    cm_type = cm_type_arithmetic(prof)
 
     checks = {
         "gb_equals_oracle": set(closed) == gb.element_set(),
@@ -151,9 +157,9 @@ def check_arithmetic_instance(seq: CurveSequence, cap: int | None = None) -> dic
         "hf_counts": all(hil.hf_at(s) == hf_quotient(ini, s) for s in range(reg + 4)),
         "hs_numerator": hil.hs_numerator == hs_numerator(ini),
         "cm_type": cm_type == cm_type_oracle(seq, ini),
-        "gorenstein": is_gorenstein(seq) == (cm_type == 1),
-        "betti1": betti1_arithmetic(prof, n) == len(gb),
-        "decomposition": irred_dec_arithmetic(prof, n) == ini.decomposition,
+        "gorenstein": is_gorenstein(prof) == (cm_type == 1),
+        "betti1": betti1_arithmetic(prof) == len(gb),
+        "decomposition": irred_dec_arithmetic(prof) == ini.decomposition,
         "min_multiple": min_multiple(seq) == prof.alpha + 1,
         "split_correction_zero": hs_general_split(ini, seq)[1] == (),
     }
@@ -166,9 +172,9 @@ def check_generalized_instance(seq: CurveSequence, cap: int | None = None) -> di
     n = seq.n
     gb = toric_ideal(seq, cap)
     ini = initial_ideal(gb)
-    closed = reduce_basis(gb_generalized(seq), TermOrder(n + 1))
-    hil = hilbert_generalized(seq)
-    reg = reg_generalized(seq)
+    closed = reduce_basis(gb_generalized(prof), TermOrder(n + 1))
+    hil = hilbert_generalized(prof)
+    reg = reg_generalized(prof)
 
     tail = CurveSequence(seq.m[1:])
     tail_gb = toric_ideal(tail, cap)
@@ -189,11 +195,11 @@ def check_generalized_instance(seq: CurveSequence, cap: int | None = None) -> di
         "hf_counts": all(hil.hf_at(s) == hf[s] for s in range(reg + 4)),
         "hs_numerator": hil.hs_numerator == hs_numerator(ini),
         "hp_fitted": fitted_polynomial(ini, reg) == (hil.hp_slope, hil.hp_constant),
-        "decomposition": irred_dec_generalized(seq) == ini.decomposition,
+        "decomposition": irred_dec_generalized(prof) == ini.decomposition,
         "min_multiple": min_multiple(seq) == prof.delta,
     }
     if n == 3:
-        checks["hs_n3_cross"] = hs_n3(seq) == hil.hs_numerator
+        checks["hs_n3_cross"] = hs_n3(prof) == hil.hs_numerator
     return checks
 
 

@@ -50,10 +50,10 @@ def test_golden_arithmetic_10_13_16_19_22():
 
     gb = toric_ideal(s)
     ini = initial_ideal(gb)
-    assert reg_arithmetic(s) == 6 == reg_nested_type(ini)
-    assert cm_type_arithmetic(s) == 1 == cm_type_oracle(s, ini)
-    assert is_gorenstein(s)
-    assert hilbert_arithmetic(s).hs_numerator == (1, 4, 4, 4, 4, 4, 1)
+    assert reg_arithmetic(prof) == 6 == reg_nested_type(ini)
+    assert cm_type_arithmetic(prof) == 1 == cm_type_oracle(s, ini)
+    assert is_gorenstein(prof)
+    assert hilbert_arithmetic(prof).hs_numerator == (1, 4, 4, 4, 4, 4, 1)
     for t in range(5, 10):
         assert hf_quotient(ini, t) == 22 * t - 44
 
@@ -65,12 +65,13 @@ def test_golden_arithmetic_10_13_16_19_22():
 def test_golden_arithmetic_4_5_6_7_8():
     started = time.perf_counter()
     s = parse_sequence("4,5,6,7,8")
+    prof = arithmetic_profile(s)
     gb = toric_ideal(s)
     ini = initial_ideal(gb)
-    hil = hilbert_arithmetic(s)
+    hil = hilbert_arithmetic(prof)
 
-    assert reg_arithmetic(s) == 2 == reg_nested_type(ini)
-    assert cm_type_arithmetic(s) == 3 == cm_type_oracle(s, ini)
+    assert reg_arithmetic(prof) == 2 == reg_nested_type(ini)
+    assert cm_type_arithmetic(prof) == 3 == cm_type_oracle(s, ini)
     assert hil.hs_numerator == (1, 4, 3)
     assert hf_quotient(ini, 0) == 1
     for t in range(1, 6):
@@ -91,12 +92,12 @@ def test_golden_generalized_7_30_39_48_57_66():
 
     gb = toric_ideal(s)
     ini = initial_ideal(gb)
-    reg = reg_generalized(s)
+    reg = reg_generalized(prof)
     assert reg == 14 == reg_nested_type(ini)
     assert last_step_check(s, ini, 14)
     assert not is_cm_generalized(s) and not cm_via_initial(ini, s.n)
     expected_num = (1, 5, 9, 13, 13, 13, 10, 6, 1, -1, -1, -1, 0, -1, 0, -1)
-    assert hilbert_generalized(s).hs_numerator == expected_num
+    assert hilbert_generalized(prof).hs_numerator == expected_num
     assert hs_numerator(ini) == expected_num
 
     elapsed = time.perf_counter() - started

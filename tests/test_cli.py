@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import mcurve
-from mcurve import cli, grobner, koszul
+from mcurve import cli, grobner, koszul, sweeps
 from mcurve.cli import build_report, main
 from mcurve.errors import InvariantViolation
 from mcurve.seq import parse_sequence
@@ -59,6 +59,33 @@ class TestInvariants:
         assert report.koszul_reason.startswith("quadratic_gb:")
         assert calls == [(1, 2, 3, 4, 6)]
 
+    def test_one_profile_per_curve(self, monkeypatch):
+        # every closed form takes the profile its caller built once; a
+        # generalized profile builds the arithmetic profile of its tail
+        calls = []
+        modules = [m for name, m in sys.modules.items()
+                   if name == "mcurve" or name.startswith("mcurve.")]
+        for fn in (mcurve.seq.arithmetic_profile, mcurve.seq.generalized_profile):
+            def counted(s, fn=fn):
+                calls.append(fn.__name__)
+                return fn(s)
+
+            for module in modules:
+                for attr in [a for a, v in vars(module).items() if v is fn]:
+                    monkeypatch.setattr(module, attr, counted)
+
+        def profiles(call, m):
+            calls.clear()
+            call(parse_sequence(m))
+            return sorted(calls)
+
+        arith, gen = ["arithmetic_profile"], ["arithmetic_profile", "generalized_profile"]
+        assert profiles(sweeps.check_arithmetic_instance, "10,13,16,19,22") == arith
+        assert profiles(sweeps.check_generalized_instance, "7,30,39,48,57,66") == gen
+        for m, want in (("10,13,16,19,22", arith), ("4,5,6,7,8", arith),
+                        ("7,30,39,48,57,66", gen)):
+            assert profiles(lambda s: build_report(s, verify=True), m) == want, m
+
 
 class TestGb:
     def test_closed_source(self, capsys):
@@ -83,7 +110,8 @@ class TestGb:
     def test_serialization_parses_back(self, capsys):
         s = parse_sequence("3,5,7")
         assert main(["gb", "-m", "3,5,7"]) == 0
-        assert capsys.readouterr().out == grobner.render_gb(grobner.toric_ideal(s), s)
+        gb = grobner.toric_ideal(s)
+        assert capsys.readouterr().out == grobner.render_gb(gb.order, gb.elements, s)
 
 
 class TestHilbert:
@@ -153,10 +181,20 @@ class TestSweep:
                       ["--family", "n3", "--max-mn", "0"],
                       ["--family", "arithmetic", "--max-mn", "-4"],
                       ["--family", "n3", "--max-mn", "5", "--jobs", "0"],
-                      ["--family", "n3", "--max-mn", "5", "--jobs", "-1"]):
+                      ["--family", "n3", "--max-mn", "5", "--jobs", "-1"],
+                      ["--family", "random", "--max-mn", "1"],
+                      ["--family", "random", "--count", "0"],
+                      ["--family", "random", "--count", "-3"]):
             assert main(["sweep", *flags]) == 2, flags
             captured = capsys.readouterr()
             assert captured.out == "" and "usage error" in captured.err
+
+    def test_random_max_mn_below_max_n(self, capsys):
+        # n is drawn from 2..min(max_n, max_mn): a bound under max_n = 5 still samples
+        assert main(["sweep", "--family", "random", "--max-mn", "3", "--count", "5"]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()[:-1]]
+        assert len(records) == 5
+        assert all(r["ok"] and r["seq"][-1] <= 3 for r in records)
 
     def test_pool_has_no_more_workers_than_instances(self, capsys, monkeypatch):
         # a stand-in pool records its size and maps in this process, so no
@@ -233,7 +271,7 @@ class TestExitCodes:
         assert "forced failure" in capsys.readouterr().err
 
     def test_invariants_mismatch_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "reg_arithmetic", lambda seq: -1)
+        monkeypatch.setattr(cli, "reg_arithmetic", lambda prof: -1)
         assert main(["invariants", "-m", "10,13,16,19,22", "--verify"]) == 1
         assert "verification failure: regularity" in capsys.readouterr().err
 

@@ -31,6 +31,7 @@ from mcurve.seq import CurveSequence, generalized_profile, parse_sequence
 from textforms import parse_binomial
 
 GOLDEN = parse_sequence("7,30,39,48,57,66")
+GOLDEN_PROF = generalized_profile(GOLDEN)
 
 
 class TestNotCmWitness:
@@ -82,7 +83,7 @@ class TestCmAndCi:
 
 class TestGroebnerClosedForm:
     def test_golden_contains_expected_elements(self):
-        basis = gb_generalized(GOLDEN)
+        basis = gb_generalized(GOLDEN_PROF)
         assert len(basis) == 18
         assert parse_binomial("x1^3*x6 - x2*x5*x7^2", 7) in basis
         assert parse_binomial("x1^3*x2^5 - x3*x6^2*x7^5", 7) in basis
@@ -91,42 +92,36 @@ class TestGroebnerClosedForm:
 
     def test_cardinality_formula(self):
         # C(n-2, 2) + k' + (n-2) + delta/h with k' from the tail curve
-        from mcurve.seq import arithmetic_profile
-        prof = generalized_profile(GOLDEN)
-        tail = CurveSequence(tuple(v // prof.h for v in GOLDEN.m[1:]))
-        kp = arithmetic_profile(tail).k
+        prof = GOLDEN_PROF
+        assert prof.tail.seq == CurveSequence(tuple(v // prof.h for v in GOLDEN.m[1:]))
         n = GOLDEN.n
-        expected = math.comb(n - 2, 2) + kp + (n - 2) + prof.delta_prime
-        assert len(gb_generalized(GOLDEN)) == expected == 18
+        expected = math.comb(n - 2, 2) + prof.tail.k + (n - 2) + prof.delta_prime
+        assert len(gb_generalized(prof)) == expected == 18
 
     def test_membership(self):
-        for b in gb_generalized(GOLDEN):
+        for b in gb_generalized(GOLDEN_PROF):
             assert is_member_binomial(GOLDEN, b)
 
     def test_oracle_equality(self):
         for m in [(7, 30, 39, 48, 57, 66), (3, 10, 14), (2, 9, 12, 15), (5, 24, 28, 32, 36)]:
             s = CurveSequence(m)
-            closed = reduce_basis(gb_generalized(s), TermOrder(s.n + 1))
+            closed = reduce_basis(gb_generalized(generalized_profile(s)), TermOrder(s.n + 1))
             assert set(closed) == toric_ideal(s).element_set()
-
-    def test_rejects_h_one(self):
-        with pytest.raises(NotGeneralizedArithmetic):
-            gb_generalized(parse_sequence("10,13,16,19,22"))
 
 
 class TestDecomposition:
     def test_golden(self):
-        dec = irred_dec_generalized(GOLDEN)
+        dec = irred_dec_generalized(GOLDEN_PROF)
         oracle = irreducible_decomposition(initial_ideal(toric_ideal(GOLDEN)))
         assert dec == oracle
 
     def test_last_component_regularity(self):
-        dec = irred_dec_generalized(GOLDEN)
+        dec = irred_dec_generalized(GOLDEN_PROF)
         assert max(c.regularity() for c in dec.components) == 14
 
     def test_irredundancy_witness_monomials(self):
         # x1^{jh-1} x2^{beta_{j-1}-1} lies outside the initial ideal
-        prof = generalized_profile(GOLDEN)
+        prof = GOLDEN_PROF
         ini = initial_ideal(toric_ideal(GOLDEN))
         for j in range(2, prof.delta_prime + 1):
             m = [0] * 7
@@ -137,41 +132,42 @@ class TestDecomposition:
 
 class TestRegularity:
     def test_goldens(self):
-        assert reg_generalized(GOLDEN) == 14
-        assert reg_generalized(CurveSequence((5, 24, 28, 32, 36))) == 11
+        assert reg_generalized(GOLDEN_PROF) == 14
+        assert reg_generalized(generalized_profile(CurveSequence((5, 24, 28, 32, 36)))) == 11
 
     def test_oracle_agreement(self):
         for m in [(7, 30, 39, 48, 57, 66), (3, 10, 14), (5, 14, 18), (2, 9, 12, 15)]:
             s = CurveSequence(m)
             ini = initial_ideal(toric_ideal(s))
-            assert reg_generalized(s) == reg_nested_type(ini)
-            assert last_step_check(s, ini, reg_generalized(s))
+            reg = reg_generalized(generalized_profile(s))
+            assert reg == reg_nested_type(ini)
+            assert last_step_check(s, ini, reg)
 
     def test_divisibility_case(self):
         s = CurveSequence((3, 10, 14))  # n-1 = 2 does not divide m_1 = 3
         prof = generalized_profile(s)
-        assert reg_generalized(s) == prof.delta - 1
+        assert reg_generalized(prof) == prof.delta - 1
         s2 = CurveSequence((2, 9, 12))  # n-1 = 2 divides m_1 = 2 -> delta
         prof2 = generalized_profile(s2)
-        assert reg_generalized(s2) == prof2.delta
-        assert reg_generalized(s2) == reg_nested_type(initial_ideal(toric_ideal(s2)))
+        assert reg_generalized(prof2) == prof2.delta
+        assert reg_generalized(prof2) == reg_nested_type(initial_ideal(toric_ideal(s2)))
 
     def test_gcd_precondition_rejected(self):
         # (4,18,24,30) has gcd(m_1, d) = 2; the equivalent reduced curve
         # (2,9,12,15) is the object the closed form speaks about
         with pytest.raises(GcdViolation):
-            reg_generalized(CurveSequence((4, 18, 24, 30)))
+            generalized_profile(CurveSequence((4, 18, 24, 30)))
         assert reg_nested_type(initial_ideal(toric_ideal(CurveSequence((4, 18, 24, 30))))) == 5
-        assert reg_generalized(CurveSequence((2, 9, 12, 15))) == 5
+        assert reg_generalized(generalized_profile(CurveSequence((2, 9, 12, 15)))) == 5
 
 
 class TestHilbert:
     def test_golden_numerator(self):
-        hil = hilbert_generalized(GOLDEN)
+        hil = hilbert_generalized(GOLDEN_PROF)
         assert hil.hs_numerator == (1, 5, 9, 13, 13, 13, 10, 6, 1, -1, -1, -1, 0, -1, 0, -1)
 
     def test_golden_polynomial(self):
-        hil = hilbert_generalized(GOLDEN)
+        hil = hilbert_generalized(GOLDEN_PROF)
         assert (hil.hp_slope, hil.hp_constant) == (66, -165)
         assert hil.gamma == -44
 
@@ -179,8 +175,9 @@ class TestHilbert:
         for m in [(7, 30, 39, 48, 57, 66), (3, 10, 14), (5, 14, 18), (2, 9, 12, 15)]:
             s = CurveSequence(m)
             ini = initial_ideal(toric_ideal(s))
-            hil = hilbert_generalized(s)
-            reg = reg_generalized(s)
+            prof = generalized_profile(s)
+            hil = hilbert_generalized(prof)
+            reg = reg_generalized(prof)
             for t in range(reg + 4):
                 assert hil.hf_at(t) == hf_quotient(ini, t), (m, t)
 
@@ -188,8 +185,9 @@ class TestHilbert:
         for m in [(7, 30, 39, 48, 57, 66), (3, 10, 14), (2, 9, 12, 15)]:
             s = CurveSequence(m)
             ini = initial_ideal(toric_ideal(s))
-            hil = hilbert_generalized(s)
-            reg = reg_generalized(s)
+            prof = generalized_profile(s)
+            hil = hilbert_generalized(prof)
+            reg = reg_generalized(prof)
             a, b = hf_quotient(ini, reg + 2), hf_quotient(ini, reg + 3)
             slope = b - a
             assert (slope, b - slope * (reg + 3)) == (hil.hp_slope, hil.hp_constant)
@@ -197,12 +195,12 @@ class TestHilbert:
     def test_numerator_matches_oracle(self):
         for m in [(7, 30, 39, 48, 57, 66), (3, 10, 14), (5, 24, 28, 32, 36)]:
             s = CurveSequence(m)
-            assert hilbert_generalized(s).hs_numerator == hs_numerator(
+            assert hilbert_generalized(generalized_profile(s)).hs_numerator == hs_numerator(
                 initial_ideal(toric_ideal(s)))
 
     def test_delta_stabilizes(self):
-        hil = hilbert_generalized(GOLDEN)
-        prof = generalized_profile(GOLDEN)
+        prof = GOLDEN_PROF
+        hil = hilbert_generalized(prof)
         tail_total = prof.h * sum(prof.beta[1:prof.delta_prime])
         assert hil.delta_at(100) == hil.delta_at(200) == tail_total == 33
 
@@ -219,15 +217,15 @@ class TestHsN3:
 
     def test_cross_formula_equality(self):
         for m in self.CASES:
-            s = CurveSequence(m)
-            assert hs_n3(s) == hilbert_generalized(s).hs_numerator, m
+            prof = generalized_profile(CurveSequence(m))
+            assert hs_n3(prof) == hilbert_generalized(prof).hs_numerator, m
 
     def test_rejects_wrong_n(self):
         from mcurve.errors import CaseNotApplicable
         with pytest.raises(CaseNotApplicable):
-            hs_n3(GOLDEN)
-        with pytest.raises(CaseNotApplicable):
-            hs_n3(CurveSequence((1, 2, 5)))
+            hs_n3(GOLDEN_PROF)
+        with pytest.raises(NotGeneralizedArithmetic):  # no profile, hence no hs_n3 call
+            generalized_profile(CurveSequence((1, 2, 5)))
 
     @given(m1=st.integers(1, 20), h=st.integers(2, 5), e=st.integers(1, 4))
     @settings(max_examples=250)
@@ -235,5 +233,5 @@ class TestHsN3:
         d = h * e
         if math.gcd(m1, d) != 1:
             return
-        s = CurveSequence((m1, h * m1 + d, h * m1 + 2 * d))
-        assert hs_n3(s) == hilbert_generalized(s).hs_numerator
+        prof = generalized_profile(CurveSequence((m1, h * m1 + d, h * m1 + 2 * d)))
+        assert hs_n3(prof) == hilbert_generalized(prof).hs_numerator

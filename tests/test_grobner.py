@@ -49,8 +49,9 @@ class TestBuchberger:
 
     def test_closed_form_reduces_to_oracle(self):
         from mcurve.arith_forms import gb_arithmetic
+        from mcurve.seq import arithmetic_profile
         s = parse_sequence("10,13,16,19,22")
-        closed = gb_arithmetic(s)
+        closed = gb_arithmetic(arithmetic_profile(s))
         oracle = toric_ideal(s)
         gb = buchberger(closed, TermOrder(6), oracle.cap)
         assert gb.element_set() == set(reduce_basis(closed, TermOrder(6)))
@@ -289,7 +290,8 @@ class TestSerialization:
     def test_round_trip(self, capsys):
         from mcurve.cli import main
         s = parse_sequence("3,5,7")
-        text = render_gb(toric_ideal(s), s)
+        gb = toric_ideal(s)
+        text = render_gb(gb.order, gb.elements, s)
         assert text == ("# order=degrevlex vars=4 seq=3,5,7\n"
                         "x2^2 - x1*x3\n"
                         "x1^3*x2 - x3^2*x4^2\n"

@@ -145,6 +145,8 @@ class TestArithmeticProfile:
     def test_rejects_non_arithmetic(self):
         with pytest.raises(NotArithmetic):
             arithmetic_profile(CurveSequence((7, 30, 39, 48, 57, 66)))
+        with pytest.raises(NotArithmetic):
+            arithmetic_profile(CurveSequence((1, 2, 5)))  # no (h, d) fit at all
 
     def test_rejects_gcd(self):
         with pytest.raises(GcdViolation):
