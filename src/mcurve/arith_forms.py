@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantViolation
 from .monideal import IrreducibleComponent, IrreducibleDecomposition
-from .poly import Binomial, TermOrder, is_member_binomial, make_binomial
+from .poly import Binomial, TermOrder, is_member_binomial
 from .seq import ArithmeticProfile, CurveSequence
 
 
@@ -22,8 +22,7 @@ def _require_oriented_members(seq: CurveSequence, basis: list[Binomial], order: 
     """Raise InvariantViolation unless every lead leads under `order` and every
     element lies in I(C)."""
     for b in basis:
-        oriented = make_binomial(b.lead, b.trail, order)
-        if oriented is None or oriented.lead != b.lead:
+        if order.key(b.lead) <= order.key(b.trail):
             raise InvariantViolation(f"misoriented {b} for ({seq})")
         if not is_member_binomial(seq, b):
             raise InvariantViolation(f"non-member {b} for ({seq})")
@@ -113,7 +112,6 @@ class ArithHilbert:
 
     n: int
     alpha: int
-    k: int
     hs_numerator: tuple[int, ...]
     hp_slope: int
     hp_constant: int
@@ -136,7 +134,7 @@ def hilbert_arithmetic(prof: ArithmeticProfile) -> ArithHilbert:
                 - (n - 2) * math.comb(alpha, 2) + 1)
     hf_reg = alpha if k < n - 1 else alpha - 1
     return ArithHilbert(
-        n=n, alpha=alpha, k=k,
+        n=n, alpha=alpha,
         hs_numerator=tuple(numerator),
         hp_slope=prof.seq.mn, hp_constant=constant, hf_reg=hf_reg,
     )

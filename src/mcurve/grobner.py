@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DegreeCapExceeded, InvariantViolation
 from .monideal import MonomialIdeal
@@ -24,7 +24,6 @@ from .poly import (
     degrevlex_cheapest,
     format_binomial,
     is_member_binomial,
-    make_binomial,
     mono_divides,
 )
 from .seq import CurveSequence
@@ -85,7 +84,9 @@ def _normal_form(a: Monomial, b: Monomial, leads: list[Monomial],
 def buchberger(gens: Iterable[Binomial], order: TermOrder, cap: int) -> GroebnerBasis:
     """Reduced Groebner basis of the binomial ideal generated by `gens`.
 
-    Pair selection is the normal strategy (lowest lcm degree first, ties by
+    The generators may come in either orientation: `_normal_form` puts the
+    side that leads under `order` first, and drops a zero difference.  Pair
+    selection is the normal strategy (lowest lcm degree first, ties by
     the order on the lcm), which together with final inter-reduction makes
     the output independent of the generator ordering.  A basis element or an
     S-pair of degree above `cap` raises DegreeCapExceeded; the result records
@@ -94,17 +95,6 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder, cap: int) -> Groebner
     key = order.key
     leads: list[Monomial] = []
     trails: list[Monomial] = []
-
-    seed: list[tuple[Monomial, Monomial]] = []
-    seen: set[tuple[Monomial, Monomial]] = set()
-    for g in gens:
-        ori = make_binomial(g.lead, g.trail, order)
-        if ori is None:
-            continue
-        pair = (ori.lead, ori.trail)
-        if pair not in seen:
-            seen.add(pair)
-            seed.append(pair)
 
     pairs: list[tuple[int, tuple, int, int]] = []
 
@@ -125,8 +115,8 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder, cap: int) -> Groebner
         trails.append(b)
         push_pairs(len(leads) - 1)
 
-    for a, b in seed:
-        nf = _normal_form(a, b, leads, trails, key)
+    for g in gens:
+        nf = _normal_form(g.lead, g.trail, leads, trails, key)
         if nf is not None:
             add_element(*nf)
 
@@ -143,13 +133,15 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder, cap: int) -> Groebner
             add_element(*nf)
 
     basis = [Binomial(a, b) for a, b in zip(leads, trails)]
-    return GroebnerBasis(order, _interreduce(basis, order), cap)
+    return GroebnerBasis(order, reduce_basis(basis, order), cap)
 
 
-def _interreduce(basis: Sequence[Binomial], order: TermOrder) -> tuple[Binomial, ...]:
-    """Minimalize lead terms and fully reduce trails; canonical sort."""
+def reduce_basis(gens: Iterable[Binomial], order: TermOrder) -> tuple[Binomial, ...]:
+    """Self-reduce an oriented Groebner basis (lead > trail under `order`; a
+    Buchberger run or a checked closed form): minimal leads and fully reduced
+    trails, in ascending order of the leads, which are distinct."""
     key = order.key
-    ordered = sorted(basis, key=lambda g: key(g.lead))
+    ordered = sorted(gens, key=lambda g: key(g.lead))
     kept: list[Binomial] = []
     for g in ordered:
         if not any(mono_divides(h.lead, g.lead) for h in kept):
@@ -169,19 +161,7 @@ def _interreduce(basis: Sequence[Binomial], order: TermOrder) -> tuple[Binomial,
         if trail == g.lead:
             raise InvariantViolation(f"{g} reduces to zero in interreduction")
         out.append(Binomial(g.lead, trail))
-    out.sort(key=lambda g: (key(g.lead), key(g.trail)))
     return tuple(out)
-
-
-def reduce_basis(gens: Iterable[Binomial], order: TermOrder) -> tuple[Binomial, ...]:
-    """Self-reduce a basis that is already a Groebner basis (e.g. a closed
-    form): minimal leads, reduced trails, canonical sort."""
-    oriented = []
-    for g in gens:
-        ori = make_binomial(g.lead, g.trail, order)
-        if ori is not None:
-            oriented.append(ori)
-    return _interreduce(oriented, order)
 
 
 # -- integer kernel of the bidegree matrix ---------------------------------------
@@ -286,12 +266,6 @@ def lattice_basis(seq: CurveSequence) -> list[tuple[int, ...]]:
     return [tuple(v) for v in _lll(kernel)]
 
 
-def _binomial_from_vector(v: Sequence[int], order: TermOrder) -> Binomial | None:
-    plus = tuple(max(x, 0) for x in v)
-    minus = tuple(max(-x, 0) for x in v)
-    return make_binomial(plus, minus, order)
-
-
 def toric_ideal(seq: CurveSequence, cap: int | None = None) -> GroebnerBasis:
     """Reduced degrevlex Groebner basis of the vanishing ideal I(C).
 
@@ -308,11 +282,9 @@ def toric_ideal(seq: CurveSequence, cap: int | None = None) -> GroebnerBasis:
     if cap is None:
         cap = 4 * (seq.mn + n)
     plain = TermOrder(nv)
-    current: list[Binomial] = []
-    for v in lattice_basis(seq):
-        b = _binomial_from_vector(v, plain)
-        if b is not None:
-            current.append(b)
+    # v = v+ - v-; the first pass orients each
+    current = [Binomial(tuple(max(x, 0) for x in v), tuple(max(-x, 0) for x in v))
+               for v in lattice_basis(seq)]
 
     for i in range(nv):
         gb = buchberger(current, degrevlex_cheapest(nv, i), cap)
@@ -323,7 +295,7 @@ def toric_ideal(seq: CurveSequence, cap: int | None = None) -> GroebnerBasis:
                 tuple(e - k if j == i else e for j, e in enumerate(g.lead)),
                 tuple(e - k if j == i else e for j, e in enumerate(g.trail))))
 
-    final = GroebnerBasis(plain, _interreduce(current, plain), cap)
+    final = GroebnerBasis(plain, reduce_basis(current, plain), cap)
     for g in final.elements:
         if g.lead == g.trail:
             raise InvariantViolation(f"monomial {g} in toric basis for ({seq}): saturation bug")

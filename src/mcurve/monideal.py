@@ -73,11 +73,6 @@ class MonomialIdeal:
         return "<" + ", ".join(format_monomial(g) for g in self.gens) + ">"
 
 
-def _require_nvars(ideal: MonomialIdeal, n: int) -> None:
-    if ideal.nvars != n + 1:
-        raise InvariantViolation(f"ideal has {ideal.nvars} variables, the curve needs {n + 1}")
-
-
 # -- irreducible decomposition -------------------------------------------------
 
 @dataclass(frozen=True)
@@ -304,13 +299,14 @@ def _degree_counts(monos: Iterable[Monomial]) -> tuple[int, ...]:
     return tuple(counts[d] for d in range(max(counts, default=-1) + 1))
 
 
-def _artinian_reduction(ideal: MonomialIdeal, n: int) -> list[Monomial]:
+def _artinian_reduction(ideal: MonomialIdeal) -> list[Monomial]:
     """Standard monomials modulo in(I(C)) + <x_n, x_{n+1}>, on x_1..x_{n-1}."""
+    n = ideal.nvars - 1
     gens = _minimalize(g[:n - 1] for g in ideal.gens if g[n - 1] == 0 and g[n] == 0)
     return _standard_monomials(gens, n - 1)
 
 
-def hs_general_split(ideal: MonomialIdeal, seq: CurveSequence) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def hs_general_split(ideal: MonomialIdeal) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The two finite sums whose combination main(t) - t*corr(t) is the
     Hilbert-series numerator of R/in(I(C)) over (1-t)^2.
 
@@ -318,12 +314,11 @@ def hs_general_split(ideal: MonomialIdeal, seq: CurveSequence) -> tuple[tuple[in
     corr: degrees of monomials x^g with g_{n+1} = 0, x^g outside in(I(C))
     but x_n * x^g inside it (the non-Cohen-Macaulay jump term).
     """
-    n = seq.n
-    _require_nvars(ideal, n)
+    n = ideal.nvars - 1
     if any(g[n] for g in ideal.gens):
         raise InvariantViolation("x_{n+1} in a minimal generator")
 
-    main = _degree_counts(_artinian_reduction(ideal, n))
+    main = _degree_counts(_artinian_reduction(ideal))
 
     qualifying: set[Monomial] = set()
     seen: set[Monomial] = set()
@@ -349,11 +344,10 @@ def hs_general_split(ideal: MonomialIdeal, seq: CurveSequence) -> tuple[tuple[in
 
 # -- Cohen-Macaulay detection and type ------------------------------------------
 
-def cm_via_initial(ideal: MonomialIdeal, n: int) -> bool:
+def cm_via_initial(ideal: MonomialIdeal) -> bool:
     """Cohen-Macaulay criterion on in(I(C)) under degrevlex: the last two
     variables appear in no minimal generator."""
-    _require_nvars(ideal, n)
-    return all(g[n - 1] == 0 and g[n] == 0 for g in ideal.gens)
+    return all(g[-2] == 0 and g[-1] == 0 for g in ideal.gens)
 
 
 def cm_type_oracle(seq: CurveSequence, ideal: MonomialIdeal) -> int:
@@ -364,10 +358,10 @@ def cm_type_oracle(seq: CurveSequence, ideal: MonomialIdeal) -> int:
     all i <= n-1}, where a_i = (m_i, m_n - m_i).
     """
     n = seq.n
-    if not cm_via_initial(ideal, n):
+    if not cm_via_initial(ideal):
         raise NotCohenMacaulay(f"({seq}) initial ideal has a generator in x_n or x_{{n+1}}")
     bidegs = set()
-    for m in _artinian_reduction(ideal, n):
+    for m in _artinian_reduction(ideal):
         full = m + (0, 0)
         bidegs.add(bidegree(seq, full))
     steps = [(seq.m[i], seq.mn - seq.m[i]) for i in range(n - 1)]
@@ -380,7 +374,7 @@ def cm_type_oracle(seq: CurveSequence, ideal: MonomialIdeal) -> int:
 
 # -- last-step regularity witness ------------------------------------------------
 
-def last_step_check(seq: CurveSequence, ideal: MonomialIdeal, reg: int) -> bool:
+def last_step_check(ideal: MonomialIdeal, reg: int) -> bool:
     """Check that reg equals the maximal degree in the F-set
 
     F = {g on x_1..x_{n-1} : x^g in I|_{x_n=x_{n+1}=1} and
@@ -389,11 +383,10 @@ def last_step_check(seq: CurveSequence, ideal: MonomialIdeal, reg: int) -> bool:
     which certifies that the regularity is attained at the last step of the
     minimal graded free resolution.
     """
-    n = seq.n
-    _require_nvars(ideal, n)
+    n = ideal.nvars - 1
     ones = _minimalize(g[:n - 1] for g in ideal.gens)  # x_n = x_{n+1} = 1
     best = -1
-    for m in _artinian_reduction(ideal, n):  # x_n = x_{n+1} = 0
+    for m in _artinian_reduction(ideal):  # x_n = x_{n+1} = 0
         if any(mono_divides(g, m) for g in ones):
             best = max(best, sum(m))
     return best == reg

@@ -82,7 +82,9 @@ def parse_order(text: str, nvars: int) -> TermOrder:
 
 @dataclass(frozen=True, slots=True)
 class Binomial:
-    """Pure difference lead - trail with lead >= trail under the ambient order."""
+    """Pure difference lead - trail.  Every basis the package returns is
+    oriented (lead > trail under its order); `grobner.buchberger` accepts
+    either orientation."""
 
     lead: Monomial
     trail: Monomial
@@ -93,15 +95,6 @@ class Binomial:
 
     def __str__(self) -> str:
         return format_binomial(self)
-
-
-def make_binomial(a: Monomial, b: Monomial, order: TermOrder) -> Binomial | None:
-    """Oriented binomial a - b, or None if it is zero."""
-    if a == b:
-        return None
-    if order.key(a) < order.key(b):
-        a, b = b, a
-    return Binomial(a, b)
 
 
 # -- parametrization degree map ----------------------------------------------

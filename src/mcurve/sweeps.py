@@ -116,7 +116,7 @@ def generalized_instances(cfg: GeneralizedSweep) -> Iterator[CurveSequence]:
                 d = h * e
                 m1 = 1
                 while h * m1 + (n - 1) * d <= cfg.max_mn:
-                    if math.gcd(m1, d) == 1 and h * m1 + d > m1:
+                    if math.gcd(m1, d) == 1:
                         yield CurveSequence(
                             (m1,) + tuple(h * m1 + i * d for i in range(1, n)))
                     m1 += 1
@@ -150,7 +150,7 @@ def check_arithmetic_instance(seq: CurveSequence, cap: int | None = None) -> dic
 
     checks = {
         "gb_equals_oracle": set(closed) == gb.element_set(),
-        "cm_via_initial": cm_via_initial(ini, n),
+        "cm_via_initial": cm_via_initial(ini),
         "nested_type": is_nested_type(ini),
         "reg_formula": reg == reg_nested_type(ini),
         "reg_h_degree": reg == len(hil.hs_numerator) - 1,
@@ -161,7 +161,7 @@ def check_arithmetic_instance(seq: CurveSequence, cap: int | None = None) -> dic
         "betti1": betti1_arithmetic(prof) == len(gb),
         "decomposition": irred_dec_arithmetic(prof) == ini.decomposition,
         "min_multiple": min_multiple(seq) == prof.alpha + 1,
-        "split_correction_zero": hs_general_split(ini, seq)[1] == (),
+        "split_correction_zero": hs_general_split(ini)[1] == (),
     }
     return checks
 
@@ -184,14 +184,14 @@ def check_generalized_instance(seq: CurveSequence, cap: int | None = None) -> di
 
     checks = {
         "gb_equals_oracle": set(closed) == gb.element_set(),
-        "not_cm": not cm_via_initial(ini, n),
-        "not_cm_matches_criterion": is_cm_generalized(seq) == cm_via_initial(ini, n),
+        "not_cm": not cm_via_initial(ini),
+        "not_cm_matches_criterion": is_cm_generalized(seq) == cm_via_initial(ini),
         "not_cm_witness_found": not_cm_witness(seq) is not None,
         "elimination_equality": ini.restrict(1) == tail_ini,
         "nested_type": is_nested_type(ini),
         "reg_formula": reg == reg_nested_type(ini),
         "reg_last_component": reg == prof.delta + prof.beta[prof.delta_prime - 1] - 2,
-        "last_step": last_step_check(seq, ini, reg),
+        "last_step": last_step_check(ini, reg),
         "hf_counts": all(hil.hf_at(s) == hf[s] for s in range(reg + 4)),
         "hs_numerator": hil.hs_numerator == hs_numerator(ini),
         "hp_fitted": fitted_polynomial(ini, reg) == (hil.hp_slope, hil.hp_constant),
@@ -232,7 +232,7 @@ def check_random_instance(seq: CurveSequence, cap: int | None = None) -> dict[st
     dec = ini.decomposition if not ini.is_zero else None
     reg = reg_nested_type(ini)
     num = hs_numerator(ini)
-    main, corr = hs_general_split(ini, seq)
+    main, corr = hs_general_split(ini)
 
     def convolved(s: int) -> int:
         return sum(c * (s - j + 1) for j, c in enumerate(num) if j <= s)
@@ -250,7 +250,7 @@ def check_random_instance(seq: CurveSequence, cap: int | None = None) -> dict[st
             dec_ok &= ini.contains(m) == dec.contains(m)
 
     witness = not_cm_witness(seq)
-    cm = cm_via_initial(ini, seq.n)
+    cm = cm_via_initial(ini)
 
     split_num = list(main) + [0] * (len(corr) + 2)
     for j, c in enumerate(corr):

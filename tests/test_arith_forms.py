@@ -2,10 +2,12 @@
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcurve.arith_forms import (
+    _require_oriented_members,
     betti1_arithmetic,
     cm_type_arithmetic,
     gb_arithmetic,
@@ -14,6 +16,7 @@ from mcurve.arith_forms import (
     is_gorenstein,
     reg_arithmetic,
 )
+from mcurve.errors import InvariantViolation
 from mcurve.grobner import initial_ideal, reduce_basis, toric_ideal
 from mcurve.monideal import (
     cm_type_oracle,
@@ -21,7 +24,7 @@ from mcurve.monideal import (
     irreducible_decomposition,
     reg_nested_type,
 )
-from mcurve.poly import TermOrder, is_member_binomial
+from mcurve.poly import Binomial, TermOrder, is_member_binomial
 from mcurve.seq import CurveSequence, arithmetic_profile, parse_sequence
 from textforms import parse_binomial
 
@@ -55,6 +58,13 @@ class TestGroebnerClosedForm:
             s = CurveSequence(m)
             closed = reduce_basis(gb_arithmetic(arithmetic_profile(s)), TermOrder(s.n + 1))
             assert set(closed) == toric_ideal(s).element_set()
+
+    def test_misoriented_element_raises(self):
+        # reduce_basis takes the closed form as oriented: the check must hold
+        basis = gb_arithmetic(arithmetic_profile(GOLDEN))
+        swapped = [Binomial(g.trail, g.lead) if i == 3 else g for i, g in enumerate(basis)]
+        with pytest.raises(InvariantViolation, match="misoriented"):
+            _require_oriented_members(GOLDEN, swapped, TermOrder(6))
 
 
 class TestDecomposition:

@@ -59,6 +59,22 @@ class TestInvariants:
         assert report.koszul_reason.startswith("quadratic_gb:")
         assert calls == [(1, 2, 3, 4, 6)]
 
+    def test_one_closed_basis_per_report(self, monkeypatch):
+        # a verified report builds the closed basis once for betti_1 and the
+        # comparison; an unverified arithmetic report needs none
+        calls = []
+        for name in ("gb_generalized", "gb_arithmetic"):
+            def counted(prof, fn=getattr(cli, name), name=name):
+                calls.append(name)
+                return fn(prof)
+
+            monkeypatch.setattr(cli, name, counted)
+        build_report(parse_sequence("7,30,39,48,57,66"), verify=True)
+        assert calls == ["gb_generalized"]
+        calls.clear()
+        build_report(parse_sequence("10,13,16,19,22"), verify=False)
+        assert calls == []
+
     def test_one_profile_per_curve(self, monkeypatch):
         # every closed form takes the profile its caller built once; a
         # generalized profile builds the arithmetic profile of its tail

@@ -50,14 +50,14 @@ class TestNotCmWitness:
         assert w.missing == w.h * 2 and w.missing not in (2, 35, 46, 57, 68)
         # the witness certifies the oracle verdict
         ini = initial_ideal(toric_ideal(parse_sequence("2,35,46,57,68")))
-        assert not cm_via_initial(ini, 5)
+        assert not cm_via_initial(ini)
 
     def test_witness_implies_oracle_non_cm(self):
         for m in [(7, 30, 39, 48, 57, 66), (2, 9, 12, 15), (3, 10, 14), (1, 5, 7, 9)]:
             s = CurveSequence(m)
             w = not_cm_witness(s)
             if w is not None:
-                assert not cm_via_initial(initial_ideal(toric_ideal(s)), s.n)
+                assert not cm_via_initial(initial_ideal(toric_ideal(s)))
 
 
 class TestCmAndCi:
@@ -141,7 +141,7 @@ class TestRegularity:
             ini = initial_ideal(toric_ideal(s))
             reg = reg_generalized(generalized_profile(s))
             assert reg == reg_nested_type(ini)
-            assert last_step_check(s, ini, reg)
+            assert last_step_check(ini, reg)
 
     def test_divisibility_case(self):
         s = CurveSequence((3, 10, 14))  # n-1 = 2 does not divide m_1 = 3

@@ -47,6 +47,15 @@ class TestBuchberger:
         gb = buchberger([], TermOrder(4), 2)
         assert gb.elements == ()
 
+    def test_either_orientation(self):
+        swapped = [Binomial(g.trail, g.lead) for g in TWISTED]
+        assert buchberger(swapped, TermOrder(4), 8) == buchberger(TWISTED, TermOrder(4), 8)
+
+    def test_zero_difference_dropped(self):
+        zero = Binomial((1, 1, 0, 0), (1, 1, 0, 0))
+        assert buchberger([zero], TermOrder(4), 2).elements == ()
+        assert buchberger([zero, *TWISTED], TermOrder(4), 8) == buchberger(TWISTED, TermOrder(4), 8)
+
     def test_closed_form_reduces_to_oracle(self):
         from mcurve.arith_forms import gb_arithmetic
         from mcurve.seq import arithmetic_profile

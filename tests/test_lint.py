@@ -16,3 +16,16 @@ def test_no_assert_in_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_order_key_read_in_grobner_and_closed_form_check_only():
+    # orienting a binomial is buchberger's job (and the closed-form check's):
+    # any other reader of TermOrder.key is a second copy of that decision
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("grobner.py", "arith_forms.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "key":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

@@ -13,7 +13,6 @@ from mcurve.poly import (
     format_binomial,
     format_monomial,
     is_member_binomial,
-    make_binomial,
     parse_order,
     yweighted,
 )
@@ -186,13 +185,3 @@ class TestTextForms:
         for nv in range(2, 8):
             for o in [TermOrder(nv)] + [yweighted(nv, y) for y in range(nv)]:
                 assert parse_order(o.name, nv) == o
-
-
-class TestMakeBinomial:
-    def test_orients(self):
-        o = TermOrder(4)
-        b = make_binomial((1, 0, 1, 0), (0, 2, 0, 0), o)
-        assert b == Binomial((0, 2, 0, 0), (1, 0, 1, 0))
-
-    def test_zero(self):
-        assert make_binomial((1, 0), (1, 0), TermOrder(2)) is None
