@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Run every family verification sweep and write JSONL results to out/.
 
-Usage: python scripts/run_sweeps.py [--jobs N]
+Usage: python scripts/run_sweeps.py [--jobs N] [--out-dir DIR]
+
+Each family runs at its default bound on m_n, as listed by
+`mcurve sweep --help`; the random family draws 100 sequences with seed 0.
 
 The Buchberger degree cap comes from the MCURVE_CAP_DEGREE environment
 variable (default 4 (m_n + n) per curve).
@@ -14,10 +17,10 @@ import sys
 from mcurve.cli import main
 
 SWEEPS = [
-    ("arithmetic", ["--family", "arithmetic", "--max-mn", "30"]),
-    ("generalized", ["--family", "generalized", "--max-mn", "60"]),
-    ("n3", ["--family", "n3", "--max-mn", "12"]),
-    ("n4", ["--family", "n4", "--max-mn", "10"]),
+    ("arithmetic", ["--family", "arithmetic"]),
+    ("generalized", ["--family", "generalized"]),
+    ("n3", ["--family", "n3"]),
+    ("n4", ["--family", "n4"]),
     ("random", ["--family", "random", "--count", "100", "--seed", "0"]),
 ]
 

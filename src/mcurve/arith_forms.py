@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
-from .monideal import IrreducibleComponent, IrreducibleDecomposition
+from .monideal import IrreducibleComponent, IrreducibleDecomposition, _trim
 from .poly import Binomial, TermOrder, is_member_binomial
 from .seq import ArithmeticProfile, CurveSequence
 
@@ -128,14 +128,12 @@ class ArithHilbert:
 def hilbert_arithmetic(prof: ArithmeticProfile) -> ArithHilbert:
     n, alpha, k = prof.seq.n, prof.alpha, prof.k
     numerator = [1] + [n - 1] * alpha + [n - 1 - k]
-    while numerator and numerator[-1] == 0:
-        numerator.pop()
     constant = (alpha * (2 - n + k) - math.comb(alpha + 1, 2)
                 - (n - 2) * math.comb(alpha, 2) + 1)
     hf_reg = alpha if k < n - 1 else alpha - 1
     return ArithHilbert(
         n=n, alpha=alpha,
-        hs_numerator=tuple(numerator),
+        hs_numerator=_trim(numerator),
         hp_slope=prof.seq.mn, hp_constant=constant, hf_reg=hf_reg,
     )
 

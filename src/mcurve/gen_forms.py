@@ -21,7 +21,7 @@ from .arith_forms import (ArithHilbert, _mono, _require_oriented_members, gb_ari
                           hilbert_arithmetic, irred_dec_arithmetic)
 from .errors import CaseNotApplicable, InvariantViolation, NotGeneralizedArithmetic
 from .monideal import IrreducibleComponent, IrreducibleDecomposition, _polyadd, _polymul, _trim
-from .poly import Binomial, TermOrder, shift_binomial
+from .poly import Binomial, TermOrder
 from .seq import CurveSequence, GeneralizedProfile, generalized_class
 
 
@@ -90,7 +90,7 @@ def gb_generalized(prof: GeneralizedProfile) -> list[Binomial]:
     nv = n + 1
     order = TermOrder(nv)
 
-    basis = [shift_binomial(b, 1, nv) for b in gb_arithmetic(prof.tail)]
+    basis = [Binomial((0,) + b.lead, (0,) + b.trail) for b in gb_arithmetic(prof.tail)]
     for i in range(3, n + 1):
         basis.append(Binomial(
             _mono(nv, (0, h), (i - 1, 1)),

@@ -45,9 +45,6 @@ class GroebnerBasis:
     def nvars(self) -> int:
         return self.order.nvars
 
-    def leads(self) -> tuple[Monomial, ...]:
-        return tuple(b.lead for b in self.elements)
-
     def element_set(self) -> frozenset[Binomial]:
         return frozenset(self.elements)
 
@@ -55,70 +52,74 @@ class GroebnerBasis:
         return len(self.elements)
 
 
+def _reduce(m: Monomial, leads: list[Monomial], trails: list[Monomial]) -> Monomial:
+    """Full reduction of the monomial m by the oriented reducers lead -> trail:
+    replace the first dividing lead by its trail until no lead divides."""
+    while True:
+        for i, lt in enumerate(leads):
+            if mono_divides(lt, m):
+                m = tuple(x - y + z for x, y, z in zip(m, lt, trails[i]))
+                break
+        else:
+            return m
+
+
 def _normal_form(a: Monomial, b: Monomial, leads: list[Monomial],
                  trails: list[Monomial], key) -> tuple[Monomial, Monomial] | None:
-    """Fully reduce the pure difference a - b; None when it reduces to zero."""
-    nred = len(leads)
+    """Fully reduce the pure difference a - b by the oriented reducers
+    lead -> trail: None when it reduces to zero, else the two reduced
+    monomials, the one that leads under `key` first.
+
+    The larger side is reduced one step at a time, and the sides swap when it
+    drops below the other.  Once the larger side is irreducible, the other
+    only decreases, so it never meets it again: `_reduce` finishes it."""
     while True:
         if a == b:
             return None
         if key(a) < key(b):
             a, b = b, a
-        for i in range(nred):
-            lt = leads[i]
+        for i, lt in enumerate(leads):
             if mono_divides(lt, a):
-                tt = trails[i]
-                a = tuple(x - y + z for x, y, z in zip(a, lt, tt))
+                a = tuple(x - y + z for x, y, z in zip(a, lt, trails[i]))
                 break
         else:
-            for i in range(nred):
-                lt = leads[i]
-                if mono_divides(lt, b):
-                    tt = trails[i]
-                    b = tuple(x - y + z for x, y, z in zip(b, lt, tt))
-                    break
-            else:
-                return a, b
+            return a, _reduce(b, leads, trails)
 
 
 def buchberger(gens: Iterable[Binomial], order: TermOrder, cap: int) -> GroebnerBasis:
     """Reduced Groebner basis of the binomial ideal generated by `gens`.
 
-    The generators may come in either orientation: `_normal_form` puts the
-    side that leads under `order` first, and drops a zero difference.  Pair
-    selection is the normal strategy (lowest lcm degree first, ties by
-    the order on the lcm), which together with final inter-reduction makes
-    the output independent of the generator ordering.  A basis element or an
-    S-pair of degree above `cap` raises DegreeCapExceeded; the result records
-    the cap it ran under.
+    Generators and S-pairs enter the basis through one step: their normal
+    form, which puts the side that leads under `order` first and drops a zero
+    difference (so the generators may come in either orientation), the cap
+    check, and the new pairs.  Pair selection is the normal strategy (lowest
+    lcm degree first, ties by the order on the lcm), which together with the
+    final `reduce_basis` makes the output independent of the generator
+    ordering.  A basis element or an S-pair of degree above `cap` raises
+    DegreeCapExceeded; the result records the cap it ran under.
     """
     key = order.key
     leads: list[Monomial] = []
     trails: list[Monomial] = []
-
     pairs: list[tuple[int, tuple, int, int]] = []
 
-    def push_pairs(new_idx: int) -> None:
-        la = leads[new_idx]
-        for i in range(new_idx):
-            lb = leads[i]
-            lcm = tuple(max(x, y) for x, y in zip(la, lb))
-            if all(l == x + y for l, x, y in zip(lcm, la, lb)):
+    def add(a: Monomial, b: Monomial) -> None:
+        nf = _normal_form(a, b, leads, trails, key)
+        if nf is None:
+            return
+        lead, trail = nf
+        if sum(lead) > cap:
+            raise DegreeCapExceeded(f"basis element of degree {sum(lead)} exceeds cap {cap}")
+        for i, other in enumerate(leads):
+            lcm = tuple(max(x, y) for x, y in zip(lead, other))
+            if all(l == x + y for l, x, y in zip(lcm, lead, other)):
                 continue  # coprime leads: S-polynomial drops
-            heapq.heappush(pairs, (sum(lcm), key(lcm), i, new_idx))
-
-    def add_element(a: Monomial, b: Monomial) -> None:
-        if sum(a) > cap:
-            raise DegreeCapExceeded(
-                f"basis element of degree {sum(a)} exceeds cap {cap}")
-        leads.append(a)
-        trails.append(b)
-        push_pairs(len(leads) - 1)
+            heapq.heappush(pairs, (sum(lcm), key(lcm), i, len(leads)))
+        leads.append(lead)
+        trails.append(trail)
 
     for g in gens:
-        nf = _normal_form(g.lead, g.trail, leads, trails, key)
-        if nf is not None:
-            add_element(*nf)
+        add(g.lead, g.trail)
 
     while pairs:
         _, _, i, j = heapq.heappop(pairs)
@@ -126,42 +127,33 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder, cap: int) -> Groebner
         lcm = tuple(max(x, y) for x, y in zip(la, lb))
         if sum(lcm) > cap:
             raise DegreeCapExceeded(f"S-pair degree {sum(lcm)} exceeds cap {cap}")
-        a = tuple(l - x + t for l, x, t in zip(lcm, la, trails[i]))
-        b = tuple(l - x + t for l, x, t in zip(lcm, lb, trails[j]))
-        nf = _normal_form(a, b, leads, trails, key)
-        if nf is not None:
-            add_element(*nf)
+        add(tuple(l - x + t for l, x, t in zip(lcm, la, trails[i])),
+            tuple(l - x + t for l, x, t in zip(lcm, lb, trails[j])))
 
     basis = [Binomial(a, b) for a, b in zip(leads, trails)]
     return GroebnerBasis(order, reduce_basis(basis, order), cap)
 
 
 def reduce_basis(gens: Iterable[Binomial], order: TermOrder) -> tuple[Binomial, ...]:
-    """Self-reduce an oriented Groebner basis (lead > trail under `order`; a
-    Buchberger run or a checked closed form): minimal leads and fully reduced
-    trails, in ascending order of the leads, which are distinct."""
+    """Self-reduce an oriented Groebner basis (a Buchberger run or a checked
+    closed form): minimal leads and fully reduced trails, in ascending order
+    of the leads, which are distinct.  An element whose lead does not lead
+    under `order` raises InvariantViolation: its reduction need not end."""
     key = order.key
-    ordered = sorted(gens, key=lambda g: key(g.lead))
-    kept: list[Binomial] = []
-    for g in ordered:
-        if not any(mono_divides(h.lead, g.lead) for h in kept):
-            kept.append(g)
-    leads = [g.lead for g in kept]
-    out: list[Binomial] = []
-    for g in kept:
-        trail = g.trail
-        changed = True
-        while changed:
-            changed = False
-            for i, lt in enumerate(leads):
-                if mono_divides(lt, trail):
-                    trail = tuple(x - y + z for x, y, z in zip(trail, lt, kept[i].trail))
-                    changed = True
-                    break
-        if trail == g.lead:
-            raise InvariantViolation(f"{g} reduces to zero in interreduction")
-        out.append(Binomial(g.lead, trail))
-    return tuple(out)
+    keyed: list[tuple[tuple, Binomial]] = []
+    for g in gens:
+        lead_key = key(g.lead)
+        if lead_key <= key(g.trail):
+            raise InvariantViolation(f"misoriented {g} under {order.name}")
+        keyed.append((lead_key, g))
+    keyed.sort(key=lambda kg: kg[0])
+    leads: list[Monomial] = []
+    trails: list[Monomial] = []
+    for _, g in keyed:
+        if not any(mono_divides(lt, g.lead) for lt in leads):
+            leads.append(g.lead)
+            trails.append(g.trail)
+    return tuple(Binomial(lt, _reduce(tt, leads, trails)) for lt, tt in zip(leads, trails))
 
 
 # -- integer kernel of the bidegree matrix ---------------------------------------
@@ -297,8 +289,6 @@ def toric_ideal(seq: CurveSequence, cap: int | None = None) -> GroebnerBasis:
 
     final = GroebnerBasis(plain, reduce_basis(current, plain), cap)
     for g in final.elements:
-        if g.lead == g.trail:
-            raise InvariantViolation(f"monomial {g} in toric basis for ({seq}): saturation bug")
         if not is_member_binomial(seq, g):
             raise InvariantViolation(f"non-member {g} in toric basis for ({seq})")
     return final
@@ -306,7 +296,7 @@ def toric_ideal(seq: CurveSequence, cap: int | None = None) -> GroebnerBasis:
 
 def initial_ideal(gb: GroebnerBasis) -> MonomialIdeal:
     """Monomial ideal of lead terms (minimal generators for a reduced basis)."""
-    return MonomialIdeal.from_gens(gb.nvars, gb.leads())
+    return MonomialIdeal.from_gens(gb.nvars, (g.lead for g in gb.elements))
 
 
 def is_generated_by_quadrics(gb: GroebnerBasis) -> bool:

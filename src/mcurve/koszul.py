@@ -25,6 +25,8 @@ N4_KOSZUL = frozenset({
     (3, 4, 5, 6), (3, 4, 6, 8), (4, 5, 6, 8), (4, 6, 7, 8),
 })
 
+KOSZUL_LISTS = {3: N3_KOSZUL, 4: N4_KOSZUL}
+
 
 @dataclass(frozen=True)
 class KoszulStatus:
@@ -39,20 +41,13 @@ def koszul_generalized(seq: CurveSequence) -> bool:
     return cls.h == 1 and cls.d == 1 and seq.n > seq.m1
 
 
-def koszul_n3(seq: CurveSequence) -> bool:
-    if seq.n != 3:
-        raise WrongN(f"need n = 3, got {seq.n}")
+def koszul_listed(seq: CurveSequence) -> bool:
+    """The explicit lists: a gcd-1 sequence with n = 3 or 4 is Koszul iff listed."""
+    if seq.n not in KOSZUL_LISTS:
+        raise WrongN(f"need n in {sorted(KOSZUL_LISTS)}, got {seq.n}")
     if seq.with_gcd_one() != seq:
         raise GcdViolation(f"gcd of ({seq}) is not 1")
-    return seq.m in N3_KOSZUL
-
-
-def koszul_n4(seq: CurveSequence) -> bool:
-    if seq.n != 4:
-        raise WrongN(f"need n = 4, got {seq.n}")
-    if seq.with_gcd_one() != seq:
-        raise GcdViolation(f"gcd of ({seq}) is not 1")
-    return seq.m in N4_KOSZUL
+    return seq.m in KOSZUL_LISTS[seq.n]
 
 
 def necessary_quadric_conditions(seq: CurveSequence) -> bool:
@@ -93,10 +88,8 @@ def koszul_status(seq: CurveSequence, gb: GroebnerBasis | None = None) -> Koszul
     if cls.is_generalized_arithmetic:
         ok = koszul_generalized(base)
         return KoszulStatus("koszul" if ok else "not_koszul", "classified_generalized")
-    if base.n == 3:
-        return KoszulStatus("koszul" if koszul_n3(base) else "not_koszul", "listed_n3")
-    if base.n == 4:
-        return KoszulStatus("koszul" if koszul_n4(base) else "not_koszul", "listed_n4")
+    if base.n in KOSZUL_LISTS:
+        return KoszulStatus("koszul" if koszul_listed(base) else "not_koszul", f"listed_n{base.n}")
     if is_geometric(base):
         return KoszulStatus("koszul", "geometric")
 

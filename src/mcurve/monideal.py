@@ -104,10 +104,6 @@ class IrreducibleComponent:
         """reg of R modulo the component: sum of generator degrees minus count."""
         return sum(e for _, e in self.powers) - len(self.powers)
 
-    def __str__(self) -> str:
-        parts = [f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}" for i, e in self.powers]
-        return "[" + ", ".join(parts) + "]"
-
 
 @dataclass(frozen=True)
 class IrreducibleDecomposition:
@@ -119,9 +115,6 @@ class IrreducibleDecomposition:
 
     def contains(self, m: Monomial) -> bool:
         return all(c.contains(m) for c in self.components)
-
-    def __str__(self) -> str:
-        return "\n".join(str(c) for c in self.components)
 
 
 def _split_candidate(gens: tuple[Monomial, ...]) -> Monomial | None:

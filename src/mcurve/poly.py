@@ -131,15 +131,3 @@ def format_monomial(m: Monomial) -> str:
 def format_binomial(b: Binomial) -> str:
     return f"{format_monomial(b.lead)} - {format_monomial(b.trail)}"
 
-
-def shift_monomial(m: Monomial, offset: int, nvars: int) -> Monomial:
-    """Embed an exponent tuple into a larger ring at the given variable offset."""
-    out = [0] * nvars
-    for i, e in enumerate(m):
-        out[offset + i] = e
-    return tuple(out)
-
-
-def shift_binomial(b: Binomial, offset: int, nvars: int) -> Binomial:
-    return Binomial(shift_monomial(b.lead, offset, nvars),
-                    shift_monomial(b.trail, offset, nvars))

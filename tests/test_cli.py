@@ -2,10 +2,7 @@
 
 import json
 import multiprocessing
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -238,16 +235,10 @@ class TestSweep:
             assert json.loads(lines[-1])["summary"]["instances"] == int(count)
             assert sizes == pools, count
 
-    def test_nonpositive_h_exits_instead_of_hanging(self):
-        # h <= 0 once made the instance generator loop forever: run it in a
-        # child process with a timeout, so that a regression fails this test
-        src = str(Path(mcurve.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
+    def test_nonpositive_h_exits_instead_of_hanging(self, run_python):
+        # h <= 0 once made the instance generator loop forever
         for h in ("0", "-1"):
-            proc = subprocess.run(
-                [sys.executable, "-m", "mcurve.cli", "sweep", "--family", "generalized",
-                 "--h", h], capture_output=True, text=True, env=env, timeout=60)
+            proc = run_python("-m", "mcurve.cli", "sweep", "--family", "generalized", "--h", h)
             assert proc.returncode == 2 and proc.stdout == "", h
             assert "usage error" in proc.stderr
 

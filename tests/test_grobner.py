@@ -77,6 +77,49 @@ class TestBuchberger:
             toric_ideal(parse_sequence("3,5,7"))
 
 
+class TestReduceBasis:
+    # each case once looped forever: run it in a child process with a timeout
+    HANGS = {
+        "lead equal to trail": "[Binomial((1, 0, 0), (1, 0, 0))]",
+        "misoriented pair": "[Binomial((0, 1, 0), (1, 0, 0)), Binomial((1, 0, 0), (0, 1, 0))]",
+    }
+
+    @pytest.mark.parametrize("gens", HANGS.values(), ids=HANGS.keys())
+    def test_misoriented_input_raises(self, run_python, gens):
+        proc = run_python("-c", "from mcurve.grobner import reduce_basis\n"
+                          "from mcurve.poly import Binomial, TermOrder\n"
+                          f"reduce_basis({gens}, TermOrder(3))")
+        assert proc.returncode == 1
+        assert "InvariantViolation: misoriented" in proc.stderr
+
+
+monomials = st.lists(st.integers(0, 3), min_size=4, max_size=4).map(tuple)
+
+
+class TestReducer:
+    @given(nvars=st.integers(2, 4), cheap=st.integers(0, 3),
+           pairs=st.lists(st.tuples(monomials, monomials), max_size=5),
+           a=monomials, b=monomials)
+    @settings(max_examples=300)
+    def test_normal_form_is_the_pair_of_full_reductions(self, nvars, cheap, pairs, a, b):
+        # the contract of the kernel: each side reduces on its own chain, and
+        # a - b reduces to zero iff both sides reach the same monomial
+        key = degrevlex_cheapest(nvars, min(cheap, nvars - 1)).key
+        leads, trails = [], []
+        for u, v in pairs:
+            u, v = sorted((u[:nvars], v[:nvars]), key=key, reverse=True)
+            if u != v:
+                leads.append(u)
+                trails.append(v)
+        a, b = a[:nvars], b[:nvars]
+        ra, rb = grobner._reduce(a, leads, trails), grobner._reduce(b, leads, trails)
+        nf = grobner._normal_form(a, b, leads, trails, key)
+        if ra == rb:
+            assert nf is None
+        else:
+            assert nf == tuple(sorted((ra, rb), key=key, reverse=True))
+
+
 LADDER = [(1, 500, 1000), (5, 26, 32, 38, 101), (11, 17, 23, 41, 53, 60),
           (13, 29, 31, 47, 59, 71, 80)]
 

@@ -12,8 +12,7 @@ from mcurve.koszul import (
     KoszulStatus,
     is_geometric,
     koszul_generalized,
-    koszul_n3,
-    koszul_n4,
+    koszul_listed,
     koszul_status,
     necessary_quadric_conditions,
     quadratic_gb_witness,
@@ -47,20 +46,21 @@ class TestGeneralizedCriterion:
 
 class TestLists:
     def test_n3(self):
-        assert koszul_n3(CurveSequence((1, 2, 4)))
-        assert koszul_n3(CurveSequence((2, 3, 4)))
-        assert not koszul_n3(CurveSequence((3, 5, 7)))
-        with pytest.raises(WrongN):
-            koszul_n3(CurveSequence((1, 2, 3, 4)))
+        assert koszul_listed(CurveSequence((1, 2, 4)))
+        assert koszul_listed(CurveSequence((2, 3, 4)))
+        assert not koszul_listed(CurveSequence((3, 5, 7)))
         with pytest.raises(GcdViolation):
-            koszul_n3(CurveSequence((2, 4, 6)))
+            koszul_listed(CurveSequence((2, 4, 6)))
 
     def test_n4(self):
-        assert koszul_n4(CurveSequence((4, 6, 7, 8)))
-        assert koszul_n4(CurveSequence((1, 2, 3, 4)))
-        assert not koszul_n4(CurveSequence((1, 2, 3, 7)))
-        with pytest.raises(WrongN):
-            koszul_n4(CurveSequence((1, 2, 3)))
+        assert koszul_listed(CurveSequence((4, 6, 7, 8)))
+        assert koszul_listed(CurveSequence((1, 2, 3, 4)))
+        assert not koszul_listed(CurveSequence((1, 2, 3, 7)))
+
+    def test_unlisted_n(self):
+        for m in ((1, 2), (1, 2, 3, 4, 5)):
+            with pytest.raises(WrongN):
+                koszul_listed(CurveSequence(m))
 
     def test_list_sizes(self):
         assert len(N3_KOSZUL) == 3 and len(N4_KOSZUL) == 14
