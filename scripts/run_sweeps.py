@@ -3,8 +3,8 @@
 
 Usage: python scripts/run_sweeps.py [--jobs N] [--out-dir DIR]
 
-Each family runs at its default bound on m_n, as listed by
-`mcurve sweep --help`; the random family draws 100 sequences with seed 0.
+Each family runs at its default bound on m_n, the config default in
+`mcurve.sweeps`; the random family draws 100 sequences with seed 0.
 
 The Buchberger degree cap comes from the MCURVE_CAP_DEGREE environment
 variable (default 4 (m_n + n) per curve).

@@ -322,33 +322,33 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
 
 
 class SweepFamily(NamedTuple):
-    """A sweep family: its config from the bound on m_n and the arguments, the
-    instances of a config, the per-instance checker, and the default bound."""
+    """A sweep family: its config from the arguments, at the config's default
+    bound on m_n; the config field that `--max-mn` sets instead; the instances
+    of a config; and the per-instance checker."""
 
-    config: Callable[[int, argparse.Namespace], Any]
+    config: Callable[[argparse.Namespace], Any]
+    bound: str
     instances: Callable[[Any], Iterable[CurveSequence]]
     check: Callable[[CurveSequence, int | None], dict[str, bool]]
-    bound: int
 
 
 SWEEP_FAMILIES = {
     "arithmetic": SweepFamily(
-        lambda bound, args: sweeps.ArithmeticSweep(max_mn=bound),
-        sweeps.arithmetic_instances, sweeps.check_arithmetic_instance, 30),
+        lambda args: sweeps.ArithmeticSweep(), "max_mn",
+        sweeps.arithmetic_instances, sweeps.check_arithmetic_instance),
     "generalized": SweepFamily(
-        lambda bound, args: sweeps.GeneralizedSweep(
-            h_values=tuple(int(x) for x in args.h.split(",")) if args.h else (2, 3),
-            max_mn=bound),
-        sweeps.generalized_instances, sweeps.check_generalized_instance, 60),
+        lambda args: sweeps.GeneralizedSweep(
+            h_values=tuple(int(x) for x in args.h.split(",")) if args.h else (2, 3)), "max_mn",
+        sweeps.generalized_instances, sweeps.check_generalized_instance),
     "n3": SweepFamily(
-        lambda bound, args: sweeps.KoszulN3Sweep(max_m3=bound),
-        lambda cfg: sweeps.koszul_instances(3, cfg.max_m3), sweeps.check_koszul_n3_instance, 12),
+        lambda args: sweeps.KoszulN3Sweep(), "max_m3",
+        lambda cfg: sweeps.koszul_instances(3, cfg.max_m3), sweeps.check_koszul_n3_instance),
     "n4": SweepFamily(
-        lambda bound, args: sweeps.KoszulN4Sweep(max_m4=bound),
-        lambda cfg: sweeps.koszul_instances(4, cfg.max_m4), sweeps.check_koszul_n4_instance, 10),
+        lambda args: sweeps.KoszulN4Sweep(), "max_m4",
+        lambda cfg: sweeps.koszul_instances(4, cfg.max_m4), sweeps.check_koszul_n4_instance),
     "random": SweepFamily(
-        lambda bound, args: sweeps.RandomSweep(count=args.count, max_mn=bound, seed=args.seed),
-        sweeps.random_instances, sweeps.check_random_instance, 25),
+        lambda args: sweeps.RandomSweep(count=args.count, seed=args.seed), "max_mn",
+        sweeps.random_instances, sweeps.check_random_instance),
 }
 
 
@@ -373,7 +373,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"--max-mn must be at least 1, got {args.max_mn}")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    cfg = family.config(family.bound if args.max_mn is None else args.max_mn, args)
+    cfg = family.config(args)
+    if args.max_mn is not None:
+        cfg = dataclasses.replace(cfg, **{family.bound: args.max_mn})
     payloads = [(args.family, s.m, cap) for s in family.instances(cfg)]
     # a fork pool starts all its workers at once: no more than there are instances
     workers = min(args.jobs, len(payloads))
@@ -443,8 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, sequence=False)
     p.add_argument("--family", required=True, choices=list(SWEEP_FAMILIES))
     p.add_argument("--max-mn", type=int, default=None,
-                   help="bound on the largest term m_n (default per family: " + ", ".join(
-                       f"{name} {f.bound}" for name, f in SWEEP_FAMILIES.items()) + ")")
+                   help="bound on the largest term m_n (default: the family's config "
+                        "default in mcurve.sweeps, shown in the summary line)")
     p.add_argument("--h", default=None,
                    help="comma-separated h values, each at least 2 (generalized family)")
     p.add_argument("--seed", type=int, default=0)

@@ -71,19 +71,24 @@ def _normal_form(a: Monomial, b: Monomial, leads: list[Monomial],
     monomials, the one that leads under `key` first.
 
     The larger side is reduced one step at a time, and the sides swap when it
-    drops below the other.  Once the larger side is irreducible, the other
+    drops below the other; a step changes only the larger side, so only its
+    key is computed again.  Once the larger side is irreducible, the other
     only decreases, so it never meets it again: `_reduce` finishes it."""
+    if a == b:
+        return None
+    ka, kb = key(a), key(b)
     while True:
-        if a == b:
-            return None
-        if key(a) < key(b):
-            a, b = b, a
+        if ka < kb:
+            a, b, ka, kb = b, a, kb, ka
         for i, lt in enumerate(leads):
             if mono_divides(lt, a):
                 a = tuple(x - y + z for x, y, z in zip(a, lt, trails[i]))
                 break
         else:
             return a, _reduce(b, leads, trails)
+        if a == b:
+            return None
+        ka = key(a)
 
 
 def buchberger(gens: Iterable[Binomial], order: TermOrder, cap: int) -> GroebnerBasis:
@@ -92,16 +97,27 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder, cap: int) -> Groebner
     Generators and S-pairs enter the basis through one step: their normal
     form, which puts the side that leads under `order` first and drops a zero
     difference (so the generators may come in either orientation), the cap
-    check, and the new pairs.  Pair selection is the normal strategy (lowest
-    lcm degree first, ties by the order on the lcm), which together with the
-    final `reduce_basis` makes the output independent of the generator
-    ordering.  A basis element or an S-pair of degree above `cap` raises
-    DegreeCapExceeded; the result records the cap it ran under.
+    check, and the Gebauer-Moeller update of the pairs (Becker-Weispfenning,
+    Groebner Bases, 5.5).  With a new lead h, a new pair (i, h) is dropped
+    when another new pair's lcm strictly divides its lcm; of the new pairs
+    with one lcm only one is kept, and none when one of them has coprime
+    leads (criterion M).  A queued pair (i, j) is dropped when h divides its
+    lcm and that lcm differs from lcm(i, h) and lcm(j, h) (criterion B).
+    Elements whose lead h divides get no further pairs but stay reducers.
+    Pair selection is the normal strategy (lowest lcm degree first, ties by
+    the order on the lcm), which together with the final `reduce_basis`
+    makes the output independent of the generator ordering.  A basis element
+    or a selected S-pair of degree above `cap` raises DegreeCapExceeded; a
+    pair the criteria drop is never checked against the cap, so an input
+    whose only pairs above the cap are dropped ones returns its basis.  The
+    result records the cap it ran under.
     """
     key = order.key
     leads: list[Monomial] = []
     trails: list[Monomial] = []
-    pairs: list[tuple[int, tuple, int, int]] = []
+    paired: list[int] = []  # the elements that new elements still pair with
+    live: dict[tuple[int, int], Monomial] = {}  # queued pairs -> lcm
+    heap: list[tuple[int, tuple, int, int]] = []  # dropped pairs stay until popped
 
     def add(a: Monomial, b: Monomial) -> None:
         nf = _normal_form(a, b, leads, trails, key)
@@ -110,25 +126,42 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder, cap: int) -> Groebner
         lead, trail = nf
         if sum(lead) > cap:
             raise DegreeCapExceeded(f"basis element of degree {sum(lead)} exceeds cap {cap}")
-        for i, other in enumerate(leads):
-            lcm = tuple(max(x, y) for x, y in zip(lead, other))
-            if all(l == x + y for l, x, y in zip(lcm, lead, other)):
-                continue  # coprime leads: S-polynomial drops
-            heapq.heappush(pairs, (sum(lcm), key(lcm), i, len(leads)))
+        h = len(leads)
+        for (i, j), lcm in list(live.items()):  # criterion B
+            if (mono_divides(lead, lcm) and lcm != tuple(map(max, leads[i], lead))
+                    and lcm != tuple(map(max, leads[j], lead))):
+                del live[i, j]
+        lcms = [tuple(map(max, leads[i], lead)) for i in paired]  # criterion M
+        by_lcm: dict[Monomial, list[int]] = {}
+        for i, lcm in zip(paired, lcms):
+            by_lcm.setdefault(lcm, []).append(i)
+        minimal: list[Monomial] = []  # a strict divisor has lower degree: it comes first
+        for lcm in sorted(by_lcm, key=sum):
+            if any(mono_divides(m, lcm) for m in minimal):
+                continue
+            minimal.append(lcm)
+            same = by_lcm[lcm]
+            if not all(any(map(min, leads[i], lead)) for i in same):
+                continue  # coprime leads: this S-polynomial drops, and with it the class
+            live[same[0], h] = lcm
+            heapq.heappush(heap, (sum(lcm), key(lcm), same[0], h))
+        # lcm == lead i when h divides it: i stops pairing
+        paired[:] = [i for i, lcm in zip(paired, lcms) if lcm != leads[i]] + [h]
         leads.append(lead)
         trails.append(trail)
 
     for g in gens:
         add(g.lead, g.trail)
 
-    while pairs:
-        _, _, i, j = heapq.heappop(pairs)
-        la, lb = leads[i], leads[j]
-        lcm = tuple(max(x, y) for x, y in zip(la, lb))
+    while heap:
+        _, _, i, j = heapq.heappop(heap)
+        lcm = live.pop((i, j), None)
+        if lcm is None:
+            continue
         if sum(lcm) > cap:
             raise DegreeCapExceeded(f"S-pair degree {sum(lcm)} exceeds cap {cap}")
-        add(tuple(l - x + t for l, x, t in zip(lcm, la, trails[i])),
-            tuple(l - x + t for l, x, t in zip(lcm, lb, trails[j])))
+        add(tuple(l - x + t for l, x, t in zip(lcm, leads[i], trails[i])),
+            tuple(l - x + t for l, x, t in zip(lcm, leads[j], trails[j])))
 
     basis = [Binomial(a, b) for a, b in zip(leads, trails)]
     return GroebnerBasis(order, reduce_basis(basis, order), cap)

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, JSON round-trips, diff semantics, sweeps."""
 
+import dataclasses
 import json
 import multiprocessing
 import sys
@@ -234,6 +235,20 @@ class TestSweep:
             lines = capsys.readouterr().out.splitlines()
             assert json.loads(lines[-1])["summary"]["instances"] == int(count)
             assert sizes == pools, count
+
+    @pytest.mark.parametrize("family, default", [
+        ("arithmetic", sweeps.ArithmeticSweep()), ("generalized", sweeps.GeneralizedSweep()),
+        ("n3", sweeps.KoszulN3Sweep()), ("n4", sweeps.KoszulN4Sweep()),
+        ("random", sweeps.RandomSweep()),
+    ])
+    def test_default_config_is_the_dataclass_default(self, capsys, monkeypatch, family, default):
+        # the default bound on m_n is written once, in sweeps.py, which the
+        # benchmark pools read too; no instance runs
+        monkeypatch.setitem(cli.SWEEP_FAMILIES, family,
+                            cli.SWEEP_FAMILIES[family]._replace(instances=lambda cfg: []))
+        assert main(["sweep", "--family", family]) == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert summary["config"] == json.loads(json.dumps(dataclasses.asdict(default)))
 
     def test_nonpositive_h_exits_instead_of_hanging(self, run_python):
         # h <= 0 once made the instance generator loop forever
