@@ -332,13 +332,18 @@ class SweepFamily(NamedTuple):
     check: Callable[[CurveSequence, int | None], dict[str, bool]]
 
 
+def _given(**fields: Any) -> dict[str, Any]:
+    """The config fields an argument sets; the others keep their config default."""
+    return {name: value for name, value in fields.items() if value is not None}
+
+
 SWEEP_FAMILIES = {
     "arithmetic": SweepFamily(
         lambda args: sweeps.ArithmeticSweep(), "max_mn",
         sweeps.arithmetic_instances, sweeps.check_arithmetic_instance),
     "generalized": SweepFamily(
-        lambda args: sweeps.GeneralizedSweep(
-            h_values=tuple(int(x) for x in args.h.split(",")) if args.h else (2, 3)), "max_mn",
+        lambda args: sweeps.GeneralizedSweep(**_given(
+            h_values=tuple(int(x) for x in args.h.split(",")) if args.h else None)), "max_mn",
         sweeps.generalized_instances, sweeps.check_generalized_instance),
     "n3": SweepFamily(
         lambda args: sweeps.KoszulN3Sweep(), "max_m3",
@@ -347,7 +352,7 @@ SWEEP_FAMILIES = {
         lambda args: sweeps.KoszulN4Sweep(), "max_m4",
         lambda cfg: sweeps.koszul_instances(4, cfg.max_m4), sweeps.check_koszul_n4_instance),
     "random": SweepFamily(
-        lambda args: sweeps.RandomSweep(count=args.count, seed=args.seed), "max_mn",
+        lambda args: sweeps.RandomSweep(**_given(count=args.count, seed=args.seed)), "max_mn",
         sweeps.random_instances, sweeps.check_random_instance),
 }
 
@@ -400,7 +405,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             }
         }
         if args.family == "random":
-            summary["summary"]["seed"] = args.seed
+            summary["summary"]["seed"] = cfg.seed
         out.write(json.dumps(summary, sort_keys=True) + "\n")
     return 1 if failures else 0
 
@@ -449,8 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "default in mcurve.sweeps, shown in the summary line)")
     p.add_argument("--h", default=None,
                    help="comma-separated h values, each at least 2 (generalized family)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=50, help="instances for the random family")
+    p.add_argument("--seed", type=int, default=None, help="seed of the random family")
+    p.add_argument("--count", type=int, default=None, help="instances for the random family")
     p.add_argument("--jobs", type=int, default=1, help="worker processes (at least 1)")
     p.add_argument("--out", default=None, help="JSONL output path (default stdout)")
     p.set_defaults(func=cmd_sweep)

@@ -1,6 +1,6 @@
 """Monomial-ideal combinatorics.
 
-Irreducible decomposition by recursive generator splitting, nested-type
+Irreducible decomposition by adding one generator at a time, nested-type
 regularity, the K-polynomial (Hilbert function and series of the quotient),
 Cohen-Macaulay detection on initial ideals, the bidegree-based
 Cohen-Macaulay type oracle, and the last-step F-set regularity check.
@@ -117,47 +117,33 @@ class IrreducibleDecomposition:
         return all(c.contains(m) for c in self.components)
 
 
-def _split_candidate(gens: tuple[Monomial, ...]) -> Monomial | None:
-    """Generator with the most mixed support, or None if all are pure powers."""
-    best = None
-    best_size = 1
-    for g in gens:
-        size = sum(1 for e in g if e > 0)
-        if size > best_size:
-            best, best_size = g, size
-    return best
-
-
 def irreducible_decomposition(ideal: MonomialIdeal) -> IrreducibleDecomposition:
-    """Irredundant irreducible decomposition by recursive generator splitting.
+    """Irredundant irreducible decomposition, adding one generator at a time.
 
-    A mixed generator m = x_i^{e} * v (v coprime to x_i) splits the ideal as
-    (I + <x_i^e>) /\\ (I + <v>); pure-power leaves are the components, pruned
-    by pairwise containment.
+    The loop starts from the zero ideal, one component with no powers.  Monomial
+    ideals form a distributive lattice, so adding a generator g to Q_1 /\\ ... /\\ Q_r
+    gives the intersection of the Q_k + <g>.  That is Q_k when Q_k contains g, and
+    otherwise the intersection of Q_k + <x_i^{g_i}> over i in the support of g (a
+    monomial outside Q_k lies in all of these only if g divides it).
+
+    An irreducible monomial ideal Q that contains A /\\ B contains A or B: were
+    a in A and b in B outside Q, lcm(a, b) would lie in A /\\ B and outside Q.  So
+    a decomposition in which no component contains another is irredundant, and
+    the irredundant one is unique (Miller-Sturmfels, Combinatorial Commutative
+    Algebra, ch. 5).  Each step keeps that property: a kept component never
+    contains a new one, since it would then contain the Q_k that was split.  So
+    only new components that contain another component, duplicates included, go.
     """
     if ideal.is_zero:
         raise InvariantViolation("decomposition of the zero ideal is undefined")
-    comps: set[IrreducibleComponent] = set()
-    stack = [ideal.gens]
-    while stack:
-        gens = stack.pop()
-        mixed = _split_candidate(gens)
-        if mixed is None:
-            powers: dict[int, int] = {}
-            for g in gens:
-                i = next(j for j, e in enumerate(g) if e > 0)
-                powers[i] = min(powers.get(i, g[i]), g[i])
-            comps.add(IrreducibleComponent.from_map(powers))
-            continue
-        i = next(j for j, e in enumerate(mixed) if e > 0)  # first variable in its support
-        u = tuple(mixed[j] if j == i else 0 for j in range(len(mixed)))
-        v = tuple(0 if j == i else mixed[j] for j in range(len(mixed)))
-        stack.append(_minimalize(gens + (u,)))
-        stack.append(_minimalize(gens + (v,)))
-    # prune components containing another one (hence the whole intersection)
-    keep = [c for c in comps
-            if not any(o != c and c.contains_component(o) for o in comps)]
-    return IrreducibleDecomposition.from_components(keep)
+    comps = [IrreducibleComponent(())]  # the zero ideal: no powers
+    for g in ideal.gens:
+        kept = [c for c in comps if c.contains(g)]
+        split = {IrreducibleComponent.from_map({**dict(c.powers), i: e})
+                 for c in comps if not c.contains(g) for i, e in enumerate(g) if e}
+        comps = kept + [c for c in split if not any(
+            o is not c and c.contains_component(o) for o in itertools.chain(kept, split))]
+    return IrreducibleDecomposition.from_components(comps)
 
 
 def is_nested_type(ideal: MonomialIdeal) -> bool:

@@ -9,7 +9,7 @@ differences stay pure differences, so no general polynomial type is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from operator import le, mul
 
 from .errors import DimensionMismatch
 from .seq import CurveSequence
@@ -20,7 +20,7 @@ Monomial = tuple[int, ...]
 # -- exponent-vector arithmetic ---------------------------------------------
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 # -- term orders -------------------------------------------------------------

@@ -12,6 +12,7 @@ from mcurve.errors import InvariantViolation, NonTerminating, NotCohenMacaulay, 
 from mcurve.grobner import initial_ideal, toric_ideal
 from mcurve.monideal import (
     IrreducibleComponent,
+    IrreducibleDecomposition,
     MonomialIdeal,
     cm_type_oracle,
     cm_via_initial,
@@ -59,6 +60,11 @@ class TestDecomposition:
     def test_zero_ideal_is_rejected(self):
         with pytest.raises(InvariantViolation):
             irreducible_decomposition(MonomialIdeal.from_gens(3, []))
+
+    def test_unit_ideal_has_no_components(self):
+        dec = irreducible_decomposition(MonomialIdeal.from_gens(3, [(0, 0, 0)]))
+        assert dec.components == ()
+        assert all(dec.contains(m) for m in _degree_monomials(3, 3))
 
     def test_property_matches_function(self):
         ini = initial_ideal(toric_ideal(GOLDEN))
@@ -124,6 +130,50 @@ class TestDecomposition:
         dec = irreducible_decomposition(ini)
         mono = data.draw(st.tuples(*([st.integers(0, 6)] * (s.n + 1))))
         assert ini.contains(mono) == dec.contains(mono)
+
+
+def _decomposition_by_splitting(ideal):
+    """Reference: the recursive splitter.  A generator m = x_i^e * v with v
+    coprime to x_i and not 1 splits the ideal as (I + <x_i^e>) /\\ (I + <v>);
+    the leaves, generated by pure powers, are the components, and those that
+    contain another one are pruned at the end."""
+    comps = set()
+    stack = [ideal.gens]
+    while stack:
+        gens = stack.pop()
+        mixed = max(gens, key=lambda g: sum(map(bool, g)))  # the most mixed support
+        if sum(map(bool, mixed)) == 1:
+            powers = {}
+            for g in gens:
+                i = next(j for j, e in enumerate(g) if e)
+                powers[i] = min(powers.get(i, g[i]), g[i])
+            comps.add(IrreducibleComponent.from_map(powers))
+            continue
+        i = next(j for j, e in enumerate(mixed) if e)
+        u = tuple(e if j == i else 0 for j, e in enumerate(mixed))
+        v = tuple(0 if j == i else e for j, e in enumerate(mixed))
+        stack.append(monideal._minimalize(gens + (u,)))
+        stack.append(monideal._minimalize(gens + (v,)))
+    return IrreducibleDecomposition.from_components(
+        c for c in comps if not any(o != c and c.contains_component(o) for o in comps))
+
+
+@st.composite
+def _nonzero_monomial_ideals(draw):
+    nvars = draw(st.integers(1, 6))
+    mono = st.tuples(*[st.integers(0, 6)] * nvars).filter(any)  # the unit ideal has no leaves
+    return MonomialIdeal.from_gens(nvars, draw(st.lists(mono, min_size=1, max_size=12)))
+
+
+class TestDecompositionReference:
+    @given(ideal=_nonzero_monomial_ideals())
+    @example(ideal=MonomialIdeal.from_gens(3, [(1, 1, 0), (0, 1, 1), (1, 0, 1)]))
+    @settings(max_examples=200)
+    def test_same_as_recursive_splitting(self, ideal):
+        dec = irreducible_decomposition(ideal)
+        assert dec == _decomposition_by_splitting(ideal)
+        for c, o in itertools.permutations(dec.components, 2):
+            assert not c.contains_component(o), (c, o)
 
 
 def _degree_monomials(nvars, max_degree):
