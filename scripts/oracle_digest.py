@@ -6,12 +6,13 @@ Usage: PYTHONPATH=src python3 scripts/oracle_digest.py
 The inputs are the distinct sequences of perfbench/data/*.json, the fixed
 report curves of perfbench/workloads.py (REPORT_FIXED) and the exhaustive
 gcd-1 lists n = 3 (m_3 <= 12) and n = 4 (m_4 <= 10).  For each one it hashes
-`toric_ideal`; `is_generated_by_quadrics` and `quadratic_gb_witness` of that
-basis; the irreducible decomposition of its initial ideal and `reg_nested_type`
-of that ideal; and `koszul_status`.  An exception counts by its type and
-message.  Two source trees that print the same digest give the same oracle
-answers on these inputs, so running it on both sides of a change to the
-Groebner kernel or to the monomial-ideal combinatorics checks that the change
+`lattice_basis` (the LLL-reduced kernel basis); `toric_ideal`;
+`is_generated_by_quadrics` and `quadratic_gb_witness` of that basis; the
+irreducible decomposition of its initial ideal and `reg_nested_type` of that
+ideal; and `koszul_status`.  An exception counts by its type and message.  Two
+source trees that print the same digest give the same oracle answers on these
+inputs, so running it on both sides of a change to the lattice reduction, the
+Groebner kernel or the monomial-ideal combinatorics checks that the change
 kept them.  It reads perfbench/ and writes nothing.
 """
 
@@ -24,7 +25,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfben
 
 import workloads  # noqa: E402
 
-from mcurve.grobner import initial_ideal, is_generated_by_quadrics, toric_ideal  # noqa: E402
+from mcurve.grobner import (initial_ideal, is_generated_by_quadrics, lattice_basis,  # noqa: E402
+                            toric_ideal)
 from mcurve.koszul import koszul_status, quadratic_gb_witness  # noqa: E402
 from mcurve.monideal import reg_nested_type  # noqa: E402
 from mcurve.seq import CurveSequence  # noqa: E402
@@ -53,15 +55,16 @@ def answer(fn, *args) -> str:
 
 def oracle_line(m: tuple[int, ...]) -> str:
     seq = CurveSequence(m)
+    parts = [answer(lattice_basis, seq)]
     try:
         gb = toric_ideal(seq)
     except Exception as exc:  # as in answer(); the answers read from the basis then have no input
-        parts = [f"{type(exc).__name__}: {exc}"]
+        parts.append(f"{type(exc).__name__}: {exc}")
     else:
         ini = initial_ideal(gb)
-        parts = [repr((gb.elements, gb.cap)), answer(is_generated_by_quadrics, gb),
-                 answer(quadratic_gb_witness, gb), answer(lambda: ini.decomposition),
-                 answer(reg_nested_type, ini)]
+        parts += [repr((gb.elements, gb.cap)), answer(is_generated_by_quadrics, gb),
+                  answer(quadratic_gb_witness, gb), answer(lambda: ini.decomposition),
+                  answer(reg_nested_type, ini)]
     parts.append(answer(koszul_status, seq))
     return f"{','.join(map(str, m))} | " + " | ".join(parts) + "\n"
 

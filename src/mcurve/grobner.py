@@ -2,17 +2,17 @@
 
 The toric ideal of a curve is built from scratch: integer kernel of the 2 x
 (n+1) bidegree matrix (unimodular column reduction, so the lattice is
-saturated), a short LLL-reduced lattice basis, the lattice-basis binomial
-ideal, and successive saturation with respect to every variable using
-"cheapest variable" degrevlex orders.  Everything stays a pure difference
-throughout; coefficients never leave {+1, -1}.
+saturated), a short basis from integral LLL (integer Gram determinants, no
+rationals, updated in place on a swap), the lattice-basis binomial ideal, and
+successive saturation with respect to every variable using "cheapest
+variable" degrevlex orders.  Everything stays a pure difference throughout;
+coefficients never leave {+1, -1}.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from .errors import DegreeCapExceeded, InvariantViolation
@@ -236,44 +236,51 @@ def _integer_kernel(rows: list[list[int]]) -> list[list[int]]:
 
 
 def _lll(basis: list[list[int]]) -> list[list[int]]:
-    """Textbook LLL (delta = 0.99) with exact Fraction arithmetic.  A
-    size-reduction step b_k -= r b_j leaves the Gram-Schmidt vectors as they
-    are and updates mu[k][0..j] in place; only a swap recomputes them."""
-    delta = Fraction(99, 100)
+    """LLL with delta = 99/100 in integers (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 2.6.7): the Gram determinants d[i] of
+    b_0..b_{i-1} and lam[i][j] = d[j+1] mu_ij, every division exact.  A swap
+    at k updates d[k] and rows k-1, k and the columns k-1, k below in place.
+    The decisions are those of textbook LLL over the rationals: b_k is size
+    reduced against every j = k-1 .. 0 before the Lovasz test
+    100 (d[k+1] d[k-1] + lam^2) >= 99 d[k]^2, and mu is rounded half away
+    from zero.  Dependent input (a d[i] <= 0) raises InvariantViolation."""
     b = [list(v) for v in basis]
     n = len(b)
-
-    def dot(u, v):
-        return sum(x * y for x, y in zip(u, v))
-
-    def gso():
-        star: list[list[Fraction]] = []
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            v = [Fraction(x) for x in b[i]]
-            for j in range(i):
-                mu[i][j] = dot(b[i], star[j]) / dot(star[j], star[j])
-                v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
-            star.append(v)
-        return star, mu
-
-    star, mu = gso()
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = sum(x * y for x, y in zip(b[k], b[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+        if u <= 0:
+            raise InvariantViolation(f"dependent lattice basis {basis}")
+        d[k + 1] = u
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
-            q = mu[k][j]
-            r = int(q + Fraction(1, 2)) if q >= 0 else -int(-q + Fraction(1, 2))
-            if r != 0:
+            q, dj = lam[k][j], d[j + 1]
+            r = (2 * q + dj) // (2 * dj) if q >= 0 else -((dj - 2 * q) // (2 * dj))
+            if r:
                 b[k] = [x - r * y for x, y in zip(b[k], b[j])]
                 for t in range(j):
-                    mu[k][t] -= r * mu[j][t]
-                mu[k][j] -= r
-        if dot(star[k], star[k]) >= (delta - mu[k][k - 1] ** 2) * dot(star[k - 1], star[k - 1]):
+                    lam[k][t] -= r * lam[j][t]
+                lam[k][j] -= r * dj
+        q = lam[k][k - 1]
+        if 100 * (d[k + 1] * d[k - 1] + q * q) >= 99 * d[k] * d[k]:
             k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            star, mu = gso()
-            k = max(k - 1, 1)
+            continue
+        b[k], b[k - 1] = b[k - 1], b[k]
+        lam[k][:k - 1], lam[k - 1][:k - 1] = lam[k - 1][:k - 1], lam[k][:k - 1]
+        dk = (d[k - 1] * d[k + 1] + q * q) // d[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - q * t) // d[k]
+            lam[i][k - 1] = (dk * t + q * lam[i][k]) // d[k + 1]
+        d[k] = dk
+        k = max(k - 1, 1)
     return b
 
 

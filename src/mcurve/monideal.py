@@ -97,8 +97,16 @@ class IrreducibleComponent:
     def contains_component(self, other: "IrreducibleComponent") -> bool:
         """self >= other as ideals: every pure-power generator of other must
         lie in self, i.e. self has a smaller-or-equal power of that variable."""
-        mine = dict(self.powers)
-        return all(j in mine and mine[j] <= f for j, f in other.powers)
+        mine = iter(self.powers)  # both sorted by variable: one merge
+        for j, f in other.powers:
+            for i, e in mine:
+                if i >= j:
+                    break
+            else:
+                return False
+            if i != j or e > f:
+                return False
+        return True
 
     def regularity(self) -> int:
         """reg of R modulo the component: sum of generator degrees minus count."""
@@ -159,6 +167,8 @@ def reg_nested_type(ideal: MonomialIdeal) -> int:
         return 0
     if not is_nested_type(ideal):
         raise NotNestedType(f"{ideal} has a non-prefix associated prime")
+    if not ideal.decomposition.components:
+        raise InvariantViolation(f"{ideal} is the unit ideal: R/I = 0 has no regularity")
     return max(c.regularity() for c in ideal.decomposition.components)
 
 

@@ -223,6 +223,69 @@ def _assert_lll_reduced(basis):
             assert norms[i] >= (Fraction(99, 100) - mu[i - 1] ** 2) * norms[i - 1], (basis, i)
 
 
+def _lll_fraction(basis):
+    """Reference: textbook LLL (delta = 0.99) with exact Fraction arithmetic.  A
+    size-reduction step b_k -= r b_j leaves the Gram-Schmidt vectors as they
+    are and updates mu[k][0..j] in place; only a swap recomputes them."""
+    delta = Fraction(99, 100)
+    b = [list(v) for v in basis]
+    n = len(b)
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    def gso():
+        star = []
+        mu = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            v = [Fraction(x) for x in b[i]]
+            for j in range(i):
+                mu[i][j] = dot(b[i], star[j]) / dot(star[j], star[j])
+                v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
+            star.append(v)
+        return star, mu
+
+    star, mu = gso()
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = mu[k][j]
+            r = int(q + Fraction(1, 2)) if q >= 0 else -int(-q + Fraction(1, 2))
+            if r != 0:
+                b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+                for t in range(j):
+                    mu[k][t] -= r * mu[j][t]
+                mu[k][j] -= r
+        if dot(star[k], star[k]) >= (delta - mu[k][k - 1] ** 2) * dot(star[k - 1], star[k - 1]):
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            star, mu = gso()
+            k = max(k - 1, 1)
+    return b
+
+
+def _independent(basis):
+    """True iff the Gram matrix is nonsingular: elimination without pivoting
+    meets a zero pivot only on a singular positive semidefinite matrix."""
+    g = [[Fraction(sum(x * y for x, y in zip(u, v))) for v in basis] for u in basis]
+    for i in range(len(g)):
+        if g[i][i] == 0:
+            return False
+        for r in range(i + 1, len(g)):
+            f = g[r][i] / g[i][i]
+            g[r] = [x - f * y for x, y in zip(g[r], g[i])]
+    return True
+
+
+@st.composite
+def integer_bases(draw):
+    size = draw(st.integers(2, 6))
+    dim = draw(st.integers(size, size + 2))
+    vector = st.lists(st.integers(-60, 60), min_size=dim, max_size=dim)
+    return draw(st.lists(vector, min_size=size, max_size=size).filter(_independent))
+
+
 class TestLatticeBasis:
     def test_rank_and_kernel(self):
         for m in [(1, 2), (3, 5, 7), (10, 13, 16, 19, 22), (2, 35, 46, 57, 68)] + LADDER:
@@ -245,6 +308,22 @@ class TestLatticeBasis:
              (0, -1, 0, 1, 0, 2, -2, 0), (-1, 1, -1, -1, 0, 2, -1, 1), (1, -2, 0, -1, -1, 1, 1, 1)],
         ]
         assert [lattice_basis(CurveSequence(m)) for m in LADDER] == expected
+
+    @given(basis=integer_bases())
+    @settings(max_examples=200)
+    def test_same_as_fraction_lll(self, basis):
+        assert grobner._lll(basis) == _lll_fraction(basis)
+
+    @given(m=st.lists(st.integers(1, 60), min_size=2, max_size=6, unique=True))
+    @settings(max_examples=200)
+    def test_same_as_fraction_lll_on_kernels(self, m):
+        seq = CurveSequence(tuple(sorted(m)))
+        kernel = grobner._integer_kernel([list(seq.m) + [0], [seq.mn - x for x in seq.m] + [seq.mn]])
+        assert lattice_basis(seq) == [tuple(v) for v in _lll_fraction(kernel)]
+
+    def test_dependent_basis_raises(self):
+        with pytest.raises(InvariantViolation, match="dependent"):
+            grobner._lll([[1, 2], [2, 4]])
 
 
 class TestToricIdeal:

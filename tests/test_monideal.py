@@ -209,6 +209,10 @@ class TestRegularity:
         with pytest.raises(NotNestedType):
             reg_nested_type(_ideal(3, "x2"))
 
+    def test_unit_ideal_raises(self):
+        with pytest.raises(InvariantViolation, match="unit ideal"):
+            reg_nested_type(MonomialIdeal.from_gens(3, [(0, 0, 0)]))
+
     def test_zero_ideal(self):
         assert reg_nested_type(MonomialIdeal.from_gens(3, [])) == 0
         assert is_nested_type(MonomialIdeal.from_gens(3, []))
