@@ -476,7 +476,7 @@ def main(argv: list[str] | None = None) -> int:
     except Mismatch as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except McurveError as exc:
+    except (McurveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -4,9 +4,9 @@ The toric ideal of a curve is built from scratch: integer kernel of the 2 x
 (n+1) bidegree matrix (unimodular column reduction, so the lattice is
 saturated), a short basis from integral LLL (integer Gram determinants, no
 rationals, updated in place on a swap), the lattice-basis binomial ideal, and
-successive saturation with respect to every variable using "cheapest
-variable" degrevlex orders.  Everything stays a pure difference throughout;
-coefficients never leave {+1, -1}.
+successive saturation with respect to x_2, ..., x_{n+1}, each under plain
+degrevlex with that variable moved last.  Everything stays a pure difference
+throughout; coefficients never leave {+1, -1}.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .poly import (
     Binomial,
     Monomial,
     TermOrder,
-    degrevlex_cheapest,
     format_binomial,
     is_member_binomial,
     mono_divides,
@@ -299,15 +298,24 @@ def lattice_basis(seq: CurveSequence) -> list[tuple[int, ...]]:
 
 
 def toric_ideal(seq: CurveSequence, cap: int | None = None) -> GroebnerBasis:
-    """Reduced degrevlex Groebner basis of the vanishing ideal I(C).
+    """Reduced degrevlex Groebner basis of the vanishing ideal I(C) = I_L, L the
+    kernel lattice of `lattice_basis`.
 
-    Saturation, one pass per variable: compute a Groebner basis in a degrevlex
-    order making that variable cheapest and divide each element by the largest
-    power of the variable dividing it.  By Sturmfels' Lemma 12.1 the divided
-    basis is a Groebner basis of the saturation in that order; the last pass
-    (x_{n+1} cheapest) is plain degrevlex, so interreducing its output gives
-    the reduced basis of I(C).  `cap` bounds the Buchberger degrees (None: the
-    default 4 (m_n + n)); the basis carries it.
+    Saturation, one pass for each of x_2, ..., x_{n+1}: move x_i to the last
+    coordinate (the others keep their order), compute a degrevlex Groebner
+    basis, divide each element by the largest power of its last variable and
+    move x_i back.  Degrevlex with x_i last is the order of Sturmfels' Lemma
+    12.1 (Groebner Bases and Convex Polytopes): the divided basis is a
+    Groebner basis of the saturation by x_i in that order.  The x_{n+1} pass
+    needs no move, so interreducing its output gives the reduced basis.
+
+    x_1 needs no pass.  Let x^u - x^v have u - v in L and invert every
+    variable but x_1.  A path of +-(lattice basis) steps from v to u can take
+    its x_1-increasing steps first, so its x_1 exponent never drops below
+    min(u_1, v_1) >= 0: each step is a Laurent-monomial multiple of a
+    generator.  Hence I_B : (x_2 ... x_{n+1})^inf = I_L for the lattice-basis
+    ideal I_B.  `cap` bounds the Buchberger degrees (None: the default
+    4 (m_n + n)); the basis carries it.
     """
     n = seq.n
     nv = n + 1
@@ -318,14 +326,16 @@ def toric_ideal(seq: CurveSequence, cap: int | None = None) -> GroebnerBasis:
     current = [Binomial(tuple(max(x, 0) for x in v), tuple(max(-x, 0) for x in v))
                for v in lattice_basis(seq)]
 
-    for i in range(nv):
-        gb = buchberger(current, degrevlex_cheapest(nv, i), cap)
+    for i in range(1, nv):
+        # x_i last, the others in order: the identity for i = n (x_{n+1})
+        gb = buchberger([Binomial(g.lead[:i] + g.lead[i + 1:] + g.lead[i:i + 1],
+                                  g.trail[:i] + g.trail[i + 1:] + g.trail[i:i + 1])
+                         for g in current], plain, cap)
         current = []
         for g in gb.elements:
-            k = min(g.lead[i], g.trail[i])
-            current.append(Binomial(
-                tuple(e - k if j == i else e for j, e in enumerate(g.lead)),
-                tuple(e - k if j == i else e for j, e in enumerate(g.trail))))
+            k = min(g.lead[-1], g.trail[-1])
+            current.append(Binomial(g.lead[:i] + (g.lead[-1] - k,) + g.lead[i:-1],
+                                    g.trail[:i] + (g.trail[-1] - k,) + g.trail[i:-1]))
 
     final = GroebnerBasis(plain, reduce_basis(current, plain), cap)
     for g in final.elements:

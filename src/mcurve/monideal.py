@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import InvariantViolation, NonTerminating, NotCohenMacaulay, NotNestedType
 from .poly import Monomial, bidegree, mono_divides
@@ -216,23 +216,6 @@ def _k_polynomial(gens: tuple[Monomial, ...], nvars: int) -> list[int]:
     plus = tuple(g for g in gens if g[i] < e) + (pivot,)
     colon = _minimalize(g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens)
     return _polyadd(_k_polynomial(plus, nvars), [0] * e + _k_polynomial(colon, nvars))
-
-
-def _count_standard_brute(gens: tuple[Monomial, ...], nvars: int, s: int) -> int:
-    """Second-level oracle: direct enumeration of degree-s monomials."""
-    def gen(prefix: list[int], left: int, pos: int) -> Iterator[Monomial]:
-        if pos == nvars - 1:
-            yield tuple(prefix + [left])
-            return
-        for e in range(left + 1):
-            yield from gen(prefix + [e], left - e, pos + 1)
-
-    if s < 0:
-        return 0
-    if nvars == 0:
-        return 1 if s == 0 and not gens else 0
-    return sum(1 for m in gen([], s, 0)
-               if not any(mono_divides(g, m) for g in gens))
 
 
 def hf_quotient(ideal: MonomialIdeal, s: int) -> int:

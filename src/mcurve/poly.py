@@ -30,7 +30,7 @@ class TermOrder:
     """Degrevlex with x_1 > ... > x_nvars, refined by weight rows: monomials
     compare first by w.m for each row w of `weights` in turn, then by total
     degree, then the smaller exponent on the latest variable wins.  No
-    weights is plain degrevlex; the constructors below give the others."""
+    weights is plain degrevlex; `yweighted` below is one row."""
 
     nvars: int
     weights: tuple[tuple[int, ...], ...] = ()
@@ -50,20 +50,9 @@ class TermOrder:
         return "degrevlex" + "".join(f"[{','.join(map(str, w))}]" for w in self.weights)
 
 
-def _unit(nvars: int, i: int, e: int = 1) -> tuple[int, ...]:
-    return tuple(e if j == i else 0 for j in range(nvars))
-
-
-def degrevlex_cheapest(nvars: int, cheap: int) -> TermOrder:
-    """Degree first, then the smaller exponent on x_cheap (0-based) wins."""
-    if cheap == nvars - 1:
-        return TermOrder(nvars)  # degrevlex already makes the last variable cheapest
-    return TermOrder(nvars, ((1,) * nvars, _unit(nvars, cheap, -1)))
-
-
 def yweighted(nvars: int, y: int) -> TermOrder:
     """The exponent on x_y (0-based) dominates; ties by degrevlex."""
-    return TermOrder(nvars, (_unit(nvars, y),))
+    return TermOrder(nvars, (tuple(int(j == y) for j in range(nvars)),))
 
 
 def parse_order(text: str, nvars: int) -> TermOrder:

@@ -27,7 +27,7 @@ from mcurve.monideal import (
     last_step_check,
     reg_nested_type,
 )
-from mcurve.poly import Binomial, TermOrder, bidegree, degrevlex_cheapest, is_member_binomial, yweighted
+from mcurve.poly import Binomial, TermOrder, bidegree, is_member_binomial, yweighted
 from mcurve.seq import (
     CurveSequence,
     arithmetic_profile,
@@ -35,6 +35,7 @@ from mcurve.seq import (
     min_multiple,
     parse_sequence,
 )
+from orders import degrevlex_cheapest
 from textforms import parse_monomial
 
 

@@ -297,6 +297,13 @@ class TestExitCodes:
         assert main(["invariants", "-m", "10,13,16,19,22", "--verify"]) == 1
         assert "verification failure: regularity" in capsys.readouterr().err
 
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        # an I/O error is not a verification failure (exit 1)
+        out = tmp_path / "missing" / "x.jsonl"
+        assert main(["sweep", "--family", "n3", "--max-mn", "5", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and str(out) in captured.err
+
 
 class TestCap:
     def test_cap_flag_fails_fast(self, capsys):

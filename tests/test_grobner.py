@@ -6,7 +6,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcurve import grobner
@@ -22,9 +22,9 @@ from mcurve.grobner import (
     toric_ideal,
 )
 from mcurve.monideal import MonomialIdeal
-from mcurve.poly import (Binomial, TermOrder, bidegree, degrevlex_cheapest, is_member_binomial,
-                         yweighted)
+from mcurve.poly import Binomial, TermOrder, bidegree, is_member_binomial, yweighted
 from mcurve.seq import CurveSequence, parse_sequence
+from orders import degrevlex_cheapest
 from textforms import parse_binomial, parse_monomial
 
 
@@ -367,13 +367,55 @@ class TestToricIdeal:
         for m in [(1, 2, 3), (3, 5, 7), (5, 26, 32, 38), (10, 13, 16, 19, 22), (1, 2, 3, 4, 6)]:
             calls.clear()
             toric_ideal(CurveSequence(m))
-            assert calls == [degrevlex_cheapest(len(m) + 1, i) for i in range(len(m) + 1)], m
+            # one run per saturated variable x_2 .. x_{n+1}, each under plain degrevlex
+            assert calls == [TermOrder(len(m) + 1)] * len(m), m
 
     def test_basis_carries_its_cap(self):
         s = parse_sequence("10,13,16,19,22")
         assert toric_ideal(s, cap=40).cap == 40
         assert toric_ideal(s).cap == 4 * (22 + 5)
         assert buchberger(TWISTED, TermOrder(4), 7).cap == 7
+
+
+def _toric_ideal_every_variable(seq):
+    """Reference: saturation by every variable x_1 .. x_{n+1}, each pass under
+    the degrevlex order that makes x_i cheapest, dividing by x_i in place."""
+    nv = seq.n + 1
+    cap = 4 * (seq.mn + seq.n)
+    current = [Binomial(tuple(max(x, 0) for x in v), tuple(max(-x, 0) for x in v))
+               for v in lattice_basis(seq)]
+    for i in range(nv):
+        gb = buchberger(current, degrevlex_cheapest(nv, i), cap)
+        current = []
+        for g in gb.elements:
+            k = min(g.lead[i], g.trail[i])
+            current.append(Binomial(
+                tuple(e - k if j == i else e for j, e in enumerate(g.lead)),
+                tuple(e - k if j == i else e for j, e in enumerate(g.trail))))
+    return reduce_basis(current, TermOrder(nv))
+
+
+@st.composite
+def curve_sequences(draw):
+    """n = 2..6 and m_n <= 40, with a common factor g > 1 in about half the draws."""
+    g = draw(st.sampled_from([1, 1, 2, 3]))
+    m = draw(st.lists(st.integers(1, 40 // g), min_size=2, max_size=6, unique=True))
+    return CurveSequence(tuple(sorted(g * x for x in m)))
+
+
+class TestSaturation:
+    """Saturating x_2 .. x_{n+1} gives the basis of saturating every variable."""
+
+    @given(seq=curve_sequences())
+    @settings(max_examples=200)
+    @example(seq=CurveSequence((10, 13, 16, 19, 22)))  # the goldens
+    @example(seq=CurveSequence((7, 30, 39, 48, 57, 66)))
+    @example(seq=CurveSequence((1, 500, 1000)))  # the ladder
+    @example(seq=CurveSequence((5, 26, 32, 38, 101)))
+    @example(seq=CurveSequence((11, 17, 23, 41, 53, 60)))
+    @example(seq=CurveSequence((13, 29, 31, 47, 59, 71, 80)))
+    def test_same_basis_as_saturating_every_variable(self, seq):
+        assert toric_ideal(seq).elements == _toric_ideal_every_variable(seq)
 
 
 class TestInitialIdeal:

@@ -9,7 +9,6 @@ from mcurve.poly import (
     Binomial,
     TermOrder,
     bidegree,
-    degrevlex_cheapest,
     format_binomial,
     format_monomial,
     is_member_binomial,
@@ -17,6 +16,7 @@ from mcurve.poly import (
     yweighted,
 )
 from mcurve.seq import CurveSequence, arithmetic_profile
+from orders import degrevlex_cheapest
 from textforms import parse_binomial, parse_monomial
 
 
