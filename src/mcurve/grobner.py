@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable
 
 from .errors import DegreeCapExceeded, InvariantViolation
@@ -23,7 +24,6 @@ from .poly import (
     TermOrder,
     format_binomial,
     is_member_binomial,
-    mono_divides,
 )
 from .seq import CurveSequence
 
@@ -51,43 +51,97 @@ class GroebnerBasis:
         return len(self.elements)
 
 
-def _reduce(m: Monomial, leads: list[Monomial], trails: list[Monomial]) -> Monomial:
-    """Full reduction of the monomial m by the oriented reducers lead -> trail:
-    replace the first dividing lead by its trail until no lead divides."""
-    while True:
-        for i, lt in enumerate(leads):
-            if mono_divides(lt, m):
-                m = tuple(x - y + z for x, y, z in zip(m, lt, trails[i]))
+class _Packing:
+    """Monomials of `nvars` variables with every exponent at most `top`, each
+    held as one int: x_i's exponent in a field of w = (nvars top).bit_length()
+    + 1 bits starting at bit w i, whose top bit is a guard and stays 0.
+
+    A sum of exponents, at most nvars top < 2^(w-1), never carries out of a
+    field, so: lead divides m iff every guard survives the subtraction,
+    (m + G - lead) & G == G for the guard mask G; the lcm takes each field
+    from the larger side, the side whose guard survives a - b; and the
+    degree is the top field of m * ONES (ONES = 1 in every field).  `key` is
+    the int whose order is that of `TermOrder.key` on these monomials (lcms
+    included, whose degree may reach nvars top): the weight rows, the degree
+    and the exponents negated from the last variable to the first become the
+    digits of one number, each wider than its spread; the last ones are the
+    fields of -m itself.  It is linear in m, so a reduction step lead ->
+    trail moves a key by the constant key(trail) - key(lead)."""
+
+    __slots__ = ("guards", "pack", "unpack", "degree", "lcm", "key")
+
+    def __init__(self, nvars: int, top: int, weights: tuple[tuple[int, ...], ...]) -> None:
+        w = (nvars * top).bit_length() + 1
+        field = (1 << w) - 1
+        fields = range(0, w * nvars, w)
+        units = [1 << s for s in fields]  # x_i packed
+        ones = sum(units)
+        guards = self.guards = ones << (w - 1)
+        degree_shift = w * (nvars - 1)
+        key_shift = w * nvars  # the degree digit; the weight rows above it
+        shift = key_shift + w
+        row_keys = [0] * nvars  # x_i's coefficient in the weight-row digits
+        for row in reversed(weights):
+            for i, c in enumerate(row):
+                row_keys[i] += c << shift
+            shift += (top * sum(map(abs, row))).bit_length() + 1
+        rows = [(s, r) for s, r in zip(fields, row_keys) if r]
+
+        # closures over the constants: the kernel calls them in its inner loops
+        def pack(m: Monomial) -> int:
+            return sum(map(mul, m, units))
+
+        def unpack(p: int) -> Monomial:
+            return tuple([(p >> s) & field for s in fields])
+
+        def degree(p: int) -> int:
+            return (p * ones >> degree_shift) & field
+
+        def lcm(a: int, b: int) -> int:
+            take = (((a + guards - b) & guards) >> (w - 1)) * field  # the fields where a >= b
+            return b ^ ((a ^ b) & take)
+
+        def key(p: int) -> int:
+            k = (degree(p) << key_shift) - p
+            for s, r in rows:
+                k += ((p >> s) & field) * r
+            return k
+
+        self.pack, self.unpack, self.degree = pack, unpack, degree
+        self.lcm, self.key = lcm, key
+
+
+def _check_homogeneous(gens: list[Binomial]) -> None:
+    for g in gens:
+        if sum(g.lead) != sum(g.trail):
+            raise InvariantViolation(f"non-homogeneous {g}: the packed kernel needs equal degrees")
+
+
+def _interreduce(packing: _Packing, keyed: list[tuple[int, int, int]]) -> tuple[Binomial, ...]:
+    """The reduced basis of the packed oriented basis `keyed`, a list of
+    (key of lead, lead, trail), in ascending order of the leads."""
+    guards = packing.guards
+    keyed.sort(key=lambda e: e[0])
+    reducers: list[tuple[int, int]] = []  # (G - lead, trail - lead)
+    for _, lead, trail in keyed:
+        for neg, _ in reducers:
+            if (lead + neg) & guards == guards:
                 break
         else:
-            return m
-
-
-def _normal_form(a: Monomial, b: Monomial, leads: list[Monomial],
-                 trails: list[Monomial], key) -> tuple[Monomial, Monomial] | None:
-    """Fully reduce the pure difference a - b by the oriented reducers
-    lead -> trail: None when it reduces to zero, else the two reduced
-    monomials, the one that leads under `key` first.
-
-    The larger side is reduced one step at a time, and the sides swap when it
-    drops below the other; a step changes only the larger side, so only its
-    key is computed again.  Once the larger side is irreducible, the other
-    only decreases, so it never meets it again: `_reduce` finishes it."""
-    if a == b:
-        return None
-    ka, kb = key(a), key(b)
-    while True:
-        if ka < kb:
-            a, b, ka, kb = b, a, kb, ka
-        for i, lt in enumerate(leads):
-            if mono_divides(lt, a):
-                a = tuple(x - y + z for x, y, z in zip(a, lt, trails[i]))
+            reducers.append((guards - lead, trail - lead))
+    out = []
+    for neg, step in reducers:
+        lead = guards - neg
+        m = lead + step
+        while True:
+            for n, s in reducers:
+                if (m + n) & guards == guards:
+                    m += s
+                    break
+            else:
                 break
-        else:
-            return a, _reduce(b, leads, trails)
-        if a == b:
-            return None
-        ka = key(a)
+        out.append(Binomial(packing.unpack(lead), packing.unpack(m)))
+    return tuple(out)
 
 
 def buchberger(gens: Iterable[Binomial], order: TermOrder, cap: int) -> GroebnerBasis:
@@ -104,88 +158,130 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder, cap: int) -> Groebner
     lcm and that lcm differs from lcm(i, h) and lcm(j, h) (criterion B).
     Elements whose lead h divides get no further pairs but stay reducers.
     Pair selection is the normal strategy (lowest lcm degree first, ties by
-    the order on the lcm), which together with the final `reduce_basis`
+    the order on the lcm), which together with the final interreduction
     makes the output independent of the generator ordering.  A basis element
     or a selected S-pair of degree above `cap` raises DegreeCapExceeded; a
     pair the criteria drop is never checked against the cap, so an input
     whose only pairs above the cap are dropped ones returns its basis.  The
     result records the cap it ran under.
-    """
-    key = order.key
-    leads: list[Monomial] = []
-    trails: list[Monomial] = []
-    paired: list[int] = []  # the elements that new elements still pair with
-    live: dict[tuple[int, int], Monomial] = {}  # queued pairs -> lcm
-    heap: list[tuple[int, tuple, int, int]] = []  # dropped pairs stay until popped
 
-    def add(a: Monomial, b: Monomial) -> None:
-        nf = _normal_form(a, b, leads, trails, key)
-        if nf is None:
+    Every generator must be homogeneous (both sides of one degree; toric
+    bases, closed forms and quadrics are): InvariantViolation otherwise.
+    Reduction then keeps degrees, and every exponent met is at most
+    top = max(cap, generator degrees).  So each monomial is one int of
+    `_Packing(nvars, top)`: a field per variable with a guard bit on top.
+    lead divides m iff (m + G - lead) & G == G for the guard mask G; a
+    reduction step is m += trail - lead, packed once per element, and moves
+    the order key, itself one int, by a constant stored with it; lcm and
+    degree are a few int operations, and two leads are coprime iff their lcm
+    is their product, which packed is their sum: so the pair criteria run on
+    ints too.
+    Monomials are tuples only at entry and in the returned basis.
+    """
+    gens = list(gens)
+    _check_homogeneous(gens)
+    packing = _Packing(order.nvars, max([cap, 0] + [sum(g.lead) for g in gens]), order.weights)
+    G = packing.guards
+    degree, key, lcm_of = packing.degree, packing.key, packing.lcm
+    leads: list[int] = []
+    reducers: list[tuple[int, int, int]] = []  # (G - lead, trail - lead, key step)
+    paired: list[int] = []  # the elements that new elements still pair with
+    live: dict[tuple[int, int], int] = {}  # queued pairs -> lcm
+    heap: list[tuple[int, int, int, int]] = []  # dropped pairs stay until popped
+
+    def add(a: int, ka: int, b: int, kb: int) -> None:
+        # the normal form of a - b: the larger side is reduced one step at a
+        # time, and the sides swap when it drops below the other; once it is
+        # irreducible the other only decreases and is reduced to the end
+        if a == b:
             return
-        lead, trail = nf
-        if sum(lead) > cap:
-            raise DegreeCapExceeded(f"basis element of degree {sum(lead)} exceeds cap {cap}")
+        while True:
+            if ka < kb:
+                a, b, ka, kb = b, a, kb, ka
+            for neg, step, kstep in reducers:
+                if (a + neg) & G == G:
+                    a += step
+                    ka += kstep
+                    break
+            else:
+                break
+            if a == b:
+                return
+        while True:
+            for neg, step, kstep in reducers:
+                if (b + neg) & G == G:
+                    b += step
+                    kb += kstep
+                    break
+            else:
+                break
+        d = degree(a)
+        if d > cap:
+            raise DegreeCapExceeded(f"basis element of degree {d} exceeds cap {cap}")
         h = len(leads)
+        neg_h = G - a
         for (i, j), lcm in list(live.items()):  # criterion B
-            if (mono_divides(lead, lcm) and lcm != tuple(map(max, leads[i], lead))
-                    and lcm != tuple(map(max, leads[j], lead))):
+            if ((lcm + neg_h) & G == G and lcm != lcm_of(leads[i], a)
+                    and lcm != lcm_of(leads[j], a)):
                 del live[i, j]
-        lcms = [tuple(map(max, leads[i], lead)) for i in paired]  # criterion M
-        by_lcm: dict[Monomial, list[int]] = {}
+        lcms = [lcm_of(leads[i], a) for i in paired]  # criterion M
+        by_lcm: dict[int, list[int]] = {}
         for i, lcm in zip(paired, lcms):
             by_lcm.setdefault(lcm, []).append(i)
-        minimal: list[Monomial] = []  # a strict divisor has lower degree: it comes first
-        for lcm in sorted(by_lcm, key=sum):
-            if any(mono_divides(m, lcm) for m in minimal):
-                continue
-            minimal.append(lcm)
-            same = by_lcm[lcm]
-            if not all(any(map(min, leads[i], lead)) for i in same):
-                continue  # coprime leads: this S-polynomial drops, and with it the class
-            live[same[0], h] = lcm
-            heapq.heappush(heap, (sum(lcm), key(lcm), same[0], h))
+        minimal: list[int] = []  # G - lcm of the classes kept so far
+        for lcm in sorted(by_lcm):  # a strict divisor is a smaller int: it comes first
+            for neg in minimal:
+                if (lcm + neg) & G == G:
+                    break
+            else:
+                minimal.append(G - lcm)
+                same = by_lcm[lcm]
+                # coprime leads (lcm == lead i + h): that S-pair drops, and the class with it
+                if all(lcm != leads[i] + a for i in same):
+                    live[same[0], h] = lcm
+                    heapq.heappush(heap, (degree(lcm), key(lcm), same[0], h))
         # lcm == lead i when h divides it: i stops pairing
         paired[:] = [i for i, lcm in zip(paired, lcms) if lcm != leads[i]] + [h]
-        leads.append(lead)
-        trails.append(trail)
+        leads.append(a)
+        reducers.append((neg_h, b - a, kb - ka))
 
     for g in gens:
-        add(g.lead, g.trail)
+        a, b = packing.pack(g.lead), packing.pack(g.trail)
+        add(a, key(a), b, key(b))
 
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        d, k, i, j = heapq.heappop(heap)
         lcm = live.pop((i, j), None)
         if lcm is None:
             continue
-        if sum(lcm) > cap:
-            raise DegreeCapExceeded(f"S-pair degree {sum(lcm)} exceeds cap {cap}")
-        add(tuple(l - x + t for l, x, t in zip(lcm, leads[i], trails[i])),
-            tuple(l - x + t for l, x, t in zip(lcm, leads[j], trails[j])))
+        if d > cap:
+            raise DegreeCapExceeded(f"S-pair degree {d} exceeds cap {cap}")
+        _, step_i, kstep_i = reducers[i]
+        _, step_j, kstep_j = reducers[j]
+        add(lcm + step_i, k + kstep_i, lcm + step_j, k + kstep_j)
 
-    basis = [Binomial(a, b) for a, b in zip(leads, trails)]
-    return GroebnerBasis(order, reduce_basis(basis, order), cap)
+    keyed = [(key(lead), lead, lead + step) for lead, (_, step, _) in zip(leads, reducers)]
+    return GroebnerBasis(order, _interreduce(packing, keyed), cap)
 
 
 def reduce_basis(gens: Iterable[Binomial], order: TermOrder) -> tuple[Binomial, ...]:
     """Self-reduce an oriented Groebner basis (a Buchberger run or a checked
     closed form): minimal leads and fully reduced trails, in ascending order
     of the leads, which are distinct.  An element whose lead does not lead
-    under `order` raises InvariantViolation: its reduction need not end."""
-    key = order.key
-    keyed: list[tuple[tuple, Binomial]] = []
+    under `order` raises InvariantViolation: its reduction need not end.  As
+    in `buchberger`, every element must be homogeneous and monomials are
+    packed ints, here with top the largest degree."""
+    gens = list(gens)
+    _check_homogeneous(gens)
+    packing = _Packing(order.nvars, max([0] + [sum(g.lead) for g in gens]), order.weights)
+    keyed: list[tuple[int, int, int]] = []
     for g in gens:
-        lead_key = key(g.lead)
-        if lead_key <= key(g.trail):
+        lead, trail = packing.pack(g.lead), packing.pack(g.trail)
+        lead_key = packing.key(lead)
+        if lead_key <= packing.key(trail):
             raise InvariantViolation(f"misoriented {g} under {order.name}")
-        keyed.append((lead_key, g))
-    keyed.sort(key=lambda kg: kg[0])
-    leads: list[Monomial] = []
-    trails: list[Monomial] = []
-    for _, g in keyed:
-        if not any(mono_divides(lt, g.lead) for lt in leads):
-            leads.append(g.lead)
-            trails.append(g.trail)
-    return tuple(Binomial(lt, _reduce(tt, leads, trails)) for lt, tt in zip(leads, trails))
+        keyed.append((lead_key, lead, trail))
+    return _interreduce(packing, keyed)
 
 
 # -- integer kernel of the bidegree matrix ---------------------------------------

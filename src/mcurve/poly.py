@@ -90,13 +90,13 @@ class Binomial:
 
 def bidegree(seq: CurveSequence, m: Monomial) -> tuple[int, int]:
     """Image degree (s_deg, t_deg) of a monomial under x_i -> s^{m_i} t^{m_n - m_i}:
-    x_i -> (m_i, m_n - m_i), x_{n+1} -> (0, m_n)."""
-    n = seq.n
-    if len(m) != n + 1:
-        raise DimensionMismatch(f"monomial has {len(m)} vars, curve ring has {n + 1}")
-    s_deg = sum(e * seq.m[i] for i, e in enumerate(m[:n]))
-    t_deg = sum(e * (seq.mn - seq.m[i]) for i, e in enumerate(m[:n])) + m[n] * seq.mn
-    return s_deg, t_deg
+    x_i -> (m_i, m_n - m_i), x_{n+1} -> (0, m_n).  The two rows are
+    (m_1, ..., m_n, 0) and m_n (1, ..., 1) minus that row, so
+    t_deg = m_n deg - s_deg."""
+    if len(m) != seq.n + 1:
+        raise DimensionMismatch(f"monomial has {len(m)} vars, curve ring has {seq.n + 1}")
+    s_deg = sum(map(mul, seq.m, m))  # map stops before x_{n+1}, whose s-weight is 0
+    return s_deg, seq.mn * sum(m) - s_deg
 
 
 def is_member_binomial(seq: CurveSequence, b: Binomial) -> bool:

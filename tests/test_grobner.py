@@ -24,6 +24,7 @@ from mcurve.grobner import (
 from mcurve.monideal import MonomialIdeal
 from mcurve.poly import Binomial, TermOrder, bidegree, is_member_binomial, yweighted
 from mcurve.seq import CurveSequence, parse_sequence
+import tuple_kernel
 from orders import degrevlex_cheapest
 from textforms import parse_binomial, parse_monomial
 
@@ -113,8 +114,9 @@ class TestReducer:
                 leads.append(u)
                 trails.append(v)
         a, b = a[:nvars], b[:nvars]
-        ra, rb = grobner._reduce(a, leads, trails), grobner._reduce(b, leads, trails)
-        nf = grobner._normal_form(a, b, leads, trails, key)
+        ra = tuple_kernel.reduce_monomial(a, leads, trails)
+        rb = tuple_kernel.reduce_monomial(b, leads, trails)
+        nf = tuple_kernel.normal_form(a, b, leads, trails, key)
         if ra == rb:
             assert nf is None
         else:
@@ -128,7 +130,7 @@ def _buchberger_coprime_only(gens, order, cap):
     leads, trails, pairs = [], [], []
 
     def add(a, b):
-        nf = grobner._normal_form(a, b, leads, trails, key)
+        nf = tuple_kernel.normal_form(a, b, leads, trails, key)
         if nf is None:
             return
         lead, trail = nf
@@ -151,17 +153,28 @@ def _buchberger_coprime_only(gens, order, cap):
             raise DegreeCapExceeded(f"S-pair degree {sum(lcm)} exceeds cap {cap}")
         add(tuple(l - x + t for l, x, t in zip(lcm, leads[i], trails[i])),
             tuple(l - x + t for l, x, t in zip(lcm, leads[j], trails[j])))
-    return reduce_basis([Binomial(a, b) for a, b in zip(leads, trails)], order)
+    return tuple_kernel.reduce_basis([Binomial(a, b) for a, b in zip(leads, trails)], order)
+
+
+def _block(nv, k):
+    """The block order that compares the degree in x_1 .. x_k first."""
+    return TermOrder(nv, ((1,) * k + (0,) * (nv - k),))
 
 
 @st.composite
 def binomial_ideals(draw):
+    """Up to four homogeneous binomials (both sides of one degree, as
+    `buchberger` requires) in 2..5 variables, a term order and a cap."""
     nv = draw(st.integers(2, 5))
-    mono = st.tuples(*[st.integers(0, 3)] * nv)
-    gens = draw(st.lists(st.builds(Binomial, mono, mono), min_size=1, max_size=4))
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        lead = draw(st.tuples(*[st.integers(0, 3)] * nv))
+        spots = draw(st.lists(st.integers(0, nv - 1), min_size=sum(lead), max_size=sum(lead)))
+        gens.append(Binomial(lead, tuple(spots.count(i) for i in range(nv))))
     order = draw(st.sampled_from([TermOrder(nv)]
                                  + [degrevlex_cheapest(nv, i) for i in range(nv - 1)]
-                                 + [yweighted(nv, i) for i in range(nv)]))
+                                 + [yweighted(nv, i) for i in range(nv)]
+                                 + [_block(nv, k) for k in range(1, nv)]))
     return gens, order, draw(st.integers(4, 10))
 
 
@@ -188,8 +201,8 @@ class TestPairCriteria:
             for g, h in itertools.combinations(gb.elements, 2):
                 lcm = tuple(max(x, y) for x, y in zip(g.lead, h.lead))
                 sides = [tuple(l - x + t for l, x, t in zip(lcm, f.lead, f.trail)) for f in (g, h)]
-                assert (grobner._reduce(sides[0], leads, trails)
-                        == grobner._reduce(sides[1], leads, trails)), (g, h)
+                assert (tuple_kernel.reduce_monomial(sides[0], leads, trails)
+                        == tuple_kernel.reduce_monomial(sides[1], leads, trails)), (g, h)
 
     def test_dropped_pair_is_not_cap_checked(self):
         # the reference selects the pair of x1^2*x2 - x3^3 and the new element
@@ -201,6 +214,111 @@ class TestPairCriteria:
             _buchberger_coprime_only(gens, yweighted(3, 1), 3)
         assert buchberger(gens, yweighted(3, 1), 3).elements == tuple(
             _binomials(3, "x1 - x3", "x2*x3^2 - x3^3"))
+
+
+def _outcome(run, gens, order, cap):
+    """The basis a kernel returns, or the message of its DegreeCapExceeded."""
+    try:
+        return run(gens, order, cap).elements
+    except DegreeCapExceeded as exc:
+        return f"DegreeCapExceeded: {exc}"
+
+
+def _packing_orders(nv):
+    return ([TermOrder(nv)] + [degrevlex_cheapest(nv, i) for i in range(nv - 1)]
+            + [yweighted(nv, i) for i in range(nv)] + [_block(nv, k) for k in range(1, nv)]
+            + [TermOrder(nv, (tuple(range(7, 7 - 3 * nv, -3)), (0,) * (nv - 1) + (5,)))])
+
+
+class TestPackedKernel:
+    """The packed-int kernel gives what the tuple kernel (tests/tuple_kernel.py)
+    gives, cap errors included."""
+
+    @given(ideal=binomial_ideals(), slack=st.integers(-1, 4))
+    @settings(max_examples=400)
+    def test_same_basis_or_same_cap_error_as_tuple_kernel(self, ideal, slack):
+        # caps from one below the largest generator degree up: about a
+        # quarter of the draws raise, most of them at an S-pair
+        gens, order, _ = ideal
+        cap = max(g.degree for g in gens) + slack
+        assert _outcome(buchberger, gens, order, cap) == _outcome(
+            tuple_kernel.buchberger, gens, order, cap)
+
+    @given(nv=st.integers(1, 5), top=st.sampled_from([0, 1, 2, 3, 4, 5, 7, 8, 16, 21, 500]),
+           data=st.data())
+    @settings(max_examples=400)
+    def test_packed_operations_match_the_tuples(self, nv, top, data):
+        # every exponent up to top, the range of the kernel's lcms; the tops
+        # put nv top at and next to powers of two, where the field width steps
+        mono = st.tuples(*[st.integers(0, top)] * nv)
+        a, b = data.draw(mono), data.draw(mono)
+        order = data.draw(st.sampled_from(_packing_orders(nv)))
+        packing = grobner._Packing(nv, top, order.weights)
+        pa, pb = packing.pack(a), packing.pack(b)
+        G = packing.guards
+        assert packing.unpack(pa) == a
+        assert ((pb + G - pa) & G == G) == all(x <= y for x, y in zip(a, b))
+        assert packing.unpack(packing.lcm(pa, pb)) == tuple(map(max, a, b))
+        assert packing.degree(pa) == sum(a)
+        assert (packing.lcm(pa, pb) == pa + pb) == (not any(map(min, a, b)))  # coprime
+        ka, kb, ta, tb = packing.key(pa), packing.key(pb), order.key(a), order.key(b)
+        assert (ka > kb, ka < kb) == (ta > tb, ta < tb)
+
+    def test_non_homogeneous_input_raises(self):
+        gens = _binomials(3, "x1^2 - x2", "x2*x3 - x1^2")
+        with pytest.raises(InvariantViolation, match="non-homogeneous x1\\^2 - x2"):
+            buchberger(gens, TermOrder(3), 4)
+        with pytest.raises(InvariantViolation, match="non-homogeneous x1\\^2 - x2"):
+            reduce_basis(gens, TermOrder(3))
+
+    def test_degree_500_elements(self, monkeypatch):
+        # 1,500,1000: toric elements of degree 500 (the cap 4012 sets top: fields of 15 bits)
+        seq = CurveSequence((1, 500, 1000))
+        gb = toric_ideal(seq)
+        assert max(g.degree for g in gb.elements) == 500
+        monkeypatch.setattr(grobner, "buchberger", tuple_kernel.buchberger)
+        monkeypatch.setattr(grobner, "reduce_basis", tuple_kernel.reduce_basis)
+        assert toric_ideal(seq) == gb
+
+    @pytest.mark.parametrize("cap", [7, 8, 9, 16])
+    def test_generator_of_degree_top(self, cap):
+        # degree 8 in 4 variables: top = 8 for every cap up to 8, and nv top = 32
+        # is a power of two, the edge of the field width
+        gens = _binomials(4, "x1^8 - x4^8", "x2^3*x3^5 - x1^8", "x1^2*x4^6 - x2^8")
+        for order in [TermOrder(4), yweighted(4, 3), _block(4, 3)]:
+            assert _outcome(buchberger, gens, order, cap) == _outcome(
+                tuple_kernel.buchberger, gens, order, cap), order
+        if cap < 8:
+            with pytest.raises(DegreeCapExceeded,
+                               match=f"^basis element of degree 8 exceeds cap {cap}$"):
+                buchberger(gens, TermOrder(4), cap)
+
+    def test_top_comes_from_the_cap(self, run_python):
+        # degree-9 generators in three variables whose basis under yweighted:x3
+        # reaches x3^65: fields sized by the generators alone (nv top = 27:
+        # five bits and a guard) overflow, and the reduction need not end, so
+        # the packed run is a child process under a timeout
+        gens = [Binomial((0, 1, 8), (2, 4, 3)), Binomial((9, 0, 0), (1, 7, 1))]
+        expected = tuple_kernel.buchberger(gens, yweighted(3, 2), 70).elements
+        assert max(max(g.lead + g.trail) for g in expected) == 65
+        proc = run_python("-c", "from mcurve.grobner import buchberger\n"
+                          "from mcurve.poly import Binomial, yweighted\n"
+                          f"print(repr(buchberger({gens!r}, yweighted(3, 2), 70).elements))")
+        assert proc.stdout == repr(expected) + "\n", proc.stderr
+
+    def test_block_order_with_the_widest_key_digit(self):
+        # the row of the block x_1 .. x_5 of six variables spans 5 top: the
+        # widest digit of any order the package or the tests use
+        gb = toric_ideal(parse_sequence("10,13,16,19,22"))
+        for k in range(1, 6):
+            assert _outcome(buchberger, gb.elements, _block(6, k), gb.cap) == _outcome(
+                tuple_kernel.buchberger, gb.elements, _block(6, k), gb.cap), k
+
+    def test_pair_over_the_cap_raises_as_before(self):
+        with pytest.raises(DegreeCapExceeded, match="^S-pair degree 3 exceeds cap 2$"):
+            buchberger(TWISTED, TermOrder(4), 2)
+        assert _outcome(buchberger, TWISTED, TermOrder(4), 2) == _outcome(
+            tuple_kernel.buchberger, TWISTED, TermOrder(4), 2)
 
 
 LADDER = [(1, 500, 1000), (5, 26, 32, 38, 101), (11, 17, 23, 41, 53, 60),
