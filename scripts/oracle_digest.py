@@ -9,11 +9,15 @@ gcd-1 lists n = 3 (m_3 <= 12) and n = 4 (m_4 <= 10).  For each one it hashes
 `lattice_basis` (the LLL-reduced kernel basis); `toric_ideal`;
 `is_generated_by_quadrics` and `quadratic_gb_witness` of that basis; the
 irreducible decomposition of its initial ideal and `reg_nested_type` of that
-ideal; and `koszul_status`.  An exception counts by its type and message.  Two
-source trees that print the same digest give the same oracle answers on these
-inputs, so running it on both sides of a change to the lattice reduction, the
-Groebner kernel or the monomial-ideal combinatorics checks that the change
-kept them.  It reads perfbench/ and writes nothing.
+ideal; the standard monomials of the ideal's artinian reduction
+in(I(C)) + <x_n, x_{n+1}> in their order, `hs_general_split`, `cm_type_oracle`
+(on the curves whose initial ideal is Cohen-Macaulay) and
+`last_step_check` at `reg_nested_type`; and `koszul_status`.  An exception
+counts by its type and message.  Two source trees that print the same digest
+give the same oracle answers on these inputs, so running it on both sides of a
+change to the lattice reduction, the Groebner kernel or the monomial-ideal
+combinatorics checks that the change kept them.  It reads perfbench/ and
+writes nothing.
 """
 
 import hashlib
@@ -28,7 +32,8 @@ import workloads  # noqa: E402
 from mcurve.grobner import (initial_ideal, is_generated_by_quadrics, lattice_basis,  # noqa: E402
                             toric_ideal)
 from mcurve.koszul import koszul_status, quadratic_gb_witness  # noqa: E402
-from mcurve.monideal import reg_nested_type  # noqa: E402
+from mcurve.monideal import (cm_type_oracle, cm_via_initial, hs_general_split,  # noqa: E402
+                             last_step_check, reg_nested_type)
 from mcurve.seq import CurveSequence  # noqa: E402
 
 
@@ -64,7 +69,10 @@ def oracle_line(m: tuple[int, ...]) -> str:
         ini = initial_ideal(gb)
         parts += [repr((gb.elements, gb.cap)), answer(is_generated_by_quadrics, gb),
                   answer(quadratic_gb_witness, gb), answer(lambda: ini.decomposition),
-                  answer(reg_nested_type, ini)]
+                  answer(reg_nested_type, ini), answer(lambda: ini.artinian_standard),
+                  answer(hs_general_split, ini),
+                  answer(cm_type_oracle, seq, ini) if cm_via_initial(ini) else "not CM",
+                  answer(lambda: last_step_check(ini, reg_nested_type(ini)))]
     parts.append(answer(koszul_status, seq))
     return f"{','.join(map(str, m))} | " + " | ".join(parts) + "\n"
 

@@ -66,13 +66,16 @@ class _Packing:
     and the exponents negated from the last variable to the first become the
     digits of one number, each wider than its spread; the last ones are the
     fields of -m itself.  It is linear in m, so a reduction step lead ->
-    trail moves a key by the constant key(trail) - key(lead)."""
+    trail moves a key by the constant key(trail) - key(lead).  `degree_key`
+    gives the degree and the key together, the degree computed once."""
 
-    __slots__ = ("guards", "pack", "unpack", "degree", "lcm", "key")
+    __slots__ = ("guards", "field", "guard_shift", "pack", "unpack", "degree", "lcm", "key",
+                 "degree_key")
 
     def __init__(self, nvars: int, top: int, weights: tuple[tuple[int, ...], ...]) -> None:
         w = (nvars * top).bit_length() + 1
-        field = (1 << w) - 1
+        field = self.field = (1 << w) - 1
+        self.guard_shift = w - 1
         fields = range(0, w * nvars, w)
         units = [1 << s for s in fields]  # x_i packed
         ones = sum(units)
@@ -101,14 +104,18 @@ class _Packing:
             take = (((a + guards - b) & guards) >> (w - 1)) * field  # the fields where a >= b
             return b ^ ((a ^ b) & take)
 
-        def key(p: int) -> int:
-            k = (degree(p) << key_shift) - p
+        def degree_key(p: int) -> tuple[int, int]:
+            d = (p * ones >> degree_shift) & field
+            k = (d << key_shift) - p
             for s, r in rows:
                 k += ((p >> s) & field) * r
-            return k
+            return d, k
+
+        def key(p: int) -> int:
+            return degree_key(p)[1]
 
         self.pack, self.unpack, self.degree = pack, unpack, degree
-        self.lcm, self.key = lcm, key
+        self.lcm, self.key, self.degree_key = lcm, key, degree_key
 
 
 def _check_homogeneous(gens: list[Binomial]) -> None:
@@ -165,6 +172,16 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder, cap: int) -> Groebner
     whose only pairs above the cap are dropped ones returns its basis.  The
     result records the cap it ran under.
 
+    Criterion M is one pass over the new pairs sorted by (lcm, i): each class
+    of one lcm is a run headed by its first pair, and only the head is tested
+    against the kept lcms and for coprime leads.  That suffices.  No lead of
+    the basis divides h (h is fully reduced), and a lead that h divides
+    stops pairing, so no pairing lead divides another.  If lead i is coprime
+    to h, a pair (j, h) of the same lcm has lead j equal to lead i on the
+    support of lead i (h is 0 there), so lead i divides lead j and j = i: a
+    class with coprime leads has one pair, and no pushed pair has to be
+    taken back.
+
     Every generator must be homogeneous (both sides of one degree; toric
     bases, closed forms and quadrics are): InvariantViolation otherwise.
     Reduction then keeps degrees, and every exponent met is at most
@@ -182,7 +199,8 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder, cap: int) -> Groebner
     _check_homogeneous(gens)
     packing = _Packing(order.nvars, max([cap, 0] + [sum(g.lead) for g in gens]), order.weights)
     G = packing.guards
-    degree, key, lcm_of = packing.degree, packing.key, packing.lcm
+    degree, key, degree_key, lcm_of = packing.degree, packing.key, packing.degree_key, packing.lcm
+    field, guard_shift = packing.field, packing.guard_shift
     leads: list[int] = []
     reducers: list[tuple[int, int, int]] = []  # (G - lead, trail - lead, key step)
     paired: list[int] = []  # the elements that new elements still pair with
@@ -220,26 +238,27 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder, cap: int) -> Groebner
             raise DegreeCapExceeded(f"basis element of degree {d} exceeds cap {cap}")
         h = len(leads)
         neg_h = G - a
-        for (i, j), lcm in list(live.items()):  # criterion B
-            if ((lcm + neg_h) & G == G and lcm != lcm_of(leads[i], a)
-                    and lcm != lcm_of(leads[j], a)):
+        for (i, j), lcm in [e for e in live.items() if (e[1] + neg_h) & G == G]:  # criterion B
+            if lcm != lcm_of(leads[i], a) and lcm != lcm_of(leads[j], a):
                 del live[i, j]
-        lcms = [lcm_of(leads[i], a) for i in paired]  # criterion M
-        by_lcm: dict[int, list[int]] = {}
-        for i, lcm in zip(paired, lcms):
-            by_lcm.setdefault(lcm, []).append(i)
+        # criterion M; lcm(l, a) takes l in the fields where l - a keeps its guard
+        lcms = [a ^ ((l ^ a) & ((((l + neg_h) & G) >> guard_shift) * field))
+                for l in map(leads.__getitem__, paired)]
         minimal: list[int] = []  # G - lcm of the classes kept so far
-        for lcm in sorted(by_lcm):  # a strict divisor is a smaller int: it comes first
+        head = -1  # the lcm of the class whose first pair was last seen
+        for lcm, i in sorted(zip(lcms, paired)):  # a strict divisor is a smaller int: it comes first
+            if lcm == head:
+                continue
+            head = lcm
             for neg in minimal:
                 if (lcm + neg) & G == G:
                     break
             else:
                 minimal.append(G - lcm)
-                same = by_lcm[lcm]
                 # coprime leads (lcm == lead i + h): that S-pair drops, and the class with it
-                if all(lcm != leads[i] + a for i in same):
-                    live[same[0], h] = lcm
-                    heapq.heappush(heap, (degree(lcm), key(lcm), same[0], h))
+                if lcm != leads[i] + a:
+                    live[i, h] = lcm
+                    heapq.heappush(heap, (*degree_key(lcm), i, h))
         # lcm == lead i when h divides it: i stops pairing
         paired[:] = [i for i, lcm in zip(paired, lcms) if lcm != leads[i]] + [h]
         leads.append(a)

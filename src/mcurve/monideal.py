@@ -3,7 +3,10 @@
 Irreducible decomposition by adding one generator at a time, nested-type
 regularity, the K-polynomial (Hilbert function and series of the quotient),
 Cohen-Macaulay detection on initial ideals, the bidegree-based
-Cohen-Macaulay type oracle, and the last-step F-set regularity check.
+Cohen-Macaulay type oracle, and the last-step F-set regularity check.  The
+last three read the standard monomials of the artinian reduction
+in(I(C)) + <x_n, x_{n+1}>, found by one staircase walk per ideal and cached
+on it.
 """
 
 from __future__ import annotations
@@ -62,6 +65,14 @@ class MonomialIdeal:
     def decomposition(self) -> "IrreducibleDecomposition":
         """Irredundant irreducible decomposition, computed once per ideal."""
         return irreducible_decomposition(self)
+
+    @cached_property
+    def artinian_standard(self) -> tuple[Monomial, ...]:
+        """Standard monomials modulo self + <x_n, x_{n+1}> (the last two
+        variables) on x_1..x_{n-1}, walked once per ideal."""
+        n = self.nvars - 2
+        return tuple(_standard_monomials(
+            _minimalize(g[:n] for g in self.gens if g[n] == 0 and g[n + 1] == 0), n))
 
     def restrict(self, start: int) -> "MonomialIdeal":
         """Intersection with the subring on variables x_{start+1}, ..."""
@@ -253,29 +264,47 @@ def hs_numerator(ideal: MonomialIdeal) -> tuple[int, ...]:
 
 
 def _standard_monomials(gens: tuple[Monomial, ...], nvars: int) -> list[Monomial]:
-    """All standard monomials of an artinian monomial ideal."""
-    # per-variable pure-power exponents bound the grid of standard monomials
+    """All standard monomials of an artinian monomial ideal, in the order of
+    the grid itertools.product(range(b_1), ..., range(b_nvars)) that the
+    variables' least pure powers x_i^{b_i} bound."""
     bounds = [min((g[i] for g in gens if g[i] == sum(g) > 0), default=None)
               for i in range(nvars)]
     if None in bounds:
         raise NonTerminating("quotient is not artinian: some variable has no pure power")
     if math.prod(bounds) > _GRID_CAP:
         raise NonTerminating(f"standard-monomial grid exceeds {_GRID_CAP}")
-    return [m for m in itertools.product(*(range(b) for b in bounds))
-            if not any(mono_divides(g, m) for g in gens)]
+    return _staircase(gens, nvars)
+
+
+def _staircase(gens: Iterable[Monomial], nvars: int) -> list[Monomial]:
+    """The standard monomials of <gens> with x_1 exponent e are x_1^e times
+    those of the generators with g_1 <= e, restricted to x_2..x_nvars.  That
+    set of generators grows only at the g_1 values, so each distinct set is
+    walked once.  A pure power of x_1 among them ends the walk, and one is
+    reached: the ideal must be artinian (or the unit ideal)."""
+    if not nvars:
+        return [] if gens else [()]
+    out: list[Monomial] = []
+    kept: list[Monomial] = []
+    todo = sorted(gens)  # by g_1 first
+    e = i = 0
+    while True:
+        while i < len(todo) and todo[i][0] <= e:
+            rest = todo[i][1:]
+            if not any(rest):
+                return out
+            kept.append(rest)
+            i += 1
+        tails = _staircase(kept, nvars - 1)
+        for e in range(e, todo[i][0]):
+            out += [(e,) + t for t in tails]
+        e += 1
 
 
 def _degree_counts(monos: Iterable[Monomial]) -> tuple[int, ...]:
     """Coefficients of the sum of t^deg(m) over the given monomials."""
     counts = Counter(sum(m) for m in monos)
     return tuple(counts[d] for d in range(max(counts, default=-1) + 1))
-
-
-def _artinian_reduction(ideal: MonomialIdeal) -> list[Monomial]:
-    """Standard monomials modulo in(I(C)) + <x_n, x_{n+1}>, on x_1..x_{n-1}."""
-    n = ideal.nvars - 1
-    gens = _minimalize(g[:n - 1] for g in ideal.gens if g[n - 1] == 0 and g[n] == 0)
-    return _standard_monomials(gens, n - 1)
 
 
 def hs_general_split(ideal: MonomialIdeal) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -290,7 +319,7 @@ def hs_general_split(ideal: MonomialIdeal) -> tuple[tuple[int, ...], tuple[int, 
     if any(g[n] for g in ideal.gens):
         raise InvariantViolation("x_{n+1} in a minimal generator")
 
-    main = _degree_counts(_artinian_reduction(ideal))
+    main = _degree_counts(ideal.artinian_standard)
 
     qualifying: set[Monomial] = set()
     seen: set[Monomial] = set()
@@ -333,9 +362,8 @@ def cm_type_oracle(seq: CurveSequence, ideal: MonomialIdeal) -> int:
     if not cm_via_initial(ideal):
         raise NotCohenMacaulay(f"({seq}) initial ideal has a generator in x_n or x_{{n+1}}")
     bidegs = set()
-    for m in _artinian_reduction(ideal):
-        full = m + (0, 0)
-        bidegs.add(bidegree(seq, full))
+    for m in ideal.artinian_standard:
+        bidegs.add(bidegree(seq, m + (0, 0)))
     steps = [(seq.m[i], seq.mn - seq.m[i]) for i in range(n - 1)]
     count = 0
     for b in bidegs:
@@ -353,12 +381,11 @@ def last_step_check(ideal: MonomialIdeal, reg: int) -> bool:
                              x^g not in I|_{x_n=x_{n+1}=0}},
 
     which certifies that the regularity is attained at the last step of the
-    minimal graded free resolution.
+    minimal graded free resolution.  The x_n = x_{n+1} = 1 ideal contains the
+    x_n = x_{n+1} = 0 one, so F is the difference of their standard monomials.
     """
     n = ideal.nvars - 1
     ones = _minimalize(g[:n - 1] for g in ideal.gens)  # x_n = x_{n+1} = 1
-    best = -1
-    for m in _artinian_reduction(ideal):  # x_n = x_{n+1} = 0
-        if any(mono_divides(g, m) for g in ones):
-            best = max(best, sum(m))
-    return best == reg
+    # the walk's checks passed on the smaller ideal; `ones` may be the unit ideal
+    f_set = set(ideal.artinian_standard).difference(_staircase(ones, n - 1))
+    return max(map(sum, f_set), default=-1) == reg

@@ -260,6 +260,7 @@ class TestPackedKernel:
         assert ((pb + G - pa) & G == G) == all(x <= y for x, y in zip(a, b))
         assert packing.unpack(packing.lcm(pa, pb)) == tuple(map(max, a, b))
         assert packing.degree(pa) == sum(a)
+        assert packing.degree_key(pa) == (sum(a), packing.key(pa))
         assert (packing.lcm(pa, pb) == pa + pb) == (not any(map(min, a, b)))  # coprime
         ka, kb, ta, tb = packing.key(pa), packing.key(pb), order.key(a), order.key(b)
         assert (ka > kb, ka < kb) == (ta > tb, ta < tb)

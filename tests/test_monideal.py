@@ -1,6 +1,7 @@
 """Monomial-ideal combinatorics: decomposition, regularity, Hilbert data."""
 
 import itertools
+import math
 from collections import Counter
 
 import pytest
@@ -26,6 +27,7 @@ from mcurve.monideal import (
 )
 from mcurve.poly import mono_divides
 from mcurve.seq import CurveSequence, parse_sequence
+from mcurve.sweeps import GeneralizedSweep, generalized_instances
 from textforms import parse_monomial
 
 
@@ -369,3 +371,129 @@ class TestLastStep:
         ones = {g[:n - 1] for g in ini.gens}
         expected_max = prof.delta + prof.beta[prof.delta_prime - 1] - 2
         assert expected_max == 14
+
+
+def _standard_monomials_by_grid(gens, nvars):
+    """Reference for the staircase walk: the points of the grid that the least
+    pure powers x_i^{b_i} bound, in itertools.product order, that no
+    generator divides; the walk's NonTerminating checks, at the current
+    _GRID_CAP."""
+    bounds = [min((g[i] for g in gens if g[i] == sum(g) > 0), default=None)
+              for i in range(nvars)]
+    if None in bounds:
+        raise NonTerminating("quotient is not artinian: some variable has no pure power")
+    if math.prod(bounds) > monideal._GRID_CAP:
+        raise NonTerminating(f"standard-monomial grid exceeds {monideal._GRID_CAP}")
+    return [m for m in itertools.product(*(range(b) for b in bounds))
+            if not any(mono_divides(g, m) for g in gens)]
+
+
+def _last_step_by_scan(ideal):
+    """Reference for last_step_check: the largest degree of a grid point
+    standard modulo the x_n = x_{n+1} = 0 ideal that a generator of the
+    x_n = x_{n+1} = 1 ideal divides (-1 if none does)."""
+    n = ideal.nvars - 1
+    zeros = monideal._minimalize(g[:n - 1] for g in ideal.gens if g[n - 1] == 0 and g[n] == 0)
+    ones = monideal._minimalize(g[:n - 1] for g in ideal.gens)
+    best = -1
+    for m in _standard_monomials_by_grid(zeros, n - 1):
+        if any(mono_divides(g, m) for g in ones):
+            best = max(best, sum(m))
+    return best
+
+
+def _outcome(fn, *args):
+    """What fn returns, or the message of its NonTerminating."""
+    try:
+        return fn(*args)
+    except NonTerminating as exc:
+        return f"NonTerminating: {exc}"
+
+
+@st.composite
+def _generator_sets(draw, nvars, free=0, artinian=True):
+    """(nvars, gens): up to eight random generators, the unit included, and a
+    pure power of each variable but the last `free` (of some of them, unless
+    `artinian`)."""
+    nvars = draw(nvars)
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 4)] * nvars), max_size=8))
+    for i in range(nvars - free):
+        if artinian or draw(st.booleans()):
+            gens.append(tuple(draw(st.integers(1, 5)) if j == i else 0 for j in range(nvars)))
+    return nvars, tuple(gens)
+
+
+class TestArtinianWalk:
+    """The staircase walk gives the grid's standard monomials, and
+    last_step_check the per-monomial scan's answer."""
+
+    @given(ideal=_generator_sets(st.integers(0, 5)))
+    @example(ideal=(0, ()))
+    @example(ideal=(0, ((),)))
+    @example(ideal=(2, ((0, 0), (3, 0), (0, 2))))
+    @settings(max_examples=200)
+    def test_walk_is_the_grid_in_order(self, ideal):
+        nvars, gens = ideal
+        walk = monideal._standard_monomials(gens, nvars)
+        assert walk == _standard_monomials_by_grid(gens, nvars)
+
+    @given(ideal=_generator_sets(st.integers(1, 5), artinian=False),
+           cap=st.sampled_from([None, 0, 1, 5, 30, 200]))
+    @example(ideal=(3, ((1, 1, 0), (2, 0, 0))), cap=None)
+    @example(ideal=(2, ((3, 0), (0, 4))), cap=11)
+    @settings(max_examples=200)
+    def test_same_nonterminating_as_the_grid(self, ideal, cap):
+        nvars, gens = ideal
+        with pytest.MonkeyPatch.context() as patch:
+            if cap is not None:
+                patch.setattr(monideal, "_GRID_CAP", cap)
+            assert _outcome(monideal._standard_monomials, gens, nvars) == _outcome(
+                _standard_monomials_by_grid, gens, nvars)
+
+    def test_grid_cap_of_an_initial_ideal(self, monkeypatch):
+        ini = initial_ideal(toric_ideal(GOLDEN))
+        monkeypatch.setattr(monideal, "_GRID_CAP", 4)
+        with pytest.raises(NonTerminating, match="^standard-monomial grid exceeds 4$"):
+            cm_type_oracle(GOLDEN, ini)
+        with pytest.raises(NonTerminating, match="^standard-monomial grid exceeds 4$"):
+            last_step_check(ini, 6)
+
+    @given(ideal=_generator_sets(st.integers(3, 6), free=2))
+    @example(ideal=(3, ((0, 0, 0), (2, 0, 0))))  # the unit ideal
+    @example(ideal=(4, ((2, 0, 0, 0), (0, 3, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0))))
+    @settings(max_examples=200)
+    def test_last_step_is_the_scan_on_random_ideals(self, ideal):
+        ideal = MonomialIdeal.from_gens(*ideal)
+        best = _outcome(_last_step_by_scan, ideal)
+        if isinstance(best, str):
+            assert _outcome(last_step_check, ideal, 0) == best
+            return
+        assert [last_step_check(ideal, r) for r in (best - 1, best, best + 1)] == [
+            False, True, False]
+
+    def test_last_step_is_the_scan_on_the_generalized_sweep(self):
+        seqs = list(generalized_instances(GeneralizedSweep()))
+        for seq in seqs:
+            ini = initial_ideal(toric_ideal(seq))
+            best = _last_step_by_scan(ini)
+            assert [last_step_check(ini, r) for r in (best - 1, best, best + 1)] == [
+                False, True, False], seq
+            assert best == reg_nested_type(ini), seq
+        assert len(seqs) == 216
+
+    @pytest.mark.parametrize("check, m", [
+        (sweeps.check_arithmetic_instance, (10, 13, 16, 19, 22)),
+        (sweeps.check_generalized_instance, (7, 30, 39, 48, 57, 66)),
+        (sweeps.check_random_instance, (3, 5, 7, 11)),
+    ])
+    def test_sweep_checker_walks_each_ideal_once(self, monkeypatch, check, m):
+        calls = Counter()
+        walk = monideal._standard_monomials
+
+        def counted(gens, nvars):
+            calls[nvars, gens] += 1
+            return walk(gens, nvars)
+
+        monkeypatch.setattr(monideal, "_standard_monomials", counted)
+        assert all(check(CurveSequence(m)).values())
+        assert calls and set(calls.values()) == {1}

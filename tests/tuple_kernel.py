@@ -105,6 +105,8 @@ def buchberger(gens, order, cap):
             minimal.append(lcm)
             same = by_lcm[lcm]
             if not all(any(map(min, leads[i], lead)) for i in same):
+                if len(same) > 1:  # the package's kernel tests only the class's first pair
+                    raise InvariantViolation(f"coprime leads in a class of {len(same)} pairs")
                 continue  # coprime leads: this S-polynomial drops, and with it the class
             live[same[0], h] = lcm
             heapq.heappush(heap, (sum(lcm), key(lcm), same[0], h))
