@@ -292,6 +292,8 @@ def cmd_gb(args: argparse.Namespace) -> int:
 
 
 def cmd_hilbert(args: argparse.Namespace) -> int:
+    if args.max_degree < 0:
+        raise ValueError(f"--max-degree must be at least 0, got {args.max_degree}")
     seq = parse_sequence(args.sequence)
     ini = initial_ideal(toric_ideal(seq, _cap_from(args)))
     prof = closed_profile(seq)
@@ -442,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilbert", help="Hilbert function table: formula vs counting")
     add_common(p)
-    p.add_argument("--max-degree", type=int, default=10)
+    p.add_argument("--max-degree", type=int, default=10,
+                   help="last degree of the table (at least 0)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_hilbert)
 

@@ -6,7 +6,8 @@ Cohen-Macaulay detection on initial ideals, the bidegree-based
 Cohen-Macaulay type oracle, and the last-step F-set regularity check.  The
 last three read the standard monomials of the artinian reduction
 in(I(C)) + <x_n, x_{n+1}>, found by one staircase walk per ideal and cached
-on it.
+on it.  Every finite monomial set here comes from that walk: the last-step
+F-set and the Hilbert-series jump term are each the difference of two walks.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from .errors import InvariantViolation, NonTerminating, NotCohenMacaulay, NotNes
 from .poly import Monomial, bidegree, mono_divides
 from .seq import CurveSequence
 
-_GRID_CAP = 5_000_000  # hard cap on enumerated standard-monomial grids
-_BFS_CAP = 1_000_000
+_GRID_CAP = 5_000_000  # hard cap on the grid of every checked staircase walk
 
 
 def _minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
@@ -314,33 +314,30 @@ def hs_general_split(ideal: MonomialIdeal) -> tuple[tuple[int, ...], tuple[int, 
     main: degrees of standard monomials modulo in(I(C)) + <x_n, x_{n+1}>.
     corr: degrees of monomials x^g with g_{n+1} = 0, x^g outside in(I(C))
     but x_n * x^g inside it (the non-Cohen-Macaulay jump term).
+
+    No generator holds x_{n+1}, so corr lives on x_1..x_n, modulo the ideal J
+    of the generators there.  Let b be the largest x_n exponent among them.
+    If x^g is in corr, some generator f divides x_n * x^g but not x^g, so
+    f_n = g_n + 1 <= b.  Hence corr is the set of standard monomials of
+    J + <x_n^b> that lie in J : x_n, that is, those of J + <x_n^b> minus those
+    of (J : x_n) + <x_n^b>; J : x_n is generated by f / x_n for each generator
+    f with f_n >= 1 and by f for the others.  It is empty when b = 0 (the
+    Cohen-Macaulay case).  J holds the pure powers of x_1..x_{n-1} that the
+    artinian reduction needs, so both ideals are artinian, and the second,
+    being larger, walks a subset of the first's grid.
     """
     n = ideal.nvars - 1
     if any(g[n] for g in ideal.gens):
         raise InvariantViolation("x_{n+1} in a minimal generator")
 
     main = _degree_counts(ideal.artinian_standard)
-
-    qualifying: set[Monomial] = set()
-    seen: set[Monomial] = set()
-    for g in ideal.gens:
-        if g[n - 1] == 0:
-            continue
-        base = tuple(e - 1 if i == n - 1 else e for i, e in enumerate(g))
-        stack = [base]
-        while stack:
-            m = stack.pop()
-            if m in seen:
-                continue
-            seen.add(m)
-            if len(seen) > _BFS_CAP:
-                raise NonTerminating("jump-term enumeration exploded")
-            if ideal.contains(m):
-                continue
-            qualifying.add(m)
-            for i in range(n):  # never extend x_{n+1}
-                stack.append(tuple(e + 1 if j == i else e for j, e in enumerate(m)))
-    return main, _degree_counts(qualifying)
+    b = max((g[n - 1] for g in ideal.gens), default=0)
+    if not b:
+        return main, ()
+    xn_b = (0,) * (n - 1) + (b,)
+    jump = _standard_monomials(tuple(g[:n] for g in ideal.gens) + (xn_b,), n)
+    colon = _staircase([g[:n - 1] + (max(g[n - 1] - 1, 0),) for g in ideal.gens] + [xn_b], n)
+    return main, _degree_counts(set(jump).difference(colon))
 
 
 # -- Cohen-Macaulay detection and type ------------------------------------------

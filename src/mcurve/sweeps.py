@@ -41,6 +41,8 @@ from .grobner import (
 )
 from .koszul import N3_KOSZUL, N4_KOSZUL, quadratic_gb_witness
 from .monideal import (
+    _polyadd,
+    _trim,
     cm_type_oracle,
     cm_via_initial,
     fitted_polynomial,
@@ -51,7 +53,7 @@ from .monideal import (
     last_step_check,
     reg_nested_type,
 )
-from .poly import TermOrder
+from .poly import TermOrder, is_member_binomial
 from .seq import CurveSequence, arithmetic_profile, generalized_profile, min_multiple
 
 
@@ -224,8 +226,6 @@ def check_koszul_n4_instance(seq: CurveSequence, cap: int | None = None) -> dict
 
 def check_random_instance(seq: CurveSequence, cap: int | None = None) -> dict[str, bool]:
     """Structural invariants that hold for arbitrary sequences."""
-    from .poly import is_member_binomial
-
     gb = toric_ideal(seq, cap)
     ini = initial_ideal(gb)
     rng = random.Random(hash(seq.m) & 0xFFFF)
@@ -252,12 +252,6 @@ def check_random_instance(seq: CurveSequence, cap: int | None = None) -> dict[st
     witness = not_cm_witness(seq)
     cm = cm_via_initial(ini)
 
-    split_num = list(main) + [0] * (len(corr) + 2)
-    for j, c in enumerate(corr):
-        split_num[j + 1] -= c
-    while split_num and split_num[-1] == 0:
-        split_num.pop()
-
     return {
         "members": member_ok,
         "no_monomial": no_monomial,
@@ -265,7 +259,7 @@ def check_random_instance(seq: CurveSequence, cap: int | None = None) -> dict[st
         "nested_type": is_nested_type(ini),
         "decomposition_membership": dec_ok,
         "hf_convolution": all(hf_quotient(ini, s) == convolved(s) for s in range(reg + 4)),
-        "split_combination": tuple(split_num) == num,
+        "split_combination": _trim(_polyadd(list(main), [0] + [-c for c in corr])) == num,
         "witness_implies_not_cm": (witness is None) or (not cm),
         "cm_implies_zero_correction": (not cm) or corr == (),
     }

@@ -146,6 +146,13 @@ class TestHilbert:
         data = json.loads(capsys.readouterr().out)
         assert data["rows"][7] == {"s": 7, "closed": 110, "counted": 110}
 
+    def test_negative_max_degree_is_a_usage_error(self, capsys):
+        assert main(["hilbert", "-m", "3,5,7", "--max-degree", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage error: --max-degree" in captured.err
+        assert main(["hilbert", "-m", "3,5,7", "--max-degree", "0", "--json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["rows"]) == 1
+
 
 class TestSweep:
     def test_n3_sweep(self, capsys):

@@ -402,6 +402,32 @@ def _last_step_by_scan(ideal):
     return best
 
 
+def _jump_term_by_search(ideal):
+    """Reference for the jump term of hs_general_split: a search from each
+    x^g / x_n (g a generator with g_n >= 1) up through the monomials on
+    x_1..x_n outside the ideal.  Raising x_n lands on a multiple of g, so the
+    search is finite when the ideal holds a pure power of each of
+    x_1..x_{n-1}."""
+    n = ideal.nvars - 1
+    qualifying = set()
+    seen = set()
+    for g in ideal.gens:
+        if g[n - 1] == 0:
+            continue
+        stack = [tuple(e - 1 if i == n - 1 else e for i, e in enumerate(g))]
+        while stack:
+            m = stack.pop()
+            if m in seen:
+                continue
+            seen.add(m)
+            if ideal.contains(m):
+                continue
+            qualifying.add(m)
+            for i in range(n):  # never extend x_{n+1}
+                stack.append(tuple(e + 1 if j == i else e for j, e in enumerate(m)))
+    return monideal._degree_counts(qualifying)
+
+
 def _outcome(fn, *args):
     """What fn returns, or the message of its NonTerminating."""
     try:
@@ -423,9 +449,25 @@ def _generator_sets(draw, nvars, free=0, artinian=True):
     return nvars, tuple(gens)
 
 
+@st.composite
+def _initial_ideal_shapes(draw):
+    """Proper ideals shaped like in(I(C)) on x_1..x_{n+1}: 3 to 6 variables,
+    no generator holding x_{n+1}, a pure power of each of x_1..x_{n-1}, and
+    x_n free."""
+    nvars, gens = draw(_generator_sets(st.integers(2, 5), free=1))
+    return MonomialIdeal.from_gens(nvars + 1, [g + (0,) for g in gens if any(g)])
+
+
+# in(I(C)) of 5,26,32,38: not Cohen-Macaulay, with b = 1
+NON_CM_B1 = MonomialIdeal.from_gens(5, [
+    (0, 0, 2, 0, 0), (0, 5, 1, 0, 0), (0, 6, 0, 0, 0), (2, 4, 0, 0, 0), (4, 0, 0, 1, 0),
+    (4, 0, 1, 0, 0), (6, 3, 0, 0, 0), (10, 1, 0, 0, 0), (14, 0, 0, 0, 0)])
+
+
 class TestArtinianWalk:
-    """The staircase walk gives the grid's standard monomials, and
-    last_step_check the per-monomial scan's answer."""
+    """The staircase walk gives the grid's standard monomials,
+    last_step_check the per-monomial scan's answer, and hs_general_split the
+    search's jump term."""
 
     @given(ideal=_generator_sets(st.integers(0, 5)))
     @example(ideal=(0, ()))
@@ -481,10 +523,30 @@ class TestArtinianWalk:
             assert best == reg_nested_type(ini), seq
         assert len(seqs) == 216
 
+    @given(ideal=_initial_ideal_shapes())
+    @example(ideal=MonomialIdeal.from_gens(4, [(2, 0, 0, 0), (0, 3, 0, 0), (1, 1, 0, 0)]))  # b = 0
+    @example(ideal=MonomialIdeal.from_gens(3, [(3, 0, 0), (1, 2, 0), (0, 4, 0)]))  # n = 2
+    @example(ideal=NON_CM_B1)
+    @settings(max_examples=200)
+    def test_jump_term_is_the_search(self, ideal):
+        assert hs_general_split(ideal)[1] == _jump_term_by_search(ideal)
+
+    def test_non_cm_b1_is_the_initial_ideal(self):
+        assert initial_ideal(toric_ideal(CurveSequence((5, 26, 32, 38)))) == NON_CM_B1
+
+    def test_grid_cap_of_the_jump_term(self, monkeypatch):
+        # the artinian grid is 8*3*5*13 = 1560 and b = 9: the jump term walks 14,040
+        ini = initial_ideal(toric_ideal(parse_sequence("3,8,11,23,24")))
+        monkeypatch.setattr(monideal, "_GRID_CAP", 2000)
+        assert ini.artinian_standard
+        with pytest.raises(NonTerminating, match="^standard-monomial grid exceeds 2000$"):
+            hs_general_split(ini)
+
     @pytest.mark.parametrize("check, m", [
         (sweeps.check_arithmetic_instance, (10, 13, 16, 19, 22)),
         (sweeps.check_generalized_instance, (7, 30, 39, 48, 57, 66)),
         (sweeps.check_random_instance, (3, 5, 7, 11)),
+        (sweeps.check_random_instance, (5, 26, 32, 38)),  # not CM: the jump term walks too
     ])
     def test_sweep_checker_walks_each_ideal_once(self, monkeypatch, check, m):
         calls = Counter()
