@@ -7,6 +7,12 @@ rationals, updated in place on a swap), the lattice-basis binomial ideal, and
 successive saturation with respect to x_2, ..., x_{n+1}, each under plain
 degrevlex with that variable moved last.  Everything stays a pure difference
 throughout; coefficients never leave {+1, -1}.
+
+The Buchberger kernel holds each monomial as one int (`_Packing`).  The
+public `buchberger` and `reduce_basis` pack their tuples on entry and unpack
+the basis they return; `toric_ideal` packs the lattice basis once and runs
+every saturation pass in that one packing, moving the next variable last by
+swapping two fields, and unpacks only the final basis.
 """
 
 from __future__ import annotations
@@ -67,10 +73,12 @@ class _Packing:
     digits of one number, each wider than its spread; the last ones are the
     fields of -m itself.  It is linear in m, so a reduction step lead ->
     trail moves a key by the constant key(trail) - key(lead).  `degree_key`
-    gives the degree and the key together, the degree computed once."""
+    gives the degree and the key together, the degree computed once.
+    `swap(p, i)` exchanges the exponents of field i and the last field, and
+    `last` is the shift of the last field: p >> last is its exponent."""
 
-    __slots__ = ("guards", "field", "guard_shift", "pack", "unpack", "degree", "lcm", "key",
-                 "degree_key")
+    __slots__ = ("guards", "field", "guard_shift", "last", "pack", "unpack", "degree", "lcm",
+                 "key", "degree_key", "swap")
 
     def __init__(self, nvars: int, top: int, weights: tuple[tuple[int, ...], ...]) -> None:
         w = (nvars * top).bit_length() + 1
@@ -80,7 +88,7 @@ class _Packing:
         units = [1 << s for s in fields]  # x_i packed
         ones = sum(units)
         guards = self.guards = ones << (w - 1)
-        degree_shift = w * (nvars - 1)
+        degree_shift = last = self.last = w * (nvars - 1)
         key_shift = w * nvars  # the degree digit; the weight rows above it
         shift = key_shift + w
         row_keys = [0] * nvars  # x_i's coefficient in the weight-row digits
@@ -114,8 +122,13 @@ class _Packing:
         def key(p: int) -> int:
             return degree_key(p)[1]
 
+        def swap(p: int, i: int) -> int:
+            s = w * i
+            d = ((p >> s) ^ (p >> last)) & field
+            return p ^ (d << s) ^ (d << last)
+
         self.pack, self.unpack, self.degree = pack, unpack, degree
-        self.lcm, self.key, self.degree_key = lcm, key, degree_key
+        self.lcm, self.key, self.degree_key, self.swap = lcm, key, degree_key, swap
 
 
 def _check_homogeneous(gens: list[Binomial]) -> None:
@@ -124,9 +137,10 @@ def _check_homogeneous(gens: list[Binomial]) -> None:
             raise InvariantViolation(f"non-homogeneous {g}: the packed kernel needs equal degrees")
 
 
-def _interreduce(packing: _Packing, keyed: list[tuple[int, int, int]]) -> tuple[Binomial, ...]:
+def _interreduce(packing: _Packing, keyed: list[tuple[int, int, int]]) -> list[tuple[int, int]]:
     """The reduced basis of the packed oriented basis `keyed`, a list of
-    (key of lead, lead, trail), in ascending order of the leads."""
+    (key of lead, lead, trail), as packed (lead, trail) pairs in ascending
+    order of the leads."""
     guards = packing.guards
     keyed.sort(key=lambda e: e[0])
     reducers: list[tuple[int, int]] = []  # (G - lead, trail - lead)
@@ -147,8 +161,13 @@ def _interreduce(packing: _Packing, keyed: list[tuple[int, int, int]]) -> tuple[
                     break
             else:
                 break
-        out.append(Binomial(packing.unpack(lead), packing.unpack(m)))
-    return tuple(out)
+        out.append((lead, m))
+    return out
+
+
+def _unpack(packing: _Packing, pairs: list[tuple[int, int]]) -> tuple[Binomial, ...]:
+    unpack = packing.unpack
+    return tuple([Binomial(unpack(lead), unpack(trail)) for lead, trail in pairs])
 
 
 def buchberger(gens: Iterable[Binomial], order: TermOrder, cap: int) -> GroebnerBasis:
@@ -193,11 +212,24 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder, cap: int) -> Groebner
     degree are a few int operations, and two leads are coprime iff their lcm
     is their product, which packed is their sum: so the pair criteria run on
     ints too.
-    Monomials are tuples only at entry and in the returned basis.
+    Monomials are tuples only at entry and in the returned basis: the
+    packed core `_buchberger` runs on ints of a `_Packing` its caller builds,
+    so `toric_ideal` keeps one packing over all its saturation passes.
     """
     gens = list(gens)
     _check_homogeneous(gens)
     packing = _Packing(order.nvars, max([cap, 0] + [sum(g.lead) for g in gens]), order.weights)
+    pack = packing.pack
+    pairs = _buchberger(packing, [(pack(g.lead), pack(g.trail)) for g in gens], cap)
+    return GroebnerBasis(order, _unpack(packing, pairs), cap)
+
+
+def _buchberger(packing: _Packing, gens: list[tuple[int, int]], cap: int) -> list[tuple[int, int]]:
+    """`buchberger` on packed generators (lead, trail), in either
+    orientation, under the order of `packing`: the reduced basis as packed
+    (lead, trail) pairs in ascending order of the leads.  The generators must
+    be homogeneous of degree at most the packing's top, and the cap at most
+    that top, so that every exponent met fits a field."""
     G = packing.guards
     degree, key, degree_key, lcm_of = packing.degree, packing.key, packing.degree_key, packing.lcm
     field, guard_shift = packing.field, packing.guard_shift
@@ -264,8 +296,7 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder, cap: int) -> Groebner
         leads.append(a)
         reducers.append((neg_h, b - a, kb - ka))
 
-    for g in gens:
-        a, b = packing.pack(g.lead), packing.pack(g.trail)
+    for a, b in gens:
         add(a, key(a), b, key(b))
 
     while heap:
@@ -280,7 +311,23 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder, cap: int) -> Groebner
         add(lcm + step_i, k + kstep_i, lcm + step_j, k + kstep_j)
 
     keyed = [(key(lead), lead, lead + step) for lead, (_, step, _) in zip(leads, reducers)]
-    return GroebnerBasis(order, _interreduce(packing, keyed), cap)
+    return _interreduce(packing, keyed)
+
+
+def _keyed(packing: _Packing, pairs: list[tuple[int, int]],
+           order: TermOrder) -> list[tuple[int, int, int]]:
+    """(key of lead, lead, trail) for the packed pairs (lead, trail) under
+    `order`, whose packing this is.  An element whose lead does not lead
+    raises InvariantViolation: its reduction need not end."""
+    key = packing.key
+    keyed = []
+    for lead, trail in pairs:
+        lead_key = key(lead)
+        if lead_key <= key(trail):
+            g = Binomial(packing.unpack(lead), packing.unpack(trail))
+            raise InvariantViolation(f"misoriented {g} under {order.name}")
+        keyed.append((lead_key, lead, trail))
+    return keyed
 
 
 def reduce_basis(gens: Iterable[Binomial], order: TermOrder) -> tuple[Binomial, ...]:
@@ -293,14 +340,8 @@ def reduce_basis(gens: Iterable[Binomial], order: TermOrder) -> tuple[Binomial, 
     gens = list(gens)
     _check_homogeneous(gens)
     packing = _Packing(order.nvars, max([0] + [sum(g.lead) for g in gens]), order.weights)
-    keyed: list[tuple[int, int, int]] = []
-    for g in gens:
-        lead, trail = packing.pack(g.lead), packing.pack(g.trail)
-        lead_key = packing.key(lead)
-        if lead_key <= packing.key(trail):
-            raise InvariantViolation(f"misoriented {g} under {order.name}")
-        keyed.append((lead_key, lead, trail))
-    return _interreduce(packing, keyed)
+    pairs = [(packing.pack(g.lead), packing.pack(g.trail)) for g in gens]
+    return _unpack(packing, _interreduce(packing, _keyed(packing, pairs, order)))
 
 
 # -- integer kernel of the bidegree matrix ---------------------------------------
@@ -416,13 +457,13 @@ def toric_ideal(seq: CurveSequence, cap: int | None = None) -> GroebnerBasis:
     """Reduced degrevlex Groebner basis of the vanishing ideal I(C) = I_L, L the
     kernel lattice of `lattice_basis`.
 
-    Saturation, one pass for each of x_2, ..., x_{n+1}: move x_i to the last
-    coordinate (the others keep their order), compute a degrevlex Groebner
-    basis, divide each element by the largest power of its last variable and
-    move x_i back.  Degrevlex with x_i last is the order of Sturmfels' Lemma
-    12.1 (Groebner Bases and Convex Polytopes): the divided basis is a
-    Groebner basis of the saturation by x_i in that order.  The x_{n+1} pass
-    needs no move, so interreducing its output gives the reduced basis.
+    Saturation, one pass for each of x_2, ..., x_{n+1}: with x_i the last
+    variable (the others keep their order), compute a degrevlex Groebner
+    basis and divide each element by the largest power of its last variable.
+    Degrevlex with x_i last is the order of Sturmfels' Lemma 12.1 (Groebner
+    Bases and Convex Polytopes): the divided basis is a Groebner basis of the
+    saturation by x_i in that order.  The x_{n+1} pass has x_{n+1} last, the
+    order of the result, so interreducing its output gives the reduced basis.
 
     x_1 needs no pass.  Let x^u - x^v have u - v in L and invert every
     variable but x_1.  A path of +-(lattice basis) steps from v to u can take
@@ -431,6 +472,23 @@ def toric_ideal(seq: CurveSequence, cap: int | None = None) -> GroebnerBasis:
     generator.  Hence I_B : (x_2 ... x_{n+1})^inf = I_L for the lattice-basis
     ideal I_B.  `cap` bounds the Buchberger degrees (None: the default
     4 (m_n + n)); the basis carries it.
+
+    Every pass runs the packed kernel `_buchberger` on ints of one
+    `_Packing`, and monomials are tuples only in the lattice basis and the
+    result.  The lattice binomials are homogeneous: row 2 of the bidegree
+    matrix is m_n (1, ..., 1) minus row 1, so every v in L has sum 0; this
+    is checked once, here.  The packing's top is max(cap, generator degrees),
+    the width every pass would get on its own: the x_2 pass raises
+    DegreeCapExceeded on any lattice binomial above the cap (they are
+    independent, so none reduces to zero), and the basis it passes on has
+    degrees at most the cap.  Layout i, the fields of the x_i pass, holds the
+    variables in order with x_i moved last; counting fields from 1 like the
+    variables, field i holds x_{i+1}.  The lattice basis is packed once in
+    layout 2.  After the x_i pass the division takes
+    min(lead >> last, trail >> last) << last from both sides, and swapping
+    field i with the last field puts x_i back in field i and x_{i+1} last:
+    layout i + 1.  Layout n + 1, where field n + 1 is the last, is the
+    identity.
     """
     n = seq.n
     nv = n + 1
@@ -438,21 +496,23 @@ def toric_ideal(seq: CurveSequence, cap: int | None = None) -> GroebnerBasis:
         cap = 4 * (seq.mn + n)
     plain = TermOrder(nv)
     # v = v+ - v-; the first pass orients each
-    current = [Binomial(tuple(max(x, 0) for x in v), tuple(max(-x, 0) for x in v))
-               for v in lattice_basis(seq)]
+    gens = [Binomial(tuple(max(x, 0) for x in v), tuple(max(-x, 0) for x in v))
+            for v in lattice_basis(seq)]
+    _check_homogeneous(gens)
+    packing = _Packing(nv, max([cap, 0] + [g.degree for g in gens]), plain.weights)
+    pack, swap, last = packing.pack, packing.swap, packing.last
+    pairs = [(pack(g.lead[:1] + g.lead[2:] + g.lead[1:2]),  # layout 2: x_2 last
+              pack(g.trail[:1] + g.trail[2:] + g.trail[1:2])) for g in gens]
+    for i in range(1, nv):  # saturate x_{i+1}, held last; field i (from 0) holds x_{i+2}
+        pairs = _buchberger(packing, pairs, cap)
+        divided = []
+        for a, b in pairs:
+            k = min(a >> last, b >> last) << last
+            divided.append((swap(a - k, i), swap(b - k, i)))  # i = n: field i is the last
+        pairs = divided
 
-    for i in range(1, nv):
-        # x_i last, the others in order: the identity for i = n (x_{n+1})
-        gb = buchberger([Binomial(g.lead[:i] + g.lead[i + 1:] + g.lead[i:i + 1],
-                                  g.trail[:i] + g.trail[i + 1:] + g.trail[i:i + 1])
-                         for g in current], plain, cap)
-        current = []
-        for g in gb.elements:
-            k = min(g.lead[-1], g.trail[-1])
-            current.append(Binomial(g.lead[:i] + (g.lead[-1] - k,) + g.lead[i:-1],
-                                    g.trail[:i] + (g.trail[-1] - k,) + g.trail[i:-1]))
-
-    final = GroebnerBasis(plain, reduce_basis(current, plain), cap)
+    final = GroebnerBasis(plain, _unpack(packing, _interreduce(
+        packing, _keyed(packing, pairs, plain))), cap)
     for g in final.elements:
         if not is_member_binomial(seq, g):
             raise InvariantViolation(f"non-member {g} in toric basis for ({seq})")

@@ -266,7 +266,10 @@ def hs_numerator(ideal: MonomialIdeal) -> tuple[int, ...]:
 def _standard_monomials(gens: tuple[Monomial, ...], nvars: int) -> list[Monomial]:
     """All standard monomials of an artinian monomial ideal, in the order of
     the grid itertools.product(range(b_1), ..., range(b_nvars)) that the
-    variables' least pure powers x_i^{b_i} bound."""
+    variables' least pure powers x_i^{b_i} bound.  The unit ideal (a zero
+    generator) has none: R/<1> = 0."""
+    if not all(map(any, gens)):
+        return []
     bounds = [min((g[i] for g in gens if g[i] == sum(g) > 0), default=None)
               for i in range(nvars)]
     if None in bounds:

@@ -75,6 +75,10 @@ class GeneralizedSweep:
         # the family needs h >= 2; h <= 0 would also stall generalized_instances
         if any(h < 2 for h in self.h_values):
             raise ValueError(f"the generalized family needs h >= 2, got h = {self.h_values}")
+        # a repeated h would run and count each of its instances again
+        if len(set(self.h_values)) < len(self.h_values):
+            raise ValueError(
+                f"the generalized family needs distinct h values, got h = {self.h_values}")
 
 
 @dataclass(frozen=True)

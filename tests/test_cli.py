@@ -199,6 +199,7 @@ class TestSweep:
     def test_bad_bounds_are_usage_errors(self, capsys):
         for flags in (["--family", "generalized", "--h", "1"],
                       ["--family", "generalized", "--h", "2,1"],
+                      ["--family", "generalized", "--h", "2,2"],
                       ["--family", "n3", "--max-mn", "0"],
                       ["--family", "arithmetic", "--max-mn", "-4"],
                       ["--family", "n3", "--max-mn", "5", "--jobs", "0"],

@@ -216,10 +216,11 @@ class TestPairCriteria:
             _binomials(3, "x1 - x3", "x2*x3^2 - x3^3"))
 
 
-def _outcome(run, gens, order, cap):
-    """The basis a kernel returns, or the message of its DegreeCapExceeded."""
+def _outcome(run, *args):
+    """The basis a kernel or a saturation returns, or the message of its
+    DegreeCapExceeded."""
     try:
-        return run(gens, order, cap).elements
+        return run(*args).elements
     except DegreeCapExceeded as exc:
         return f"DegreeCapExceeded: {exc}"
 
@@ -272,14 +273,13 @@ class TestPackedKernel:
         with pytest.raises(InvariantViolation, match="non-homogeneous x1\\^2 - x2"):
             reduce_basis(gens, TermOrder(3))
 
-    def test_degree_500_elements(self, monkeypatch):
-        # 1,500,1000: toric elements of degree 500 (the cap 4012 sets top: fields of 15 bits)
+    def test_degree_500_elements(self):
+        # 1,500,1000: toric elements of degree 500, and 666 in the x_2 pass
+        # (the cap 4012 sets top: fields of 15 bits)
         seq = CurveSequence((1, 500, 1000))
         gb = toric_ideal(seq)
         assert max(g.degree for g in gb.elements) == 500
-        monkeypatch.setattr(grobner, "buchberger", tuple_kernel.buchberger)
-        monkeypatch.setattr(grobner, "reduce_basis", tuple_kernel.reduce_basis)
-        assert toric_ideal(seq) == gb
+        assert gb == _toric_ideal_by_tuples(seq)
 
     @pytest.mark.parametrize("cap", [7, 8, 9, 16])
     def test_generator_of_degree_top(self, cap):
@@ -314,6 +314,25 @@ class TestPackedKernel:
         for k in range(1, 6):
             assert _outcome(buchberger, gb.elements, _block(6, k), gb.cap) == _outcome(
                 tuple_kernel.buchberger, gb.elements, _block(6, k), gb.cap), k
+
+    @given(nv=st.integers(2, 6), top=st.sampled_from([0, 1, 2, 3, 4, 5, 7, 8, 16, 21, 500]),
+           data=st.data())
+    @settings(max_examples=400)
+    def test_layout_step_matches_the_tuples(self, nv, top, data):
+        # toric_ideal's step after the x_{i+1} pass (x_{i+1} last, field i
+        # counted from 0): divide by the last variable's power, then one field
+        # swap; the tuple loop divided, moved x_{i+1} back and moved x_{i+2} last
+        mono = st.tuples(*[st.integers(0, top)] * nv)
+        a, b = data.draw(mono), data.draw(mono)
+        i = data.draw(st.integers(1, nv - 1))
+        packing = grobner._Packing(nv, top, ())
+        pa, pb = packing.pack(a), packing.pack(b)
+        k = min(pa >> packing.last, pb >> packing.last)
+        assert k == min(a[-1], b[-1])
+        for m, p in ((a, pa), (b, pb)):
+            back = m[:i] + (m[-1] - k,) + m[i:-1]
+            moved = back[:i + 1] + back[i + 2:] + back[i + 1:i + 2]  # i = nv - 1: back
+            assert packing.unpack(packing.swap(p - (k << packing.last), i)) == moved
 
     def test_pair_over_the_cap_raises_as_before(self):
         with pytest.raises(DegreeCapExceeded, match="^S-pair degree 3 exceeds cap 2$"):
@@ -476,24 +495,76 @@ class TestToricIdeal:
         assert a.element_set() == b.element_set()
 
     def test_one_buchberger_run_per_variable(self, monkeypatch):
-        calls = []
+        made, runs = [], []  # (arguments, packing) of each _Packing; the packing of each run
+        packing_class, run = grobner._Packing, grobner._buchberger
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return buchberger(*args, **kwargs)
+        def packing(*args):
+            made.append((args, packing_class(*args)))
+            return made[-1][1]
 
-        monkeypatch.setattr(grobner, "buchberger", counting)
+        def counting(packing, gens, cap):
+            runs.append(packing)
+            return run(packing, gens, cap)
+
+        monkeypatch.setattr(grobner, "_Packing", packing)
+        monkeypatch.setattr(grobner, "_buchberger", counting)
         for m in [(1, 2, 3), (3, 5, 7), (5, 26, 32, 38), (10, 13, 16, 19, 22), (1, 2, 3, 4, 6)]:
-            calls.clear()
+            made.clear()
+            runs.clear()
             toric_ideal(CurveSequence(m))
-            # one run per saturated variable x_2 .. x_{n+1}, each under plain degrevlex
-            assert calls == [TermOrder(len(m) + 1)] * len(m), m
+            # one packing, and one packed run in it per saturated variable x_2 .. x_{n+1};
+            # its top is the default cap 4 (m_n + n), above every lattice binomial's degree
+            assert [args for args, _ in made] == [(len(m) + 1, 4 * (m[-1] + len(m)), ())], m
+            assert runs == [made[0][1]] * len(m), m
 
     def test_basis_carries_its_cap(self):
         s = parse_sequence("10,13,16,19,22")
         assert toric_ideal(s, cap=40).cap == 40
         assert toric_ideal(s).cap == 4 * (22 + 5)
         assert buchberger(TWISTED, TermOrder(4), 7).cap == 7
+
+
+def _toric_ideal_by_tuples(seq, cap=None):
+    """Reference: `toric_ideal`'s saturation passes on tuples, through the
+    tuple kernel.  Before the x_i pass each element moves x_i to the last
+    coordinate by slicing; after it each is divided by the largest power of
+    its last variable and x_i moves back."""
+    nv = seq.n + 1
+    if cap is None:
+        cap = 4 * (seq.mn + seq.n)
+    plain = TermOrder(nv)
+    current = [Binomial(tuple(max(x, 0) for x in v), tuple(max(-x, 0) for x in v))
+               for v in lattice_basis(seq)]
+    for i in range(1, nv):
+        gb = tuple_kernel.buchberger([Binomial(g.lead[:i] + g.lead[i + 1:] + g.lead[i:i + 1],
+                                               g.trail[:i] + g.trail[i + 1:] + g.trail[i:i + 1])
+                                      for g in current], plain, cap)
+        current = []
+        for g in gb.elements:
+            k = min(g.lead[-1], g.trail[-1])
+            current.append(Binomial(g.lead[:i] + (g.lead[-1] - k,) + g.lead[i:-1],
+                                    g.trail[:i] + (g.trail[-1] - k,) + g.trail[i:-1]))
+    return grobner.GroebnerBasis(plain, tuple_kernel.reduce_basis(current, plain), cap)
+
+
+@st.composite
+def curves_and_caps(draw):
+    """n = 2..5, m_n <= 30 and an explicit cap from 1 to m_n + 4: about half
+    the draws raise, at a generator or an S-pair of some pass."""
+    m = draw(st.lists(st.integers(1, 30), min_size=2, max_size=5, unique=True))
+    return CurveSequence(tuple(sorted(m))), draw(st.integers(1, max(m) + 4))
+
+
+class TestPackedSaturation:
+    """`toric_ideal`'s passes in one packing give what the tuple loop gives."""
+
+    @given(curve=curves_and_caps())
+    @settings(max_examples=300)
+    @example(curve=(CurveSequence((1, 2, 3)), 1))  # a lattice binomial over the cap
+    @example(curve=(CurveSequence((1, 2, 3)), 3))  # an S-pair over the cap in the x_3 pass
+    def test_same_basis_or_same_cap_error_as_the_tuple_loop(self, curve):
+        seq, cap = curve
+        assert _outcome(toric_ideal, seq, cap) == _outcome(_toric_ideal_by_tuples, seq, cap)
 
 
 def _toric_ideal_every_variable(seq):

@@ -376,8 +376,10 @@ class TestLastStep:
 def _standard_monomials_by_grid(gens, nvars):
     """Reference for the staircase walk: the points of the grid that the least
     pure powers x_i^{b_i} bound, in itertools.product order, that no
-    generator divides; the walk's NonTerminating checks, at the current
-    _GRID_CAP."""
+    generator divides; none for the unit ideal; the walk's NonTerminating
+    checks, at the current _GRID_CAP."""
+    if any(not any(g) for g in gens):
+        return []
     bounds = [min((g[i] for g in gens if g[i] == sum(g) > 0), default=None)
               for i in range(nvars)]
     if None in bounds:
@@ -451,11 +453,11 @@ def _generator_sets(draw, nvars, free=0, artinian=True):
 
 @st.composite
 def _initial_ideal_shapes(draw):
-    """Proper ideals shaped like in(I(C)) on x_1..x_{n+1}: 3 to 6 variables,
-    no generator holding x_{n+1}, a pure power of each of x_1..x_{n-1}, and
-    x_n free."""
+    """Ideals shaped like in(I(C)) on x_1..x_{n+1}: 3 to 6 variables, no
+    generator holding x_{n+1}, a pure power of each of x_1..x_{n-1}, and x_n
+    free; the unit ideal included."""
     nvars, gens = draw(_generator_sets(st.integers(2, 5), free=1))
-    return MonomialIdeal.from_gens(nvars + 1, [g + (0,) for g in gens if any(g)])
+    return MonomialIdeal.from_gens(nvars + 1, [g + (0,) for g in gens])
 
 
 # in(I(C)) of 5,26,32,38: not Cohen-Macaulay, with b = 1
@@ -501,7 +503,7 @@ class TestArtinianWalk:
             last_step_check(ini, 6)
 
     @given(ideal=_generator_sets(st.integers(3, 6), free=2))
-    @example(ideal=(3, ((0, 0, 0), (2, 0, 0))))  # the unit ideal
+    @example(ideal=(3, ((0, 0, 0), (2, 0, 0))))  # the unit ideal: last_step_check(unit, -1)
     @example(ideal=(4, ((2, 0, 0, 0), (0, 3, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0))))
     @settings(max_examples=200)
     def test_last_step_is_the_scan_on_random_ideals(self, ideal):
@@ -527,6 +529,7 @@ class TestArtinianWalk:
     @example(ideal=MonomialIdeal.from_gens(4, [(2, 0, 0, 0), (0, 3, 0, 0), (1, 1, 0, 0)]))  # b = 0
     @example(ideal=MonomialIdeal.from_gens(3, [(3, 0, 0), (1, 2, 0), (0, 4, 0)]))  # n = 2
     @example(ideal=NON_CM_B1)
+    @example(ideal=MonomialIdeal.from_gens(4, [(0, 0, 0, 0)]))  # the unit ideal: no jump term
     @settings(max_examples=200)
     def test_jump_term_is_the_search(self, ideal):
         assert hs_general_split(ideal)[1] == _jump_term_by_search(ideal)

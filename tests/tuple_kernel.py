@@ -4,8 +4,10 @@ The package's kernel (`mcurve.grobner.buchberger`, `reduce_basis`) packs each
 monomial into one int.  This is the same algorithm on plain tuples, with the
 order read from `TermOrder.key`: the same normal form, the same
 Gebauer-Moeller criteria, the same pair selection and the same cap checks in
-the same sequence.  The tests compare the two, so it must stay a reference
-only.  It needs no homogeneous input.
+the same sequence.  The tests compare the two, and `toric_ideal` with the
+tuple saturation loop built on this one (`_toric_ideal_by_tuples` in
+test_grobner.py), so it must stay a reference only.  It needs no
+homogeneous input.
 """
 
 import heapq
