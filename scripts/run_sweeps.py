@@ -3,8 +3,8 @@
 
 Usage: python scripts/run_sweeps.py [--jobs N] [--out-dir DIR]
 
-Each family runs at its default bound on m_n, the config default in
-`mcurve.sweeps`; the random family draws 100 sequences with seed 0.
+Every family of `mcurve.sweeps.FAMILIES` runs at its config default; the
+random family draws 100 sequences with seed 0.
 
 The Buchberger degree cap comes from the MCURVE_CAP_DEGREE environment
 variable (default 4 (m_n + n) per curve).
@@ -15,14 +15,10 @@ import pathlib
 import sys
 
 from mcurve.cli import main
+from mcurve.sweeps import FAMILIES
 
-SWEEPS = [
-    ("arithmetic", ["--family", "arithmetic"]),
-    ("generalized", ["--family", "generalized"]),
-    ("n3", ["--family", "n3"]),
-    ("n4", ["--family", "n4"]),
-    ("random", ["--family", "random", "--count", "100", "--seed", "0"]),
-]
+# flags beyond a family's config default
+FLAGS = {"random": ["--count", "100", "--seed", "0"]}
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser()
@@ -33,8 +29,9 @@ if __name__ == "__main__":
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(exist_ok=True)
     rc = 0
-    for name, flags in SWEEPS:
+    for name in FAMILIES:
         out = out_dir / f"sweep_{name}.jsonl"
         print(f"== {name} -> {out}")
-        rc |= main(["sweep", *flags, "--jobs", str(args.jobs), "--out", str(out)])
+        rc |= main(["sweep", "--family", name, *FLAGS.get(name, []),
+                    "--jobs", str(args.jobs), "--out", str(out)])
     sys.exit(rc)

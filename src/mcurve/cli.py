@@ -3,7 +3,10 @@
 Subcommands: ``invariants`` (one-shot report, optionally verifying closed
 forms against the oracle), ``gb`` (print / diff Groebner bases), ``hilbert``
 (Hilbert-function table, formula vs counting), ``sweep`` (family
-verification runs, JSONL output).
+verification runs, JSONL output).  ``sweep`` reads its families from
+``sweeps.FAMILIES``; each of --max-mn, --h, --count and --seed sets one field
+of the chosen family's config (SWEEP_FLAGS), and a flag whose field that config
+lacks is a usage error.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 The MCURVE_CAP_DEGREE environment variable overrides the Buchberger degree
@@ -22,7 +25,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 from . import sweeps
 from .arith_forms import (
@@ -323,40 +326,13 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
     return 1 if mismatch else 0
 
 
-class SweepFamily(NamedTuple):
-    """A sweep family: its config from the arguments, at the config's default
-    bound on m_n; the config field that `--max-mn` sets instead; the instances
-    of a config; and the per-instance checker."""
-
-    config: Callable[[argparse.Namespace], Any]
-    bound: str
-    instances: Callable[[Any], Iterable[CurveSequence]]
-    check: Callable[[CurveSequence, int | None], dict[str, bool]]
+# the sweep flags that set a config field: field -> flag; a family takes a
+# flag when its config has the field
+SWEEP_FLAGS = {"max_mn": "--max-mn", "h_values": "--h", "count": "--count", "seed": "--seed"}
 
 
-def _given(**fields: Any) -> dict[str, Any]:
-    """The config fields an argument sets; the others keep their config default."""
-    return {name: value for name, value in fields.items() if value is not None}
-
-
-SWEEP_FAMILIES = {
-    "arithmetic": SweepFamily(
-        lambda args: sweeps.ArithmeticSweep(), "max_mn",
-        sweeps.arithmetic_instances, sweeps.check_arithmetic_instance),
-    "generalized": SweepFamily(
-        lambda args: sweeps.GeneralizedSweep(**_given(
-            h_values=tuple(int(x) for x in args.h.split(",")) if args.h else None)), "max_mn",
-        sweeps.generalized_instances, sweeps.check_generalized_instance),
-    "n3": SweepFamily(
-        lambda args: sweeps.KoszulN3Sweep(), "max_m3",
-        lambda cfg: sweeps.koszul_instances(3, cfg.max_m3), sweeps.check_koszul_n3_instance),
-    "n4": SweepFamily(
-        lambda args: sweeps.KoszulN4Sweep(), "max_m4",
-        lambda cfg: sweeps.koszul_instances(4, cfg.max_m4), sweeps.check_koszul_n4_instance),
-    "random": SweepFamily(
-        lambda args: sweeps.RandomSweep(**_given(count=args.count, seed=args.seed)), "max_mn",
-        sweeps.random_instances, sweeps.check_random_instance),
-}
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
 
 
 def _run_one(payload: tuple[str, tuple[int, ...], int | None]) -> dict:
@@ -364,7 +340,7 @@ def _run_one(payload: tuple[str, tuple[int, ...], int | None]) -> dict:
     seq = CurveSequence(m)
     started = time.perf_counter()
     try:
-        checks = SWEEP_FAMILIES[family].check(seq, cap)
+        checks = sweeps.FAMILIES[family].check(seq, cap)
         ok = all(checks.values())
         record = {"seq": list(m), "ok": ok, "checks": checks}
     except McurveError as exc:
@@ -375,14 +351,17 @@ def _run_one(payload: tuple[str, tuple[int, ...], int | None]) -> dict:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cap = _cap_from(args)
-    family = SWEEP_FAMILIES[args.family]
+    family = sweeps.FAMILIES[args.family]
     if args.max_mn is not None and args.max_mn < 1:
         raise ValueError(f"--max-mn must be at least 1, got {args.max_mn}")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    cfg = family.config(args)
-    if args.max_mn is not None:
-        cfg = dataclasses.replace(cfg, **{family.bound: args.max_mn})
+    given = {name: getattr(args, name) for name in SWEEP_FLAGS if getattr(args, name) is not None}
+    taken = {f.name for f in dataclasses.fields(family.config)}
+    for name in given:
+        if name not in taken:
+            raise ValueError(f"the {args.family} family takes no {SWEEP_FLAGS[name]}")
+    cfg = family.config(**given)
     payloads = [(args.family, s.m, cap) for s in family.instances(cfg)]
     # a fork pool starts all its workers at once: no more than there are instances
     workers = min(args.jobs, len(payloads))
@@ -406,8 +385,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "failures": failures,
             }
         }
-        if args.family == "random":
-            summary["summary"]["seed"] = cfg.seed
         out.write(json.dumps(summary, sort_keys=True) + "\n")
     return 1 if failures else 0
 
@@ -451,11 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a family verification sweep (JSONL)")
     add_common(p, sequence=False)
-    p.add_argument("--family", required=True, choices=list(SWEEP_FAMILIES))
+    p.add_argument("--family", required=True, choices=list(sweeps.FAMILIES))
     p.add_argument("--max-mn", type=int, default=None,
                    help="bound on the largest term m_n (default: the family's config "
                         "default in mcurve.sweeps, shown in the summary line)")
-    p.add_argument("--h", default=None,
+    p.add_argument("--h", dest="h_values", type=_int_list, default=None, metavar="H",
                    help="comma-separated h values, each at least 2 (generalized family)")
     p.add_argument("--seed", type=int, default=None, help="seed of the random family")
     p.add_argument("--count", type=int, default=None, help="instances for the random family")

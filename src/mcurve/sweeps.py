@@ -3,7 +3,9 @@ Buchberger oracle.
 
 Each checker returns a dict of named boolean results (one per verified
 claim); an instance passes when all are true.  The same checkers back the
-acceptance suite and the ``mcurve sweep`` command.
+acceptance suite and the ``mcurve sweep`` command, which reads its families
+from FAMILIES: per family, a config whose fields are exactly what a caller may
+set (every family bounds m_n by max_mn), its instances and its checker.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .arith_forms import (
     betti1_arithmetic,
@@ -59,16 +61,12 @@ from .seq import CurveSequence, arithmetic_profile, generalized_profile, min_mul
 
 @dataclass(frozen=True)
 class ArithmeticSweep:
-    n_values: tuple[int, ...] = (2, 3, 4, 5, 6)
-    d_values: tuple[int, ...] = (1, 2, 3, 4, 5)
     max_mn: int = 30
 
 
 @dataclass(frozen=True)
 class GeneralizedSweep:
     h_values: tuple[int, ...] = (2, 3)
-    e_values: tuple[int, ...] = (1, 2, 3)  # d = h * e
-    n_values: tuple[int, ...] = (3, 4, 5, 6)
     max_mn: int = 60
 
     def __post_init__(self) -> None:
@@ -83,18 +81,17 @@ class GeneralizedSweep:
 
 @dataclass(frozen=True)
 class KoszulN3Sweep:
-    max_m3: int = 12
+    max_mn: int = 12
 
 
 @dataclass(frozen=True)
 class KoszulN4Sweep:
-    max_m4: int = 10
+    max_mn: int = 10
 
 
 @dataclass(frozen=True)
 class RandomSweep:
     count: int = 50
-    max_n: int = 5
     max_mn: int = 25
     seed: int = 0
 
@@ -106,8 +103,9 @@ class RandomSweep:
 
 
 def arithmetic_instances(cfg: ArithmeticSweep) -> Iterator[CurveSequence]:
-    for n in cfg.n_values:
-        for d in cfg.d_values:
+    """m_i = m_1 + (i - 1) d with gcd(m_1, d) = 1, for n <= 6 and d <= 5."""
+    for n in range(2, 7):
+        for d in range(1, 6):
             m1 = 1
             while m1 + (n - 1) * d <= cfg.max_mn:
                 if math.gcd(m1, d) == 1:
@@ -116,9 +114,11 @@ def arithmetic_instances(cfg: ArithmeticSweep) -> Iterator[CurveSequence]:
 
 
 def generalized_instances(cfg: GeneralizedSweep) -> Iterator[CurveSequence]:
-    for n in cfg.n_values:
+    """m_1 and m_i = h m_1 + (i - 1) d for i >= 2, with d = h e, gcd(m_1, d) = 1,
+    3 <= n <= 6 and e <= 3."""
+    for n in range(3, 7):
         for h in cfg.h_values:
-            for e in cfg.e_values:
+            for e in range(1, 4):
                 d = h * e
                 m1 = 1
                 while h * m1 + (n - 1) * d <= cfg.max_mn:
@@ -136,9 +136,10 @@ def koszul_instances(n: int, max_mn: int) -> Iterator[CurveSequence]:
 
 
 def random_instances(cfg: RandomSweep) -> Iterator[CurveSequence]:
+    """`count` seeded draws of n <= 5 distinct terms up to max_mn."""
     rng = random.Random(cfg.seed)
     for _ in range(cfg.count):
-        n = rng.randint(2, min(cfg.max_n, cfg.max_mn))
+        n = rng.randint(2, min(5, cfg.max_mn))
         values = rng.sample(range(1, cfg.max_mn + 1), n)
         yield CurveSequence(tuple(sorted(values)))
 
@@ -267,3 +268,23 @@ def check_random_instance(seq: CurveSequence, cap: int | None = None) -> dict[st
         "witness_implies_not_cm": (witness is None) or (not cm),
         "cm_implies_zero_correction": (not cm) or corr == (),
     }
+
+
+class Family(NamedTuple):
+    """A sweep family: its config type, the instances of a config, and the
+    per-instance checker."""
+
+    config: type
+    instances: Callable[[Any], Iterator[CurveSequence]]
+    check: Callable[[CurveSequence, int | None], dict[str, bool]]
+
+
+FAMILIES = {
+    "arithmetic": Family(ArithmeticSweep, arithmetic_instances, check_arithmetic_instance),
+    "generalized": Family(GeneralizedSweep, generalized_instances, check_generalized_instance),
+    "n3": Family(KoszulN3Sweep, lambda cfg: koszul_instances(3, cfg.max_mn),
+                 check_koszul_n3_instance),
+    "n4": Family(KoszulN4Sweep, lambda cfg: koszul_instances(4, cfg.max_mn),
+                 check_koszul_n4_instance),
+    "random": Family(RandomSweep, random_instances, check_random_instance),
+}

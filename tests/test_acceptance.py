@@ -138,10 +138,9 @@ def test_elimination_restriction_counterexamples():
 
 def test_arithmetic_family_sweep():
     started = time.perf_counter()
-    cfg = sweeps.ArithmeticSweep(n_values=(2, 3, 4, 5, 6), d_values=(1, 2, 3, 4, 5), max_mn=30)
     failures = []
     count = 0
-    for s in sweeps.arithmetic_instances(cfg):
+    for s in sweeps.arithmetic_instances(sweeps.ArithmeticSweep()):
         count += 1
         checks = sweeps.check_arithmetic_instance(s)
         if not all(checks.values()):
@@ -153,16 +152,14 @@ def test_arithmetic_family_sweep():
 
 def test_generalized_family_sweep():
     started = time.perf_counter()
-    cfg = sweeps.GeneralizedSweep(h_values=(2, 3), e_values=(1, 2, 3),
-                                  n_values=(3, 4, 5, 6), max_mn=60)
     failures = []
     count = 0
-    for s in sweeps.generalized_instances(cfg):
+    for s in sweeps.generalized_instances(sweeps.GeneralizedSweep()):
         count += 1
         checks = sweeps.check_generalized_instance(s)
         if not all(checks.values()):
             failures.append((s.m, [k for k, v in checks.items() if not v]))
-    assert count > 0
+    assert count == 216
     assert not failures, failures
     _report(f"generalized sweep ({count} instances)", started)
 

@@ -168,7 +168,7 @@ class TestSweep:
         assert main(["sweep", "--family", "n4", "--max-mn", "6"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         summary = json.loads(lines[-1])["summary"]
-        assert summary["config"] == {"max_m4": 6} and summary["failures"] == 0
+        assert summary["config"] == {"max_mn": 6} and summary["failures"] == 0
         assert max(json.loads(line)["seq"][-1] for line in lines[:-1]) == 6
 
     def test_random_sweep_seeded(self, capsys, tmp_path):
@@ -177,7 +177,8 @@ class TestSweep:
                      "--seed", "3", "--out", str(out_file)]) == 0
         lines = out_file.read_text().strip().splitlines()
         summary = json.loads(lines[-1])["summary"]
-        assert summary["seed"] == 3 and summary["instances"] == 5
+        assert summary["config"] == {"count": 5, "max_mn": 25, "seed": 3}
+        assert summary["instances"] == 5
 
     def test_arithmetic_sweep_small(self, capsys):
         assert main(["sweep", "--family", "arithmetic", "--max-mn", "8"]) == 0
@@ -211,8 +212,28 @@ class TestSweep:
             captured = capsys.readouterr()
             assert captured.out == "" and "usage error" in captured.err
 
+    @pytest.mark.parametrize("family, flag", [
+        ("arithmetic", "--h"), ("arithmetic", "--count"), ("arithmetic", "--seed"),
+        ("generalized", "--count"), ("generalized", "--seed"),
+        ("n3", "--h"), ("n3", "--count"), ("n3", "--seed"),
+        ("n4", "--h"), ("n4", "--count"), ("n4", "--seed"),
+        ("random", "--h"),
+    ])
+    def test_flag_the_family_does_not_take_is_a_usage_error(self, capsys, family, flag):
+        # such a flag was once dropped without a word, and the sweep exited 0
+        assert main(["sweep", "--family", family, "--max-mn", "5", flag, "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: the {family} family takes no {flag}\n"
+
+    def test_every_config_field_has_a_flag(self):
+        # a config holds only what a caller may set, so mcurve sweep reaches every field
+        for name, family in sweeps.FAMILIES.items():
+            fields = {f.name for f in dataclasses.fields(family.config)}
+            assert "max_mn" in fields and fields <= set(cli.SWEEP_FLAGS), name
+
     def test_random_max_mn_below_max_n(self, capsys):
-        # n is drawn from 2..min(max_n, max_mn): a bound under max_n = 5 still samples
+        # n is drawn from 2..min(5, max_mn): a bound under 5 still samples
         assert main(["sweep", "--family", "random", "--max-mn", "3", "--count", "5"]) == 0
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()[:-1]]
         assert len(records) == 5
@@ -252,8 +273,8 @@ class TestSweep:
     def test_default_config_is_the_dataclass_default(self, capsys, monkeypatch, family, default):
         # the default bound on m_n is written once, in sweeps.py, which the
         # benchmark pools read too; no instance runs
-        monkeypatch.setitem(cli.SWEEP_FAMILIES, family,
-                            cli.SWEEP_FAMILIES[family]._replace(instances=lambda cfg: []))
+        monkeypatch.setitem(sweeps.FAMILIES, family,
+                            sweeps.FAMILIES[family]._replace(instances=lambda cfg: []))
         assert main(["sweep", "--family", family]) == 0
         summary = json.loads(capsys.readouterr().out)["summary"]
         assert summary["config"] == json.loads(json.dumps(dataclasses.asdict(default)))
@@ -282,8 +303,8 @@ class TestExitCodes:
             reason="the patched family table reaches pool workers only by fork")),
     ])
     def test_sweep_records_an_internal_failure(self, capsys, monkeypatch, jobs):
-        monkeypatch.setitem(cli.SWEEP_FAMILIES, "n3",
-                            cli.SWEEP_FAMILIES["n3"]._replace(check=_failing_n3_check))
+        monkeypatch.setitem(sweeps.FAMILIES, "n3",
+                            sweeps.FAMILIES["n3"]._replace(check=_failing_n3_check))
         assert main(["sweep", "--family", "n3", "--max-mn", "5", "--jobs", jobs]) == 1
         lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         failed = [r for r in lines[:-1] if not r["ok"]]
