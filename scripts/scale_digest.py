@@ -53,7 +53,7 @@ if __name__ == "__main__":
             answer, size = f"{type(exc).__name__}: {exc}", type(exc).__name__
         else:
             seconds = time.process_time() - start
-            answer, size = repr((gb.elements, gb.cap)), f"{len(gb)} elements"
+            answer, size = repr((gb.elements, gb.cap)), f"{len(gb.elements)} elements"
         total += seconds
         digest.update(f"{','.join(map(str, m))} | {lattice_basis(seq)!r} | {answer}\n".encode())
         print(f"{','.join(map(str, m)):<40} {seconds:7.3f} s  {size}")

@@ -10,7 +10,7 @@ membership-checked against the bidegree kernel test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvariantViolation
 from .monideal import IrreducibleComponent, IrreducibleDecomposition, _trim
@@ -101,8 +101,7 @@ def reg_arithmetic(prof: ArithmeticProfile) -> int:
     return reg
 
 
-@dataclass(frozen=True)
-class ArithHilbert:
+class ArithHilbert(NamedTuple):
     """Hilbert data of the coordinate ring of an arithmetic-sequence curve.
 
     hs_numerator is the numerator over (1-t)^2; the Hilbert polynomial is

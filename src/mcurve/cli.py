@@ -10,22 +10,23 @@ lacks is a usage error.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 The MCURVE_CAP_DEGREE environment variable overrides the Buchberger degree
-cap of the toric basis; --cap-degree wins over the environment.  Every run
-made from that basis (Koszul witnesses, gb --order) stays under its cap.
+cap of the toric basis; --cap-degree wins over the environment, and a cap
+below 1 is a usage error.  Every run made from that basis (Koszul witnesses,
+gb --order) stays under its cap.
+
+argparse and the process pool load only when a command needs them (a parsed
+command line; sweep --jobs N > 1): a one-curve command spends longer starting
+than computing.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import dataclasses
 import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import sweeps
 from .arith_forms import (
@@ -66,36 +67,39 @@ from .poly import Binomial, TermOrder, format_binomial, parse_order
 from .seq import (ArithmeticProfile, CurveSequence, GeneralizedProfile, classify,
                   closed_profile, parse_sequence)
 
+if TYPE_CHECKING:  # argparse loads in build_parser, when a command line is parsed
+    import argparse
 
-@dataclass
-class InvariantReport:
+
+class InvariantReport(NamedTuple):
     """Aggregated invariants with per-field provenance.
 
     provenance values: "closed_form", "oracle", or "both-agree"; a field
     computed both ways is reported only when the two values match (a mismatch
-    aborts the command with exit code 1).
+    aborts the command with exit code 1).  None: not computed for this class.
     """
 
     sequence: tuple[int, ...]
     kind: str
     h: int | None
     d: int | None
-    cm: bool | None = None
-    cm_type: int | None = None
-    gorenstein: bool | None = None
-    complete_intersection: bool | None = None
-    regularity: int | None = None
-    hf_regularity: int | None = None
-    betti1: int | None = None
-    hs_numerator: tuple[int, ...] | None = None
-    hilbert_polynomial: tuple[int, int] | None = None
-    koszul_verdict: str | None = None
-    koszul_reason: str | None = None
-    provenance: dict[str, str] = field(default_factory=dict)
+    cm: bool | None
+    cm_type: int | None
+    gorenstein: bool | None
+    complete_intersection: bool | None
+    regularity: int | None
+    hf_regularity: int | None
+    betti1: int | None
+    hs_numerator: tuple[int, ...] | None
+    hilbert_polynomial: tuple[int, int] | None
+    koszul_verdict: str | None
+    koszul_reason: str | None
+    provenance: dict[str, str]
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
+        out = self._asdict()
         out["sequence"] = list(self.sequence)
+        out["provenance"] = dict(self.provenance)
         if self.hs_numerator is not None:
             out["hs_numerator"] = list(self.hs_numerator)
         if self.hilbert_polynomial is not None:
@@ -163,10 +167,17 @@ def closed_forms(prof: Profile | None) -> ClosedForms | None:
 
 
 def _cap_from(args: argparse.Namespace) -> int | None:
-    if args.cap_degree is not None:
-        return args.cap_degree
-    env = os.environ.get("MCURVE_CAP_DEGREE")
-    return int(env) if env else None
+    """The degree cap of --cap-degree, else of MCURVE_CAP_DEGREE, else None (the
+    default); a cap below 1 is a usage error."""
+    cap, source = args.cap_degree, "--cap-degree"
+    if cap is None:
+        env = os.environ.get("MCURVE_CAP_DEGREE")
+        if not env:
+            return None
+        cap, source = int(env), "MCURVE_CAP_DEGREE"
+    if cap < 1:
+        raise ValueError(f"{source} must be at least 1, got {cap}")
+    return cap
 
 
 def build_report(seq: CurveSequence, verify: bool, cap: int | None = None) -> InvariantReport:
@@ -174,8 +185,7 @@ def build_report(seq: CurveSequence, verify: bool, cap: int | None = None) -> In
     default) is computed once, when verifying or when no closed form applies,
     and the Koszul cascade reuses it."""
     cls = classify(seq)
-    report = InvariantReport(sequence=seq.m, kind=cls.kind, h=cls.h, d=cls.d)
-    prov = report.provenance
+    prov: dict[str, str] = {}
 
     def settle(name: str, closed, oracle) -> object:
         """Record a field computed one or both ways; raise on disagreement."""
@@ -196,50 +206,51 @@ def build_report(seq: CurveSequence, verify: bool, cap: int | None = None) -> In
     if verify or forms is None:
         gb = toric_ideal(seq, cap)
         ini = initial_ideal(gb)
+    oracle = gb is not None
     # built once: a generalized betti_1 counts it, and verifying compares it
     closed_gb = forms.gb(prof) if forms and (verify or isinstance(prof, GeneralizedProfile)) else None
 
     hil = forms.hilbert(prof) if forms else None
+    cm_type = gorenstein = complete_intersection = hf_regularity = betti1 = None
     if isinstance(prof, ArithmeticProfile):
-        report.cm = settle("cm", True, cm_via_initial(ini) if ini else None)
-        report.cm_type = settle("cm_type", cm_type_arithmetic(prof),
-                                cm_type_oracle(seq, ini) if ini else None)
-        report.gorenstein = settle("gorenstein", is_gorenstein(prof),
-                                   (report.cm_type == 1) if ini else None)
-        report.complete_intersection = settle(
-            "complete_intersection", is_complete_intersection(seq),
-            (len(gb) == seq.n - 1) if gb else None)
-        report.hf_regularity = settle("hf_regularity", hil.hf_reg, None)
-        report.betti1 = settle("betti1", betti1_arithmetic(prof), len(gb) if gb else None)
+        cm = settle("cm", True, cm_via_initial(ini) if oracle else None)
+        cm_type = settle("cm_type", cm_type_arithmetic(prof),
+                         cm_type_oracle(seq, ini) if oracle else None)
+        gorenstein = settle("gorenstein", is_gorenstein(prof), (cm_type == 1) if oracle else None)
+        complete_intersection = settle("complete_intersection", is_complete_intersection(seq),
+                                       (len(gb.elements) == seq.n - 1) if oracle else None)
+        hf_regularity = settle("hf_regularity", hil.hf_reg, None)
+        betti1 = settle("betti1", betti1_arithmetic(prof), len(gb.elements) if oracle else None)
     elif isinstance(prof, GeneralizedProfile):
-        report.cm = settle("cm", is_cm_generalized(seq),
-                           cm_via_initial(ini) if ini else None)
-        report.gorenstein = False if not report.cm else None
+        cm = settle("cm", is_cm_generalized(seq), cm_via_initial(ini) if oracle else None)
+        gorenstein = False if not cm else None
         prov["gorenstein"] = prov["cm"]
-        report.complete_intersection = settle(
+        complete_intersection = settle(
             "complete_intersection", is_complete_intersection(seq), None)
-        report.betti1 = settle("betti1", len(closed_gb), len(gb) if gb else None)
+        betti1 = settle("betti1", len(closed_gb), len(gb.elements) if oracle else None)
     else:
-        cm = cm_via_initial(ini)
-        report.cm = settle("cm", None, cm)
+        cm = settle("cm", None, cm_via_initial(ini))
         if cm:
-            report.cm_type = settle("cm_type", None, cm_type_oracle(seq, ini))
-            report.gorenstein = settle("gorenstein", None, report.cm_type == 1)
-    report.regularity = settle("regularity", forms.regularity(prof) if forms else None,
-                               reg_nested_type(ini) if ini else None)
-    report.hs_numerator = settle("hs_numerator", hil.hs_numerator if hil else None,
-                                 hs_numerator(ini) if ini else None)
-    report.hilbert_polynomial = settle(
+            cm_type = settle("cm_type", None, cm_type_oracle(seq, ini))
+            gorenstein = settle("gorenstein", None, cm_type == 1)
+    regularity = settle("regularity", forms.regularity(prof) if forms else None,
+                        reg_nested_type(ini) if oracle else None)
+    hs_num = settle("hs_numerator", hil.hs_numerator if hil else None,
+                    hs_numerator(ini) if oracle else None)
+    hilbert_polynomial = settle(
         "hilbert_polynomial", (hil.hp_slope, hil.hp_constant) if hil else None,
-        fitted_polynomial(ini, report.regularity) if ini else None)
+        fitted_polynomial(ini, regularity) if oracle else None)
     if verify and forms is not None and set(reduce_basis(closed_gb, gb.order)) != gb.element_set():
         raise Mismatch(f"groebner basis: closed form != oracle for ({seq})")
 
     status = koszul_status(seq, gb)
-    report.koszul_verdict = status.verdict
-    report.koszul_reason = status.reason
     prov["koszul"] = "oracle"
-    return report
+    return InvariantReport(
+        sequence=seq.m, kind=cls.kind, h=cls.h, d=cls.d, cm=cm, cm_type=cm_type,
+        gorenstein=gorenstein, complete_intersection=complete_intersection,
+        regularity=regularity, hf_regularity=hf_regularity, betti1=betti1,
+        hs_numerator=hs_num, hilbert_polynomial=hilbert_polynomial,
+        koszul_verdict=status.verdict, koszul_reason=status.reason, provenance=prov)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -281,7 +292,7 @@ def cmd_gb(args: argparse.Namespace) -> int:
             print(f"oracle only: {format_binomial(b)}")
         if only_closed or only_oracle:
             return 1
-        print(f"# diff empty: {len(oracle)} elements agree")
+        print(f"# diff empty: {len(oracle.elements)} elements agree")
         return 0
 
     if args.source == "closed":
@@ -357,9 +368,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     given = {name: getattr(args, name) for name in SWEEP_FLAGS if getattr(args, name) is not None}
-    taken = {f.name for f in dataclasses.fields(family.config)}
     for name in given:
-        if name not in taken:
+        if name not in family.config._fields:
             raise ValueError(f"the {args.family} family takes no {SWEEP_FLAGS[name]}")
     cfg = family.config(**given)
     payloads = [(args.family, s.m, cap) for s in family.instances(cfg)]
@@ -370,6 +380,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         out = stack.enter_context(open(args.out, "w")) if args.out else sys.stdout
         run = map
         if workers > 1:
+            # loaded here, not with the module: multiprocessing is most of a start-up
+            from concurrent.futures import ProcessPoolExecutor
             run = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
         # both maps yield in input order as results arrive: records stream out
         for record in run(_run_one, payloads):
@@ -380,7 +392,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         summary = {
             "summary": {
                 "family": args.family,
-                "config": dataclasses.asdict(cfg),
+                "config": cfg._asdict(),
                 "instances": written,
                 "failures": failures,
             }
@@ -390,6 +402,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="mcurve",
         description="Exact invariants of projective monomial curves defined by integer sequences.",

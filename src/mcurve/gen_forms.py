@@ -15,7 +15,7 @@ Both are pinned against the oracle's K-polynomial across the test sweeps.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith_forms import (ArithHilbert, _mono, _require_oriented_members, gb_arithmetic,
                           hilbert_arithmetic, irred_dec_arithmetic)
@@ -25,8 +25,7 @@ from .poly import Binomial, TermOrder
 from .seq import CurveSequence, GeneralizedProfile, generalized_class
 
 
-@dataclass(frozen=True)
-class NotCmWitness:
+class NotCmWitness(NamedTuple):
     """Subsequence m_{i_1} < ... < m_{i_l} = m_n with m_{i_j} = h m_{i_1} + (j-1)d,
     h > 1 and h m_{i_1} outside the sequence: forces a generator of the initial
     ideal involving x_n, hence a non-Cohen-Macaulay coordinate ring."""
@@ -132,8 +131,7 @@ def reg_generalized(prof: GeneralizedProfile) -> int:
     return prof.delta if prof.seq.m1 % (prof.seq.n - 1) == 0 else prof.delta - 1
 
 
-@dataclass(frozen=True)
-class GenHilbert:
+class GenHilbert(NamedTuple):
     """Hilbert data for the generalized case (h >= 2, h | d).
 
     hs_numerator is over (1-t)^2; gamma is the Hilbert-polynomial constant of

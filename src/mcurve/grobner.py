@@ -18,9 +18,8 @@ swapping two fields, and unpacks only the final basis.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from operator import mul
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import DegreeCapExceeded, InvariantViolation
 from .monideal import MonomialIdeal
@@ -34,12 +33,13 @@ from .poly import (
 from .seq import CurveSequence
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(NamedTuple):
     """Canonically sorted reduced Groebner basis of a binomial ideal.
 
     `cap` is the Buchberger degree cap the basis was computed under; every run
     made from this basis (quadric tests, other orders) runs under the same cap.
+    The basis has len(elements) elements: len() of the record counts its three
+    fields.
     """
 
     order: TermOrder
@@ -52,9 +52,6 @@ class GroebnerBasis:
 
     def element_set(self) -> frozenset[Binomial]:
         return frozenset(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
 
 class _Packing:

@@ -10,7 +10,7 @@ Outside all of these the honest verdict is "unknown".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GcdViolation, WrongN
 from .grobner import GroebnerBasis, has_quadratic_gb, is_generated_by_quadrics, toric_ideal
@@ -28,8 +28,7 @@ N4_KOSZUL = frozenset({
 KOSZUL_LISTS = {3: N3_KOSZUL, 4: N4_KOSZUL}
 
 
-@dataclass(frozen=True)
-class KoszulStatus:
+class KoszulStatus(NamedTuple):
     verdict: str  # "koszul" | "not_koszul" | "unknown"
     reason: str
 

@@ -15,9 +15,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import InvariantViolation, NonTerminating, NotCohenMacaulay, NotNestedType
 from .poly import Monomial, bidegree, mono_divides
@@ -35,12 +34,11 @@ def _minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
-    """Monomial ideal given by its inclusion-minimal generators."""
-
-    nvars: int
-    gens: tuple[Monomial, ...]
+class MonomialIdeal(NamedTuple("MonomialIdeal",
+                               [("nvars", int), ("gens", tuple[Monomial, ...])])):
+    """Monomial ideal given by its inclusion-minimal generators.  No __slots__:
+    the cached properties below keep their values in the instance __dict__,
+    outside the tuple, so equality, hash and repr read nvars and gens only."""
 
     @staticmethod
     def from_gens(nvars: int, gens: Iterable[Monomial]) -> "MonomialIdeal":
@@ -86,8 +84,7 @@ class MonomialIdeal:
 
 # -- irreducible decomposition -------------------------------------------------
 
-@dataclass(frozen=True)
-class IrreducibleComponent:
+class IrreducibleComponent(NamedTuple):
     """Ideal generated by pure variable powers <x_i^{e_i} : i in support>."""
 
     powers: tuple[tuple[int, int], ...]  # sorted (var index, exponent), exponent >= 1
@@ -124,8 +121,7 @@ class IrreducibleComponent:
         return sum(e for _, e in self.powers) - len(self.powers)
 
 
-@dataclass(frozen=True)
-class IrreducibleDecomposition:
+class IrreducibleDecomposition(NamedTuple):
     components: tuple[IrreducibleComponent, ...]
 
     @staticmethod

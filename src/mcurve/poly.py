@@ -8,8 +8,8 @@ differences stay pure differences, so no general polynomial type is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import le, mul
+from typing import NamedTuple
 
 from .errors import DimensionMismatch
 from .seq import CurveSequence
@@ -25,8 +25,7 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
 
 # -- term orders -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TermOrder:
+class TermOrder(NamedTuple):
     """Degrevlex with x_1 > ... > x_nvars, refined by weight rows: monomials
     compare first by w.m for each row w of `weights` in turn, then by total
     degree, then the smaller exponent on the latest variable wins.  No
@@ -56,11 +55,12 @@ def yweighted(nvars: int, y: int) -> TermOrder:
 
 
 def parse_order(text: str, nvars: int) -> TermOrder:
-    """Parse "degrevlex" or "yweighted:xK" into a term order."""
+    """Parse "degrevlex" or "yweighted:xK" (K a decimal number) into a term order."""
     if text == "degrevlex":
         return TermOrder(nvars)
-    if text.startswith("yweighted:x"):
-        idx = int(text[len("yweighted:x"):]) - 1
+    k = text.removeprefix("yweighted:x")
+    if k != text and k.isascii() and k.isdigit():
+        idx = int(k) - 1
         if not 0 <= idx < nvars:
             raise DimensionMismatch(f"variable index out of range in {text!r}")
         return yweighted(nvars, idx)
@@ -69,8 +69,7 @@ def parse_order(text: str, nvars: int) -> TermOrder:
 
 # -- binomials ---------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Binomial:
+class Binomial(NamedTuple):
     """Pure difference lead - trail.  Every basis the package returns is
     oriented (lead > trail under its order); `grobner.buchberger` accepts
     either orientation."""

@@ -12,7 +12,7 @@ All values are exact integers; operations are pure and all types immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     GcdViolation,
@@ -31,25 +31,25 @@ from .errors import (
 ENTRY_LIMIT = 10**9
 
 
-@dataclass(frozen=True)
-class CurveSequence:
+class CurveSequence(NamedTuple("CurveSequence", [("m", tuple[int, ...])])):
     """Strictly increasing tuple m_1 < ... < m_n of positive integers, n >= 2."""
 
-    m: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.m) < 2:
-            raise TooShort(f"need at least 2 terms, got {len(self.m)}")
-        for v in self.m:
+    def __new__(cls, m: tuple[int, ...]) -> "CurveSequence":
+        if len(m) < 2:
+            raise TooShort(f"need at least 2 terms, got {len(m)}")
+        for v in m:
             if not isinstance(v, int):
                 raise NonPositive(f"entries must be integers, got {v!r}")
             if v < 1:
                 raise NonPositive(f"entries must be >= 1, got {v}")
             if v > ENTRY_LIMIT:
                 raise Overflow(f"entry {v} exceeds limit {ENTRY_LIMIT}")
-        for a, b in zip(self.m, self.m[1:]):
+        for a, b in zip(m, m[1:]):
             if a >= b:
                 raise NonIncreasing(f"entries must strictly increase: {a} >= {b}")
+        return super().__new__(cls, m)
 
     @property
     def n(self) -> int:
@@ -84,8 +84,7 @@ def parse_sequence(text: str) -> CurveSequence:
     return CurveSequence(values)
 
 
-@dataclass(frozen=True)
-class SequenceClass:
+class SequenceClass(NamedTuple):
     """Classification of a sequence: arithmetic / generalized arithmetic / general.
 
     kind == "arithmetic"  means m_i = m_1 + (i-1) d          (h = 1),
@@ -140,8 +139,7 @@ def generalized_class(seq: CurveSequence) -> SequenceClass:
     return cls
 
 
-@dataclass(frozen=True)
-class ArithmeticProfile:
+class ArithmeticProfile(NamedTuple):
     """Derived data of an arithmetic sequence with gcd(m_1, d) = 1.
 
     m_1 = q (n-1) + r with 1 <= r <= n-1, alpha = q + d, k = n - r, and
@@ -180,8 +178,7 @@ def arithmetic_profile(seq: CurveSequence) -> ArithmeticProfile:
     return prof
 
 
-@dataclass(frozen=True)
-class GeneralizedProfile:
+class GeneralizedProfile(NamedTuple):
     """Derived data of a generalized arithmetic sequence, h >= 2, h | d.
 
     m_1 = p (n-1) + s with 1 <= s <= n-1 and delta = p h + d + h.  The arrays

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from typing import Any, Callable, Iterator, NamedTuple
 
 from .arith_forms import (
@@ -59,17 +58,20 @@ from .poly import TermOrder, is_member_binomial
 from .seq import CurveSequence, arithmetic_profile, generalized_profile, min_multiple
 
 
-@dataclass(frozen=True)
-class ArithmeticSweep:
+class ArithmeticSweep(NamedTuple):
     max_mn: int = 30
 
 
-@dataclass(frozen=True)
-class GeneralizedSweep:
+class _GeneralizedSweep(NamedTuple):
     h_values: tuple[int, ...] = (2, 3)
     max_mn: int = 60
 
-    def __post_init__(self) -> None:
+
+class GeneralizedSweep(_GeneralizedSweep):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "GeneralizedSweep":
+        self = super().__new__(cls, *args, **kwargs)
         # the family needs h >= 2; h <= 0 would also stall generalized_instances
         if any(h < 2 for h in self.h_values):
             raise ValueError(f"the generalized family needs h >= 2, got h = {self.h_values}")
@@ -77,29 +79,33 @@ class GeneralizedSweep:
         if len(set(self.h_values)) < len(self.h_values):
             raise ValueError(
                 f"the generalized family needs distinct h values, got h = {self.h_values}")
+        return self
 
 
-@dataclass(frozen=True)
-class KoszulN3Sweep:
+class KoszulN3Sweep(NamedTuple):
     max_mn: int = 12
 
 
-@dataclass(frozen=True)
-class KoszulN4Sweep:
+class KoszulN4Sweep(NamedTuple):
     max_mn: int = 10
 
 
-@dataclass(frozen=True)
-class RandomSweep:
+class _RandomSweep(NamedTuple):
     count: int = 50
     max_mn: int = 25
     seed: int = 0
 
-    def __post_init__(self) -> None:
+
+class RandomSweep(_RandomSweep):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "RandomSweep":
+        self = super().__new__(cls, *args, **kwargs)
         if self.count < 1:
             raise ValueError(f"the random family needs --count >= 1, got {self.count}")
         if self.max_mn < 2:
             raise ValueError(f"the random family needs --max-mn >= 2, got {self.max_mn}")
+        return self
 
 
 def arithmetic_instances(cfg: ArithmeticSweep) -> Iterator[CurveSequence]:
@@ -165,7 +171,7 @@ def check_arithmetic_instance(seq: CurveSequence, cap: int | None = None) -> dic
         "hs_numerator": hil.hs_numerator == hs_numerator(ini),
         "cm_type": cm_type == cm_type_oracle(seq, ini),
         "gorenstein": is_gorenstein(prof) == (cm_type == 1),
-        "betti1": betti1_arithmetic(prof) == len(gb),
+        "betti1": betti1_arithmetic(prof) == len(gb.elements),
         "decomposition": irred_dec_arithmetic(prof) == ini.decomposition,
         "min_multiple": min_multiple(seq) == prof.alpha + 1,
         "split_correction_zero": hs_general_split(ini)[1] == (),

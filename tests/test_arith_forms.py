@@ -173,7 +173,7 @@ class TestBetti:
     def test_equals_oracle_cardinality(self):
         for m in [(1, 2), (3, 5, 7), (10, 13, 16, 19, 22), (4, 5, 6, 7, 8)]:
             s = CurveSequence(m)
-            assert betti1_arithmetic(arithmetic_profile(s)) == len(toric_ideal(s))
+            assert betti1_arithmetic(arithmetic_profile(s)) == len(toric_ideal(s).elements)
 
     @given(m1=st.integers(1, 15), d=st.integers(1, 5), n=st.integers(2, 5))
     @settings(max_examples=200)

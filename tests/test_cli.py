@@ -1,6 +1,6 @@
 """CLI contract: exit codes, JSON round-trips, diff semantics, sweeps."""
 
-import dataclasses
+import concurrent.futures
 import json
 import multiprocessing
 import sys
@@ -121,6 +121,11 @@ class TestGb:
             assert "usage error" in capsys.readouterr().err
             assert main(["gb", "-m", "1,2,3", *flags, "--order", "degrevlex"]) == 0
 
+    @pytest.mark.parametrize("order", ["yweighted:x", "yweighted:xabc"])
+    def test_malformed_order_is_a_usage_error(self, capsys, order):
+        assert main(["gb", "-m", "3,5,7", "--order", order]) == 2
+        assert capsys.readouterr().err == f"usage error: unknown order {order!r}\n"
+
     def test_serialization_parses_back(self, capsys):
         s = parse_sequence("3,5,7")
         assert main(["gb", "-m", "3,5,7"]) == 0
@@ -229,7 +234,7 @@ class TestSweep:
     def test_every_config_field_has_a_flag(self):
         # a config holds only what a caller may set, so mcurve sweep reaches every field
         for name, family in sweeps.FAMILIES.items():
-            fields = {f.name for f in dataclasses.fields(family.config)}
+            fields = set(family.config._fields)
             assert "max_mn" in fields and fields <= set(cli.SWEEP_FLAGS), name
 
     def test_random_max_mn_below_max_n(self, capsys):
@@ -257,7 +262,7 @@ class TestSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         for count, pools in (("3", [3]), ("1", [])):
             sizes.clear()
             assert main(["sweep", "--family", "random", "--count", count, "--jobs", "64"]) == 0
@@ -277,7 +282,7 @@ class TestSweep:
                             sweeps.FAMILIES[family]._replace(instances=lambda cfg: []))
         assert main(["sweep", "--family", family]) == 0
         summary = json.loads(capsys.readouterr().out)["summary"]
-        assert summary["config"] == json.loads(json.dumps(dataclasses.asdict(default)))
+        assert summary["config"] == json.loads(json.dumps(default._asdict()))
 
     def test_nonpositive_h_exits_instead_of_hanging(self, run_python):
         # h <= 0 once made the instance generator loop forever
@@ -346,3 +351,18 @@ class TestCap:
         assert main(["invariants", "-m", "10,13,16,19,22", "--verify"]) == 2
         monkeypatch.setenv("MCURVE_CAP_DEGREE", "400")
         assert main(["invariants", "-m", "10,13,16,19,22", "--verify"]) == 0
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_cap_below_one_is_a_usage_error(self, capsys, monkeypatch, cap):
+        # without --verify no basis is computed, and such a cap was ignored (exit 0)
+        for verify in ([], ["--verify"]):
+            assert main(["invariants", "-m", "4,5,6,7,8", "--cap-degree", cap, *verify]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"usage error: --cap-degree must be at least 1, got {cap}\n"
+        monkeypatch.setenv("MCURVE_CAP_DEGREE", cap)
+        assert main(["invariants", "-m", "4,5,6,7,8"]) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: MCURVE_CAP_DEGREE must be at least 1, got {cap}\n")
+        # the flag wins over the environment
+        assert main(["invariants", "-m", "4,5,6,7,8", "--cap-degree", "400", "--verify"]) == 0

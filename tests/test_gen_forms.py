@@ -73,8 +73,8 @@ class TestCmAndCi:
         assert not is_complete_intersection(GOLDEN)
 
     def test_ci_matches_oracle_generator_count(self):
-        assert len(toric_ideal(CurveSequence((4, 7, 10)))) == 2
-        assert len(toric_ideal(CurveSequence((3, 5, 7)))) == 3
+        assert len(toric_ideal(CurveSequence((4, 7, 10))).elements) == 2
+        assert len(toric_ideal(CurveSequence((3, 5, 7))).elements) == 3
 
     def test_rejects_general(self):
         with pytest.raises(NotGeneralizedArithmetic):

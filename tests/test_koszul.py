@@ -1,7 +1,5 @@
 """Koszul classification: lists, necessary conditions, decision cascade."""
 
-import dataclasses
-
 import pytest
 
 from mcurve.errors import DegreeCapExceeded, GcdViolation, NotGeneralizedArithmetic, WrongN
@@ -117,7 +115,7 @@ class TestCascade:
             assert koszul_status(s, toric_ideal(s)) == koszul_status(s), m
         s = CurveSequence((1, 2, 3, 4, 6))
         with pytest.raises(DegreeCapExceeded):
-            koszul_status(s, dataclasses.replace(toric_ideal(s), cap=2))
+            koszul_status(s, toric_ideal(s)._replace(cap=2))
 
     def test_fall_through_is_legal(self):
         st = koszul_status(CurveSequence((1, 2, 5)))

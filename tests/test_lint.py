@@ -29,3 +29,19 @@ def test_order_key_read_in_grobner_and_closed_form_check_only():
             if isinstance(node, ast.Attribute) and node.attr == "key":
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_import_loads_no_pool_parser_or_dataclasses(run_python):
+    # start-up is most of a one-curve command: the process pool (only
+    # sweep --jobs N > 1 needs it) and argparse load when a command runs, and
+    # the records are NamedTuples, whose classes take no code generation
+    heavy = ("argparse", "concurrent.futures", "multiprocessing", "dataclasses")
+    proc = run_python("-c", f"""
+import sys
+before = set(sys.modules)
+import mcurve.cli, mcurve.koszul, mcurve.sweeps
+print(sorted(set({heavy!r}) & (set(sys.modules) - before)))
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+

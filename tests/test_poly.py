@@ -179,8 +179,10 @@ class TestTextForms:
     def test_parse_order(self):
         assert parse_order("degrevlex", 5) == TermOrder(5)
         assert parse_order("yweighted:x3", 5) == yweighted(5, 2)
-        with pytest.raises(ValueError):
-            parse_order("lex", 5)
+        for text in ("lex", "yweighted:x", "yweighted:xabc", "yweighted:x+1", "yweighted:x 1"):
+            with pytest.raises(ValueError) as exc:
+                parse_order(text, 5)
+            assert str(exc.value) == f"unknown order {text!r}"
         # every order name that gb headers and Koszul reasons print parses back
         for nv in range(2, 8):
             for o in [TermOrder(nv)] + [yweighted(nv, y) for y in range(nv)]:
