@@ -8,11 +8,12 @@ report curves of perfbench/workloads.py (REPORT_FIXED) and the exhaustive
 gcd-1 lists n = 3 (m_3 <= 12) and n = 4 (m_4 <= 10).  For each one it hashes
 `lattice_basis` (the LLL-reduced kernel basis); `toric_ideal`;
 `is_generated_by_quadrics` and `quadratic_gb_witness` of that basis; the
-irreducible decomposition of its initial ideal and `reg_nested_type` of that
-ideal; the standard monomials of the ideal's artinian reduction
-in(I(C)) + <x_n, x_{n+1}> in their order, `hs_general_split`, `cm_type_oracle`
-(on the curves whose initial ideal is Cohen-Macaulay) and
-`last_step_check` at `reg_nested_type`; and `koszul_status`.  An exception
+irreducible decomposition of its initial ideal, `reg_nested_type` of that
+ideal, its K-polynomial and `hs_numerator`; the standard monomials of the
+ideal's artinian reduction in(I(C)) + <x_n, x_{n+1}> in their order,
+`hs_general_split`, `cm_type_oracle` (on the curves whose initial ideal is
+Cohen-Macaulay) and `last_step_check` at `reg_nested_type`; and
+`koszul_status`.  An exception
 counts by its type and message.  Two source trees that print the same digest
 give the same oracle answers on these inputs, so running it on both sides of a
 change to the lattice reduction, the Groebner kernel or the monomial-ideal
@@ -33,7 +34,7 @@ from mcurve.grobner import (initial_ideal, is_generated_by_quadrics, lattice_bas
                             toric_ideal)
 from mcurve.koszul import koszul_status, quadratic_gb_witness  # noqa: E402
 from mcurve.monideal import (cm_type_oracle, cm_via_initial, hs_general_split,  # noqa: E402
-                             last_step_check, reg_nested_type)
+                             hs_numerator, last_step_check, reg_nested_type)
 from mcurve.seq import CurveSequence  # noqa: E402
 
 
@@ -69,7 +70,8 @@ def oracle_line(m: tuple[int, ...]) -> str:
         ini = initial_ideal(gb)
         parts += [repr((gb.elements, gb.cap)), answer(is_generated_by_quadrics, gb),
                   answer(quadratic_gb_witness, gb), answer(lambda: ini.decomposition),
-                  answer(reg_nested_type, ini), answer(lambda: ini.artinian_standard),
+                  answer(reg_nested_type, ini), answer(lambda: ini.k_polynomial),
+                  answer(hs_numerator, ini), answer(lambda: ini.artinian_standard),
                   answer(hs_general_split, ini),
                   answer(cm_type_oracle, seq, ini) if cm_via_initial(ini) else "not CM",
                   answer(lambda: last_step_check(ini, reg_nested_type(ini)))]

@@ -168,13 +168,16 @@ def closed_forms(prof: Profile | None) -> ClosedForms | None:
 
 def _cap_from(args: argparse.Namespace) -> int | None:
     """The degree cap of --cap-degree, else of MCURVE_CAP_DEGREE, else None (the
-    default); a cap below 1 is a usage error."""
+    default); a cap below 1, or a variable that is no integer, is a usage error."""
     cap, source = args.cap_degree, "--cap-degree"
     if cap is None:
         env = os.environ.get("MCURVE_CAP_DEGREE")
         if not env:
             return None
-        cap, source = int(env), "MCURVE_CAP_DEGREE"
+        try:
+            cap, source = int(env), "MCURVE_CAP_DEGREE"
+        except ValueError:
+            raise ValueError(f"MCURVE_CAP_DEGREE must be an integer, got {env!r}") from None
     if cap < 1:
         raise ValueError(f"{source} must be at least 1, got {cap}")
     return cap

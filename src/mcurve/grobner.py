@@ -8,7 +8,7 @@ successive saturation with respect to x_2, ..., x_{n+1}, each under plain
 degrevlex with that variable moved last.  Everything stays a pure difference
 throughout; coefficients never leave {+1, -1}.
 
-The Buchberger kernel holds each monomial as one int (`_Packing`).  The
+The Buchberger kernel holds each monomial as one int (`poly._Packing`).  The
 public `buchberger` and `reduce_basis` pack their tuples on entry and unpack
 the basis they return; `toric_ideal` packs the lattice basis once and runs
 every saturation pass in that one packing, moving the next variable last by
@@ -18,15 +18,14 @@ swapping two fields, and unpacks only the final basis.
 from __future__ import annotations
 
 import heapq
-from operator import mul
 from typing import Iterable, NamedTuple
 
 from .errors import DegreeCapExceeded, InvariantViolation
 from .monideal import MonomialIdeal
 from .poly import (
     Binomial,
-    Monomial,
     TermOrder,
+    _Packing,
     format_binomial,
     is_member_binomial,
 )
@@ -52,80 +51,6 @@ class GroebnerBasis(NamedTuple):
 
     def element_set(self) -> frozenset[Binomial]:
         return frozenset(self.elements)
-
-
-class _Packing:
-    """Monomials of `nvars` variables with every exponent at most `top`, each
-    held as one int: x_i's exponent in a field of w = (nvars top).bit_length()
-    + 1 bits starting at bit w i, whose top bit is a guard and stays 0.
-
-    A sum of exponents, at most nvars top < 2^(w-1), never carries out of a
-    field, so: lead divides m iff every guard survives the subtraction,
-    (m + G - lead) & G == G for the guard mask G; the lcm takes each field
-    from the larger side, the side whose guard survives a - b; and the
-    degree is the top field of m * ONES (ONES = 1 in every field).  `key` is
-    the int whose order is that of `TermOrder.key` on these monomials (lcms
-    included, whose degree may reach nvars top): the weight rows, the degree
-    and the exponents negated from the last variable to the first become the
-    digits of one number, each wider than its spread; the last ones are the
-    fields of -m itself.  It is linear in m, so a reduction step lead ->
-    trail moves a key by the constant key(trail) - key(lead).  `degree_key`
-    gives the degree and the key together, the degree computed once.
-    `swap(p, i)` exchanges the exponents of field i and the last field, and
-    `last` is the shift of the last field: p >> last is its exponent."""
-
-    __slots__ = ("guards", "field", "guard_shift", "last", "pack", "unpack", "degree", "lcm",
-                 "key", "degree_key", "swap")
-
-    def __init__(self, nvars: int, top: int, weights: tuple[tuple[int, ...], ...]) -> None:
-        w = (nvars * top).bit_length() + 1
-        field = self.field = (1 << w) - 1
-        self.guard_shift = w - 1
-        fields = range(0, w * nvars, w)
-        units = [1 << s for s in fields]  # x_i packed
-        ones = sum(units)
-        guards = self.guards = ones << (w - 1)
-        degree_shift = last = self.last = w * (nvars - 1)
-        key_shift = w * nvars  # the degree digit; the weight rows above it
-        shift = key_shift + w
-        row_keys = [0] * nvars  # x_i's coefficient in the weight-row digits
-        for row in reversed(weights):
-            for i, c in enumerate(row):
-                row_keys[i] += c << shift
-            shift += (top * sum(map(abs, row))).bit_length() + 1
-        rows = [(s, r) for s, r in zip(fields, row_keys) if r]
-
-        # closures over the constants: the kernel calls them in its inner loops
-        def pack(m: Monomial) -> int:
-            return sum(map(mul, m, units))
-
-        def unpack(p: int) -> Monomial:
-            return tuple([(p >> s) & field for s in fields])
-
-        def degree(p: int) -> int:
-            return (p * ones >> degree_shift) & field
-
-        def lcm(a: int, b: int) -> int:
-            take = (((a + guards - b) & guards) >> (w - 1)) * field  # the fields where a >= b
-            return b ^ ((a ^ b) & take)
-
-        def degree_key(p: int) -> tuple[int, int]:
-            d = (p * ones >> degree_shift) & field
-            k = (d << key_shift) - p
-            for s, r in rows:
-                k += ((p >> s) & field) * r
-            return d, k
-
-        def key(p: int) -> int:
-            return degree_key(p)[1]
-
-        def swap(p: int, i: int) -> int:
-            s = w * i
-            d = ((p >> s) ^ (p >> last)) & field
-            return p ^ (d << s) ^ (d << last)
-
-        self.pack, self.unpack, self.degree = pack, unpack, degree
-        self.lcm, self.key, self.degree_key, self.swap = lcm, key, degree_key, swap
 
 
 def _check_homogeneous(gens: list[Binomial]) -> None:

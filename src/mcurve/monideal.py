@@ -3,11 +3,22 @@
 Irreducible decomposition by adding one generator at a time, nested-type
 regularity, the K-polynomial (Hilbert function and series of the quotient),
 Cohen-Macaulay detection on initial ideals, the bidegree-based
-Cohen-Macaulay type oracle, and the last-step F-set regularity check.  The
-last three read the standard monomials of the artinian reduction
+Cohen-Macaulay type oracle, and the last-step F-set regularity check.
+
+Minimalization, the K-polynomial and the decomposition run on the Buchberger
+kernel's packed ints (`poly._Packing`, one field per variable with a guard
+bit), so a divisibility test is one addition and one mask.  An ideal's
+generators are packed once (`MonomialIdeal._packed`, filled by `from_gens`),
+with top above every generator's degree and at least their number; an
+irreducible component is one int of that packing, with an absent variable
+at top, above every exponent.  Only the results are unpacked, so `gens`, the
+components' `powers` and the K-polynomial are tuples.
+
+The last three checks read the standard monomials of the artinian reduction
 in(I(C)) + <x_n, x_{n+1}>, found by one staircase walk per ideal and cached
-on it.  Every finite monomial set here comes from that walk: the last-step
-F-set and the Hilbert-series jump term are each the difference of two walks.
+on it.  The walk stays on tuples: its output is in grid order.  Every finite
+monomial set here comes from that walk: the last-step F-set and the
+Hilbert-series jump term are each the difference of two walks.
 """
 
 from __future__ import annotations
@@ -19,19 +30,34 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import InvariantViolation, NonTerminating, NotCohenMacaulay, NotNestedType
-from .poly import Monomial, bidegree, mono_divides
+from .poly import Monomial, _Packing, bidegree, mono_divides
 from .seq import CurveSequence
 
 _GRID_CAP = 5_000_000  # hard cap on the grid of every checked staircase walk
 
 
-def _minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    """Inclusion-minimal subset generating the same ideal."""
-    out: list[Monomial] = []
-    for g in sorted(set(gens), key=lambda m: (sum(m), m)):
-        if not any(mono_divides(h, g) for h in out):
+def _pack(nvars: int, gens: tuple[Monomial, ...]) -> tuple[_Packing, list[int]]:
+    """The generators as ints of a packing whose top is above every degree,
+    so above every exponent (room for the decomposition's mark of an absent
+    variable), and at least the number of generators, so that a field can
+    count generators."""
+    packing = _Packing(nvars, max(max(map(sum, gens), default=0) + 1, len(gens)))
+    return packing, list(map(packing.pack, gens))
+
+
+def _minimalize(gens: Iterable[int], guards: int) -> list[int]:
+    """The packed generators that no other one divides, in ascending int
+    order: every generator comes after its divisors."""
+    out: list[int] = []
+    negs: list[int] = []  # G - h for each kept h
+    for g in sorted(set(gens)):
+        for n in negs:
+            if (g + n) & guards == guards:
+                break
+        else:
             out.append(g)
-    return tuple(sorted(out))
+            negs.append(guards - g)
+    return out
 
 
 class MonomialIdeal(NamedTuple("MonomialIdeal",
@@ -45,7 +71,11 @@ class MonomialIdeal(NamedTuple("MonomialIdeal",
         gens = tuple(gens)
         if any(len(g) != nvars for g in gens):
             raise InvariantViolation(f"generator length differs from nvars = {nvars}")
-        return MonomialIdeal(nvars, _minimalize(gens))
+        packing, packed = _pack(nvars, gens)
+        kept = _minimalize(packed, packing.guards)
+        ideal = MonomialIdeal(nvars, tuple(sorted(map(dict(zip(packed, gens)).__getitem__, kept))))
+        ideal.__dict__["_packed"] = packing, kept  # fills the cached property below
+        return ideal
 
     @property
     def is_zero(self) -> bool:
@@ -55,9 +85,15 @@ class MonomialIdeal(NamedTuple("MonomialIdeal",
         return any(mono_divides(g, m) for g in self.gens)
 
     @cached_property
+    def _packed(self) -> tuple[_Packing, list[int]]:
+        """The generators packed (`_pack`) once for the K-polynomial and the
+        decomposition."""
+        return _pack(self.nvars, self.gens)
+
+    @cached_property
     def k_polynomial(self) -> tuple[int, ...]:
         """Numerator of the Hilbert series of R/I over (1-t)^nvars."""
-        return _trim(_k_polynomial(self.gens, self.nvars))
+        return _k_polynomial(*self._packed)
 
     @cached_property
     def decomposition(self) -> "IrreducibleDecomposition":
@@ -68,14 +104,15 @@ class MonomialIdeal(NamedTuple("MonomialIdeal",
     def artinian_standard(self) -> tuple[Monomial, ...]:
         """Standard monomials modulo self + <x_n, x_{n+1}> (the last two
         variables) on x_1..x_{n-1}, walked once per ideal."""
-        n = self.nvars - 2
+        n = self.nvars - 2  # generators free of x_n, x_{n+1} stay minimal on x_1..x_{n-1}
         return tuple(_standard_monomials(
-            _minimalize(g[:n] for g in self.gens if g[n] == 0 and g[n + 1] == 0), n))
+            tuple(g[:n] for g in self.gens if g[n] == 0 and g[n + 1] == 0), n))
 
     def restrict(self, start: int) -> "MonomialIdeal":
-        """Intersection with the subring on variables x_{start+1}, ..."""
-        kept = [g[start:] for g in self.gens if all(e == 0 for e in g[:start])]
-        return MonomialIdeal.from_gens(self.nvars - start, kept)
+        """Intersection with the subring on variables x_{start+1}, ...: the
+        minimal generators free of x_1..x_start, still minimal and sorted."""
+        return MonomialIdeal(self.nvars - start, tuple(
+            g[start:] for g in self.gens if not any(g[:start])))
 
     def __str__(self) -> str:
         from .poly import format_monomial
@@ -101,20 +138,6 @@ class IrreducibleComponent(NamedTuple):
 
     def contains(self, m: Monomial) -> bool:
         return any(m[i] >= e for i, e in self.powers)
-
-    def contains_component(self, other: "IrreducibleComponent") -> bool:
-        """self >= other as ideals: every pure-power generator of other must
-        lie in self, i.e. self has a smaller-or-equal power of that variable."""
-        mine = iter(self.powers)  # both sorted by variable: one merge
-        for j, f in other.powers:
-            for i, e in mine:
-                if i >= j:
-                    break
-            else:
-                return False
-            if i != j or e > f:
-                return False
-        return True
 
     def regularity(self) -> int:
         """reg of R modulo the component: sum of generator degrees minus count."""
@@ -148,17 +171,40 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> IrreducibleDecomposition:
     Algebra, ch. 5).  Each step keeps that property: a kept component never
     contains a new one, since it would then contain the Q_k that was split.  So
     only new components that contain another component, duplicates included, go.
+
+    The generators and the components are ints of one packing (`poly._Packing`)
+    whose top is above every exponent: a component <x_i^{E_i}> is the packed
+    E, with an absent variable at that top.  So Q contains g iff
+    g_i >= E_i for some i, iff some guard survives g - E; Q contains Q' iff
+    E_i <= E'_i for every i, iff every guard survives E' - E; and Q + <x_i^{g_i}>,
+    for g outside Q, takes field i from g.  Only the result is unpacked.
     """
     if ideal.is_zero:
         raise InvariantViolation("decomposition of the zero ideal is undefined")
-    comps = [IrreducibleComponent(())]  # the zero ideal: no powers
-    for g in ideal.gens:
-        kept = [c for c in comps if c.contains(g)]
-        split = {IrreducibleComponent.from_map({**dict(c.powers), i: e})
-                 for c in comps if not c.contains(g) for i, e in enumerate(g) if e}
-        comps = kept + [c for c in split if not any(
-            o is not c and c.contains_component(o) for o in itertools.chain(kept, split))]
-    return IrreducibleDecomposition.from_components(comps)
+    packing, gens = ideal._packed
+    G, field, absent = packing.guards, packing.field, packing.top
+    fields = [field << s for s in packing.shifts]
+    comps = [absent * (G >> packing.guard_shift)]  # the zero ideal: every variable absent
+    for g in gens:
+        kept, split, new = [], set(), []
+        support = [f for f in fields if g & f]
+        for c in comps:
+            if (g + G - c) & G:  # c contains g
+                kept.append(c)
+            else:
+                split.update([c ^ ((c ^ g) & f) for f in support])
+        for c in split:
+            neg = G - c
+            for o in itertools.chain(kept, split):
+                if (o + neg) & G == G and o != c:  # c contains o
+                    break
+            else:
+                new.append(c)
+        comps = kept + new
+    unpack = packing.unpack
+    return IrreducibleDecomposition.from_components(
+        IrreducibleComponent(tuple([(i, e) for i, e in enumerate(unpack(c)) if e != absent]))
+        for c in comps)
 
 
 def is_nested_type(ideal: MonomialIdeal) -> bool:
@@ -199,30 +245,60 @@ def _trim(coeffs: list[int]) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _k_polynomial(gens: tuple[Monomial, ...], nvars: int) -> list[int]:
-    """K-polynomial of R/<gens> by Bigatti's pivot recursion
-    K(I) = K(I + <p>) + t^deg(p) K(I : p), with p = x_i^e for the variable in
-    the most mixed generators and e the median of its exponents there.  No
-    generator divides p (a pure power of x_i exceeds every mixed exponent), so
-    I + <p> has fewer mixed generators and I : p strictly contains I."""
+def _k_polynomial(packing: _Packing, gens: list[int]) -> tuple[int, ...]:
+    """Coefficients of the K-polynomial of R/<gens>, for N minimal generators
+    packed in `packing`.  Taylor's resolution writes it as the sum over the
+    subsets S of the generators of (-1)^|S| t^deg lcm(S), so no coefficient
+    reaches 2^N in size.  `_k_value` gives its value at t = 2^b, b = N + 2,
+    and the coefficients are the signed base-2^b digits of that int."""
+    b = len(gens) + 2
+    value = _k_value(packing, gens, b)
+    half, digit = 1 << (b - 1), (1 << b) - 1
+    coeffs = []
+    while value:
+        c = value & digit
+        if c >= half:
+            c -= digit + 1
+        coeffs.append(c)
+        value = (value - c) >> b
+    return tuple(coeffs)
+
+
+def _k_value(packing: _Packing, gens: list[int], b: int) -> int:
+    """K(2^b) for the K-polynomial K of R/<gens>, minimal generators packed in
+    `packing`, by Bigatti's pivot recursion K(I) = K(I + <p>) + t^deg(p) K(I : p),
+    with p = x_i^e for the variable in the most mixed generators (then in the
+    most generators, then the first) and e the median of its exponents there.
+    No generator divides p (a pure power of x_i exceeds every mixed exponent),
+    so I + <p> has fewer mixed generators and I : p strictly contains I.
+    Pairwise coprime generators, a complete intersection, end the recursion
+    with the product of the 1 - t^deg(g).  At t = 2^b a sum of K-polynomials
+    is a sum of ints and a factor t^d a shift by b d bits, so the product is
+    a shift and a subtraction per generator.  No node has more generators
+    than the first (p replaces a mixed generator, and I : p is minimalized),
+    and the packing's top is at least that many: a field counts them."""
     if not gens:
-        return [1]
-    if any(not any(g) for g in gens):
-        return []  # unit ideal
-    occurs = [sum(1 for g in gens if g[i]) for i in range(nvars)]
+        return 1
+    if 0 in gens:
+        return 0  # unit ideal
+    G, field, guard_shift = packing.guards, packing.field, packing.guard_shift
+    low = G - (G >> guard_shift)  # 2^(w-1) - 1 in every field
+    marks = [((g + low) & G) >> guard_shift for g in gens]  # 1 in each field of the support
+    occurs = packing.unpack(sum(marks))  # per variable, the number of generators holding it
     if max(occurs) <= 1:  # pairwise coprime: a complete intersection
-        out = [1]
+        value = 1
         for g in gens:
-            out = _polymul(out, [1] + [0] * (sum(g) - 1) + [-1])
-        return out
-    mixed = [g for g in gens if sum(1 for e in g if e) > 1]
-    i = max(range(nvars), key=lambda j: (sum(1 for g in mixed if g[j]), occurs[j]))
-    exps = sorted(g[i] for g in mixed if g[i])
+            value -= value << b * packing.degree(g)
+        return value
+    mixed = [g for g, z in zip(gens, marks) if z & (z - 1)]
+    in_mixed = packing.unpack(sum([z for z in marks if z & (z - 1)]))
+    keys = [m * (len(gens) + 1) + o for m, o in zip(in_mixed, occurs)]  # (m, o) in order
+    s = packing.shifts[keys.index(max(keys))]
+    exps = sorted(f for f in ((g >> s) & field for g in mixed) if f)
     e = exps[len(exps) // 2]
-    pivot = tuple(e if j == i else 0 for j in range(nvars))
-    plus = tuple(g for g in gens if g[i] < e) + (pivot,)
-    colon = _minimalize(g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens)
-    return _polyadd(_k_polynomial(plus, nvars), [0] * e + _k_polynomial(colon, nvars))
+    plus = [g for g in gens if (g >> s) & field < e] + [e << s]
+    colon = _minimalize([g - (min((g >> s) & field, e) << s) for g in gens], G)
+    return _k_value(packing, plus, b) + (_k_value(packing, colon, b) << b * e)
 
 
 def hf_quotient(ideal: MonomialIdeal, s: int) -> int:
@@ -381,7 +457,7 @@ def last_step_check(ideal: MonomialIdeal, reg: int) -> bool:
     x_n = x_{n+1} = 0 one, so F is the difference of their standard monomials.
     """
     n = ideal.nvars - 1
-    ones = _minimalize(g[:n - 1] for g in ideal.gens)  # x_n = x_{n+1} = 1
+    ones = MonomialIdeal.from_gens(n - 1, [g[:n - 1] for g in ideal.gens])  # x_n = x_{n+1} = 1
     # the walk's checks passed on the smaller ideal; `ones` may be the unit ideal
-    f_set = set(ideal.artinian_standard).difference(_staircase(ones, n - 1))
+    f_set = set(ideal.artinian_standard).difference(_staircase(ones.gens, n - 1))
     return max(map(sum, f_set), default=-1) == reg

@@ -23,6 +23,91 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
     return all(map(le, a, b))
 
 
+# -- packed monomials ---------------------------------------------------------
+
+class _Packing:
+    """Monomials of `nvars` variables with every exponent at most `top`, each
+    held as one int: x_i's exponent in a field of w = (nvars top).bit_length()
+    + 1 bits starting at bit `shifts[i]` = w i, whose top bit is a guard and
+    stays 0.  The Buchberger kernel (`grobner`) and the monomial-ideal layer
+    (`monideal`) share it.
+
+    A sum of exponents, at most nvars top < 2^(w-1), never carries out of a
+    field, so: lead divides m iff every guard survives the subtraction,
+    (m + G - lead) & G == G for the guard mask G; the lcm takes each field
+    from the larger side, the side whose guard survives a - b; and the
+    degree is the top field of m * ONES (ONES = 1 in every field).  A
+    divisor is never the larger int, so in ascending int order every
+    monomial comes after its divisors.  `key` is the int whose order is that
+    of `TermOrder.key` under the weight rows `weights` on these monomials
+    (lcms included, whose degree may reach nvars top): the weight rows, the
+    degree and the exponents negated from the last variable to the first
+    become the digits of one number, each wider than its spread; the last
+    ones are the fields of -m itself.  It is linear in m, so a reduction
+    step lead -> trail moves a key by the constant key(trail) - key(lead).
+    `degree_key` gives the degree and the key together, the degree computed
+    once.  `swap(p, i)` exchanges the exponents of field i and the last
+    field, and `last` is the shift of the last field: p >> last is its
+    exponent."""
+
+    __slots__ = ("args", "top", "guards", "field", "guard_shift", "shifts", "last", "pack",
+                 "unpack", "degree", "lcm", "degree_key", "swap")
+
+    def __init__(self, nvars: int, top: int, weights: tuple[tuple[int, ...], ...] = ()) -> None:
+        self.args, self.top = (nvars, top, weights), top
+        w = (nvars * top).bit_length() + 1
+        field = self.field = (1 << w) - 1
+        self.guard_shift = w - 1
+        fields = self.shifts = range(0, w * nvars, w)
+        units = [1 << s for s in fields]  # x_i packed
+        ones = sum(units)
+        guards = self.guards = ones << (w - 1)
+        degree_shift = last = self.last = w * max(nvars - 1, 0)
+        key_shift = w * nvars  # the degree digit; the weight rows above it
+        shift = key_shift + w
+        row_keys = [0] * nvars  # x_i's coefficient in the weight-row digits
+        for row in reversed(weights):
+            for i, c in enumerate(row):
+                row_keys[i] += c << shift
+            shift += (top * sum(map(abs, row))).bit_length() + 1
+        rows = [(s, r) for s, r in zip(fields, row_keys) if r]
+
+        # closures over the constants: the kernel calls them in its inner loops
+        def pack(m: Monomial) -> int:
+            return sum(map(mul, m, units))
+
+        def unpack(p: int) -> Monomial:
+            return tuple([(p >> s) & field for s in fields])
+
+        def degree(p: int) -> int:
+            return (p * ones >> degree_shift) & field
+
+        def lcm(a: int, b: int) -> int:
+            take = (((a + guards - b) & guards) >> (w - 1)) * field  # the fields where a >= b
+            return b ^ ((a ^ b) & take)
+
+        def degree_key(p: int) -> tuple[int, int]:
+            d = (p * ones >> degree_shift) & field
+            k = (d << key_shift) - p
+            for s, r in rows:
+                k += ((p >> s) & field) * r
+            return d, k
+
+        def swap(p: int, i: int) -> int:
+            s = w * i
+            d = ((p >> s) ^ (p >> last)) & field
+            return p ^ (d << s) ^ (d << last)
+
+        self.pack, self.unpack, self.degree = pack, unpack, degree
+        self.lcm, self.degree_key, self.swap = lcm, degree_key, swap
+
+    def key(self, p: int) -> int:
+        return self.degree_key(p)[1]
+
+    def __reduce__(self):  # closures do not pickle: rebuild from the arguments
+        return _Packing, self.args
+
+
 # -- term orders -------------------------------------------------------------
 
 class TermOrder(NamedTuple):
@@ -55,14 +140,15 @@ def yweighted(nvars: int, y: int) -> TermOrder:
 
 
 def parse_order(text: str, nvars: int) -> TermOrder:
-    """Parse "degrevlex" or "yweighted:xK" (K a decimal number) into a term order."""
+    """Parse "degrevlex" or "yweighted:xK" (K a decimal number, 1 <= K <= nvars)
+    into a term order; anything else raises ValueError, a usage error."""
     if text == "degrevlex":
         return TermOrder(nvars)
     k = text.removeprefix("yweighted:x")
     if k != text and k.isascii() and k.isdigit():
         idx = int(k) - 1
         if not 0 <= idx < nvars:
-            raise DimensionMismatch(f"variable index out of range in {text!r}")
+            raise ValueError(f"variable index out of range in {text!r}")
         return yweighted(nvars, idx)
     raise ValueError(f"unknown order {text!r}")
 

@@ -262,14 +262,17 @@ def min_multiple(seq: CurveSequence) -> int:
     Computed by a subset-sum style DP over reachable values, independent of
     the alpha / delta closed forms (which predict alpha+1 resp. delta).
     b = m_2 always works (m_2 m_1 is m_1 copies of m_2), so the DP runs up
-    to m_1 m_2.
+    to m_1 m_2.  Bit x of the int `reach` says that x is reachable; for each
+    generator v it takes reach |= reach << k v for k = 1, 2, 4, ..., after
+    which it holds every sum with up to 2k - 1 more copies of v.
     """
     m = seq.m
     limit = m[0] * m[1]
-    reach = bytearray(limit + 1)
-    reach[0] = 1
+    window = (1 << (limit + 1)) - 1
+    reach = 1
     for v in m[1:]:
-        for x in range(v, limit + 1):
-            if reach[x - v]:
-                reach[x] = 1
-    return next(b for b in range(1, m[1] + 1) if reach[b * m[0]])
+        step = v
+        while step <= limit:
+            reach |= (reach << step) & window
+            step <<= 1
+    return next(b for b in range(1, m[1] + 1) if reach >> (b * m[0]) & 1)

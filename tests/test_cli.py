@@ -126,6 +126,12 @@ class TestGb:
         assert main(["gb", "-m", "3,5,7", "--order", order]) == 2
         assert capsys.readouterr().err == f"usage error: unknown order {order!r}\n"
 
+    @pytest.mark.parametrize("order", ["yweighted:x0", "yweighted:x5"])  # 3,5,7: x1 .. x4
+    def test_order_variable_out_of_range_is_a_usage_error(self, capsys, order):
+        assert main(["gb", "-m", "3,5,7", "--order", order]) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: variable index out of range in {order!r}\n")
+
     def test_serialization_parses_back(self, capsys):
         s = parse_sequence("3,5,7")
         assert main(["gb", "-m", "3,5,7"]) == 0
@@ -366,3 +372,11 @@ class TestCap:
             f"usage error: MCURVE_CAP_DEGREE must be at least 1, got {cap}\n")
         # the flag wins over the environment
         assert main(["invariants", "-m", "4,5,6,7,8", "--cap-degree", "400", "--verify"]) == 0
+
+    @pytest.mark.parametrize("cap", ["abc", "4.5", "0x10"])
+    def test_cap_env_not_an_integer_is_a_usage_error(self, capsys, monkeypatch, cap):
+        monkeypatch.setenv("MCURVE_CAP_DEGREE", cap)
+        assert main(["invariants", "-m", "3,5,7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: MCURVE_CAP_DEGREE must be an integer, got {cap!r}\n"

@@ -28,6 +28,7 @@ from mcurve.monideal import (
 from mcurve.poly import mono_divides
 from mcurve.seq import CurveSequence, parse_sequence
 from mcurve.sweeps import GeneralizedSweep, generalized_instances
+import tuple_monideal
 from textforms import parse_monomial
 
 
@@ -172,10 +173,11 @@ def _decomposition_by_splitting(ideal):
         i = next(j for j, e in enumerate(mixed) if e)
         u = tuple(e if j == i else 0 for j, e in enumerate(mixed))
         v = tuple(0 if j == i else e for j, e in enumerate(mixed))
-        stack.append(monideal._minimalize(gens + (u,)))
-        stack.append(monideal._minimalize(gens + (v,)))
+        stack.append(tuple_monideal.minimalize(gens + (u,)))
+        stack.append(tuple_monideal.minimalize(gens + (v,)))
     return IrreducibleDecomposition.from_components(
-        c for c in comps if not any(o != c and c.contains_component(o) for o in comps))
+        c for c in comps
+        if not any(o != c and tuple_monideal.contains_component(c, o) for o in comps))
 
 
 @st.composite
@@ -193,7 +195,74 @@ class TestDecompositionReference:
         dec = irreducible_decomposition(ideal)
         assert dec == _decomposition_by_splitting(ideal)
         for c, o in itertools.permutations(dec.components, 2):
-            assert not c.contains_component(o), (c, o)
+            assert not tuple_monideal.contains_component(c, o), (c, o)
+
+
+@st.composite
+def _generator_lists(draw):
+    """(nvars, gens): up to twelve generators in 0 to 6 variables, exponents
+    up to 7, the zero and the unit ideal included."""
+    nvars = draw(st.integers(0, 6))
+    return nvars, draw(st.lists(st.tuples(*[st.integers(0, 7)] * nvars), max_size=12))
+
+
+# the packing's top is one above the largest exponent; these put nvars top at
+# powers of two, where the field width steps, or use no variable at all
+PACKED_EDGES = [
+    (0, []), (0, [()]), (3, []),  # nvars = 0 and the zero ideal
+    (3, [(0, 0, 0)]), (3, [(0, 0, 0), (1, 2, 0)]),  # the unit ideal
+    (3, [(4, 0, 0), (0, 5, 0), (0, 0, 1)]), (2, [(1, 0)]),  # pure powers
+    (1, [(7,)]), (2, [(3, 1), (1, 3), (2, 2)]), (4, [(7, 0, 0, 1), (0, 7, 7, 0), (1, 1, 1, 1)]),
+]
+
+
+def _edge_examples(test):
+    for nvars, gens in PACKED_EDGES:
+        test = example(ideal=(nvars, gens))(test)
+    return test
+
+
+class TestPackedAgainstTuples:
+    """Minimalization, the K-polynomial and the decomposition run on packed
+    ints; the tuple references of tuple_monideal give the same values."""
+
+    @given(ideal=_generator_lists())
+    @_edge_examples
+    @settings(max_examples=300)
+    def test_minimal_generators(self, ideal):
+        nvars, gens = ideal
+        assert MonomialIdeal.from_gens(nvars, gens).gens == tuple_monideal.minimalize(gens)
+
+    @given(ideal=_generator_lists())
+    @_edge_examples
+    @example(ideal=(0, [(), ()]))
+    @settings(max_examples=300)
+    def test_k_polynomial(self, ideal):
+        ideal = MonomialIdeal.from_gens(*ideal)
+        assert ideal.k_polynomial == monideal._trim(
+            tuple_monideal.k_polynomial(ideal.gens, ideal.nvars))
+
+    def test_k_polynomial_of_the_bare_unit_ideal(self):
+        assert MonomialIdeal(0, ((),)).k_polynomial == ()
+        assert hf_quotient(MonomialIdeal(0, ((),)), 0) == 0
+
+    @given(ideal=_generator_lists())
+    @_edge_examples
+    @settings(max_examples=300)
+    def test_decomposition(self, ideal):
+        ideal = MonomialIdeal.from_gens(*ideal)
+        if ideal.is_zero:
+            with pytest.raises(InvariantViolation, match="zero ideal"):
+                irreducible_decomposition(ideal)
+            return
+        assert irreducible_decomposition(ideal) == tuple_monideal.irreducible_decomposition(ideal)
+
+    def test_decomposition_on_the_initial_ideals(self):
+        for m in [(10, 13, 16, 19, 22), (7, 30, 39, 48, 57, 66), (5, 26, 32, 38), (1, 500, 1000)]:
+            ini = initial_ideal(toric_ideal(CurveSequence(m)))
+            assert ini.decomposition == tuple_monideal.irreducible_decomposition(ini), m
+            assert ini.k_polynomial == monideal._trim(
+                tuple_monideal.k_polynomial(ini.gens, ini.nvars)), m
 
 
 def _degree_monomials(nvars, max_degree):
@@ -395,8 +464,8 @@ def _last_step_by_scan(ideal):
     standard modulo the x_n = x_{n+1} = 0 ideal that a generator of the
     x_n = x_{n+1} = 1 ideal divides (-1 if none does)."""
     n = ideal.nvars - 1
-    zeros = monideal._minimalize(g[:n - 1] for g in ideal.gens if g[n - 1] == 0 and g[n] == 0)
-    ones = monideal._minimalize(g[:n - 1] for g in ideal.gens)
+    zeros = tuple_monideal.minimalize(g[:n - 1] for g in ideal.gens if g[n - 1] == 0 and g[n] == 0)
+    ones = tuple_monideal.minimalize(g[:n - 1] for g in ideal.gens)
     best = -1
     for m in _standard_monomials_by_grid(zeros, n - 1):
         if any(mono_divides(g, m) for g in ones):

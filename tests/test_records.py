@@ -5,12 +5,14 @@ records, so a change of a record's form that moves a repr shows here, not only
 as a new digest.
 """
 
+import pickle
+
 import pytest
 
 from mcurve.errors import NonIncreasing
 from mcurve.grobner import initial_ideal, toric_ideal
 from mcurve.koszul import koszul_status
-from mcurve.monideal import MonomialIdeal
+from mcurve.monideal import MonomialIdeal, irreducible_decomposition
 from mcurve.seq import CurveSequence, parse_sequence
 from mcurve.sweeps import GeneralizedSweep, RandomSweep
 
@@ -54,6 +56,18 @@ def test_cached_ideal_values_stay_out_of_equality_and_repr():
     fresh = MonomialIdeal(ini.nvars, ini.gens)
     assert ini.decomposition.components and ini.k_polynomial  # fills the cache
     assert ini == fresh and hash(ini) == hash(fresh) and repr(ini) == repr(fresh)
+
+
+def test_ideal_with_its_caches_pickles():
+    # the cache holds the packed generators with their packing, whose
+    # closures do not pickle: the packing pickles as its arguments
+    ini = initial_ideal(toric_ideal(CurveSequence((3, 5, 7))))
+    assert ini.decomposition.components and ini.k_polynomial  # fills the cache
+    back = pickle.loads(pickle.dumps(ini))
+    assert back == ini and back.__dict__.keys() == ini.__dict__.keys()
+    packing, packed = back._packed
+    assert tuple(sorted(map(packing.unpack, packed))) == ini.gens
+    assert irreducible_decomposition(back) == ini.decomposition
 
 
 @pytest.mark.parametrize("make, error", [

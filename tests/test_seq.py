@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcurve.errors import (
@@ -220,7 +220,29 @@ def _min_multiple_brute(m: tuple[int, ...]) -> int:
     raise AssertionError("no multiple found")
 
 
+def _min_multiple_by_bytearray(m: tuple[int, ...]) -> int:
+    """Reference: the DP over one byte per value up to m_1 m_2, each
+    generator's multiples added by a scan over every value."""
+    limit = m[0] * m[1]
+    reach = bytearray(limit + 1)
+    reach[0] = 1
+    for v in m[1:]:
+        for x in range(v, limit + 1):
+            if reach[x - v]:
+                reach[x] = 1
+    return next(b for b in range(1, m[1] + 1) if reach[b * m[0]])
+
+
 class TestMinMultiple:
+    @given(m=st.lists(st.integers(1, 90), min_size=2, max_size=6, unique=True).map(sorted))
+    @example(m=[1, 2])
+    @example(m=[2, 3])
+    @example(m=[89, 90])
+    @example(m=[5, 26, 32, 38])
+    @settings(max_examples=300)
+    def test_same_as_the_bytearray_dp(self, m):
+        assert min_multiple(CurveSequence(tuple(m))) == _min_multiple_by_bytearray(tuple(m))
+
     def test_golden_arithmetic(self):
         assert min_multiple(parse_sequence("10,13,16,19,22")) == 6
         assert _min_multiple_brute((10, 13, 16, 19, 22)) == 6
