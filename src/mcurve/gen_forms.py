@@ -22,7 +22,7 @@ from .arith_forms import (ArithHilbert, _mono, _require_oriented_members, gb_ari
 from .errors import CaseNotApplicable, InvariantViolation, NotGeneralizedArithmetic
 from .monideal import IrreducibleComponent, IrreducibleDecomposition, _polyadd, _polymul, _trim
 from .poly import Binomial, TermOrder
-from .seq import CurveSequence, GeneralizedProfile, generalized_class
+from .seq import CurveSequence, GeneralizedProfile, generalized_class, hd_fit
 
 
 class NotCmWitness(NamedTuple):
@@ -45,19 +45,10 @@ def not_cm_witness(seq: CurveSequence) -> NotCmWitness | None:
         for head in itertools.combinations(range(n - 1), l - 1):
             idx = head + (n - 1,)
             sub = [m[i] for i in idx]
-            d = sub[2] - sub[1]
-            if d < 1:
+            fit = hd_fit(sub)
+            if fit is None or fit[0] == 1 or fit[0] * sub[0] in values:
                 continue
-            rem = sub[1] - d
-            if rem <= 0 or rem % sub[0] != 0:
-                continue
-            h = rem // sub[0]
-            if h <= 1:
-                continue
-            if any(sub[t] != h * sub[0] + t * d for t in range(1, l)):
-                continue
-            if h * sub[0] in values:
-                continue
+            h, d = fit
             return NotCmWitness(tuple(i + 1 for i in idx), h, d, h * sub[0])
     return None
 

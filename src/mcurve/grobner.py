@@ -95,28 +95,30 @@ def _unpack(packing: _Packing, pairs: list[tuple[int, int]]) -> tuple[Binomial, 
 def buchberger(gens: Iterable[Binomial], order: TermOrder, cap: int) -> GroebnerBasis:
     """Reduced Groebner basis of the binomial ideal generated by `gens`.
 
-    Generators and S-pairs enter the basis through one step: their normal
-    form, which puts the side that leads under `order` first and drops a zero
-    difference (so the generators may come in either orientation), the cap
-    check, and the Gebauer-Moeller update of the pairs (Becker-Weispfenning,
-    Groebner Bases, 5.5).  With a new lead h, a new pair (i, h) is dropped
-    when another new pair's lcm strictly divides its lcm; of the new pairs
-    with one lcm only one is kept, and none when one of them has coprime
-    leads (criterion M).  A queued pair (i, j) is dropped when h divides its
-    lcm and that lcm differs from lcm(i, h) and lcm(j, h) (criterion B).
-    Elements whose lead h divides get no further pairs but stay reducers.
-    Pair selection is the normal strategy (lowest lcm degree first, ties by
-    the order on the lcm), which together with the final interreduction
-    makes the output independent of the generator ordering.  A basis element
-    or a selected S-pair of degree above `cap` raises DegreeCapExceeded; a
-    pair the criteria drop is never checked against the cap, so an input
-    whose only pairs above the cap are dropped ones returns its basis.  The
-    result records the cap it ran under.
+    Generators and S-pairs enter the basis through one step: the lead of
+    their normal form, the cap check, and the new pairs.  The lead is the
+    larger side once it is irreducible (so the generators may come in either
+    orientation), and a difference that reaches zero on the way drops; the
+    other side is the trail as it stands, since the pair criteria read only
+    leads and the final interreduction reduces every trail.  With a new lead
+    h, a new pair (i, h) is dropped when another new pair's lcm strictly
+    divides its lcm; of the new pairs with one lcm only one is kept, and none
+    when one of them has coprime leads (criterion M of Gebauer-Moeller;
+    Becker-Weispfenning, Groebner Bases, 5.5).  Every pair queued is
+    reduced.  Elements whose lead h divides get no further pairs but stay
+    reducers.  Pair selection is the normal strategy (lowest lcm degree
+    first, ties by the order on the lcm), which together with the final
+    interreduction makes the output independent of the generator ordering.
+    A basis element or a selected S-pair of degree above `cap` raises
+    DegreeCapExceeded.  A pair that criterion M, the coprime test or a
+    retirement from pairing drops is never checked against the cap, so an
+    input whose only pairs above the cap are dropped ones returns its basis.
+    The result records the cap it ran under.
 
     Criterion M is one pass over the new pairs sorted by (lcm, i): each class
     of one lcm is a run headed by its first pair, and only the head is tested
     against the kept lcms and for coprime leads.  That suffices.  No lead of
-    the basis divides h (h is fully reduced), and a lead that h divides
+    the basis divides h (h is irreducible), and a lead that h divides
     stops pairing, so no pairing lead divides another.  If lead i is coprime
     to h, a pair (j, h) of the same lcm has lead j equal to lead i on the
     support of lead i (h is 0 there), so lead i divides lead j and j = i: a
@@ -132,8 +134,8 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder, cap: int) -> Groebner
     reduction step is m += trail - lead, packed once per element, and moves
     the order key, itself one int, by a constant stored with it; lcm and
     degree are a few int operations, and two leads are coprime iff their lcm
-    is their product, which packed is their sum: so the pair criteria run on
-    ints too.
+    is their product, which packed is their sum: so criterion M runs on ints
+    too.
     Monomials are tuples only at entry and in the returned basis: the
     packed core `_buchberger` runs on ints of a `_Packing` its caller builds,
     so `toric_ideal` keeps one packing over all its saturation passes.
@@ -153,18 +155,19 @@ def _buchberger(packing: _Packing, gens: list[tuple[int, int]], cap: int) -> lis
     be homogeneous of degree at most the packing's top, and the cap at most
     that top, so that every exponent met fits a field."""
     G = packing.guards
-    degree, key, degree_key, lcm_of = packing.degree, packing.key, packing.degree_key, packing.lcm
+    degree, key, degree_key = packing.degree, packing.key, packing.degree_key
     field, guard_shift = packing.field, packing.guard_shift
     leads: list[int] = []
     reducers: list[tuple[int, int, int]] = []  # (G - lead, trail - lead, key step)
     paired: list[int] = []  # the elements that new elements still pair with
-    live: dict[tuple[int, int], int] = {}  # queued pairs -> lcm
-    heap: list[tuple[int, int, int, int]] = []  # dropped pairs stay until popped
+    heap: list[tuple[int, int, int, int, int]] = []  # (degree, key, i, j, lcm) of pair (i, j)
 
     def add(a: int, ka: int, b: int, kb: int) -> None:
-        # the normal form of a - b: the larger side is reduced one step at a
-        # time, and the sides swap when it drops below the other; once it is
-        # irreducible the other only decreases and is reduced to the end
+        # the lead of the normal form of a - b: the larger side is reduced one
+        # step at a time, and the sides swap when it drops below the other;
+        # once it is irreducible it leads, and the other side, the trail, is
+        # left as it is: the pair criteria read only leads, and
+        # `_interreduce` reduces every trail at the end
         if a == b:
             return
         while True:
@@ -179,22 +182,11 @@ def _buchberger(packing: _Packing, gens: list[tuple[int, int]], cap: int) -> lis
                 break
             if a == b:
                 return
-        while True:
-            for neg, step, kstep in reducers:
-                if (b + neg) & G == G:
-                    b += step
-                    kb += kstep
-                    break
-            else:
-                break
         d = degree(a)
         if d > cap:
             raise DegreeCapExceeded(f"basis element of degree {d} exceeds cap {cap}")
         h = len(leads)
         neg_h = G - a
-        for (i, j), lcm in [e for e in live.items() if (e[1] + neg_h) & G == G]:  # criterion B
-            if lcm != lcm_of(leads[i], a) and lcm != lcm_of(leads[j], a):
-                del live[i, j]
         # criterion M; lcm(l, a) takes l in the fields where l - a keeps its guard
         lcms = [a ^ ((l ^ a) & ((((l + neg_h) & G) >> guard_shift) * field))
                 for l in map(leads.__getitem__, paired)]
@@ -211,8 +203,7 @@ def _buchberger(packing: _Packing, gens: list[tuple[int, int]], cap: int) -> lis
                 minimal.append(G - lcm)
                 # coprime leads (lcm == lead i + h): that S-pair drops, and the class with it
                 if lcm != leads[i] + a:
-                    live[i, h] = lcm
-                    heapq.heappush(heap, (*degree_key(lcm), i, h))
+                    heapq.heappush(heap, (*degree_key(lcm), i, h, lcm))
         # lcm == lead i when h divides it: i stops pairing
         paired[:] = [i for i, lcm in zip(paired, lcms) if lcm != leads[i]] + [h]
         leads.append(a)
@@ -222,10 +213,7 @@ def _buchberger(packing: _Packing, gens: list[tuple[int, int]], cap: int) -> lis
         add(a, key(a), b, key(b))
 
     while heap:
-        d, k, i, j = heapq.heappop(heap)
-        lcm = live.pop((i, j), None)
-        if lcm is None:
-            continue
+        d, k, i, j, lcm = heapq.heappop(heap)
         if d > cap:
             raise DegreeCapExceeded(f"S-pair degree {d} exceeds cap {cap}")
         _, step_i, kstep_i = reducers[i]

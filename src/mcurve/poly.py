@@ -34,8 +34,8 @@ class _Packing:
 
     A sum of exponents, at most nvars top < 2^(w-1), never carries out of a
     field, so: lead divides m iff every guard survives the subtraction,
-    (m + G - lead) & G == G for the guard mask G; the lcm takes each field
-    from the larger side, the side whose guard survives a - b; and the
+    (m + G - lead) & G == G for the guard mask G; a field of a is at least that
+    of b iff its guard survives a - b, which gives the kernel its lcms; and the
     degree is the top field of m * ONES (ONES = 1 in every field).  A
     divisor is never the larger int, so in ascending int order every
     monomial comes after its divisors.  `key` is the int whose order is that
@@ -51,7 +51,7 @@ class _Packing:
     exponent."""
 
     __slots__ = ("args", "top", "guards", "field", "guard_shift", "shifts", "last", "pack",
-                 "unpack", "degree", "lcm", "degree_key", "swap")
+                 "unpack", "degree", "degree_key", "swap")
 
     def __init__(self, nvars: int, top: int, weights: tuple[tuple[int, ...], ...] = ()) -> None:
         self.args, self.top = (nvars, top, weights), top
@@ -61,7 +61,7 @@ class _Packing:
         fields = self.shifts = range(0, w * nvars, w)
         units = [1 << s for s in fields]  # x_i packed
         ones = sum(units)
-        guards = self.guards = ones << (w - 1)
+        self.guards = ones << (w - 1)
         degree_shift = last = self.last = w * max(nvars - 1, 0)
         key_shift = w * nvars  # the degree digit; the weight rows above it
         shift = key_shift + w
@@ -82,10 +82,6 @@ class _Packing:
         def degree(p: int) -> int:
             return (p * ones >> degree_shift) & field
 
-        def lcm(a: int, b: int) -> int:
-            take = (((a + guards - b) & guards) >> (w - 1)) * field  # the fields where a >= b
-            return b ^ ((a ^ b) & take)
-
         def degree_key(p: int) -> tuple[int, int]:
             d = (p * ones >> degree_shift) & field
             k = (d << key_shift) - p
@@ -99,7 +95,7 @@ class _Packing:
             return p ^ (d << s) ^ (d << last)
 
         self.pack, self.unpack, self.degree = pack, unpack, degree
-        self.lcm, self.degree_key, self.swap = lcm, degree_key, swap
+        self.degree_key, self.swap = degree_key, swap
 
     def key(self, p: int) -> int:
         return self.degree_key(p)[1]

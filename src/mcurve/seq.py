@@ -12,7 +12,7 @@ All values are exact integers; operations are pure and all types immutable.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import (
     GcdViolation,
@@ -106,26 +106,35 @@ class SequenceClass(NamedTuple):
         return self.kind in ("arithmetic", "generalized")
 
 
-def classify(seq: CurveSequence) -> SequenceClass:
-    """Detect the unique exact (h, d) fit, falling back to "general".
+def hd_fit(m: Sequence[int]) -> tuple[int, int] | None:
+    """The unique exact (h, d) with m_i = h m_1 + (i-1) d for i >= 2, h >= 1,
+    of a strictly increasing m of length at least 2, or None.
 
-    For n >= 3 the fit is forced: d is the common gap of m_2, ..., m_n and
-    h = (m_2 - d) / m_1; both must be positive integers.  For n = 2 every
-    pair is arithmetic with d = m_2 - m_1.
+    For length >= 3 the fit is forced: d is the common gap of m_2, ..., m_n
+    and h = (m_2 - d) / m_1, a positive integer.  Every pair fits with h = 1
+    and d = m_2 - m_1.  A plain sequence, so that a search over many
+    subsequences builds no `CurveSequence`.
     """
-    m = seq.m
-    if seq.n == 2:
-        d = m[1] - m[0]
-        return SequenceClass("arithmetic", 1, d, math.gcd(m[0], d))
+    if len(m) == 2:
+        return 1, m[1] - m[0]
     d = m[2] - m[1]
-    if any(m[i + 1] - m[i] != d for i in range(1, seq.n - 1)):
+    h, rem = divmod(m[1] - d, m[0])
+    if h < 1 or rem:
+        return None
+    for i in range(3, len(m)):
+        if m[i] - m[i - 1] != d:
+            return None
+    return h, d
+
+
+def classify(seq: CurveSequence) -> SequenceClass:
+    """The class of the exact (h, d) fit (`hd_fit`), "general" when there
+    is none."""
+    fit = hd_fit(seq.m)
+    if fit is None:
         return SequenceClass("general", None, None, None)
-    rem = m[1] - d
-    if rem <= 0 or rem % m[0] != 0:
-        return SequenceClass("general", None, None, None)
-    h = rem // m[0]
-    kind = "arithmetic" if h == 1 else "generalized"
-    return SequenceClass(kind, h, d, math.gcd(m[0], d))
+    h, d = fit
+    return SequenceClass("arithmetic" if h == 1 else "generalized", h, d, math.gcd(seq.m1, d))
 
 
 def generalized_class(seq: CurveSequence) -> SequenceClass:

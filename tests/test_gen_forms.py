@@ -1,5 +1,6 @@
 """Closed forms for generalized arithmetic sequences (h >= 2, h | d)."""
 
+import itertools
 import math
 
 import pytest
@@ -34,6 +35,27 @@ GOLDEN = parse_sequence("7,30,39,48,57,66")
 GOLDEN_PROF = generalized_profile(GOLDEN)
 
 
+def _witness_by_search(m):
+    """Reference for `not_cm_witness` on the increasing tuple m: the first
+    (indices, h, d, missing) by subsequence length, then start, each
+    subsequence fitted inline."""
+    n = len(m)
+    for l in range(3, n + 1):
+        for head in itertools.combinations(range(n - 1), l - 1):
+            idx = head + (n - 1,)
+            sub = [m[i] for i in idx]
+            d = sub[2] - sub[1]
+            rem = sub[1] - d
+            if rem <= 0 or rem % sub[0] != 0:
+                continue
+            h = rem // sub[0]
+            if h <= 1 or any(sub[t] != h * sub[0] + t * d for t in range(1, l)):
+                continue
+            if h * sub[0] not in m:
+                return tuple(i + 1 for i in idx), h, d, h * sub[0]
+    return None
+
+
 class TestNotCmWitness:
     def test_golden_full_sequence(self):
         w = not_cm_witness(GOLDEN)
@@ -51,6 +73,22 @@ class TestNotCmWitness:
         # the witness certifies the oracle verdict
         ini = initial_ideal(toric_ideal(parse_sequence("2,35,46,57,68")))
         assert not cm_via_initial(ini)
+
+    @given(data=st.data())
+    @settings(max_examples=400)
+    def test_same_witness_as_the_inline_fit_search(self, data):
+        # the reference fits each subsequence inline, apart from
+        # seq.hd_fit; half the draws hold a planted generalized progression
+        values = set(data.draw(st.lists(st.integers(1, 80), min_size=1, max_size=6)))
+        if data.draw(st.booleans()):
+            m1, h, d = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 4)), data.draw(
+                st.integers(1, 10))
+            values |= {m1} | {h * m1 + t * d for t in range(data.draw(st.integers(1, 4)))}
+        m = tuple(sorted(values))
+        if len(m) < 2:
+            return
+        w = not_cm_witness(CurveSequence(m))
+        assert (None if w is None else tuple(w)) == _witness_by_search(m)
 
     def test_witness_implies_oracle_non_cm(self):
         for m in [(7, 30, 39, 48, 57, 66), (2, 9, 12, 15), (3, 10, 14), (1, 5, 7, 9)]:

@@ -102,9 +102,11 @@ class TestReducer:
            pairs=st.lists(st.tuples(monomials, monomials), max_size=5),
            a=monomials, b=monomials)
     @settings(max_examples=300)
-    def test_normal_form_is_the_pair_of_full_reductions(self, nvars, cheap, pairs, a, b):
+    def test_normal_form_leads_with_the_larger_full_reduction(self, nvars, cheap, pairs, a, b):
         # the contract of the kernel: each side reduces on its own chain, and
-        # a - b reduces to zero iff both sides reach the same monomial
+        # a - b reduces to zero iff both sides reach the same monomial;
+        # otherwise the larger full reduction leads, and the trail is left
+        # somewhere on the chain of the smaller
         key = degrevlex_cheapest(nvars, min(cheap, nvars - 1)).key
         leads, trails = [], []
         for u, v in pairs:
@@ -119,7 +121,10 @@ class TestReducer:
         if ra == rb:
             assert nf is None
         else:
-            assert nf == tuple(sorted((ra, rb), key=key, reverse=True))
+            lead, trail = nf
+            big, small = sorted((ra, rb), key=key, reverse=True)
+            assert lead == big
+            assert tuple_kernel.reduce_monomial(trail, leads, trails) == small
 
 
 def _buchberger_coprime_only(gens, order, cap):
@@ -214,6 +219,16 @@ class TestPairCriteria:
         assert buchberger(gens, yweighted(3, 1), 3).elements == tuple(
             _binomials(3, "x1 - x3", "x2*x3^2 - x3^3"))
 
+    def test_every_queued_pair_is_cap_checked(self):
+        # the pair of leads x2*x3 and x1^5*x2 has degree 7, and the later lead
+        # x1^4 divides its lcm; every queued pair is reduced, so it is
+        # selected and meets the cap
+        gens = _binomials(3, "x2*x3 - x1^2", "x1^3*x2^3 - x1^3*x2^2*x3", "x1^2 - x3^2")
+        with pytest.raises(DegreeCapExceeded, match="^S-pair degree 7 exceeds cap 6$"):
+            buchberger(gens, yweighted(3, 2), 6)
+        assert buchberger(gens, yweighted(3, 2), 7).elements == _buchberger_coprime_only(
+            gens, yweighted(3, 2), 7)
+
 
 def _outcome(run, *args):
     """The basis a kernel or a saturation returns, or the message of its
@@ -258,10 +273,8 @@ class TestPackedKernel:
         G = packing.guards
         assert packing.unpack(pa) == a
         assert ((pb + G - pa) & G == G) == all(x <= y for x, y in zip(a, b))
-        assert packing.unpack(packing.lcm(pa, pb)) == tuple(map(max, a, b))
         assert packing.degree(pa) == sum(a)
         assert packing.degree_key(pa) == (sum(a), packing.key(pa))
-        assert (packing.lcm(pa, pb) == pa + pb) == (not any(map(min, a, b)))  # coprime
         ka, kb, ta, tb = packing.key(pa), packing.key(pb), order.key(a), order.key(b)
         assert (ka > kb, ka < kb) == (ta > tb, ta < tb)
 

@@ -2,9 +2,9 @@
 
 The package's kernel (`mcurve.grobner.buchberger`, `reduce_basis`) packs each
 monomial into one int.  This is the same algorithm on plain tuples, with the
-order read from `TermOrder.key`: the same normal form, the same
-Gebauer-Moeller criteria, the same pair selection and the same cap checks in
-the same sequence.  The tests compare the two, and `toric_ideal` with the
+order read from `TermOrder.key`: the same lead of each normal form, the same
+criterion M, coprime test and retirement from pairing, the same pair
+selection and the same cap checks in the same sequence.  The tests compare the two, and `toric_ideal` with the
 tuple saturation loop built on this one (`_toric_ideal_by_tuples` in
 test_grobner.py), so it must stay a reference only.  It needs no
 homogeneous input.
@@ -30,15 +30,16 @@ def reduce_monomial(m, leads, trails):
 
 
 def normal_form(a, b, leads, trails, key):
-    """Fully reduce the pure difference a - b by the oriented reducers
-    lead -> trail: None when it reduces to zero, else the two reduced
-    monomials, the one that leads under `key` first.
+    """Reduce the pure difference a - b by the oriented reducers
+    lead -> trail until its lead is irreducible: None when it reaches zero,
+    else the irreducible lead under `key` and the other side as it stands.
 
     The larger side is reduced one step at a time, and the sides swap when it
     drops below the other; a step changes only the larger side, so only its
     key is computed again.  Once the larger side is irreducible, the other
-    only decreases, so it never meets it again: `reduce_monomial` finishes
-    it."""
+    only decreases, so it never meets it again: the difference is nonzero,
+    and its full reduction is the lead and `reduce_monomial` of the other
+    side."""
     if a == b:
         return None
     ka, kb = key(a), key(b)
@@ -50,7 +51,7 @@ def normal_form(a, b, leads, trails, key):
                 a = tuple(x - y + z for x, y, z in zip(a, lt, trails[i]))
                 break
         else:
-            return a, reduce_monomial(b, leads, trails)
+            return a, b
         if a == b:
             return None
         ka = key(a)
@@ -81,8 +82,7 @@ def buchberger(gens, order, cap):
     key = order.key
     leads, trails = [], []
     paired = []  # the elements that new elements still pair with
-    live = {}  # queued pairs -> lcm
-    heap = []  # dropped pairs stay until popped
+    heap = []
 
     def add(a, b):
         nf = normal_form(a, b, leads, trails, key)
@@ -92,10 +92,6 @@ def buchberger(gens, order, cap):
         if sum(lead) > cap:
             raise DegreeCapExceeded(f"basis element of degree {sum(lead)} exceeds cap {cap}")
         h = len(leads)
-        for (i, j), lcm in list(live.items()):  # criterion B
-            if (mono_divides(lead, lcm) and lcm != tuple(map(max, leads[i], lead))
-                    and lcm != tuple(map(max, leads[j], lead))):
-                del live[i, j]
         lcms = [tuple(map(max, leads[i], lead)) for i in paired]  # criterion M
         by_lcm = {}
         for i, lcm in zip(paired, lcms):
@@ -110,8 +106,7 @@ def buchberger(gens, order, cap):
                 if len(same) > 1:  # the package's kernel tests only the class's first pair
                     raise InvariantViolation(f"coprime leads in a class of {len(same)} pairs")
                 continue  # coprime leads: this S-polynomial drops, and with it the class
-            live[same[0], h] = lcm
-            heapq.heappush(heap, (sum(lcm), key(lcm), same[0], h))
+            heapq.heappush(heap, (sum(lcm), key(lcm), same[0], h, lcm))
         # lcm == lead i when h divides it: i stops pairing
         paired[:] = [i for i, lcm in zip(paired, lcms) if lcm != leads[i]] + [h]
         leads.append(lead)
@@ -121,10 +116,7 @@ def buchberger(gens, order, cap):
         add(g.lead, g.trail)
 
     while heap:
-        _, _, i, j = heapq.heappop(heap)
-        lcm = live.pop((i, j), None)
-        if lcm is None:
-            continue
+        _, _, i, j, lcm = heapq.heappop(heap)
         if sum(lcm) > cap:
             raise DegreeCapExceeded(f"S-pair degree {sum(lcm)} exceeds cap {cap}")
         add(tuple(l - x + t for l, x, t in zip(lcm, leads[i], trails[i])),
