@@ -101,6 +101,107 @@ class TestInvariants:
             assert profiles(lambda s: build_report(s, verify=True), m) == want, m
 
 
+def _report(seq, kind, h, d, cm, cm_type, gorenstein, ci, reg, hf_reg, betti1, hs, hp,
+            koszul, reason, provenance):
+    """A to_dict() output, in its key order."""
+    return {"sequence": seq, "kind": kind, "h": h, "d": d, "cm": cm, "cm_type": cm_type,
+            "gorenstein": gorenstein, "complete_intersection": ci, "regularity": reg,
+            "hf_regularity": hf_reg, "betti1": betti1, "hs_numerator": hs,
+            "hilbert_polynomial": {"slope": hp[0], "constant": hp[1]},
+            "koszul_verdict": koszul, "koszul_reason": reason, "provenance": provenance}
+
+
+def _provenance(names, source):
+    return {**dict.fromkeys(names, source), "koszul": "oracle"}
+
+
+ARITH_CLAIMS = ["cm", "cm_type", "gorenstein", "complete_intersection", "hf_regularity",
+                "betti1", "regularity", "hs_numerator", "hilbert_polynomial"]
+GEN_CLAIMS = ["cm", "gorenstein", "complete_intersection", "betti1", "regularity",
+              "hs_numerator", "hilbert_polynomial"]
+CM_ORACLE = ["cm", "cm_type", "gorenstein", "regularity", "hs_numerator", "hilbert_polynomial"]
+NOT_CM_ORACLE = ["cm", "regularity", "hs_numerator", "hilbert_polynomial"]
+
+# the whole report of one curve per path, unverified and verified
+REPORT_CONTRACT = {
+    "10,13,16,19,22": (  # arithmetic
+        _report([10, 13, 16, 19, 22], "arithmetic", 1, 3, True, 1, True, False, 6, 5, 9,
+                [1, 4, 4, 4, 4, 4, 1], (22, -44), "not_koszul", "classified_generalized",
+                _provenance(ARITH_CLAIMS, "closed_form")),
+        _report([10, 13, 16, 19, 22], "arithmetic", 1, 3, True, 1, True, False, 6, 5, 9,
+                [1, 4, 4, 4, 4, 4, 1], (22, -44), "not_koszul", "classified_generalized",
+                {**_provenance(ARITH_CLAIMS, "both-agree"), "hf_regularity": "closed_form"})),
+    "7,30,39,48,57,66": (  # generalized, h | d
+        _report([7, 30, 39, 48, 57, 66], "generalized", 3, 9, False, None, False, False, 14,
+                None, 18, [1, 5, 9, 13, 13, 13, 10, 6, 1, -1, -1, -1, 0, -1, 0, -1],
+                (66, -165), "not_koszul", "classified_generalized",
+                _provenance(GEN_CLAIMS, "closed_form")),
+        _report([7, 30, 39, 48, 57, 66], "generalized", 3, 9, False, None, False, False, 14,
+                None, 18, [1, 5, 9, 13, 13, 13, 10, 6, 1, -1, -1, -1, 0, -1, 0, -1],
+                (66, -165), "not_koszul", "classified_generalized",
+                {**_provenance(GEN_CLAIMS, "both-agree"),
+                 "complete_intersection": "closed_form"})),
+    "1,2,3,4,6": 2 * (  # general, Cohen-Macaulay
+        _report([1, 2, 3, 4, 6], "general", None, None, True, 1, True, None, 2, None, None,
+                [1, 4, 1], (6, 0), "koszul", "quadratic_gb:degrevlex",
+                _provenance(CM_ORACLE, "oracle")),),
+    "5,26,32,38": 2 * (  # general (h = 4 does not divide d = 6), not Cohen-Macaulay
+        _report([5, 26, 32, 38], "generalized", 4, 6, False, None, None, None, 13, None, None,
+                [1, 3, 5, 7, 9, 9, 6, 2, 0, -1, 0, -1, -1, 0, -1], (38, -81), "not_koszul",
+                "classified_generalized", _provenance(NOT_CM_ORACLE, "oracle")),),
+    "6,9,12": 2 * (  # fits h = 1, but gcd(m_1, d) = 3: no closed form applies
+        _report([6, 9, 12], "arithmetic", 1, 3, True, 1, True, None, 2, None, None,
+                [1, 2, 1], (4, 0), "koszul", "classified_generalized",
+                _provenance(CM_ORACLE, "oracle")),),
+}
+
+
+def _rebind(monkeypatch, fn, replacement):
+    """Replace `fn` under every name a loaded mcurve module holds for it."""
+    for name, module in list(sys.modules.items()):
+        if name == "mcurve" or name.startswith("mcurve."):
+            for attr in [a for a, v in vars(module).items() if v is fn]:
+                monkeypatch.setattr(module, attr, replacement)
+
+
+class TestReportContract:
+    @pytest.mark.parametrize("m", REPORT_CONTRACT)
+    def test_whole_report(self, m):
+        # every field and every provenance entry, in order: json.dumps keeps it
+        for verify, want in zip((False, True), REPORT_CONTRACT[m]):
+            got = build_report(parse_sequence(m), verify=verify).to_dict()
+            assert json.dumps(got) == json.dumps(want), (m, verify)
+
+    @pytest.mark.parametrize("call, m", [
+        (lambda s: build_report(s, verify=True), "10,13,16,19,22"),
+        (lambda s: build_report(s, verify=True), "7,30,39,48,57,66"),
+        (sweeps.check_arithmetic_instance, "10,13,16,19,22"),
+        (sweeps.check_generalized_instance, "7,30,39,48,57,66"),
+    ])
+    def test_oracle_and_closed_basis_once_per_curve(self, monkeypatch, call, m):
+        # the generalized checker also computes the basis of its tail curve
+        calls = []
+        for fn, curve in ((grobner.toric_ideal, lambda seq, *a: seq.m),
+                          (mcurve.monideal.cm_type_oracle, lambda seq, *a: seq.m),
+                          (mcurve.arith_forms.gb_arithmetic, lambda prof: prof.seq.m),
+                          (mcurve.gen_forms.gb_generalized, lambda prof: prof.seq.m)):
+            def counted(*args, fn=fn, curve=curve):
+                calls.append((fn.__name__, curve(*args)))
+                return fn(*args)
+
+            _rebind(monkeypatch, fn, counted)
+        call(parse_sequence(m))
+        assert len(calls) == len(set(calls)), calls
+        assert ("toric_ideal", tuple(map(int, m.split(",")))) in calls
+
+    def test_first_failing_claim_is_reported(self, capsys, monkeypatch):
+        # a wrong cm is reported as such (exit 1), not as the NotCohenMacaulay
+        # that the CM type oracle, a later claim, would raise on it
+        _rebind(monkeypatch, mcurve.monideal.cm_via_initial, lambda ideal: False)
+        assert main(["invariants", "-m", "10,13,16,19,22", "--verify"]) == 1
+        assert capsys.readouterr().err.startswith("verification failure: cm:")
+
+
 class TestGb:
     def test_closed_source(self, capsys):
         assert main(["gb", "-m", "1,2,3", "--source", "closed"]) == 0
