@@ -3,10 +3,12 @@
 Subcommands: ``invariants`` (one-shot report, optionally verifying closed
 forms against the oracle), ``gb`` (print / diff Groebner bases), ``hilbert``
 (Hilbert-function table, formula vs counting), ``sweep`` (family
-verification runs, JSONL output).  ``sweep`` reads its families from
-``sweeps.FAMILIES``; each of --max-mn, --h, --count and --seed sets one field
-of the chosen family's config (SWEEP_FLAGS), and a flag whose field that config
-lacks is a usage error.
+verification runs, JSONL output).  Whether and which closed forms apply is
+decided in ``sweeps``: the report settles the claims of the curve's family
+(``sweeps.CLAIMS``), and gb and hilbert read a ``sweeps.Curve``.  ``sweep``
+reads its families from ``sweeps.FAMILIES``; each of --max-mn, --h, --count
+and --seed sets one field of the chosen family's config (SWEEP_FLAGS), and a
+flag whose field that config lacks is a usage error.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 The MCURVE_CAP_DEGREE environment variable overrides the Buchberger degree
@@ -26,46 +28,14 @@ import json
 import os
 import sys
 import time
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import sweeps
-from .arith_forms import (
-    ArithHilbert,
-    betti1_arithmetic,
-    cm_type_arithmetic,
-    gb_arithmetic,
-    hilbert_arithmetic,
-    is_gorenstein,
-    reg_arithmetic,
-)
 from .errors import McurveError, SequenceError
-from .gen_forms import (
-    GenHilbert,
-    gb_generalized,
-    hilbert_generalized,
-    is_cm_generalized,
-    is_complete_intersection,
-    reg_generalized,
-)
-from .grobner import (
-    buchberger,
-    initial_ideal,
-    reduce_basis,
-    render_gb,
-    toric_ideal,
-)
+from .grobner import buchberger, reduce_basis, render_gb
 from .koszul import koszul_status
-from .monideal import (
-    cm_type_oracle,
-    cm_via_initial,
-    fitted_polynomial,
-    hf_quotient,
-    hs_numerator,
-    reg_nested_type,
-)
-from .poly import Binomial, TermOrder, format_binomial, parse_order
-from .seq import (ArithmeticProfile, CurveSequence, GeneralizedProfile, classify,
-                  closed_profile, parse_sequence)
+from .poly import TermOrder, format_binomial, parse_order
+from .seq import CurveSequence, classify, closed_profile, parse_sequence
 
 if TYPE_CHECKING:  # argparse loads in build_parser, when a command line is parsed
     import argparse
@@ -144,28 +114,6 @@ class Mismatch(McurveError):
     """Closed form and oracle disagree."""
 
 
-Profile = ArithmeticProfile | GeneralizedProfile
-
-
-class ClosedForms(NamedTuple):
-    """The closed forms of one family, each taking the family's profile."""
-
-    gb: Callable[[Profile], list[Binomial]]
-    hilbert: Callable[[Profile], ArithHilbert | GenHilbert]
-    regularity: Callable[[Profile], int]
-
-
-def closed_forms(prof: Profile | None) -> ClosedForms | None:
-    """The closed forms of the family of a profile (seq.closed_profile), or None.
-
-    The table is built per call, so a function replaced on this module (a test
-    double, or a tracing wrapper) is the one that runs."""
-    return {
-        ArithmeticProfile: ClosedForms(gb_arithmetic, hilbert_arithmetic, reg_arithmetic),
-        GeneralizedProfile: ClosedForms(gb_generalized, hilbert_generalized, reg_generalized),
-    }.get(type(prof))
-
-
 def _cap_from(args: argparse.Namespace) -> int | None:
     """The degree cap of --cap-degree, else of MCURVE_CAP_DEGREE, else None (the
     default); a cap below 1, or a variable that is no integer, is a usage error."""
@@ -184,76 +132,33 @@ def _cap_from(args: argparse.Namespace) -> int | None:
 
 
 def build_report(seq: CurveSequence, verify: bool, cap: int | None = None) -> InvariantReport:
-    """The invariant report of `seq`.  The toric basis (under `cap`; None: the
-    default) is computed once, when verifying or when no closed form applies,
-    and the Koszul cascade reuses it."""
+    """The invariant report of `seq`: every claim of its family (sweeps.CLAIMS)
+    settled.  The oracle sides run, on one toric basis under `cap` (None: the
+    default), when verifying or when no closed form applies, and the Koszul
+    cascade reuses that basis."""
     cls = classify(seq)
+    curve = sweeps.Curve(seq, closed_profile(seq), cap)
+    oracle = verify or curve.profile is None
+    values = dict.fromkeys(InvariantReport._fields)
     prov: dict[str, str] = {}
-
-    def settle(name: str, closed, oracle) -> object:
-        """Record a field computed one or both ways; raise on disagreement."""
-        if closed is not None and oracle is not None:
-            if closed != oracle:
-                raise Mismatch(f"{name}: closed form {closed} != oracle {oracle} for ({seq})")
-            prov[name] = "both-agree"
-            return closed
-        if closed is not None:
-            prov[name] = "closed_form"
-            return closed
-        prov[name] = "oracle"
-        return oracle
-
-    prof = closed_profile(seq)
-    forms = closed_forms(prof)
-    gb = ini = None
-    if verify or forms is None:
-        gb = toric_ideal(seq, cap)
-        ini = initial_ideal(gb)
-    oracle = gb is not None
-    # built once: a generalized betti_1 counts it, and verifying compares it
-    closed_gb = forms.gb(prof) if forms and (verify or isinstance(prof, GeneralizedProfile)) else None
-
-    hil = forms.hilbert(prof) if forms else None
-    cm_type = gorenstein = complete_intersection = hf_regularity = betti1 = None
-    if isinstance(prof, ArithmeticProfile):
-        cm = settle("cm", True, cm_via_initial(ini) if oracle else None)
-        cm_type = settle("cm_type", cm_type_arithmetic(prof),
-                         cm_type_oracle(seq, ini) if oracle else None)
-        gorenstein = settle("gorenstein", is_gorenstein(prof), (cm_type == 1) if oracle else None)
-        complete_intersection = settle("complete_intersection", is_complete_intersection(seq),
-                                       (len(gb.elements) == seq.n - 1) if oracle else None)
-        hf_regularity = settle("hf_regularity", hil.hf_reg, None)
-        betti1 = settle("betti1", betti1_arithmetic(prof), len(gb.elements) if oracle else None)
-    elif isinstance(prof, GeneralizedProfile):
-        cm = settle("cm", is_cm_generalized(seq), cm_via_initial(ini) if oracle else None)
-        gorenstein = False if not cm else None
-        prov["gorenstein"] = prov["cm"]
-        complete_intersection = settle(
-            "complete_intersection", is_complete_intersection(seq), None)
-        betti1 = settle("betti1", len(closed_gb), len(gb.elements) if oracle else None)
-    else:
-        cm = settle("cm", None, cm_via_initial(ini))
-        if cm:
-            cm_type = settle("cm_type", None, cm_type_oracle(seq, ini))
-            gorenstein = settle("gorenstein", None, cm_type == 1)
-    regularity = settle("regularity", forms.regularity(prof) if forms else None,
-                        reg_nested_type(ini) if oracle else None)
-    hs_num = settle("hs_numerator", hil.hs_numerator if hil else None,
-                    hs_numerator(ini) if oracle else None)
-    hilbert_polynomial = settle(
-        "hilbert_polynomial", (hil.hp_slope, hil.hp_constant) if hil else None,
-        fitted_polynomial(ini, regularity) if oracle else None)
-    if verify and forms is not None and set(reduce_basis(closed_gb, gb.order)) != gb.element_set():
+    for claim in sweeps.CLAIMS[type(curve.profile)]:
+        closed = claim.closed(curve) if claim.closed else None
+        found = claim.oracle(curve) if claim.oracle and oracle else None
+        if closed is not None and found is not None and closed != found:
+            raise Mismatch(f"{claim.name}: closed form {closed} != oracle {found} for ({seq})")
+        if closed is not None or found is not None:
+            prov[claim.name] = ("closed_form" if found is None else
+                                "oracle" if closed is None else "both-agree")
+            values[claim.name] = closed if closed is not None else found
+    if (verify and curve.profile is not None
+            and set(reduce_basis(curve.closed_gb, curve.gb.order)) != curve.gb.element_set()):
         raise Mismatch(f"groebner basis: closed form != oracle for ({seq})")
 
-    status = koszul_status(seq, gb)
+    status = koszul_status(seq, curve.gb if oracle else None)
     prov["koszul"] = "oracle"
-    return InvariantReport(
-        sequence=seq.m, kind=cls.kind, h=cls.h, d=cls.d, cm=cm, cm_type=cm_type,
-        gorenstein=gorenstein, complete_intersection=complete_intersection,
-        regularity=regularity, hf_regularity=hf_regularity, betti1=betti1,
-        hs_numerator=hs_num, hilbert_polynomial=hilbert_polynomial,
-        koszul_verdict=status.verdict, koszul_reason=status.reason, provenance=prov)
+    values.update(sequence=seq.m, kind=cls.kind, h=cls.h, d=cls.d,
+                  koszul_verdict=status.verdict, koszul_reason=status.reason, provenance=prov)
+    return InvariantReport(**values)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -271,22 +176,20 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 def cmd_gb(args: argparse.Namespace) -> int:
     seq = parse_sequence(args.sequence)
-    cap = _cap_from(args)
+    curve = sweeps.Curve(seq, closed_profile(seq), _cap_from(args))
     order = parse_order(args.order, seq.n + 1)
 
     if args.diff or args.source == "closed":
         if order != TermOrder(seq.n + 1):
             raise ValueError("--order applies to the oracle basis only, not to --diff "
                              "or --source closed")
-        prof = closed_profile(seq)
-        forms = closed_forms(prof)
-        if forms is None:
+        if curve.closed_gb is None:
             print(f"no closed form applies to ({seq})", file=sys.stderr)
             return 2
-        closed = reduce_basis(forms.gb(prof), order)
+        closed = reduce_basis(curve.closed_gb, order)
 
     if args.diff:
-        oracle = toric_ideal(seq, cap)
+        oracle = curve.gb
         only_closed = sorted(set(closed) - oracle.element_set(), key=str)
         only_oracle = sorted(oracle.element_set() - set(closed), key=str)
         for b in only_closed:
@@ -301,7 +204,7 @@ def cmd_gb(args: argparse.Namespace) -> int:
     if args.source == "closed":
         sys.stdout.write(render_gb(order, closed, seq))
         return 0
-    gb = toric_ideal(seq, cap)
+    gb = curve.gb
     if order != gb.order:
         gb = buchberger(gb.elements, order, gb.cap)
     sys.stdout.write(render_gb(gb.order, gb.elements, seq))
@@ -312,31 +215,22 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
     if args.max_degree < 0:
         raise ValueError(f"--max-degree must be at least 0, got {args.max_degree}")
     seq = parse_sequence(args.sequence)
-    ini = initial_ideal(toric_ideal(seq, _cap_from(args)))
-    prof = closed_profile(seq)
-    forms = closed_forms(prof)
-    closed_hf = forms.hilbert(prof).hf_at if forms else None
-
-    rows = []
-    mismatch = False
-    for s in range(args.max_degree + 1):
-        counted = hf_quotient(ini, s)
-        formula = closed_hf(s) if closed_hf else None
-        rows.append((s, formula, counted))
-        if formula is not None and formula != counted:
-            mismatch = True
+    curve = sweeps.Curve(seq, closed_profile(seq), _cap_from(args))
+    rows = [(s, curve.hilbert.hf_at(s) if curve.hilbert else None, counted)
+            for s, counted in enumerate(curve.hf(args.max_degree + 1))]
+    mismatch = any(f is not None and f != c for _, f, c in rows)
     if args.json:
         payload = {
             "sequence": list(seq.m),
             "rows": [{"s": s, "closed": f, "counted": c} for s, f, c in rows],
-            "hs_numerator": list(hs_numerator(ini)),
+            "hs_numerator": list(curve.hs),
         }
         print(json.dumps(payload, sort_keys=True))
     else:
         print(f"{'s':>4} {'closed':>10} {'counted':>10}")
         for s, f, c in rows:
             print(f"{s:>4} {f if f is not None else '-':>10} {c:>10}")
-        print(f"hs numerator: {list(hs_numerator(ini))}")
+        print(f"hs numerator: {list(curve.hs)}")
     return 1 if mismatch else 0
 
 

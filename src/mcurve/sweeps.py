@@ -1,11 +1,20 @@
-"""Family sweeps: per-instance verification of every closed form against the
-Buchberger oracle.
+"""The paper's claims about K[C] in one table, and the family sweeps that check them.
 
-Each checker returns a dict of named boolean results (one per verified
-claim); an instance passes when all are true.  The same checkers back the
-acceptance suite and the ``mcurve sweep`` command, which reads its families
-from FAMILIES: per family, a config whose fields are exactly what a caller may
-set (every family bounds m_n by max_mn), its instances and its checker.
+CLAIMS is keyed by the type of seq.closed_profile's profile (ArithmeticProfile,
+GeneralizedProfile, or NoneType when no closed form applies).  A claim names
+the InvariantReport field it settles and has a closed side (a Curve's profile
+and closed forms -> value) and an oracle side (its toric basis and initial
+ideal -> value).  A side is None where the family has none; a side that
+returns None has no value for that curve.  cli.build_report settles every
+claim of a curve's family, and gb and hilbert read a Curve's closed data.
+
+A checker returns a dict of named boolean results; an instance passes when all
+are true.  The arithmetic and generalized checkers are every claim of their
+family with both sides (closed == oracle), the closed basis, the counted
+Hilbert function and the family's structural checks.  They back the
+acceptance suite and ``mcurve sweep``, which reads FAMILIES: per family, a
+config whose fields are exactly what a caller may set (every family bounds m_n
+by max_mn), its instances and its checker.
 """
 
 from __future__ import annotations
@@ -13,9 +22,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from functools import cached_property
 from typing import Any, Callable, Iterator, NamedTuple
 
 from .arith_forms import (
+    ArithHilbert,
     betti1_arithmetic,
     cm_type_arithmetic,
     gb_arithmetic,
@@ -25,15 +36,18 @@ from .arith_forms import (
     reg_arithmetic,
 )
 from .gen_forms import (
+    GenHilbert,
     gb_generalized,
     hilbert_generalized,
     hs_n3,
     irred_dec_generalized,
     is_cm_generalized,
+    is_complete_intersection,
     not_cm_witness,
     reg_generalized,
 )
 from .grobner import (
+    GroebnerBasis,
     buchberger,
     initial_ideal,
     is_generated_by_quadrics,
@@ -42,6 +56,7 @@ from .grobner import (
 )
 from .koszul import N3_KOSZUL, N4_KOSZUL, quadratic_gb_witness
 from .monideal import (
+    MonomialIdeal,
     _polyadd,
     _trim,
     cm_type_oracle,
@@ -54,8 +69,129 @@ from .monideal import (
     last_step_check,
     reg_nested_type,
 )
-from .poly import TermOrder, is_member_binomial
-from .seq import CurveSequence, arithmetic_profile, generalized_profile, min_multiple
+from .poly import Binomial, TermOrder, is_member_binomial
+from .seq import (ArithmeticProfile, CurveSequence, GeneralizedProfile, arithmetic_profile,
+                  generalized_profile, min_multiple)
+
+
+class Curve:
+    """One curve as the claims read it: the sequence, the profile of its
+    family (None: no closed form applies) and the degree cap of its toric
+    basis (None: the default).  Every value below is computed once, on first
+    use, by a function looked up on this module when it runs, so a function
+    replaced here (a test double, or a tracing wrapper) is the one that runs."""
+
+    def __init__(self, seq: CurveSequence,
+                 profile: ArithmeticProfile | GeneralizedProfile | None = None,
+                 cap: int | None = None):
+        self.seq, self.profile, self.cap = seq, profile, cap
+
+    @cached_property
+    def closed_gb(self) -> list[Binomial] | None:
+        """The closed-form basis, minimal but not reduced."""
+        form = gb_arithmetic if isinstance(self.profile, ArithmeticProfile) else gb_generalized
+        return self.profile and form(self.profile)
+
+    @cached_property
+    def hilbert(self) -> ArithHilbert | GenHilbert | None:
+        """The closed-form Hilbert data."""
+        arithmetic = isinstance(self.profile, ArithmeticProfile)
+        form = hilbert_arithmetic if arithmetic else hilbert_generalized
+        return self.profile and form(self.profile)
+
+    @cached_property
+    def gb(self) -> GroebnerBasis:
+        """The oracle: the reduced degrevlex basis of I(C)."""
+        return toric_ideal(self.seq, self.cap)
+
+    @cached_property
+    def ini(self) -> MonomialIdeal:
+        return initial_ideal(self.gb)
+
+    @cached_property
+    def cm_type(self) -> int:
+        """The CM type, counted (NotCohenMacaulay when the curve is not CM)."""
+        return cm_type_oracle(self.seq, self.ini)
+
+    @cached_property
+    def reg(self) -> int:
+        """The regularity of in(I(C)), from its irreducible decomposition."""
+        return reg_nested_type(self.ini)
+
+    @cached_property
+    def hs(self) -> tuple[int, ...]:
+        """The Hilbert-series numerator of in(I(C))."""
+        return hs_numerator(self.ini)
+
+    def hf(self, top: int) -> list[int]:
+        """The Hilbert function of R/in(I(C)) at the degrees 0..top-1, counted."""
+        return [hf_quotient(self.ini, s) for s in range(top)]
+
+
+class Claim(NamedTuple):
+    """A claim of the paper: the InvariantReport field it settles, and its
+    closed and oracle sides (Curve -> value, or None)."""
+
+    name: str
+    closed: Callable[[Curve], Any] | None
+    oracle: Callable[[Curve], Any] | None
+
+
+def _cm(c: Curve) -> bool:
+    return cm_via_initial(c.ini)
+
+
+# the Hilbert-series claims of every family; a closed side is None without a closed form
+_HILBERT_CLAIMS = (
+    Claim("hs_numerator", lambda c: c.hilbert.hs_numerator if c.hilbert else None,
+          lambda c: c.hs),
+    Claim("hilbert_polynomial",
+          lambda c: (c.hilbert.hp_slope, c.hilbert.hp_constant) if c.hilbert else None,
+          lambda c: fitted_polynomial(c.ini, c.reg)),
+)
+
+# each family's claims, in the order they are settled
+CLAIMS: dict[type, tuple[Claim, ...]] = {
+    ArithmeticProfile: (
+        Claim("cm", lambda c: True, _cm),
+        Claim("cm_type", lambda c: cm_type_arithmetic(c.profile), lambda c: c.cm_type),
+        Claim("gorenstein", lambda c: is_gorenstein(c.profile), lambda c: c.cm_type == 1),
+        Claim("complete_intersection", lambda c: is_complete_intersection(c.seq),
+              lambda c: len(c.gb.elements) == c.seq.n - 1),
+        Claim("hf_regularity", lambda c: c.hilbert.hf_reg, None),
+        Claim("betti1", lambda c: betti1_arithmetic(c.profile), lambda c: len(c.gb.elements)),
+        Claim("regularity", lambda c: reg_arithmetic(c.profile), lambda c: c.reg),
+        *_HILBERT_CLAIMS,
+    ),
+    GeneralizedProfile: (
+        Claim("cm", lambda c: is_cm_generalized(c.seq), _cm),
+        # h >= 2: not Cohen-Macaulay, so not Gorenstein
+        Claim("gorenstein", lambda c: False, lambda c: _cm(c) and c.cm_type == 1),
+        Claim("complete_intersection", lambda c: is_complete_intersection(c.seq), None),
+        Claim("betti1", lambda c: len(c.closed_gb), lambda c: len(c.gb.elements)),
+        Claim("regularity", lambda c: reg_generalized(c.profile), lambda c: c.reg),
+        *_HILBERT_CLAIMS,
+    ),
+    type(None): (
+        Claim("cm", None, _cm),
+        Claim("cm_type", None, lambda c: c.cm_type if _cm(c) else None),
+        Claim("gorenstein", None, lambda c: c.cm_type == 1 if _cm(c) else None),
+        Claim("regularity", None, lambda c: c.reg),
+        *_HILBERT_CLAIMS,
+    ),
+}
+
+
+def _closed_checks(c: Curve, reg: int) -> dict[str, bool]:
+    """The closed basis and Hilbert function (at 0..reg+3, beyond the
+    regularity `reg`) against the oracle's, and every claim of the curve's
+    family with both sides, as closed == oracle."""
+    return {
+        "gb_equals_oracle": set(reduce_basis(c.closed_gb, c.gb.order)) == c.gb.element_set(),
+        "hf_counts": all(c.hilbert.hf_at(s) == v for s, v in enumerate(c.hf(reg + 4))),
+        **{claim.name: claim.closed(c) == claim.oracle(c)
+           for claim in CLAIMS[type(c.profile)] if claim.closed and claim.oracle},
+    }
 
 
 class ArithmeticSweep(NamedTuple):
@@ -151,68 +287,38 @@ def random_instances(cfg: RandomSweep) -> Iterator[CurveSequence]:
 
 
 def check_arithmetic_instance(seq: CurveSequence, cap: int | None = None) -> dict[str, bool]:
-    """Every closed form of the arithmetic family against the oracle."""
+    """Every claim of the arithmetic family against the oracle."""
     prof = arithmetic_profile(seq)
-    n = seq.n
-    gb = toric_ideal(seq, cap)
-    ini = initial_ideal(gb)
-    closed = reduce_basis(gb_arithmetic(prof), TermOrder(n + 1))
-    hil = hilbert_arithmetic(prof)
+    c = Curve(seq, prof, cap)
     reg = reg_arithmetic(prof)
-    cm_type = cm_type_arithmetic(prof)
-
-    checks = {
-        "gb_equals_oracle": set(closed) == gb.element_set(),
-        "cm_via_initial": cm_via_initial(ini),
-        "nested_type": is_nested_type(ini),
-        "reg_formula": reg == reg_nested_type(ini),
-        "reg_h_degree": reg == len(hil.hs_numerator) - 1,
-        "hf_counts": all(hil.hf_at(s) == hf_quotient(ini, s) for s in range(reg + 4)),
-        "hs_numerator": hil.hs_numerator == hs_numerator(ini),
-        "cm_type": cm_type == cm_type_oracle(seq, ini),
-        "gorenstein": is_gorenstein(prof) == (cm_type == 1),
-        "betti1": betti1_arithmetic(prof) == len(gb.elements),
-        "decomposition": irred_dec_arithmetic(prof) == ini.decomposition,
+    return {
+        **_closed_checks(c, reg),
+        "nested_type": is_nested_type(c.ini),
+        "reg_h_degree": reg == len(c.hilbert.hs_numerator) - 1,
+        "decomposition": irred_dec_arithmetic(prof) == c.ini.decomposition,
         "min_multiple": min_multiple(seq) == prof.alpha + 1,
-        "split_correction_zero": hs_general_split(ini)[1] == (),
+        "split_correction_zero": hs_general_split(c.ini)[1] == (),
     }
-    return checks
 
 
 def check_generalized_instance(seq: CurveSequence, cap: int | None = None) -> dict[str, bool]:
-    """Every closed form of the h >= 2, h | d family against the oracle."""
+    """Every claim of the h >= 2, h | d family against the oracle."""
     prof = generalized_profile(seq)
-    n = seq.n
-    gb = toric_ideal(seq, cap)
-    ini = initial_ideal(gb)
-    closed = reduce_basis(gb_generalized(prof), TermOrder(n + 1))
-    hil = hilbert_generalized(prof)
+    c = Curve(seq, prof, cap)
     reg = reg_generalized(prof)
-
-    tail = CurveSequence(seq.m[1:])
-    tail_gb = toric_ideal(tail, cap)
-    tail_ini = initial_ideal(tail_gb)
-
-    hf = [hf_quotient(ini, s) for s in range(reg + 4)]
-
+    tail_ini = initial_ideal(toric_ideal(CurveSequence(seq.m[1:]), cap))
     checks = {
-        "gb_equals_oracle": set(closed) == gb.element_set(),
-        "not_cm": not cm_via_initial(ini),
-        "not_cm_matches_criterion": is_cm_generalized(seq) == cm_via_initial(ini),
+        **_closed_checks(c, reg),
         "not_cm_witness_found": not_cm_witness(seq) is not None,
-        "elimination_equality": ini.restrict(1) == tail_ini,
-        "nested_type": is_nested_type(ini),
-        "reg_formula": reg == reg_nested_type(ini),
+        "elimination_equality": c.ini.restrict(1) == tail_ini,
+        "nested_type": is_nested_type(c.ini),
         "reg_last_component": reg == prof.delta + prof.beta[prof.delta_prime - 1] - 2,
-        "last_step": last_step_check(ini, reg),
-        "hf_counts": all(hil.hf_at(s) == hf[s] for s in range(reg + 4)),
-        "hs_numerator": hil.hs_numerator == hs_numerator(ini),
-        "hp_fitted": fitted_polynomial(ini, reg) == (hil.hp_slope, hil.hp_constant),
-        "decomposition": irred_dec_generalized(prof) == ini.decomposition,
+        "last_step": last_step_check(c.ini, reg),
+        "decomposition": irred_dec_generalized(prof) == c.ini.decomposition,
         "min_multiple": min_multiple(seq) == prof.delta,
     }
-    if n == 3:
-        checks["hs_n3_cross"] = hs_n3(prof) == hil.hs_numerator
+    if seq.n == 3:
+        checks["hs_n3_cross"] = hs_n3(prof) == c.hilbert.hs_numerator
     return checks
 
 
@@ -237,12 +343,10 @@ def check_koszul_n4_instance(seq: CurveSequence, cap: int | None = None) -> dict
 
 def check_random_instance(seq: CurveSequence, cap: int | None = None) -> dict[str, bool]:
     """Structural invariants that hold for arbitrary sequences."""
-    gb = toric_ideal(seq, cap)
-    ini = initial_ideal(gb)
+    curve = Curve(seq, None, cap)
+    gb, ini, reg, num = curve.gb, curve.ini, curve.reg, curve.hs
     rng = random.Random(hash(seq.m) & 0xFFFF)
     dec = ini.decomposition if not ini.is_zero else None
-    reg = reg_nested_type(ini)
-    num = hs_numerator(ini)
     main, corr = hs_general_split(ini)
 
     def convolved(s: int) -> int:
@@ -269,7 +373,7 @@ def check_random_instance(seq: CurveSequence, cap: int | None = None) -> dict[st
         "deterministic": deterministic,
         "nested_type": is_nested_type(ini),
         "decomposition_membership": dec_ok,
-        "hf_convolution": all(hf_quotient(ini, s) == convolved(s) for s in range(reg + 4)),
+        "hf_convolution": all(v == convolved(s) for s, v in enumerate(curve.hf(reg + 4))),
         "split_combination": _trim(_polyadd(list(main), [0] + [-c for c in corr])) == num,
         "witness_implies_not_cm": (witness is None) or (not cm),
         "cm_implies_zero_correction": (not cm) or corr == (),

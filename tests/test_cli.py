@@ -51,7 +51,7 @@ class TestInvariants:
             calls.append(seq.m)
             return grobner.toric_ideal(seq, cap)
 
-        monkeypatch.setattr(cli, "toric_ideal", counted)
+        monkeypatch.setattr(sweeps, "toric_ideal", counted)
         monkeypatch.setattr(koszul, "toric_ideal", counted)
         report = build_report(parse_sequence("1,2,3,4,6"), verify=True)
         assert report.koszul_reason.startswith("quadratic_gb:")
@@ -62,11 +62,11 @@ class TestInvariants:
         # comparison; an unverified arithmetic report needs none
         calls = []
         for name in ("gb_generalized", "gb_arithmetic"):
-            def counted(prof, fn=getattr(cli, name), name=name):
+            def counted(prof, fn=getattr(sweeps, name), name=name):
                 calls.append(name)
                 return fn(prof)
 
-            monkeypatch.setattr(cli, name, counted)
+            monkeypatch.setattr(sweeps, name, counted)
         build_report(parse_sequence("7,30,39,48,57,66"), verify=True)
         assert calls == ["gb_generalized"]
         calls.clear()
@@ -351,6 +351,30 @@ class TestSweep:
         assert len(records) == 5
         assert all(r["ok"] and r["seq"][-1] <= 3 for r in records)
 
+    @pytest.mark.parametrize("family, m, keys", [
+        ("arithmetic", "10,13,16,19,22",
+         "betti1 cm cm_type complete_intersection decomposition gb_equals_oracle gorenstein "
+         "hf_counts hilbert_polynomial hs_numerator min_multiple nested_type reg_h_degree "
+         "regularity split_correction_zero"),
+        ("generalized", "7,30,39,48,57,66",
+         "betti1 cm decomposition elimination_equality gb_equals_oracle gorenstein hf_counts "
+         "hilbert_polynomial hs_numerator last_step min_multiple nested_type "
+         "not_cm_witness_found reg_last_component regularity"),
+        ("generalized", "1,4,6",
+         "betti1 cm decomposition elimination_equality gb_equals_oracle gorenstein hf_counts "
+         "hilbert_polynomial hs_n3_cross hs_numerator last_step min_multiple nested_type "
+         "not_cm_witness_found reg_last_component regularity"),
+        ("n3", "3,4,5", "quadric_iff_listed"),  # not on the list
+        ("n4", "1,2,3,5", "quadratic_gb_witness quadric_iff_listed"),
+        ("random", "3,5,7,11",
+         "cm_implies_zero_correction decomposition_membership deterministic hf_convolution "
+         "members nested_type no_monomial split_combination witness_implies_not_cm"),
+    ])
+    def test_check_keys_of_each_family(self, family, m, keys):
+        # the record contract of mcurve sweep: each check key names one claim or check
+        checks = sweeps.FAMILIES[family].check(parse_sequence(m), None)
+        assert sorted(checks) == keys.split() and all(checks.values())
+
     def test_pool_has_no_more_workers_than_instances(self, capsys, monkeypatch):
         # a stand-in pool records its size and maps in this process, so no
         # large --jobs value starts real workers
@@ -429,12 +453,12 @@ class TestExitCodes:
         def broken(seq, cap=None):
             raise InvariantViolation("forced failure")
 
-        monkeypatch.setattr(cli, "toric_ideal", broken)
+        monkeypatch.setattr(sweeps, "toric_ideal", broken)
         assert main(["invariants", "-m", "1,2,5"]) == 2
         assert "forced failure" in capsys.readouterr().err
 
     def test_invariants_mismatch_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "reg_arithmetic", lambda prof: -1)
+        monkeypatch.setattr(sweeps, "reg_arithmetic", lambda prof: -1)
         assert main(["invariants", "-m", "10,13,16,19,22", "--verify"]) == 1
         assert "verification failure: regularity" in capsys.readouterr().err
 
