@@ -3,10 +3,12 @@
 The toric ideal of a curve is built from scratch: integer kernel of the 2 x
 (n+1) bidegree matrix (unimodular column reduction, so the lattice is
 saturated), a short basis from integral LLL (integer Gram determinants, no
-rationals, updated in place on a swap), the lattice-basis binomial ideal, and
-successive saturation with respect to x_2, ..., x_{n+1}, each under plain
-degrevlex with that variable moved last.  Everything stays a pure difference
-throughout; coefficients never leave {+1, -1}.
+rationals, updated in place on a swap), then a pairwise L1 size reduction of
+that basis (`_degree_reduced`: LLL shortens the Euclidean norm, Buchberger
+pays for the binomial degree, half the L1 norm), the lattice-basis binomial
+ideal, and successive saturation with respect to x_2, ..., x_{n+1}, each under
+plain degrevlex with that variable moved last.  Everything stays a pure
+difference throughout; coefficients never leave {+1, -1}.
 
 The Buchberger kernel holds each monomial as one int (`poly._Packing`).  The
 public `buchberger` and `reduce_basis` pack their tuples on entry and unpack
@@ -363,9 +365,70 @@ def lattice_basis(seq: CurveSequence) -> list[tuple[int, ...]]:
     return [tuple(v) for v in _lll(kernel)]
 
 
+def _best_multiple(u: list[int], v: list[int]) -> int:
+    """An integer k minimising |u - k v|_1, and 0 when no k != 0 makes it
+    strictly shorter than |u|_1.
+
+    |u - k v|_1 = sum_t |v_t| |u_t / v_t - k| is convex in k, so 0 is a
+    minimum unless k = 1 or k = -1 is shorter.  Otherwise a real minimum is
+    the weighted median of the breakpoints u_t / v_t, with weights |v_t|: the
+    first breakpoint, in ascending order, at which the running weight reaches
+    half the total.  Its floor is the same weighted median taken over the
+    floors u_t // v_t (the floors keep the order, and tied floors change
+    only the order inside one tie), and the integer minimum is that floor or
+    the next integer; integers only, no rationals."""
+    def norm(k: int) -> int:
+        return sum([abs(x - k * y) for x, y in zip(u, v)])
+
+    here = sum(map(abs, u))
+    if (sum([abs(x - y) for x, y in zip(u, v)]) >= here
+            and sum([abs(x + y) for x, y in zip(u, v)]) >= here):
+        return 0
+    floors = sorted((x // y, abs(y)) for x, y in zip(u, v) if y)
+    total = sum(w for _, w in floors)
+    running = 0
+    for c, w in floors:
+        running += 2 * w
+        if running >= total:
+            break
+    return c if norm(c) <= norm(c + 1) else c + 1
+
+
+def _degree_reduced(basis: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The basis with every vector shortened in the L1 norm by the others:
+    while some u can be replaced by a strictly shorter u - k v, v another
+    vector and k from `_best_multiple`, replace it.
+
+    Each step is unimodular, so the result spans the same lattice.  Every
+    vector of the kernel lattice sums to 0, so |u|_1 is twice the degree of
+    the binomial of u: LLL shortens the Euclidean norm, and this shortens
+    what Buchberger pays for (1,500,1000: LLL keeps x1^500 x3^83 -
+    x2^167 x4^416, of degree 583, and this gives x1^500 - x2 x4^499).  The
+    sum of the norms falls at every step, so the loop ends.  A v with
+    |v|_1 >= 2 |u|_1 is skipped: then |u - k v|_1 >= |k| |v|_1 - |u|_1 >=
+    |u|_1 for every k != 0."""
+    b = [list(v) for v in basis]
+    norms = [sum(map(abs, v)) for v in b]
+    shortened = True
+    while shortened:
+        shortened = False
+        for i in range(len(b)):
+            for j in range(len(b)):
+                if i == j or norms[j] >= 2 * norms[i]:
+                    continue
+                k = _best_multiple(b[i], b[j])
+                if k:
+                    b[i] = [x - k * y for x, y in zip(b[i], b[j])]
+                    norms[i] = sum(map(abs, b[i]))
+                    shortened = True
+    return [tuple(v) for v in b]
+
+
 def toric_ideal(seq: CurveSequence, cap: int | None = None) -> GroebnerBasis:
     """Reduced degrevlex Groebner basis of the vanishing ideal I(C) = I_L, L the
-    kernel lattice of `lattice_basis`.
+    kernel lattice of `lattice_basis`, saturated from the binomials of
+    `_degree_reduced(lattice_basis(seq))`: the same lattice, in vectors of
+    lower binomial degree.
 
     Saturation, one pass for each of x_2, ..., x_{n+1}: with x_i the last
     variable (the others keep their order), compute a degrevlex Groebner
@@ -380,8 +443,13 @@ def toric_ideal(seq: CurveSequence, cap: int | None = None) -> GroebnerBasis:
     its x_1-increasing steps first, so its x_1 exponent never drops below
     min(u_1, v_1) >= 0: each step is a Laurent-monomial multiple of a
     generator.  Hence I_B : (x_2 ... x_{n+1})^inf = I_L for the lattice-basis
-    ideal I_B.  `cap` bounds the Buchberger degrees (None: the default
-    4 (m_n + n)); the basis carries it.
+    ideal I_B, for any basis B of L: the argument reads only that B spans L,
+    so it holds for the degree-reduced basis as for the LLL one.  `cap`
+    bounds the Buchberger degrees (None: the default 4 (m_n + n)); the basis
+    carries it.  The result does not depend on the basis of L that the
+    passes start from, but under a small explicit cap the degree that first
+    exceeds it can: 1,6,12 at cap 2 raises at the degree-6 element of its
+    reduced basis, not at the degree-7 element of its LLL basis.
 
     Every pass runs the packed kernel `_buchberger` on ints of one
     `_Packing`, and monomials are tuples only in the lattice basis and the
@@ -407,7 +475,7 @@ def toric_ideal(seq: CurveSequence, cap: int | None = None) -> GroebnerBasis:
     plain = TermOrder(nv)
     # v = v+ - v-; the first pass orients each
     gens = [Binomial(tuple(max(x, 0) for x in v), tuple(max(-x, 0) for x in v))
-            for v in lattice_basis(seq)]
+            for v in _degree_reduced(lattice_basis(seq))]
     _check_homogeneous(gens)
     packing = _Packing(nv, max([cap, 0] + [g.degree for g in gens]), plain.weights)
     pack, swap, last = packing.pack, packing.swap, packing.last

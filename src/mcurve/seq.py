@@ -26,9 +26,10 @@ from .errors import (
     TooShort,
 )
 
-# Entries are mathematically unbounded, but absurd magnitudes only ever come
-# from malformed input; reject them before they reach the DP / Buchberger caps.
-ENTRY_LIMIT = 10**9
+# Entries are mathematically unbounded, but the closed-form Hilbert-series
+# numerator alone has about m_n entries (about 17 MB of peak memory per 10**6
+# of m_n), so 10**9 exhausts memory; reject such input before any work.
+ENTRY_LIMIT = 10**7
 
 
 class CurveSequence(NamedTuple("CurveSequence", [("m", tuple[int, ...])])):

@@ -62,7 +62,6 @@ from .monideal import (
     cm_type_oracle,
     cm_via_initial,
     fitted_polynomial,
-    hf_quotient,
     hs_general_split,
     hs_numerator,
     is_nested_type,
@@ -124,8 +123,14 @@ class Curve:
         return hs_numerator(self.ini)
 
     def hf(self, top: int) -> list[int]:
-        """The Hilbert function of R/in(I(C)) at the degrees 0..top-1, counted."""
-        return [hf_quotient(self.ini, s) for s in range(top)]
+        """The Hilbert function of R/in(I(C)) at the degrees 0..top-1, counted:
+        the first `top` coefficients of K(t) / (1 - t)^n for the K-polynomial
+        K in n variables, n prefix sums of K padded to `top` (the values of
+        monideal.hf_quotient, in one pass)."""
+        values = (list(self.ini.k_polynomial) + [0] * top)[:top]
+        for _ in range(self.ini.nvars):
+            values = list(itertools.accumulate(values))
+        return values
 
 
 class Claim(NamedTuple):

@@ -286,8 +286,8 @@ class TestPackedKernel:
             reduce_basis(gens, TermOrder(3))
 
     def test_degree_500_elements(self):
-        # 1,500,1000: toric elements of degree 500, and 666 in the x_2 pass
-        # (the cap 4012 sets top: fields of 15 bits)
+        # 1,500,1000: toric elements of degree 500 (the cap 4012 sets top:
+        # fields of 15 bits)
         seq = CurveSequence((1, 500, 1000))
         gb = toric_ideal(seq)
         assert max(g.degree for g in gb.elements) == 500
@@ -415,17 +415,23 @@ def _lll_fraction(basis):
     return b
 
 
-def _independent(basis):
-    """True iff the Gram matrix is nonsingular: elimination without pivoting
-    meets a zero pivot only on a singular positive semidefinite matrix."""
+def _gram_determinant(basis):
+    """The determinant of the Gram matrix, by elimination without pivoting:
+    on a positive semidefinite matrix a zero pivot means a singular one."""
     g = [[Fraction(sum(x * y for x, y in zip(u, v))) for v in basis] for u in basis]
+    det = Fraction(1)
     for i in range(len(g)):
         if g[i][i] == 0:
-            return False
+            return 0
+        det *= g[i][i]
         for r in range(i + 1, len(g)):
             f = g[r][i] / g[i][i]
             g[r] = [x - f * y for x, y in zip(g[r], g[i])]
-    return True
+    return det
+
+
+def _independent(basis):
+    return _gram_determinant(basis) != 0
 
 
 @st.composite
@@ -538,15 +544,16 @@ class TestToricIdeal:
 
 def _toric_ideal_by_tuples(seq, cap=None):
     """Reference: `toric_ideal`'s saturation passes on tuples, through the
-    tuple kernel.  Before the x_i pass each element moves x_i to the last
-    coordinate by slicing; after it each is divided by the largest power of
-    its last variable and x_i moves back."""
+    tuple kernel, from the same degree-reduced lattice basis.  Before the x_i
+    pass each element moves x_i to the last coordinate by slicing; after it
+    each is divided by the largest power of its last variable and x_i moves
+    back."""
     nv = seq.n + 1
     if cap is None:
         cap = 4 * (seq.mn + seq.n)
     plain = TermOrder(nv)
     current = [Binomial(tuple(max(x, 0) for x in v), tuple(max(-x, 0) for x in v))
-               for v in lattice_basis(seq)]
+               for v in grobner._degree_reduced(lattice_basis(seq))]
     for i in range(1, nv):
         gb = tuple_kernel.buchberger([Binomial(g.lead[:i] + g.lead[i + 1:] + g.lead[i:i + 1],
                                                g.trail[:i] + g.trail[i + 1:] + g.trail[i:i + 1])
@@ -574,9 +581,17 @@ class TestPackedSaturation:
     @settings(max_examples=300)
     @example(curve=(CurveSequence((1, 2, 3)), 1))  # a lattice binomial over the cap
     @example(curve=(CurveSequence((1, 2, 3)), 3))  # an S-pair over the cap in the x_3 pass
+    @example(curve=(CurveSequence((1, 6, 12)), 2))  # the degree-reduced basis moved the edge
     def test_same_basis_or_same_cap_error_as_the_tuple_loop(self, curve):
         seq, cap = curve
         assert _outcome(toric_ideal, seq, cap) == _outcome(_toric_ideal_by_tuples, seq, cap)
+
+    def test_cap_error_names_the_degree_reduced_basis(self):
+        # the LLL basis of 1,6,12 holds a binomial of degree 7; saturation
+        # starts from the degree-reduced basis, whose largest degree is 6
+        assert lattice_basis(CurveSequence((1, 6, 12)))[1] == (-6, 3, -1, 4)
+        with pytest.raises(DegreeCapExceeded, match="^basis element of degree 6 exceeds cap 2$"):
+            toric_ideal(CurveSequence((1, 6, 12)), cap=2)
 
 
 def _toric_ideal_every_variable(seq):
@@ -618,6 +633,45 @@ class TestSaturation:
     @example(seq=CurveSequence((13, 29, 31, 47, 59, 71, 80)))
     def test_same_basis_as_saturating_every_variable(self, seq):
         assert toric_ideal(seq).elements == _toric_ideal_every_variable(seq)
+
+
+def _l1(v):
+    return sum(map(abs, v))
+
+
+class TestDegreeReduced:
+    """The L1 size reduction that `toric_ideal` applies to the LLL basis."""
+
+    @given(data=st.data(), dim=st.integers(1, 8))
+    @settings(max_examples=500)
+    def test_best_multiple_is_a_minimum(self, data, dim):
+        # every breakpoint |u_t / v_t| is at most 150, so a minimum lies in |k| <= 200
+        u = data.draw(st.lists(st.integers(-150, 150), min_size=dim, max_size=dim))
+        v = data.draw(st.lists(st.integers(-9, 9), min_size=dim, max_size=dim).filter(any))
+        k = grobner._best_multiple(u, v)
+        norms = {j: _l1([x - j * y for x, y in zip(u, v)]) for j in range(-200, 201)}
+        assert norms[k] == min(norms.values())
+        if min(n for j, n in norms.items() if j) >= norms[0]:
+            assert k == 0
+
+    @given(seq=curve_sequences())
+    @settings(max_examples=200)
+    @example(seq=CurveSequence((13, 29, 31, 47, 59, 71, 80)))
+    def test_same_lattice_and_no_longer(self, seq):
+        lll = lattice_basis(seq)
+        reduced = grobner._degree_reduced(lll)
+        for v in reduced:
+            assert is_member_binomial(seq, Binomial(tuple(max(x, 0) for x in v),
+                                                    tuple(max(-x, 0) for x in v)))
+        # members of L with L's covolume span L
+        assert _gram_determinant(reduced) == _gram_determinant(lll)
+        assert sum(map(_l1, reduced)) <= sum(map(_l1, lll))
+
+    def test_pinned(self):
+        assert grobner._degree_reduced(lattice_basis(CurveSequence((1, 500, 1000)))) == [
+            (0, -2, 1, 1), (-500, 1, 0, 499)]
+        gb = toric_ideal(CurveSequence((1, 2000, 4000)))
+        assert gb.elements == tuple(_binomials(4, "x2^2 - x3*x4", "x1^2000 - x2*x4^1999"))
 
 
 class TestInitialIdeal:

@@ -372,6 +372,13 @@ def _monomial_ideals(draw):
     return MonomialIdeal.from_gens(nvars, gens)
 
 
+def _curve_hf(ideal, top):
+    """sweeps.Curve.hf with `ideal` in place of the curve's initial ideal."""
+    curve = sweeps.Curve(CurveSequence((1, 2)))
+    curve.ini = ideal  # an instance value shadows the cached_property
+    return curve.hf(top)
+
+
 class TestKPolynomial:
     @given(ideal=_monomial_ideals())
     @example(ideal=MonomialIdeal.from_gens(0, [()]))
@@ -386,6 +393,8 @@ class TestKPolynomial:
         degrees = range(-1, 9)
         counts = [_count_standard_brute(ideal.gens, ideal.nvars, s) for s in degrees]
         assert [hf_quotient(ideal, s) for s in degrees] == counts
+        assert _curve_hf(ideal, 9) == counts[1:]
+        assert _curve_hf(ideal, 0) == []
         if _krull_dimension(ideal) > 2:
             with pytest.raises(NonTerminating):
                 hs_numerator(ideal)

@@ -57,6 +57,20 @@ class TestParse:
     def test_rejects_huge(self):
         with pytest.raises(Overflow):
             parse_sequence("1,10000000000")
+        # accepted before, then the closed-form Hilbert data exhausted memory
+        with pytest.raises(Overflow, match="^entry 1000000000 exceeds limit 10000000$"):
+            parse_sequence("1,1000000000")
+        assert parse_sequence("1,10000000").mn == 10**7
+
+    def test_huge_entry_is_an_input_error(self, run_python):
+        # under an address-space cap, so that a regression fails instead of
+        # exhausting the machine's memory
+        proc = run_python("-c", "import resource, sys\n"
+                          "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                          "from mcurve.cli import main\n"
+                          "sys.exit(main(['invariants', '-m', '1,1000000000']))")
+        assert proc.returncode == 2
+        assert proc.stderr == "input error: entry 1000000000 exceeds limit 10000000\n"
 
     def test_rejects_garbage(self):
         with pytest.raises(NonPositive):
