@@ -1,19 +1,25 @@
 """The independent oracle: Buchberger's algorithm on pure-difference binomials.
 
-The toric ideal of a curve is built from scratch: integer kernel of the 2 x
-(n+1) bidegree matrix (unimodular column reduction, so the lattice is
-saturated), a short basis from integral LLL (integer Gram determinants, no
-rationals, updated in place on a swap), then a pairwise L1 size reduction of
-that basis (`_degree_reduced`: LLL shortens the Euclidean norm, Buchberger
-pays for the binomial degree, half the L1 norm), the lattice-basis binomial
-ideal, and successive saturation with respect to x_2, ..., x_{n+1}, each under
-plain degrevlex with that variable moved last.  Everything stays a pure
-difference throughout; coefficients never leave {+1, -1}.
+The toric ideal of a curve is built from scratch by one of two routes, which
+give the same reduced basis (`toric_ideal` picks by n and m_n).  For n >= 5
+and m_n <= APERY_MAX_MN, one Buchberger run under plain degrevlex on
+binomials read off the Apery set of the curve's semigroup
+(`semigroup.presentation`), which generate the ideal.  Otherwise, where that
+run loses to few saturation passes or the Apery set (at least m_n elements)
+outgrows them: the integer kernel of the 2 x (n+1) bidegree matrix (unimodular column reduction, so the
+lattice is saturated), a short basis from integral LLL (integer Gram
+determinants, no rationals, updated in place on a swap), then a pairwise L1
+size reduction of that basis (`_degree_reduced`: LLL shortens the Euclidean
+norm, Buchberger pays for the binomial degree, half the L1 norm), the
+lattice-basis binomial ideal, and successive saturation with respect to x_2,
+..., x_{n+1}, each under plain degrevlex with that variable moved last.
+Everything stays a pure difference throughout; coefficients never leave
+{+1, -1}.
 
 The Buchberger kernel holds each monomial as one int (`poly._Packing`).  The
 public `buchberger` and `reduce_basis` pack their tuples on entry and unpack
-the basis they return; `toric_ideal` packs the lattice basis once and runs
-every saturation pass in that one packing, moving the next variable last by
+the basis they return; the saturation route packs the lattice basis once and
+runs every pass in that one packing, moving the next variable last by
 swapping two fields, and unpacks only the final basis.
 """
 
@@ -31,6 +37,7 @@ from .poly import (
     format_binomial,
     is_member_binomial,
 )
+from .semigroup import presentation
 from .seq import CurveSequence
 
 
@@ -424,11 +431,58 @@ def _degree_reduced(basis: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return [tuple(v) for v in b]
 
 
+# The largest m_n that takes the Apery route of `toric_ideal` (n >= 5).
+APERY_MAX_MN = 128
+
+
 def toric_ideal(seq: CurveSequence, cap: int | None = None) -> GroebnerBasis:
-    """Reduced degrevlex Groebner basis of the vanishing ideal I(C) = I_L, L the
-    kernel lattice of `lattice_basis`, saturated from the binomials of
-    `_degree_reduced(lattice_basis(seq))`: the same lattice, in vectors of
-    lower binomial degree.
+    """Reduced degrevlex Groebner basis of the vanishing ideal I(C), by one
+    of two routes that give the same basis; n and m_n of `seq` pick it.
+
+    For n >= 5 and m_n <= APERY_MAX_MN, one `buchberger` run on the
+    Apery-set presentation of `semigroup.presentation`: binomials read off
+    the Apery set of the semigroup with respect to x_n and x_{n+1}, which
+    generate I(C), so their reduced basis is that of I(C).  Otherwise the
+    saturation route of `_saturated`, from a lattice basis.  The Apery route
+    needs no lattice basis and no saturation passes, whose count grows with
+    n; its own time and memory grow with the Apery set, which has at least
+    m_n elements.  At n = 3, with two passes, it loses on most curves
+    (1,2000,4000 has 4000 Apery elements, and its passes take about
+    0.3 ms), so the cut is at n >= 5; n = 4 stays on saturation for now
+    (ROADMAP, item 3).  At n >= 5 it loses where m_n is large and the
+    saturation passes stay cheap: 1,100,200,300,100000 takes 1.4 s against
+    6 ms, and 1,2,3,4,1000000 10 s and 380 MB against 0.9 s and 13 MB.
+    Hence APERY_MAX_MN: on 531 n = 5 curves with m_n from 80 to 128 the
+    Apery route lost at most 1.4 times and 1.2 ms, and 1,2,3,4,m_n loses
+    from m_n = 160 on.  The bound also keeps the route within the curves the
+    benchmark times (m_n <= 101 at n >= 5).
+
+    `cap` bounds the Buchberger degrees (None: the default 4 (m_n + n)); the
+    basis carries it.  Under the default cap the two routes give the same
+    bases on every curve checked (the tests compare them on random n = 5..8
+    curves).  Under a small explicit cap, which degree first exceeds it
+    depends on the generators the route starts from, so the inputs that
+    raise DegreeCapExceeded differ: 4,6,7,8,13 at cap 5 returns its basis
+    from the Apery presentation, where saturation raised.  Every element of
+    the result is checked to lie in I(C).
+    """
+    if cap is None:
+        cap = 4 * (seq.mn + seq.n)
+    if seq.n >= 5 and seq.mn <= APERY_MAX_MN:
+        final = buchberger(presentation(seq), TermOrder(seq.n + 1), cap)
+    else:
+        final = _saturated(seq, cap)
+    for g in final.elements:
+        if not is_member_binomial(seq, g):
+            raise InvariantViolation(f"non-member {g} in toric basis for ({seq})")
+    return final
+
+
+def _saturated(seq: CurveSequence, cap: int) -> GroebnerBasis:
+    """The reduced degrevlex basis of `toric_ideal` off the Apery route: the
+    ideal I(C) = I_L, L the kernel lattice of `lattice_basis`, saturated from the
+    binomials of `_degree_reduced(lattice_basis(seq))`: the same lattice, in
+    vectors of lower binomial degree.
 
     Saturation, one pass for each of x_2, ..., x_{n+1}: with x_i the last
     variable (the others keep their order), compute a degrevlex Groebner
@@ -444,12 +498,11 @@ def toric_ideal(seq: CurveSequence, cap: int | None = None) -> GroebnerBasis:
     min(u_1, v_1) >= 0: each step is a Laurent-monomial multiple of a
     generator.  Hence I_B : (x_2 ... x_{n+1})^inf = I_L for the lattice-basis
     ideal I_B, for any basis B of L: the argument reads only that B spans L,
-    so it holds for the degree-reduced basis as for the LLL one.  `cap`
-    bounds the Buchberger degrees (None: the default 4 (m_n + n)); the basis
-    carries it.  The result does not depend on the basis of L that the
-    passes start from, but under a small explicit cap the degree that first
-    exceeds it can: 1,6,12 at cap 2 raises at the degree-6 element of its
-    reduced basis, not at the degree-7 element of its LLL basis.
+    so it holds for the degree-reduced basis as for the LLL one.  The result
+    does not depend on the basis of L that the passes start from, but under
+    a small explicit cap the degree that first exceeds it can: 1,6,12 at
+    cap 2 raises at the degree-6 element of its reduced basis, not at the
+    degree-7 element of its LLL basis.
 
     Every pass runs the packed kernel `_buchberger` on ints of one
     `_Packing`, and monomials are tuples only in the lattice basis and the
@@ -468,10 +521,7 @@ def toric_ideal(seq: CurveSequence, cap: int | None = None) -> GroebnerBasis:
     layout i + 1.  Layout n + 1, where field n + 1 is the last, is the
     identity.
     """
-    n = seq.n
-    nv = n + 1
-    if cap is None:
-        cap = 4 * (seq.mn + n)
+    nv = seq.n + 1
     plain = TermOrder(nv)
     # v = v+ - v-; the first pass orients each
     gens = [Binomial(tuple(max(x, 0) for x in v), tuple(max(-x, 0) for x in v))
@@ -489,12 +539,8 @@ def toric_ideal(seq: CurveSequence, cap: int | None = None) -> GroebnerBasis:
             divided.append((swap(a - k, i), swap(b - k, i)))  # i = n: field i is the last
         pairs = divided
 
-    final = GroebnerBasis(plain, _unpack(packing, _interreduce(
+    return GroebnerBasis(plain, _unpack(packing, _interreduce(
         packing, _keyed(packing, pairs, plain))), cap)
-    for g in final.elements:
-        if not is_member_binomial(seq, g):
-            raise InvariantViolation(f"non-member {g} in toric basis for ({seq})")
-    return final
 
 
 def initial_ideal(gb: GroebnerBasis) -> MonomialIdeal:

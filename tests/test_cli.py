@@ -469,6 +469,18 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ") and str(out) in captured.err
 
+    def test_out_of_memory_exits_2(self, run_python):
+        # the largest entry's Hilbert numerator needs about 200 MB: under a
+        # 128 MB address-space cap it runs out of memory, which is neither a
+        # verification failure (exit 1) nor a traceback.  The import comes
+        # first, so that only the command runs under the cap.
+        proc = run_python("-c", "import resource, sys\n"
+                          "from mcurve.cli import main\n"
+                          "resource.setrlimit(resource.RLIMIT_AS, (1 << 27, 1 << 27))\n"
+                          "sys.exit(main(['invariants', '-m', '1,10000000']))")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: out of memory\n"
+
 
 class TestCap:
     def test_cap_flag_fails_fast(self, capsys):

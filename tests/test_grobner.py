@@ -526,7 +526,10 @@ class TestToricIdeal:
 
         monkeypatch.setattr(grobner, "_Packing", packing)
         monkeypatch.setattr(grobner, "_buchberger", counting)
-        for m in [(1, 2, 3), (3, 5, 7), (5, 26, 32, 38), (10, 13, 16, 19, 22), (1, 2, 3, 4, 6)]:
+        # n <= 4, and n >= 5 with m_n > APERY_MAX_MN: the saturation route
+        for m in [(1, 2, 3), (3, 5, 7), (5, 26, 32, 38), (1, 2, 3, 4), (2, 3, 7, 11),
+                  (1, 2, 3, 4, 129), (1, 100, 200, 300, 100000),
+                  (11, 12, 15, 79, 113, 130, 159, 277)]:
             made.clear()
             runs.clear()
             toric_ideal(CurveSequence(m))
@@ -534,6 +537,16 @@ class TestToricIdeal:
             # its top is the default cap 4 (m_n + n), above every lattice binomial's degree
             assert [args for args, _ in made] == [(len(m) + 1, 4 * (m[-1] + len(m)), ())], m
             assert runs == [made[0][1]] * len(m), m
+        for m in [(10, 13, 16, 19, 22), (1, 2, 3, 4, 6), (7, 30, 39, 48, 57, 66),
+                  (1, 2, 3, 4, 128), (5, 26, 32, 38, 101)]:
+            made.clear()
+            runs.clear()
+            toric_ideal(CurveSequence(m))
+            # n >= 5 and m_n <= APERY_MAX_MN: one packing and one run, on the
+            # Apery presentation; its top is the default cap, above every
+            # generator's degree
+            assert [args for args, _ in made] == [(len(m) + 1, 4 * (m[-1] + len(m)), ())], m
+            assert runs == [made[0][1]], m
 
     def test_basis_carries_its_cap(self):
         s = parse_sequence("10,13,16,19,22")
@@ -543,11 +556,11 @@ class TestToricIdeal:
 
 
 def _toric_ideal_by_tuples(seq, cap=None):
-    """Reference: `toric_ideal`'s saturation passes on tuples, through the
-    tuple kernel, from the same degree-reduced lattice basis.  Before the x_i
-    pass each element moves x_i to the last coordinate by slicing; after it
-    each is divided by the largest power of its last variable and x_i moves
-    back."""
+    """Reference: the saturation passes of `grobner._saturated` on tuples,
+    through the tuple kernel, from the same degree-reduced lattice basis.
+    Before the x_i pass each element moves x_i to the last coordinate by
+    slicing; after it each is divided by the largest power of its last
+    variable and x_i moves back."""
     nv = seq.n + 1
     if cap is None:
         cap = 4 * (seq.mn + seq.n)
@@ -575,7 +588,8 @@ def curves_and_caps(draw):
 
 
 class TestPackedSaturation:
-    """`toric_ideal`'s passes in one packing give what the tuple loop gives."""
+    """The saturation route's passes in one packing give what the tuple loop
+    gives."""
 
     @given(curve=curves_and_caps())
     @settings(max_examples=300)
@@ -584,7 +598,7 @@ class TestPackedSaturation:
     @example(curve=(CurveSequence((1, 6, 12)), 2))  # the degree-reduced basis moved the edge
     def test_same_basis_or_same_cap_error_as_the_tuple_loop(self, curve):
         seq, cap = curve
-        assert _outcome(toric_ideal, seq, cap) == _outcome(_toric_ideal_by_tuples, seq, cap)
+        assert _outcome(grobner._saturated, seq, cap) == _outcome(_toric_ideal_by_tuples, seq, cap)
 
     def test_cap_error_names_the_degree_reduced_basis(self):
         # the LLL basis of 1,6,12 holds a binomial of degree 7; saturation

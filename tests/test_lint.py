@@ -31,6 +31,19 @@ def test_order_key_read_in_grobner_and_closed_form_check_only():
     assert not found, found
 
 
+def test_semigroup_imports_no_groebner_or_monomial_ideal_code():
+    # the semigroup route is an independent check on both
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / "semigroup.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    names = {part for name in imported if name for part in name.split(".")}
+    assert not names & {"grobner", "monideal"}, sorted(imported)
+
+
 def test_import_loads_no_pool_parser_or_dataclasses(run_python):
     # start-up is most of a one-curve command: the process pool (only
     # sweep --jobs N > 1 needs it) and argparse load when a command runs, and
@@ -39,7 +52,7 @@ def test_import_loads_no_pool_parser_or_dataclasses(run_python):
     proc = run_python("-c", f"""
 import sys
 before = set(sys.modules)
-import mcurve.cli, mcurve.koszul, mcurve.sweeps
+import mcurve.cli, mcurve.koszul, mcurve.semigroup, mcurve.sweeps
 print(sorted(set({heavy!r}) & (set(sys.modules) - before)))
 """)
     assert proc.returncode == 0, proc.stderr
