@@ -4,7 +4,11 @@ The toric ideal of a curve is built from scratch by one of two routes, which
 give the same reduced basis (`toric_ideal` picks by n and m_n).  For n >= 5
 and m_n <= APERY_MAX_MN, one Buchberger run under plain degrevlex on
 binomials read off the Apery set of the curve's semigroup
-(`semigroup.presentation`), which generate the ideal.  Otherwise, where that
+(`semigroup.presentation`), which generate the ideal.  The same Apery walk
+gives the Hilbert series of K[C], and the run stops once the leads of its
+reduced generators have it (Traverso, Hilbert functions and the Buchberger
+algorithm, JSC 1996): then they already generate in(I(C)), and no S-pair
+is made.  Otherwise, where that
 run loses to few saturation passes or the Apery set (at least m_n elements)
 outgrows them: the integer kernel of the 2 x (n+1) bidegree matrix (unimodular column reduction, so the
 lattice is saturated), a short basis from integral LLL (integer Gram
@@ -26,6 +30,7 @@ swapping two fields, and unpacks only the final basis.
 from __future__ import annotations
 
 import heapq
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import DegreeCapExceeded, InvariantViolation
@@ -41,18 +46,18 @@ from .semigroup import presentation
 from .seq import CurveSequence
 
 
-class GroebnerBasis(NamedTuple):
+class GroebnerBasis(NamedTuple("GroebnerBasis", [("order", TermOrder),
+                                                  ("elements", tuple[Binomial, ...]),
+                                                  ("cap", int)])):
     """Canonically sorted reduced Groebner basis of a binomial ideal.
 
     `cap` is the Buchberger degree cap the basis was computed under; every run
     made from this basis (quadric tests, other orders) runs under the same cap.
     The basis has len(elements) elements: len() of the record counts its three
-    fields.
+    fields.  No __slots__, as in `MonomialIdeal`: the cached initial ideal
+    lives in the instance __dict__, outside the tuple, so equality, hash and
+    repr read the three fields only.
     """
-
-    order: TermOrder
-    elements: tuple[Binomial, ...]
-    cap: int
 
     @property
     def nvars(self) -> int:
@@ -60,6 +65,12 @@ class GroebnerBasis(NamedTuple):
 
     def element_set(self) -> frozenset[Binomial]:
         return frozenset(self.elements)
+
+    @cached_property
+    def initial(self) -> MonomialIdeal:
+        """The ideal of the leads, built once; a certified Apery run of
+        `toric_ideal` fills it with the ideal whose K-polynomial it checked."""
+        return MonomialIdeal.from_gens(self.nvars, (g.lead for g in self.elements))
 
 
 def _check_homogeneous(gens: list[Binomial]) -> None:
@@ -105,7 +116,8 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder, cap: int) -> Groebner
     """Reduced Groebner basis of the binomial ideal generated by `gens`.
 
     Generators and S-pairs enter the basis through one step: the lead of
-    their normal form, the cap check, and the new pairs.  The lead is the
+    their normal form and the cap check; then the new pairs, which for the
+    generators wait until every generator is in (below).  The lead is the
     larger side once it is irreducible (so the generators may come in either
     orientation), and a difference that reaches zero on the way drops; the
     other side is the trail as it stands, since the pair criteria read only
@@ -148,21 +160,53 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder, cap: int) -> Groebner
     Monomials are tuples only at entry and in the returned basis: the
     packed core `_buchberger` runs on ints of a `_Packing` its caller builds,
     so `toric_ideal` keeps one packing over all its saturation passes.
+
+    Every generator is reduced before the first pair is made; the pairs are
+    then made lead by lead, in the order the leads were found, which gives
+    the pairs of making them as each lead is found.  `toric_ideal`'s Apery
+    route checks the leads at that point and may stop with no pair at all
+    (`_buchberger`); this function always makes the pairs.
     """
-    gens = list(gens)
+    return _run(list(gens), order, cap)
+
+
+def _run(gens: list[Binomial], order: TermOrder, cap: int,
+         target: tuple[int, ...] | None = None) -> GroebnerBasis:
+    """`buchberger`, with the K-polynomial `target` of `_buchberger`; a basis
+    it certifies keeps the certified ideal as its initial ideal."""
     _check_homogeneous(gens)
     packing = _Packing(order.nvars, max([cap, 0] + [sum(g.lead) for g in gens]), order.weights)
     pack = packing.pack
-    pairs = _buchberger(packing, [(pack(g.lead), pack(g.trail)) for g in gens], cap)
-    return GroebnerBasis(order, _unpack(packing, pairs), cap)
+    pairs, ideal = _buchberger(packing, [(pack(g.lead), pack(g.trail)) for g in gens], cap, target)
+    gb = GroebnerBasis(order, _unpack(packing, pairs), cap)
+    if ideal is not None:
+        gb.__dict__["initial"] = ideal  # fills the cached property
+    return gb
 
 
-def _buchberger(packing: _Packing, gens: list[tuple[int, int]], cap: int) -> list[tuple[int, int]]:
+def _buchberger(packing: _Packing, gens: list[tuple[int, int]], cap: int,
+                target: tuple[int, ...] | None = None,
+                ) -> tuple[list[tuple[int, int]], MonomialIdeal | None]:
     """`buchberger` on packed generators (lead, trail), in either
     orientation, under the order of `packing`: the reduced basis as packed
-    (lead, trail) pairs in ascending order of the leads.  The generators must
-    be homogeneous of degree at most the packing's top, and the cap at most
-    that top, so that every exponent met fits a field."""
+    (lead, trail) pairs in ascending order of the leads, and the ideal of
+    its leads when `target` certified it (None otherwise).  The generators
+    must be homogeneous of degree at most the packing's top, and the cap at
+    most that top, so that every exponent met fits a field.
+
+    Every generator is reduced before any pair is made.  If `target` is the
+    K-polynomial of R/in(I) for the ideal I that the generators are known
+    to lie in, and the leads so far have it, the run stops there: no pair,
+    no criterion M.  The leads lie in in(I), and the ideal L they generate
+    has the Hilbert function of R/in(I) in every degree, so L = in(I); the
+    elements are then a Groebner basis of I, and the ideal they generate is
+    I, so every S-pair reduces to zero and `_interreduce` gives the reduced
+    basis of I.  That holds whatever the generators are, and a set that
+    generates a smaller ideal has too few leads to pass.  Otherwise the
+    pairs of the leads are made in order and the loop runs.  Pair creation
+    reads only the sequence of leads, and no S-pair is reduced before every
+    generator is, so the pairs, the S-pairs reduced and the basis are those
+    of making each lead's pairs as it is found."""
     G = packing.guards
     degree, key, degree_key = packing.degree, packing.key, packing.degree_key
     field, guard_shift = packing.field, packing.guard_shift
@@ -171,14 +215,15 @@ def _buchberger(packing: _Packing, gens: list[tuple[int, int]], cap: int) -> lis
     paired: list[int] = []  # the elements that new elements still pair with
     heap: list[tuple[int, int, int, int, int]] = []  # (degree, key, i, j, lcm) of pair (i, j)
 
-    def add(a: int, ka: int, b: int, kb: int) -> None:
+    def add(a: int, ka: int, b: int, kb: int) -> bool:
         # the lead of the normal form of a - b: the larger side is reduced one
         # step at a time, and the sides swap when it drops below the other;
         # once it is irreducible it leads, and the other side, the trail, is
         # left as it is: the pair criteria read only leads, and
-        # `_interreduce` reduces every trail at the end
+        # `_interreduce` reduces every trail at the end.  True iff it adds
+        # a lead.
         if a == b:
-            return
+            return False
         while True:
             if ka < kb:
                 a, b, ka, kb = b, a, kb, ka
@@ -190,11 +235,17 @@ def _buchberger(packing: _Packing, gens: list[tuple[int, int]], cap: int) -> lis
             else:
                 break
             if a == b:
-                return
+                return False
         d = degree(a)
         if d > cap:
             raise DegreeCapExceeded(f"basis element of degree {d} exceeds cap {cap}")
-        h = len(leads)
+        leads.append(a)
+        reducers.append((G - a, b - a, kb - ka))
+        return True
+
+    def pair(h: int) -> None:
+        # the pairs (i, h) of lead h = a with the paired leads i < h
+        a = leads[h]
         neg_h = G - a
         # criterion M; lcm(l, a) takes l in the fields where l - a keeps its guard
         lcms = [a ^ ((l ^ a) & ((((l + neg_h) & G) >> guard_shift) * field))
@@ -215,22 +266,29 @@ def _buchberger(packing: _Packing, gens: list[tuple[int, int]], cap: int) -> lis
                     heapq.heappush(heap, (*degree_key(lcm), i, h, lcm))
         # lcm == lead i when h divides it: i stops pairing
         paired[:] = [i for i, lcm in zip(paired, lcms) if lcm != leads[i]] + [h]
-        leads.append(a)
-        reducers.append((neg_h, b - a, kb - ka))
+
+    def basis() -> list[tuple[int, int]]:
+        return _interreduce(packing, [(key(lead), lead, lead + step)
+                                      for lead, (_, step, _) in zip(leads, reducers)])
 
     for a, b in gens:
         add(a, key(a), b, key(b))
+    if target is not None:
+        ideal = MonomialIdeal.from_gens(len(packing.shifts), map(packing.unpack, leads))
+        if ideal.k_polynomial == target:
+            return basis(), ideal
 
+    for h in range(len(leads)):
+        pair(h)
     while heap:
         d, k, i, j, lcm = heapq.heappop(heap)
         if d > cap:
             raise DegreeCapExceeded(f"S-pair degree {d} exceeds cap {cap}")
         _, step_i, kstep_i = reducers[i]
         _, step_j, kstep_j = reducers[j]
-        add(lcm + step_i, k + kstep_i, lcm + step_j, k + kstep_j)
-
-    keyed = [(key(lead), lead, lead + step) for lead, (_, step, _) in zip(leads, reducers)]
-    return _interreduce(packing, keyed)
+        if add(lcm + step_i, k + kstep_i, lcm + step_j, k + kstep_j):
+            pair(len(leads) - 1)
+    return basis(), None
 
 
 def _keyed(packing: _Packing, pairs: list[tuple[int, int]],
@@ -431,6 +489,15 @@ def _degree_reduced(basis: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return [tuple(v) for v in b]
 
 
+def _curve_k_polynomial(numerator: tuple[int, ...], nvars: int) -> tuple[int, ...]:
+    """The K-polynomial N(t) (1 - t)^(nvars - 2) of R/I(C), R in `nvars`
+    variables, for the Hilbert-series numerator N(t) of K[C] over (1 - t)^2."""
+    k = list(numerator)
+    for _ in range(nvars - 2):
+        k = [a - b for a, b in zip(k + [0], [0] + k)]
+    return tuple(k)
+
+
 # The largest m_n that takes the Apery route of `toric_ideal` (n >= 5).
 APERY_MAX_MN = 128
 
@@ -439,16 +506,25 @@ def toric_ideal(seq: CurveSequence, cap: int | None = None) -> GroebnerBasis:
     """Reduced degrevlex Groebner basis of the vanishing ideal I(C), by one
     of two routes that give the same basis; n and m_n of `seq` pick it.
 
-    For n >= 5 and m_n <= APERY_MAX_MN, one `buchberger` run on the
+    For n >= 5 and m_n <= APERY_MAX_MN, one Buchberger run (`_run`) on the
     Apery-set presentation of `semigroup.presentation`: binomials read off
     the Apery set of the semigroup with respect to x_n and x_{n+1}, which
-    generate I(C), so their reduced basis is that of I(C).  Otherwise the
-    saturation route of `_saturated`, from a lattice basis.  The Apery route
-    needs no lattice basis and no saturation passes, whose count grows with
-    n; its own time and memory grow with the Apery set, which has at least
-    m_n elements.  At n = 3, with two passes, it loses on most curves
-    (1,2000,4000 has 4000 Apery elements, and its passes take about
-    0.3 ms), so the cut is at n >= 5; n = 4 stays on saturation for now
+    generate I(C), so their reduced basis is that of I(C).  The run reduces
+    every generator first and compares the K-polynomial of their leads with
+    N(t) (1 - t)^(n - 1), N(t) the Hilbert numerator of K[C] read off the
+    same Apery walk; if they agree it stops there, with no S-pair, and the
+    basis keeps that ideal of leads as its initial ideal (`initial_ideal`),
+    K-polynomial computed.  That holds on most curves: all but 5 of the
+    9,127 gcd-1 curves with n = 5, m_5 <= 17 and n = 6, m_6 <= 14, and 557
+    of 600 seeded n = 5..9 curves with m_n <= 128 (3,22,57,65,94 and
+    10,13,18,20,35,47 make their pairs).  The basis is the same either way.
+
+    Otherwise the saturation route of `_saturated`, from a lattice basis.
+    The Apery route needs no lattice basis and no saturation passes, whose
+    count grows with n; its own time and memory grow with the Apery set,
+    which has at least m_n elements.  At n = 3, with two passes, it loses on
+    most curves (1,2000,4000 has 4000 Apery elements, and its passes take
+    about 0.3 ms), so the cut is at n >= 5; n = 4 stays on saturation for now
     (ROADMAP, item 3).  At n >= 5 it loses where m_n is large and the
     saturation passes stay cheap: 1,100,200,300,100000 takes 1.4 s against
     6 ms, and 1,2,3,4,1000000 10 s and 380 MB against 0.9 s and 13 MB.
@@ -463,13 +539,16 @@ def toric_ideal(seq: CurveSequence, cap: int | None = None) -> GroebnerBasis:
     curves).  Under a small explicit cap, which degree first exceeds it
     depends on the generators the route starts from, so the inputs that
     raise DegreeCapExceeded differ: 4,6,7,8,13 at cap 5 returns its basis
-    from the Apery presentation, where saturation raised.  Every element of
-    the result is checked to lie in I(C).
+    from the Apery presentation, where saturation raised.  A run that stops
+    at its generators checks no S-pair against the cap, so 9,12,21,23,24,26,29
+    at cap 5 returns its basis, where the full run raises at an S-pair of
+    degree 6.  Every element of the result is checked to lie in I(C).
     """
     if cap is None:
         cap = 4 * (seq.mn + seq.n)
     if seq.n >= 5 and seq.mn <= APERY_MAX_MN:
-        final = buchberger(presentation(seq), TermOrder(seq.n + 1), cap)
+        gens, numerator = presentation(seq)
+        final = _run(gens, TermOrder(seq.n + 1), cap, _curve_k_polynomial(numerator, seq.n + 1))
     else:
         final = _saturated(seq, cap)
     for g in final.elements:
@@ -532,7 +611,7 @@ def _saturated(seq: CurveSequence, cap: int) -> GroebnerBasis:
     pairs = [(pack(g.lead[:1] + g.lead[2:] + g.lead[1:2]),  # layout 2: x_2 last
               pack(g.trail[:1] + g.trail[2:] + g.trail[1:2])) for g in gens]
     for i in range(1, nv):  # saturate x_{i+1}, held last; field i (from 0) holds x_{i+2}
-        pairs = _buchberger(packing, pairs, cap)
+        pairs, _ = _buchberger(packing, pairs, cap)
         divided = []
         for a, b in pairs:
             k = min(a >> last, b >> last) << last
@@ -544,8 +623,9 @@ def _saturated(seq: CurveSequence, cap: int) -> GroebnerBasis:
 
 
 def initial_ideal(gb: GroebnerBasis) -> MonomialIdeal:
-    """Monomial ideal of lead terms (minimal generators for a reduced basis)."""
-    return MonomialIdeal.from_gens(gb.nvars, (g.lead for g in gb.elements))
+    """Monomial ideal of lead terms (minimal generators for a reduced basis),
+    built once per basis (`GroebnerBasis.initial`)."""
+    return gb.initial
 
 
 def is_generated_by_quadrics(gb: GroebnerBasis) -> bool:

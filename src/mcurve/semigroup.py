@@ -38,6 +38,14 @@ time, to a normal form mu(w) x_n^c x_{n+1}^c', and two normal forms of one
 element lie in one class r, where a chain of (C) moves between neighbouring
 generators of I_r joins them.
 
+The same walk gives the Hilbert series of K[C] = K[S], N(t) / (1 - t)^2
+(`Presentation.numerator`).  The degree-d elements of S are the disjoint
+union over r of those of (0, r) + I_r, and K[y, z] / I_r has the K-polynomial
+1 - sum t^deg g + sum t^deg lcm over the generators g of I_r and the lcms of
+neighbouring ones; so, counting I_r itself, N(t) = sum_r (sum t^deg g - sum
+t^deg lcm).  `grobner.toric_ideal` reads it as a certificate: leads of
+elements of I(C) whose ideal has this Hilbert series generate in(I(C)).
+
 Stdlib only, and it imports neither `grobner` nor `monideal`, so it can
 check them independently.
 """
@@ -45,6 +53,7 @@ check them independently.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
+from typing import NamedTuple
 
 from .poly import Binomial, _Packing
 from .seq import CurveSequence
@@ -94,9 +103,33 @@ def apery(m: tuple[int, ...]) -> tuple[dict[int, int], dict[int, list[int]]]:
     return degree, classes
 
 
-def presentation(seq: CurveSequence) -> list[Binomial]:
+class Presentation(NamedTuple):
+    """The Apery-set presentation of I(C) and the Hilbert-series numerator
+    of K[C] over (1 - t)^2, read off one Apery walk."""
+
+    binomials: list[Binomial]
+    numerator: tuple[int, ...]
+
+
+def _numerator(mn: int, degree: dict[int, int], classes: dict[int, list[int]]) -> tuple[int, ...]:
+    """N(t) = sum_r (sum t^deg g - sum t^deg lcm) over the generators
+    y^u z^v of each I_r, of degree d = u + v, and the lcms y^u2 z^v1 of
+    neighbouring ones, as coefficients with no trailing zero."""
+    coeffs = [0] * (2 * max(degree.values()) + 1)
+    for d in degree.values():
+        coeffs[d] += 1
+    for gens in classes.values():
+        for w1, w2 in zip(gens, gens[1:]):
+            coeffs[w2 // mn + degree[w1] - w1 // mn] -= 1
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def presentation(seq: CurveSequence) -> Presentation:
     """The (B) and (C) binomials of `seq`, each divided by the gcd of its
-    two monomials, without duplicates or zeros, in ascending degree.
+    two monomials, without duplicates or zeros, in ascending degree, and
+    the numerator N(t) of `_numerator`, from one `apery` walk.
 
     I(C) is prime and holds no monomial, so x^g (x^a - x^b) in I(C) puts
     x^a - x^b in I(C): the coprime parts generate it as the binomials do.
@@ -107,7 +140,14 @@ def presentation(seq: CurveSequence) -> list[Binomial]:
     has degree at most D, the degree of the last nonempty layer, so every
     exponent met is at most 2 D (a (C) binomial has the degree u2 + v1 of an
     lcm), and the gcd takes, in each field, the side whose guard does not
-    survive the other's subtraction."""
+    survive the other's subtraction.
+
+    A (B) candidate (w, j) with w + a_j in Ap is skipped when mu(w + a_j)
+    starts with x_j or with the first variable x_j' of mu(w).  In the first
+    case mu(w + a_j) = x_j mu(w) and the binomial is 0.  In the second, with
+    v = w - a_j', it is x_j' (x_j mu(v) - mu(v + a_j)), and v + a_j, a summand
+    of w + a_j, is in Ap: x_j' times the (B) binomial of (v, j), the same
+    once divided by its gcd."""
     m = seq.with_gcd_one().m
     n, mn = len(m), m[-1]
     degree, classes = apery(m)
@@ -115,11 +155,14 @@ def presentation(seq: CurveSequence) -> list[Binomial]:
     G, field, guard_shift = packing.guards, packing.field, packing.guard_shift
     unit = [1 << s for s in packing.shifts]
     y_unit, z_unit = unit[n - 1], unit[n]
-    mu = {0: 0}
+    get = degree.get
+    mu, first = {0: 0}, {0: -1}  # first[x]: the j of mu(x) = x_j mu(x - a_j)
     for x, d in degree.items():  # by degree: the mu of degree d - 1 come first
         if d:
-            j = next(j for j in range(n - 1) if degree.get(x - m[j]) == d - 1)
-            mu[x] = mu[x - m[j]] + unit[j]
+            for j in range(n - 1):
+                if get(x - m[j]) == d - 1:
+                    break
+            first[x], mu[x] = j, mu[x - m[j]] + unit[j]
 
     found = set()
 
@@ -130,16 +173,22 @@ def presentation(seq: CurveSequence) -> list[Binomial]:
             found.add((a - g, b - g) if a > b else (b - g, a - g))
 
     for x, d in degree.items():  # (B)
+        d1, fx, mu_x = d + 1, first[x], mu[x]
         for j in range(n - 1):
             y = x + m[j]
-            w = _cover(degree, classes, mn, d + 1, y)  # w + a_j is in S
-            add(mu[x] + unit[j], mu[w] + (y - w) // mn * y_unit
-                + (d + 1 - degree[w] - (y - w) // mn) * z_unit)
+            if get(y) == d1:  # w + a_j in Ap: w' = w + a_j, c = c' = 0
+                if first[y] != fx and first[y] != j:  # else 0 or a duplicate
+                    add(mu_x + unit[j], mu[y])
+                continue
+            w = _cover(degree, classes, mn, d1, y)  # w + a_j is in S
+            c = (y - w) // mn
+            add(mu_x + unit[j], mu[w] + c * y_unit + (d1 - degree[w] - c) * z_unit)
     for gens in classes.values():  # (C)
         for w1, w2 in zip(gens, gens[1:]):
             u1, u2 = w1 // mn, w2 // mn
             add(mu[w1] + (u2 - u1) * y_unit,
                 mu[w2] + (degree[w1] - u1 - degree[w2] + u2) * z_unit)
     unpack, degree_of = packing.unpack, packing.degree
-    return [Binomial(unpack(a), unpack(b))
-            for a, b in sorted(found, key=lambda p: (degree_of(p[0]), p))]
+    return Presentation([Binomial(unpack(a), unpack(b))
+                         for a, b in sorted(found, key=lambda p: (degree_of(p[0]), p))],
+                        _numerator(mn, degree, classes))

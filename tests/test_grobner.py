@@ -514,15 +514,18 @@ class TestToricIdeal:
 
     def test_one_buchberger_run_per_variable(self, monkeypatch):
         made, runs = [], []  # (arguments, packing) of each _Packing; the packing of each run
+        stopped = []  # per run, whether it stopped after its generators
         packing_class, run = grobner._Packing, grobner._buchberger
 
         def packing(*args):
             made.append((args, packing_class(*args)))
             return made[-1][1]
 
-        def counting(packing, gens, cap):
+        def counting(packing, gens, cap, target=None):
             runs.append(packing)
-            return run(packing, gens, cap)
+            pairs, ideal = run(packing, gens, cap, target)
+            stopped.append(ideal is not None)
+            return pairs, ideal
 
         monkeypatch.setattr(grobner, "_Packing", packing)
         monkeypatch.setattr(grobner, "_buchberger", counting)
@@ -532,7 +535,9 @@ class TestToricIdeal:
                   (11, 12, 15, 79, 113, 130, 159, 277)]:
             made.clear()
             runs.clear()
+            stopped.clear()
             toric_ideal(CurveSequence(m))
+            assert not any(stopped), m
             # one packing, and one packed run in it per saturated variable x_2 .. x_{n+1};
             # its top is the default cap 4 (m_n + n), above every lattice binomial's degree
             assert [args for args, _ in made] == [(len(m) + 1, 4 * (m[-1] + len(m)), ())], m
@@ -541,12 +546,15 @@ class TestToricIdeal:
                   (1, 2, 3, 4, 128), (5, 26, 32, 38, 101)]:
             made.clear()
             runs.clear()
+            stopped.clear()
             toric_ideal(CurveSequence(m))
             # n >= 5 and m_n <= APERY_MAX_MN: one packing and one run, on the
             # Apery presentation; its top is the default cap, above every
             # generator's degree
             assert [args for args, _ in made] == [(len(m) + 1, 4 * (m[-1] + len(m)), ())], m
             assert runs == [made[0][1]], m
+            # the leads of the generators have the curve's Hilbert series: no S-pair
+            assert stopped == [True], m
 
     def test_basis_carries_its_cap(self):
         s = parse_sequence("10,13,16,19,22")

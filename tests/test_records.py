@@ -10,7 +10,7 @@ import pickle
 import pytest
 
 from mcurve.errors import NonIncreasing
-from mcurve.grobner import initial_ideal, toric_ideal
+from mcurve.grobner import GroebnerBasis, initial_ideal, toric_ideal
 from mcurve.koszul import koszul_status
 from mcurve.monideal import MonomialIdeal, irreducible_decomposition
 from mcurve.seq import CurveSequence, parse_sequence
@@ -68,6 +68,16 @@ def test_ideal_with_its_caches_pickles():
     packing, packed = back._packed
     assert tuple(sorted(map(packing.unpack, packed))) == ini.gens
     assert irreducible_decomposition(back) == ini.decomposition
+
+
+def test_cached_initial_ideal_stays_out_of_the_basis_record():
+    # a certified n >= 5 basis comes with its initial ideal cached
+    gb = toric_ideal(CurveSequence((10, 13, 16, 19, 22)))
+    fresh = GroebnerBasis(*gb)
+    assert "initial" in vars(gb) and not vars(fresh)
+    assert gb == fresh and hash(gb) == hash(fresh) and repr(gb) == repr(fresh)
+    back = pickle.loads(pickle.dumps(gb))
+    assert back == gb and back.initial == gb.initial == fresh.initial
 
 
 @pytest.mark.parametrize("make, error", [
