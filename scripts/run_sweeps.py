@@ -5,9 +5,6 @@ Usage: python scripts/run_sweeps.py [--jobs N] [--out-dir DIR]
 
 Every family of `mcurve.sweeps.FAMILIES` runs at its config default; the
 random family draws 100 sequences with seed 0.
-
-The Buchberger degree cap comes from the MCURVE_CAP_DEGREE environment
-variable (default 4 (m_n + n) per curve).
 """
 
 import argparse

@@ -10,11 +10,8 @@ reads its families from ``sweeps.FAMILIES``; each of --max-mn, --h, --count
 and --seed sets one field of the chosen family's config (SWEEP_FLAGS), and a
 flag whose field that config lacks is a usage error.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error.
-The MCURVE_CAP_DEGREE environment variable overrides the Buchberger degree
-cap of the toric basis; --cap-degree wins over the environment, and a cap
-below 1 is a usage error.  Every run made from that basis (Koszul witnesses,
-gb --order) stays under its cap.
+Exit codes: 0 success, 1 verification failure, 2 usage, input or other error
+(a DegreeCapExceeded past the fixed degree guard of ``grobner.toric_ideal`` too).
 
 argparse and the process pool load only when a command needs them (a parsed
 command line; sweep --jobs N > 1): a one-curve command spends longer starting
@@ -25,7 +22,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import os
 import sys
 import time
 from typing import TYPE_CHECKING, NamedTuple
@@ -114,30 +110,12 @@ class Mismatch(McurveError):
     """Closed form and oracle disagree."""
 
 
-def _cap_from(args: argparse.Namespace) -> int | None:
-    """The degree cap of --cap-degree, else of MCURVE_CAP_DEGREE, else None (the
-    default); a cap below 1, or a variable that is no integer, is a usage error."""
-    cap, source = args.cap_degree, "--cap-degree"
-    if cap is None:
-        env = os.environ.get("MCURVE_CAP_DEGREE")
-        if not env:
-            return None
-        try:
-            cap, source = int(env), "MCURVE_CAP_DEGREE"
-        except ValueError:
-            raise ValueError(f"MCURVE_CAP_DEGREE must be an integer, got {env!r}") from None
-    if cap < 1:
-        raise ValueError(f"{source} must be at least 1, got {cap}")
-    return cap
-
-
-def build_report(seq: CurveSequence, verify: bool, cap: int | None = None) -> InvariantReport:
+def build_report(seq: CurveSequence, verify: bool) -> InvariantReport:
     """The invariant report of `seq`: every claim of its family (sweeps.CLAIMS)
-    settled.  The oracle sides run, on one toric basis under `cap` (None: the
-    default), when verifying or when no closed form applies, and the Koszul
-    cascade reuses that basis."""
+    settled.  The oracle sides run, on one toric basis, when verifying or when
+    no closed form applies, and the Koszul cascade reuses that basis."""
     cls = classify(seq)
-    curve = sweeps.Curve(seq, closed_profile(seq), cap)
+    curve = sweeps.Curve(seq, closed_profile(seq))
     oracle = verify or curve.profile is None
     values = dict.fromkeys(InvariantReport._fields)
     prov: dict[str, str] = {}
@@ -166,7 +144,7 @@ def build_report(seq: CurveSequence, verify: bool, cap: int | None = None) -> In
 
 def cmd_invariants(args: argparse.Namespace) -> int:
     seq = parse_sequence(args.sequence)
-    report = build_report(seq, verify=args.verify, cap=_cap_from(args))
+    report = build_report(seq, verify=args.verify)
     if args.json:
         print(json.dumps(report.to_dict(), sort_keys=True))
     else:
@@ -176,7 +154,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 def cmd_gb(args: argparse.Namespace) -> int:
     seq = parse_sequence(args.sequence)
-    curve = sweeps.Curve(seq, closed_profile(seq), _cap_from(args))
+    curve = sweeps.Curve(seq, closed_profile(seq))
     order = parse_order(args.order, seq.n + 1)
 
     if args.diff or args.source == "closed":
@@ -215,7 +193,7 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
     if args.max_degree < 0:
         raise ValueError(f"--max-degree must be at least 0, got {args.max_degree}")
     seq = parse_sequence(args.sequence)
-    curve = sweeps.Curve(seq, closed_profile(seq), _cap_from(args))
+    curve = sweeps.Curve(seq, closed_profile(seq))
     rows = [(s, curve.hilbert.hf_at(s) if curve.hilbert else None, counted)
             for s, counted in enumerate(curve.hf(args.max_degree + 1))]
     mismatch = any(f is not None and f != c for _, f, c in rows)
@@ -243,12 +221,12 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
-def _run_one(payload: tuple[str, tuple[int, ...], int | None]) -> dict:
-    family, m, cap = payload
+def _run_one(payload: tuple[str, tuple[int, ...]]) -> dict:
+    family, m = payload
     seq = CurveSequence(m)
     started = time.perf_counter()
     try:
-        checks = sweeps.FAMILIES[family].check(seq, cap)
+        checks = sweeps.FAMILIES[family].check(seq)
         ok = all(checks.values())
         record = {"seq": list(m), "ok": ok, "checks": checks}
     except McurveError as exc:
@@ -258,7 +236,6 @@ def _run_one(payload: tuple[str, tuple[int, ...], int | None]) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cap = _cap_from(args)
     family = sweeps.FAMILIES[args.family]
     if args.max_mn is not None and args.max_mn < 1:
         raise ValueError(f"--max-mn must be at least 1, got {args.max_mn}")
@@ -269,7 +246,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if name not in family.config._fields:
             raise ValueError(f"the {args.family} family takes no {SWEEP_FLAGS[name]}")
     cfg = family.config(**given)
-    payloads = [(args.family, s.m, cap) for s in family.instances(cfg)]
+    payloads = [(args.family, s.m) for s in family.instances(cfg)]
     # a fork pool starts all its workers at once: no more than there are instances
     workers = min(args.jobs, len(payloads))
     written = failures = 0
@@ -307,12 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, sequence: bool = True) -> None:
-        if sequence:
-            p.add_argument("-m", "--sequence", required=True,
-                           help="comma-separated strictly increasing positive integers")
-        p.add_argument("--cap-degree", type=int, default=None,
-                       help="Buchberger degree cap (default 4*(m_n + n); env MCURVE_CAP_DEGREE)")
+    def add_common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("-m", "--sequence", required=True,
+                       help="comma-separated strictly increasing positive integers")
 
     p = sub.add_parser("invariants", help="compute the invariant report")
     add_common(p)
@@ -338,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hilbert)
 
     p = sub.add_parser("sweep", help="run a family verification sweep (JSONL)")
-    add_common(p, sequence=False)
     p.add_argument("--family", required=True, choices=list(sweeps.FAMILIES))
     p.add_argument("--max-mn", type=int, default=None,
                    help="bound on the largest term m_n (default: the family's config "

@@ -502,7 +502,7 @@ def _curve_k_polynomial(numerator: tuple[int, ...], nvars: int) -> tuple[int, ..
 APERY_MAX_MN = 128
 
 
-def toric_ideal(seq: CurveSequence, cap: int | None = None) -> GroebnerBasis:
+def toric_ideal(seq: CurveSequence) -> GroebnerBasis:
     """Reduced degrevlex Groebner basis of the vanishing ideal I(C), by one
     of two routes that give the same basis; n and m_n of `seq` pick it.
 
@@ -533,19 +533,16 @@ def toric_ideal(seq: CurveSequence, cap: int | None = None) -> GroebnerBasis:
     from m_n = 160 on.  The bound also keeps the route within the curves the
     benchmark times (m_n <= 101 at n >= 5).
 
-    `cap` bounds the Buchberger degrees (None: the default 4 (m_n + n)); the
-    basis carries it.  Under the default cap the two routes give the same
-    bases on every curve checked (the tests compare them on random n = 5..8
-    curves).  Under a small explicit cap, which degree first exceeds it
-    depends on the generators the route starts from, so the inputs that
-    raise DegreeCapExceeded differ: 4,6,7,8,13 at cap 5 returns its basis
-    from the Apery presentation, where saturation raised.  A run that stops
-    at its generators checks no S-pair against the cap, so 9,12,21,23,24,26,29
-    at cap 5 returns its basis, where the full run raises at an S-pair of
-    degree 6.  Every element of the result is checked to lie in I(C).
+    A guard of 4 (m_n + n) bounds the Buchberger degrees, far above the
+    paper's regularity bounds (ceil((m_n - 1)/(n - 1)) + 1 for arithmetic
+    sequences); no curve tried needs half of it (TestHeadroom in
+    tests/test_grobner.py).  A run past it raises DegreeCapExceeded, and the
+    basis carries it (`GroebnerBasis.cap`) to every run made from it.  The
+    two routes give the same bases on every curve checked (the tests compare
+    them on random n = 5..8 curves).  Every element of the result is checked
+    to lie in I(C).
     """
-    if cap is None:
-        cap = 4 * (seq.mn + seq.n)
+    cap = 4 * (seq.mn + seq.n)
     if seq.n >= 5 and seq.mn <= APERY_MAX_MN:
         gens, numerator = presentation(seq)
         final = _run(gens, TermOrder(seq.n + 1), cap, _curve_k_polynomial(numerator, seq.n + 1))
@@ -578,10 +575,7 @@ def _saturated(seq: CurveSequence, cap: int) -> GroebnerBasis:
     generator.  Hence I_B : (x_2 ... x_{n+1})^inf = I_L for the lattice-basis
     ideal I_B, for any basis B of L: the argument reads only that B spans L,
     so it holds for the degree-reduced basis as for the LLL one.  The result
-    does not depend on the basis of L that the passes start from, but under
-    a small explicit cap the degree that first exceeds it can: 1,6,12 at
-    cap 2 raises at the degree-6 element of its reduced basis, not at the
-    degree-7 element of its LLL basis.
+    does not depend on the basis of L that the passes start from.
 
     Every pass runs the packed kernel `_buchberger` on ints of one
     `_Packing`, and monomials are tuples only in the lattice basis and the

@@ -74,16 +74,14 @@ from .seq import (ArithmeticProfile, CurveSequence, GeneralizedProfile, arithmet
 
 
 class Curve:
-    """One curve as the claims read it: the sequence, the profile of its
-    family (None: no closed form applies) and the degree cap of its toric
-    basis (None: the default).  Every value below is computed once, on first
-    use, by a function looked up on this module when it runs, so a function
-    replaced here (a test double, or a tracing wrapper) is the one that runs."""
+    """One curve as the claims read it: its sequence and the profile of its
+    family (None: no closed form applies).  Every value below is computed once,
+    on first use, by a function looked up on this module when it runs, so a
+    function replaced here (a test double, or a tracing wrapper) is what runs."""
 
     def __init__(self, seq: CurveSequence,
-                 profile: ArithmeticProfile | GeneralizedProfile | None = None,
-                 cap: int | None = None):
-        self.seq, self.profile, self.cap = seq, profile, cap
+                 profile: ArithmeticProfile | GeneralizedProfile | None = None):
+        self.seq, self.profile = seq, profile
 
     @cached_property
     def closed_gb(self) -> list[Binomial] | None:
@@ -101,7 +99,7 @@ class Curve:
     @cached_property
     def gb(self) -> GroebnerBasis:
         """The oracle: the reduced degrevlex basis of I(C)."""
-        return toric_ideal(self.seq, self.cap)
+        return toric_ideal(self.seq)
 
     @cached_property
     def ini(self) -> MonomialIdeal:
@@ -291,10 +289,10 @@ def random_instances(cfg: RandomSweep) -> Iterator[CurveSequence]:
         yield CurveSequence(tuple(sorted(values)))
 
 
-def check_arithmetic_instance(seq: CurveSequence, cap: int | None = None) -> dict[str, bool]:
+def check_arithmetic_instance(seq: CurveSequence) -> dict[str, bool]:
     """Every claim of the arithmetic family against the oracle."""
     prof = arithmetic_profile(seq)
-    c = Curve(seq, prof, cap)
+    c = Curve(seq, prof)
     reg = reg_arithmetic(prof)
     return {
         **_closed_checks(c, reg),
@@ -306,12 +304,12 @@ def check_arithmetic_instance(seq: CurveSequence, cap: int | None = None) -> dic
     }
 
 
-def check_generalized_instance(seq: CurveSequence, cap: int | None = None) -> dict[str, bool]:
+def check_generalized_instance(seq: CurveSequence) -> dict[str, bool]:
     """Every claim of the h >= 2, h | d family against the oracle."""
     prof = generalized_profile(seq)
-    c = Curve(seq, prof, cap)
+    c = Curve(seq, prof)
     reg = reg_generalized(prof)
-    tail_ini = initial_ideal(toric_ideal(CurveSequence(seq.m[1:]), cap))
+    tail_ini = initial_ideal(toric_ideal(CurveSequence(seq.m[1:])))
     checks = {
         **_closed_checks(c, reg),
         "not_cm_witness_found": not_cm_witness(seq) is not None,
@@ -327,10 +325,10 @@ def check_generalized_instance(seq: CurveSequence, cap: int | None = None) -> di
     return checks
 
 
-def _check_koszul_list(seq: CurveSequence, koszul: frozenset, cap: int | None) -> dict[str, bool]:
+def _check_koszul_list(seq: CurveSequence, koszul: frozenset) -> dict[str, bool]:
     """A Koszul list against the oracle: quadric generation iff listed, and a
     quadratic Groebner basis for every listed sequence."""
-    gb = toric_ideal(seq, cap)
+    gb = toric_ideal(seq)
     listed = seq.m in koszul
     checks = {"quadric_iff_listed": is_generated_by_quadrics(gb) == listed}
     if listed:
@@ -338,17 +336,17 @@ def _check_koszul_list(seq: CurveSequence, koszul: frozenset, cap: int | None) -
     return checks
 
 
-def check_koszul_n3_instance(seq: CurveSequence, cap: int | None = None) -> dict[str, bool]:
-    return _check_koszul_list(seq, N3_KOSZUL, cap)
+def check_koszul_n3_instance(seq: CurveSequence) -> dict[str, bool]:
+    return _check_koszul_list(seq, N3_KOSZUL)
 
 
-def check_koszul_n4_instance(seq: CurveSequence, cap: int | None = None) -> dict[str, bool]:
-    return _check_koszul_list(seq, N4_KOSZUL, cap)
+def check_koszul_n4_instance(seq: CurveSequence) -> dict[str, bool]:
+    return _check_koszul_list(seq, N4_KOSZUL)
 
 
-def check_random_instance(seq: CurveSequence, cap: int | None = None) -> dict[str, bool]:
+def check_random_instance(seq: CurveSequence) -> dict[str, bool]:
     """Structural invariants that hold for arbitrary sequences."""
-    curve = Curve(seq, None, cap)
+    curve = Curve(seq)
     gb, ini, reg, num = curve.gb, curve.ini, curve.reg, curve.hs
     rng = random.Random(hash(seq.m) & 0xFFFF)
     dec = ini.decomposition if not ini.is_zero else None
@@ -391,7 +389,7 @@ class Family(NamedTuple):
 
     config: type
     instances: Callable[[Any], Iterator[CurveSequence]]
-    check: Callable[[CurveSequence, int | None], dict[str, bool]]
+    check: Callable[[CurveSequence], dict[str, bool]]
 
 
 FAMILIES = {

@@ -47,9 +47,9 @@ class TestInvariants:
         # reuses the basis the report already computed
         calls = []
 
-        def counted(seq, cap=None):
+        def counted(seq):
             calls.append(seq.m)
-            return grobner.toric_ideal(seq, cap)
+            return grobner.toric_ideal(seq)
 
         monkeypatch.setattr(sweeps, "toric_ideal", counted)
         monkeypatch.setattr(koszul, "toric_ideal", counted)
@@ -372,7 +372,7 @@ class TestSweep:
     ])
     def test_check_keys_of_each_family(self, family, m, keys):
         # the record contract of mcurve sweep: each check key names one claim or check
-        checks = sweeps.FAMILIES[family].check(parse_sequence(m), None)
+        checks = sweeps.FAMILIES[family].check(parse_sequence(m))
         assert sorted(checks) == keys.split() and all(checks.values())
 
     def test_pool_has_no_more_workers_than_instances(self, capsys, monkeypatch):
@@ -423,7 +423,7 @@ class TestSweep:
             assert "usage error" in proc.stderr
 
 
-def _failing_n3_check(seq, cap=None):
+def _failing_n3_check(seq):
     if seq.m == (1, 2, 3):
         raise InvariantViolation("forced failure")
     return {"ok": True}
@@ -450,7 +450,7 @@ class TestExitCodes:
         assert lines[-1]["summary"]["instances"] == len(lines) - 1 > 1
 
     def test_invariants_internal_failure_exits_2(self, capsys, monkeypatch):
-        def broken(seq, cap=None):
+        def broken(seq):
             raise InvariantViolation("forced failure")
 
         monkeypatch.setattr(sweeps, "toric_ideal", broken)
@@ -469,6 +469,13 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ") and str(out) in captured.err
 
+    def test_cap_degree_flag_is_a_usage_error(self, capsys):
+        # the degree guard is fixed: the retired flag is refused, not ignored
+        assert main(["invariants", "-m", "4,5,6,7,8", "--cap-degree", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: unrecognized arguments: --cap-degree 3" in captured.err
+
     def test_out_of_memory_exits_2(self, run_python):
         # the largest entry's Hilbert numerator needs about 200 MB: under a
         # 128 MB address-space cap it runs out of memory, which is neither a
@@ -481,39 +488,3 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr == "error: out of memory\n"
 
-
-class TestCap:
-    def test_cap_flag_fails_fast(self, capsys):
-        # closed forms alone do not hit the cap; the oracle path does
-        assert main(["invariants", "-m", "10,13,16,19,22", "--cap-degree", "3"]) == 0
-        assert main(["invariants", "-m", "10,13,16,19,22", "--cap-degree", "3",
-                     "--verify"]) == 2
-
-    def test_cap_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("MCURVE_CAP_DEGREE", "3")
-        assert main(["invariants", "-m", "10,13,16,19,22", "--verify"]) == 2
-        monkeypatch.setenv("MCURVE_CAP_DEGREE", "400")
-        assert main(["invariants", "-m", "10,13,16,19,22", "--verify"]) == 0
-
-    @pytest.mark.parametrize("cap", ["0", "-3"])
-    def test_cap_below_one_is_a_usage_error(self, capsys, monkeypatch, cap):
-        # without --verify no basis is computed, and such a cap was ignored (exit 0)
-        for verify in ([], ["--verify"]):
-            assert main(["invariants", "-m", "4,5,6,7,8", "--cap-degree", cap, *verify]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == f"usage error: --cap-degree must be at least 1, got {cap}\n"
-        monkeypatch.setenv("MCURVE_CAP_DEGREE", cap)
-        assert main(["invariants", "-m", "4,5,6,7,8"]) == 2
-        assert capsys.readouterr().err == (
-            f"usage error: MCURVE_CAP_DEGREE must be at least 1, got {cap}\n")
-        # the flag wins over the environment
-        assert main(["invariants", "-m", "4,5,6,7,8", "--cap-degree", "400", "--verify"]) == 0
-
-    @pytest.mark.parametrize("cap", ["abc", "4.5", "0x10"])
-    def test_cap_env_not_an_integer_is_a_usage_error(self, capsys, monkeypatch, cap):
-        monkeypatch.setenv("MCURVE_CAP_DEGREE", cap)
-        assert main(["invariants", "-m", "3,5,7"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"usage error: MCURVE_CAP_DEGREE must be an integer, got {cap!r}\n"

@@ -20,8 +20,10 @@ from mcurve.grobner import (
     render_gb,
     toric_ideal,
 )
+from mcurve.koszul import quadratic_gb_witness
 from mcurve.monideal import MonomialIdeal
 from mcurve.poly import Binomial, TermOrder, bidegree, is_member_binomial, yweighted
+from mcurve.semigroup import presentation
 from mcurve.seq import CurveSequence, parse_sequence
 import tuple_kernel
 from orders import degrevlex_cheapest
@@ -70,7 +72,7 @@ class TestBuchberger:
     def test_cap_exceeded(self):
         s = parse_sequence("10,13,16,19,22")
         with pytest.raises(DegreeCapExceeded):
-            toric_ideal(s, cap=3)
+            grobner._saturated(s, 3)
 
     def test_non_member_raises(self, monkeypatch):
         monkeypatch.setattr(grobner, "is_member_binomial", lambda seq, g: False)
@@ -558,7 +560,7 @@ class TestToricIdeal:
 
     def test_basis_carries_its_cap(self):
         s = parse_sequence("10,13,16,19,22")
-        assert toric_ideal(s, cap=40).cap == 40
+        assert grobner._saturated(s, 40).cap == 40
         assert toric_ideal(s).cap == 4 * (22 + 5)
         assert buchberger(TWISTED, TermOrder(4), 7).cap == 7
 
@@ -613,7 +615,43 @@ class TestPackedSaturation:
         # starts from the degree-reduced basis, whose largest degree is 6
         assert lattice_basis(CurveSequence((1, 6, 12)))[1] == (-6, 3, -1, 4)
         with pytest.raises(DegreeCapExceeded, match="^basis element of degree 6 exceeds cap 2$"):
-            toric_ideal(CurveSequence((1, 6, 12)), cap=2)
+            grobner._saturated(CurveSequence((1, 6, 12)), 2)
+
+
+# the fixed curves of the benchmark's report workload: golden, counterexample,
+# ladder and quadric-stage curves
+REPORT_CURVES = [(10, 13, 16, 19, 22), (4, 5, 6, 7, 8), (7, 30, 39, 48, 57, 66),
+                 (2, 35, 46, 57, 68), (5, 26, 32, 38), (1, 500, 1000), (5, 26, 32, 38, 101),
+                 (11, 17, 23, 41, 53, 60), (13, 29, 31, 47, 59, 71, 80), (1, 2, 3, 4, 6),
+                 (2, 3, 4, 5, 6, 8)]
+
+
+class TestHeadroom:
+    """`toric_ideal`'s fixed guard 4 (m_n + n) is at least twice what these
+    curves need: a kernel change that pushes their degrees past half of it
+    fails here, not in a user's run."""
+
+    @pytest.mark.parametrize("m", REPORT_CURVES, ids=lambda m: ",".join(map(str, m)))
+    def test_half_the_guard_gives_the_same_basis(self, m):
+        seq = CurveSequence(m)
+        half = 2 * (seq.mn + seq.n)
+        if seq.n >= 5 and seq.mn <= grobner.APERY_MAX_MN:
+            gens, numerator = presentation(seq)
+            gb = grobner._run(gens, TermOrder(seq.n + 1), half,
+                              grobner._curve_k_polynomial(numerator, seq.n + 1))
+        else:
+            gb = grobner._saturated(seq, half)
+        assert gb.elements == toric_ideal(seq).elements
+
+    @pytest.mark.parametrize("text", ["1,2,3,4,6", "2,3,4,5,6,8"])
+    def test_half_the_guard_gives_the_same_witness(self, text):
+        # the Koszul witnesses run Buchberger under other orders, under the
+        # guard the basis carries
+        seq = parse_sequence(text)
+        gb = toric_ideal(seq)
+        witness = quadratic_gb_witness(gb)
+        assert witness is not None
+        assert quadratic_gb_witness(gb._replace(cap=2 * (seq.mn + seq.n))) == witness
 
 
 def _toric_ideal_every_variable(seq):

@@ -58,3 +58,17 @@ print(sorted(set({heavy!r}) & (set(sys.modules) - before)))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
+
+
+def test_package_reads_no_environment_variable():
+    # every setting is a command-line flag or a constant: none comes in
+    # through the environment
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found.extend(f"{path.name}:{node.lineno}" for alias in node.names
+                             if alias.name in ("environ", "getenv"))
+    assert not found, found
