@@ -229,7 +229,7 @@ def _run_one(payload: tuple[str, tuple[int, ...]]) -> dict:
         checks = sweeps.FAMILIES[family].check(seq)
         ok = all(checks.values())
         record = {"seq": list(m), "ok": ok, "checks": checks}
-    except McurveError as exc:
+    except (McurveError, MemoryError) as exc:  # one instance's failure ends no sweep
         record = {"seq": list(m), "ok": False, "error": f"{type(exc).__name__}: {exc}"}
     record["elapsed_ms"] = round(1000 * (time.perf_counter() - started), 1)
     return record

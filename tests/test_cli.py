@@ -1,6 +1,7 @@
 """CLI contract: exit codes, JSON round-trips, diff semantics, sweeps."""
 
 import concurrent.futures
+import functools
 import json
 import multiprocessing
 import sys
@@ -423,9 +424,9 @@ class TestSweep:
             assert "usage error" in proc.stderr
 
 
-def _failing_n3_check(seq):
+def _failing_n3_check(seq, error=InvariantViolation):
     if seq.m == (1, 2, 3):
-        raise InvariantViolation("forced failure")
+        raise error("forced failure")
     return {"ok": True}
 
 
@@ -439,15 +440,18 @@ class TestExitCodes:
             reason="the patched family table reaches pool workers only by fork")),
     ])
     def test_sweep_records_an_internal_failure(self, capsys, monkeypatch, jobs):
-        monkeypatch.setitem(sweeps.FAMILIES, "n3",
-                            sweeps.FAMILIES["n3"]._replace(check=_failing_n3_check))
-        assert main(["sweep", "--family", "n3", "--max-mn", "5", "--jobs", jobs]) == 1
-        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-        failed = [r for r in lines[:-1] if not r["ok"]]
-        assert [r["seq"] for r in failed] == [[1, 2, 3]]
-        assert failed[0]["error"] == "InvariantViolation: forced failure"
-        assert lines[-1]["summary"]["failures"] == 1
-        assert lines[-1]["summary"]["instances"] == len(lines) - 1 > 1
+        # an instance out of memory is recorded like any other failure: the
+        # sweep goes on and ends with its summary line
+        for error in (InvariantViolation, MemoryError):
+            check = functools.partial(_failing_n3_check, error=error)
+            monkeypatch.setitem(sweeps.FAMILIES, "n3", sweeps.FAMILIES["n3"]._replace(check=check))
+            assert main(["sweep", "--family", "n3", "--max-mn", "5", "--jobs", jobs]) == 1
+            lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+            failed = [r for r in lines[:-1] if not r["ok"]]
+            assert [r["seq"] for r in failed] == [[1, 2, 3]]
+            assert failed[0]["error"] == f"{error.__name__}: forced failure"
+            assert lines[-1]["summary"]["failures"] == 1
+            assert lines[-1]["summary"]["instances"] == len(lines) - 1 > 1
 
     def test_invariants_internal_failure_exits_2(self, capsys, monkeypatch):
         def broken(seq):

@@ -1,8 +1,6 @@
 """The package's records: reprs, equality and hashing.
 
-scripts/oracle_digest.py and scripts/scale_digest.py hash the reprs of these
-records, so a change of a record's form that moves a repr shows here, not only
-as a new digest.
+A change of a record's form that moves a repr shows here by name.
 """
 
 import pickle
