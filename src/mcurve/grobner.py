@@ -2,15 +2,15 @@
 
 The toric ideal of a curve is built from scratch by one of two routes, which
 give the same reduced basis (`toric_ideal` picks by n and m_n).  For n >= 5
-and m_n <= APERY_MAX_MN, one Buchberger run under plain degrevlex on
-binomials read off the Apery set of the curve's semigroup
-(`semigroup.presentation`), which generate the ideal.  The same Apery walk
-gives the Hilbert series of K[C], and the run stops once the leads of its
-reduced generators have it (Traverso, Hilbert functions and the Buchberger
-algorithm, JSC 1996): then they already generate in(I(C)), and no S-pair
-is made.  Otherwise, where that
-run loses to few saturation passes or the Apery set (at least m_n elements)
-outgrows them: the integer kernel of the 2 x (n+1) bidegree matrix (unimodular column reduction, so the
+and m_n up to a bound that grows with n (APERY_MAX_MN), one Buchberger run
+under plain degrevlex on binomials read off the Apery set of the curve's
+semigroup (`semigroup.presentation`), which generate the ideal.  The same
+Apery walk gives the Hilbert series of K[C], and the run stops once the
+leads of its reduced generators have it (Traverso, Hilbert functions and
+the Buchberger algorithm, JSC 1996): then they already generate in(I(C)),
+and no S-pair is made.  Otherwise, where that run loses to few saturation
+passes or the Apery set (at least m_n elements) outgrows them: the integer
+kernel of the 2 x (n+1) bidegree matrix (unimodular column reduction, so the
 lattice is saturated), a short basis from integral LLL (integer Gram
 determinants, no rationals, updated in place on a swap), then a pairwise L1
 size reduction of that basis (`_degree_reduced`: LLL shortens the Euclidean
@@ -498,18 +498,25 @@ def _curve_k_polynomial(numerator: tuple[int, ...], nvars: int) -> tuple[int, ..
     return tuple(k)
 
 
-# The largest m_n that takes the Apery route of `toric_ideal` (n >= 5).
-APERY_MAX_MN = 128
+# The largest m_n that takes the Apery route of `toric_ideal`, by n: n above
+# the last key takes its bound, and n below the first key takes the other route.
+APERY_MAX_MN = {5: 128, 6: 360, 7: 1600}
+
+
+def _apery_route(seq: CurveSequence) -> bool:
+    """True iff `toric_ideal` builds the basis of `seq` from its Apery set."""
+    return seq.mn <= APERY_MAX_MN.get(min(seq.n, max(APERY_MAX_MN)), 0)
 
 
 def toric_ideal(seq: CurveSequence) -> GroebnerBasis:
     """Reduced degrevlex Groebner basis of the vanishing ideal I(C), by one
     of two routes that give the same basis; n and m_n of `seq` pick it.
 
-    For n >= 5 and m_n <= APERY_MAX_MN, one Buchberger run (`_run`) on the
-    Apery-set presentation of `semigroup.presentation`: binomials read off
-    the Apery set of the semigroup with respect to x_n and x_{n+1}, which
-    generate I(C), so their reduced basis is that of I(C).  The run reduces
+    For n >= 5 and m_n at most APERY_MAX_MN's bound for n (`_apery_route`),
+    one Buchberger run (`_run`) on the Apery-set presentation of
+    `semigroup.presentation`: binomials read off the Apery set of the
+    semigroup with respect to x_n and x_{n+1}, which generate I(C), so
+    their reduced basis is that of I(C).  The run reduces
     every generator first and compares the K-polynomial of their leads with
     N(t) (1 - t)^(n - 1), N(t) the Hilbert numerator of K[C] read off the
     same Apery walk; if they agree it stops there, with no S-pair, and the
@@ -528,10 +535,20 @@ def toric_ideal(seq: CurveSequence) -> GroebnerBasis:
     (ROADMAP, item 3).  At n >= 5 it loses where m_n is large and the
     saturation passes stay cheap: 1,100,200,300,100000 takes 1.4 s against
     6 ms, and 1,2,3,4,1000000 10 s and 380 MB against 0.9 s and 13 MB.
-    Hence APERY_MAX_MN: on 531 n = 5 curves with m_n from 80 to 128 the
-    Apery route lost at most 1.4 times and 1.2 ms, and 1,2,3,4,m_n loses
-    from m_n = 160 on.  The bound also keeps the route within the curves the
-    benchmark times (m_n <= 101 at n >= 5).
+    Hence APERY_MAX_MN, from the crossovers per n (best of two to five
+    calls per route on a shared 2-core box).  n = 5 takes 128: on 531 n = 5
+    curves with m_n from 80 to 128 the Apery route lost at most 1.4 times
+    and 1.2 ms, and 1,2,3,4,m_n loses from m_n = 160 on.  n = 6 takes 360:
+    1,2,3,4,5,m_n loses from about 380, and 300 seeded n = 6 curves with
+    m_n from 300 to 360 all won (2.3 s against 14.0 s);
+    1,2,4,8,16,m_n loses 1.8 times (0.8 ms) at 360.  n >= 7 takes 1600:
+    there 1, ..., n - 1, m_n did not lose up to m_n = 6,400 (n = 7, 8),
+    20 seeded n = 7 curves with m_n from 1,200 to 1,600 all won (1.2 s
+    against 18.3 s), and seeded n = 7, 8 and 10 curves up to 3,200 won 10
+    to 50 times; 1,2,4,...,2^(n-2),m_n loses up to 2.8 times (7 ms) at
+    1,600, and a seeded n = 13 curve with m_13 = 1,600 peaks at 20 MB.
+    Every curve the benchmark times (m_n <= 101 at n >= 5) is within the
+    bounds.
 
     A guard of 4 (m_n + n) bounds the Buchberger degrees, far above the
     paper's regularity bounds (ceil((m_n - 1)/(n - 1)) + 1 for arithmetic
@@ -543,7 +560,7 @@ def toric_ideal(seq: CurveSequence) -> GroebnerBasis:
     to lie in I(C).
     """
     cap = 4 * (seq.mn + seq.n)
-    if seq.n >= 5 and seq.mn <= APERY_MAX_MN:
+    if _apery_route(seq):
         gens, numerator = presentation(seq)
         final = _run(gens, TermOrder(seq.n + 1), cap, _curve_k_polynomial(numerator, seq.n + 1))
     else:

@@ -1,9 +1,11 @@
 """Monomial-ideal combinatorics.
 
 Irreducible decomposition by adding one generator at a time, nested-type
-regularity, the K-polynomial (Hilbert function and series of the quotient),
-Cohen-Macaulay detection on initial ideals, the bidegree-based
-Cohen-Macaulay type oracle, and the last-step F-set regularity check.
+regularity, the K-polynomial (Hilbert function and series of the quotient:
+Bigatti's pivot recursion, closed by Taylor's inclusion-exclusion once at
+most four generators are mixed), Cohen-Macaulay detection on initial
+ideals, the Cohen-Macaulay type as the count of maximal bidegrees (each
+bidegree one int key), and the last-step F-set regularity check.
 
 Minimalization, the K-polynomial and the decomposition run on the Buchberger
 kernel's packed ints (`poly._Packing`, one field per variable with a guard
@@ -27,10 +29,11 @@ import itertools
 import math
 from collections import Counter
 from functools import cached_property
+from operator import mul
 from typing import Iterable, NamedTuple
 
 from .errors import InvariantViolation, NonTerminating, NotCohenMacaulay, NotNestedType
-from .poly import Monomial, _Packing, bidegree, mono_divides
+from .poly import Monomial, _Packing, mono_divides
 from .seq import CurveSequence
 
 _GRID_CAP = 5_000_000  # hard cap on the grid of every checked staircase walk
@@ -264,6 +267,14 @@ def _k_polynomial(packing: _Packing, gens: list[int]) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+# A node with at most this many mixed generators is a leaf of `_k_value`.  On
+# the initial ideals of a seed-23 `report` pass, leaves at 1, 2, 3 and 4 took
+# about 24%, 36%, 42% and 45% off the K-polynomial, and 5 was slower than 4.
+# 4 beat 3 by 3-6% on the report, n4 and random corpus buckets, and tied on
+# the scale bucket, whose ideals are larger.
+_LEAF_MIXED = 4
+
+
 def _k_value(packing: _Packing, gens: list[int], b: int) -> int:
     """K(2^b) for the K-polynomial K of R/<gens>, minimal generators packed in
     `packing`, by Bigatti's pivot recursion K(I) = K(I + <p>) + t^deg(p) K(I : p),
@@ -271,26 +282,51 @@ def _k_value(packing: _Packing, gens: list[int], b: int) -> int:
     most generators, then the first) and e the median of its exponents there.
     No generator divides p (a pure power of x_i exceeds every mixed exponent),
     so I + <p> has fewer mixed generators and I : p strictly contains I.
-    Pairwise coprime generators, a complete intersection, end the recursion
-    with the product of the 1 - t^deg(g).  At t = 2^b a sum of K-polynomials
-    is a sum of ints and a factor t^d a shift by b d bits, so the product is
-    a shift and a subtraction per generator.  No node has more generators
-    than the first (p replaces a mixed generator, and I : p is minimalized),
-    and the packing's top is at least that many: a field counts them."""
-    if not gens:
-        return 1
+    At t = 2^b a sum of K-polynomials is a sum of ints and a factor t^d a
+    shift by b d bits.  No node has more generators than the first (p
+    replaces a mixed generator, and I : p is minimalized), and the packing's
+    top is at least that many: a field counts them.
+
+    The recursion ends at a node with at most `_LEAF_MIXED` mixed generators
+    h_1..h_k beside pure powers x_i^{p_i}, which generate P.  Unrolling
+    K(J + <h>) = K(J) - t^deg(h) K(J : h) over the h_j, the colons compose
+    to P : lcm(h_S), and
+
+        K(R/I) = sum over S of {h_1..h_k} of (-1)^|S| t^deg(lcm h_S) K(R/(P : lcm h_S))
+
+    (Taylor's inclusion-exclusion over the mixed generators; Miller-Sturmfels,
+    Combinatorial Commutative Algebra, 6.2).  With the pure powers on
+    distinct variables, P : m is generated by the x_i^{p_i - m_i}, a complete
+    intersection whose K-polynomial is the product of the 1 - t^{p_i - m_i};
+    a variable with no pure power adds no factor.  The generators of every
+    node are minimal: I + <p> drops every generator with x_i exponent at
+    least e, the pure power of x_i among them, before it adds x_i^e, and
+    I : p is minimalized.  So the pure powers are on distinct variables, and
+    each h_j has x_i exponent below p_i: every p_i - m_i is at least 1, no
+    term vanishes, and the unit ideal is never a node unless it is the input.
+    A product is a shift and a subtraction per factor."""
     if 0 in gens:
         return 0  # unit ideal
     G, field, guard_shift = packing.guards, packing.field, packing.guard_shift
     low = G - (G >> guard_shift)  # 2^(w-1) - 1 in every field
     marks = [((g + low) & G) >> guard_shift for g in gens]  # 1 in each field of the support
-    occurs = packing.unpack(sum(marks))  # per variable, the number of generators holding it
-    if max(occurs) <= 1:  # pairwise coprime: a complete intersection
-        value = 1
-        for g in gens:
-            value -= value << b * packing.degree(g)
-        return value
     mixed = [g for g, z in zip(gens, marks) if z & (z - 1)]
+    if len(mixed) <= _LEAF_MIXED:
+        pure = [(s, g >> s) for g, z in zip(gens, marks) if not z & (z - 1)
+                for s in [z.bit_length() - 1]]  # (shift, p_i) of each x_i^{p_i}
+        terms = [(1, 0)]  # (sign, lcm) for each subset of the mixed generators
+        for h in mixed:  # lcm(m, h) takes m in the fields where m - h keeps its guard
+            neg = G - h
+            terms += [(-sign, h ^ ((m ^ h) & ((((m + neg) & G) >> guard_shift) * field)))
+                      for sign, m in terms]
+        total = 0
+        for sign, m in terms:
+            value = sign << b * packing.degree(m)
+            for s, p in pure:
+                value -= value << b * (p - ((m >> s) & field))
+            total += value
+        return total
+    occurs = packing.unpack(sum(marks))  # per variable, the number of generators holding it
     in_mixed = packing.unpack(sum([z for z in marks if z & (z - 1)]))
     keys = [m * (len(gens) + 1) + o for m, o in zip(in_mixed, occurs)]  # (m, o) in order
     s = packing.shifts[keys.index(max(keys))]
@@ -426,22 +462,24 @@ def cm_via_initial(ideal: MonomialIdeal) -> bool:
 def cm_type_oracle(seq: CurveSequence, ideal: MonomialIdeal) -> int:
     """Cohen-Macaulay type as the count of maximal bidegrees.
 
-    B is the set of bidegrees of standard monomials modulo
-    in(I(C)) + <x_n, x_{n+1}>; the type is #{b in B : b + a_i not in B for
+    E is the set of bidegrees of standard monomials modulo
+    in(I(C)) + <x_n, x_{n+1}>; the type is #{e in E : e + a_i not in E for
     all i <= n-1}, where a_i = (m_i, m_n - m_i).
+
+    Such a monomial u, on x_1..x_{n-1}, has bidegree (s, m_n deg u - s) with
+    s = sum m_i u_i, so (s, deg u) determines it.  The count keys u by the
+    int s + B deg u = sum (m_i + B) u_i, where B = m_n (D + 2) + 1 and D is
+    the largest degree of such a u.  Every s met, those of e + a_i included,
+    is below m_n (D + 1) < B, so two keys are equal iff the bidegrees are,
+    and a step a_i adds m_i + B to the key.
     """
-    n = seq.n
     if not cm_via_initial(ideal):
         raise NotCohenMacaulay(f"({seq}) initial ideal has a generator in x_n or x_{{n+1}}")
-    bidegs = set()
-    for m in ideal.artinian_standard:
-        bidegs.add(bidegree(seq, m + (0, 0)))
-    steps = [(seq.m[i], seq.mn - seq.m[i]) for i in range(n - 1)]
-    count = 0
-    for b in bidegs:
-        if all((b[0] + a, b[1] + t) not in bidegs for a, t in steps):
-            count += 1
-    return count
+    standard = ideal.artinian_standard
+    base = seq.mn * (max(map(sum, standard), default=0) + 2) + 1
+    steps = [m + base for m in seq.m[:-1]]
+    keys = {sum(map(mul, steps, u)) for u in standard}
+    return sum(1 for key in keys if all(key + a not in keys for a in steps))
 
 
 # -- last-step regularity witness ------------------------------------------------

@@ -40,7 +40,8 @@ def _flipped_lattice_basis(seq):
 
 @pytest.mark.parametrize("name, value", [
     ("lattice_basis", _flipped_lattice_basis),  # the same lattice, another basis
-    ("APERY_MAX_MN", 0),  # every curve on the saturation route
+    # every bound 0: every curve on the saturation route
+    pytest.param("APERY_MAX_MN", {5: 0}, id="APERY_MAX_MN-0"),
 ])
 def test_internal_step_keeps_the_hashes(monkeypatch, name, value):
     monkeypatch.setattr(grobner, name, value)

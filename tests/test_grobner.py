@@ -531,10 +531,11 @@ class TestToricIdeal:
 
         monkeypatch.setattr(grobner, "_Packing", packing)
         monkeypatch.setattr(grobner, "_buchberger", counting)
-        # n <= 4, and n >= 5 with m_n > APERY_MAX_MN: the saturation route
+        # n <= 4, and n >= 5 with m_n above APERY_MAX_MN's bound for n (128
+        # at n = 5, 360 at n = 6, 1600 from n = 7 on): the saturation route
         for m in [(1, 2, 3), (3, 5, 7), (5, 26, 32, 38), (1, 2, 3, 4), (2, 3, 7, 11),
-                  (1, 2, 3, 4, 129), (1, 100, 200, 300, 100000),
-                  (11, 12, 15, 79, 113, 130, 159, 277)]:
+                  (1, 2, 3, 4, 129), (1, 100, 200, 300, 100000), (1, 2, 3, 4, 5, 361),
+                  (1, 2, 3, 4, 5, 6, 1601)]:
             made.clear()
             runs.clear()
             stopped.clear()
@@ -545,12 +546,13 @@ class TestToricIdeal:
             assert [args for args, _ in made] == [(len(m) + 1, 4 * (m[-1] + len(m)), ())], m
             assert runs == [made[0][1]] * len(m), m
         for m in [(10, 13, 16, 19, 22), (1, 2, 3, 4, 6), (7, 30, 39, 48, 57, 66),
-                  (1, 2, 3, 4, 128), (5, 26, 32, 38, 101)]:
+                  (1, 2, 3, 4, 128), (5, 26, 32, 38, 101), (1, 2, 3, 4, 5, 360),
+                  (1, 2, 3, 4, 5, 6, 1600), (11, 12, 15, 79, 113, 130, 159, 277)]:
             made.clear()
             runs.clear()
             stopped.clear()
             toric_ideal(CurveSequence(m))
-            # n >= 5 and m_n <= APERY_MAX_MN: one packing and one run, on the
+            # n >= 5 and m_n within the bound: one packing and one run, on the
             # Apery presentation; its top is the default cap, above every
             # generator's degree
             assert [args for args, _ in made] == [(len(m) + 1, 4 * (m[-1] + len(m)), ())], m
@@ -635,7 +637,7 @@ class TestHeadroom:
     def test_half_the_guard_gives_the_same_basis(self, m):
         seq = CurveSequence(m)
         half = 2 * (seq.mn + seq.n)
-        if seq.n >= 5 and seq.mn <= grobner.APERY_MAX_MN:
+        if grobner._apery_route(seq):
             gens, numerator = presentation(seq)
             gb = grobner._run(gens, TermOrder(seq.n + 1), half,
                               grobner._curve_k_polynomial(numerator, seq.n + 1))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -265,6 +266,61 @@ class TestPackedAgainstTuples:
                 tuple_monideal.k_polynomial(ini.gens, ini.nvars)), m
 
 
+@st.composite
+def _pure_powers_and_mixed(draw):
+    """(nvars, gens): pure powers x_i^{p_i} of some of 2 to 6 variables and 0
+    to 5 mixed generators with every x_i exponent below p_i, so that (up to
+    a mixed generator dividing another) `_k_value` closes the ideal at its
+    first node when at most four are mixed, and pivots once before."""
+    nvars = draw(st.integers(2, 6))
+    powers = draw(st.lists(st.sampled_from([None, 1, 2, 3, 4, 5, 6]),
+                           min_size=nvars, max_size=nvars))
+    pure = [tuple(p if j == i else 0 for j in range(nvars)) for i, p in enumerate(powers) if p]
+    below = [st.integers(0, (p or 6) - 1) for p in powers]
+    mixed = draw(st.lists(st.tuples(*below), max_size=5))
+    return nvars, pure + [g for g in mixed if sum(map(bool, g)) > 1]
+
+
+FIVE_MIXED = (3, [(3, 0, 0), (0, 3, 0), (0, 0, 4),
+                  (2, 1, 0), (1, 0, 3), (0, 1, 2), (1, 1, 1), (0, 2, 1)])
+
+
+class TestKPolynomialLeaf:
+    """`_k_value` sums over the subsets of at most four mixed generators at
+    a node; the tuple reference recurses down to coprime generators instead."""
+
+    @given(ideal=_pure_powers_and_mixed())
+    # five mixed generators below x^3, y^3, z^4: one pivot, then leaves
+    @example(ideal=FIVE_MIXED)
+    # x^3 y, whose lcms reach x^2 and would make vanishing terms, is a
+    # multiple of x^2: minimalization drops it
+    @example(ideal=(2, [(2, 0), (0, 2), (1, 1), (3, 1)]))
+    # the unit ideal, every colon of it the unit ideal: K = 0
+    @example(ideal=(3, [(0, 0, 0), (1, 1, 0), (2, 0, 0)]))
+    # x_2 and x_3 have no pure power: they add no factor
+    @example(ideal=(3, [(2, 0, 0), (1, 1, 0), (1, 0, 5), (0, 3, 1)]))
+    @settings(max_examples=300)
+    def test_same_as_the_tuple_reference(self, ideal):
+        ideal = MonomialIdeal.from_gens(*ideal)
+        assert ideal.k_polynomial == monideal._trim(
+            tuple_monideal.k_polynomial(ideal.gens, ideal.nvars))
+
+    def test_five_mixed_generators_pivot_first(self, monkeypatch):
+        calls = []
+        k_value = monideal._k_value
+
+        def counting(packing, gens, b):
+            calls.append(len(gens))
+            return k_value(packing, gens, b)
+
+        monkeypatch.setattr(monideal, "_k_value", counting)
+        ideal = MonomialIdeal.from_gens(*FIVE_MIXED)
+        assert len(ideal.gens) == 8
+        assert ideal.k_polynomial == monideal._trim(
+            tuple_monideal.k_polynomial(ideal.gens, ideal.nvars))
+        assert calls[0] == 8 and len(calls) == 3  # the ideal, then its two children are leaves
+
+
 def _degree_monomials(nvars, max_degree):
     import itertools
     for total in range(max_degree + 1):
@@ -432,6 +488,43 @@ class TestCohenMacaulay:
     def test_cm_type_rejects_non_cm(self):
         with pytest.raises(NotCohenMacaulay):
             cm_type_oracle(GOLDEN_GEN, initial_ideal(toric_ideal(GOLDEN_GEN)))
+
+
+def _random_cm_curves(count, seed=13):
+    """`count` distinct seeded gcd-1 curves, n = 3..6 and m_n <= 40, whose
+    initial ideal is Cohen-Macaulay."""
+    rng, found = random.Random(seed), {}
+    while len(found) < count:
+        n, mn = rng.randint(3, 6), rng.randint(7, 40)
+        seq = CurveSequence(tuple(sorted(rng.sample(range(1, mn), n - 1))) + (mn,))
+        if math.gcd(*seq.m) == 1 and seq not in found:
+            ini = initial_ideal(toric_ideal(seq))
+            if cm_via_initial(ini):
+                found[seq] = ini
+    return found.items()
+
+
+class TestCmTypeReference:
+    """cm_type_oracle keys each bidegree by one int; tuple_monideal.cm_type
+    counts the bidegree pairs."""
+
+    def test_every_cm_arithmetic_curve(self):
+        count = 0
+        for seq in sweeps.arithmetic_instances(sweeps.ArithmeticSweep(max_mn=30)):
+            ini = initial_ideal(toric_ideal(seq))
+            if cm_via_initial(ini):
+                assert cm_type_oracle(seq, ini) == tuple_monideal.cm_type(seq, ini), seq
+                count += 1
+        assert count == 370  # every arithmetic curve of the sweep is CM
+
+    def test_1_500_1000(self):
+        seq = parse_sequence("1,500,1000")
+        ini = initial_ideal(toric_ideal(seq))
+        assert cm_type_oracle(seq, ini) == tuple_monideal.cm_type(seq, ini) == 1
+
+    def test_seeded_random_cm_curves(self):
+        for seq, ini in _random_cm_curves(60):
+            assert cm_type_oracle(seq, ini) == tuple_monideal.cm_type(seq, ini), seq
 
 
 class TestLastStep:

@@ -196,8 +196,8 @@ def _certified_run(seq, gens, cap):
 
 
 class TestAperyRoute:
-    """`toric_ideal` for n >= 5 and m_n <= APERY_MAX_MN against the saturation
-    route."""
+    """`toric_ideal` for n >= 5 and m_n within APERY_MAX_MN's bound for n
+    against the saturation route."""
 
     @given(curve=long_curves())
     @settings(max_examples=200)

@@ -2,15 +2,19 @@
 
 The package (`mcurve.monideal`) runs minimalization, the K-polynomial and the
 irreducible decomposition on ints of `poly._Packing`.  These are the same
-algorithms on plain tuples, with `all(x <= y ...)` as the divisibility test:
-the same pivot choice in Bigatti's recursion, the same one-generator-at-a-time
-decomposition.  The tests compare the two, so they must stay references only.
+algorithms on plain tuples, with `all(x <= y ...)` as the divisibility test,
+and the same one-generator-at-a-time decomposition.  The K-polynomial here
+takes the package's pivot but recurses down to pairwise coprime generators,
+where the package stops at a node with few mixed generators and sums over
+their subsets, so it checks that leaf too.  `cm_type` counts the maximal
+bidegrees as pairs, where the package keys each bidegree by one int.  The
+tests compare the two, so they must stay references only.
 """
 
 import itertools
 
 from mcurve.monideal import IrreducibleComponent, IrreducibleDecomposition, _polyadd, _polymul
-from mcurve.poly import mono_divides
+from mcurve.poly import bidegree, mono_divides
 
 
 def minimalize(gens):
@@ -70,3 +74,12 @@ def irreducible_decomposition(ideal):
         comps = kept + [c for c in split if not any(
             o is not c and contains_component(c, o) for o in itertools.chain(kept, split))]
     return IrreducibleDecomposition.from_components(comps)
+
+
+def cm_type(seq, ideal):
+    """Cohen-Macaulay type of a CM curve: the bidegrees b of the standard
+    monomials modulo ideal + <x_n, x_{n+1}> (the package's walk) with no
+    b + a_i among them, a_i = (m_i, m_n - m_i) for i <= n-1."""
+    bidegs = {bidegree(seq, u + (0, 0)) for u in ideal.artinian_standard}
+    steps = [(m, seq.mn - m) for m in seq.m[:-1]]
+    return sum(1 for s, t in bidegs if all((s + a, t + c) not in bidegs for a, c in steps))
