@@ -10,8 +10,7 @@ reads its families from ``sweeps.FAMILIES``; each of --max-mn, --h, --count
 and --seed sets one field of the chosen family's config (SWEEP_FLAGS), and a
 flag whose field that config lacks is a usage error.
 
-Exit codes: 0 success, 1 verification failure, 2 usage, input or other error
-(a DegreeCapExceeded past the fixed degree guard of ``grobner.toric_ideal`` too).
+Exit codes: 0 success, 1 verification failure, 2 usage, input or other error.
 
 argparse and the process pool load only when a command needs them (a parsed
 command line; sweep --jobs N > 1): a one-curve command spends longer starting
@@ -22,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 import sys
 import time
 from typing import TYPE_CHECKING, NamedTuple
@@ -184,7 +184,7 @@ def cmd_gb(args: argparse.Namespace) -> int:
         return 0
     gb = curve.gb
     if order != gb.order:
-        gb = buchberger(gb.elements, order, gb.cap)
+        gb = buchberger(gb.elements, order)
     sys.stdout.write(render_gb(gb.order, gb.elements, seq))
     return 0
 
@@ -247,8 +247,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ValueError(f"the {args.family} family takes no {SWEEP_FLAGS[name]}")
     cfg = family.config(**given)
     payloads = [(args.family, s.m) for s in family.instances(cfg)]
-    # a fork pool starts all its workers at once: no more than there are instances
-    workers = min(args.jobs, len(payloads))
+    # a fork pool starts all its workers at once: no more than instances or CPUs
+    workers = min(args.jobs, len(payloads), os.cpu_count() or 1)
     written = failures = 0
     with contextlib.ExitStack() as stack:
         out = stack.enter_context(open(args.out, "w")) if args.out else sys.stdout
@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated h values, each at least 2 (generalized family)")
     p.add_argument("--seed", type=int, default=None, help="seed of the random family")
     p.add_argument("--count", type=int, default=None, help="instances for the random family")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (at least 1)")
+    p.add_argument("--jobs", type=int, default=1, help="workers (at least 1; at most one per CPU)")
     p.add_argument("--out", default=None, help="JSONL output path (default stdout)")
     p.set_defaults(func=cmd_sweep)
     return parser

@@ -55,10 +55,6 @@ class DimensionMismatch(McurveError):
     pass
 
 
-class DegreeCapExceeded(McurveError):
-    pass
-
-
 # -- monomial-ideal layer ---------------------------------------------------
 
 class NotNestedType(McurveError):

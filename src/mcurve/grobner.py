@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import heapq
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
-from .errors import DegreeCapExceeded, InvariantViolation
+from .errors import InvariantViolation
 from .monideal import MonomialIdeal
 from .poly import (
     Binomial,
@@ -47,16 +47,13 @@ from .seq import CurveSequence
 
 
 class GroebnerBasis(NamedTuple("GroebnerBasis", [("order", TermOrder),
-                                                  ("elements", tuple[Binomial, ...]),
-                                                  ("cap", int)])):
+                                                  ("elements", tuple[Binomial, ...])])):
     """Canonically sorted reduced Groebner basis of a binomial ideal.
 
-    `cap` is the Buchberger degree cap the basis was computed under; every run
-    made from this basis (quadric tests, other orders) runs under the same cap.
-    The basis has len(elements) elements: len() of the record counts its three
+    The basis has len(elements) elements: len() of the record counts its two
     fields.  No __slots__, as in `MonomialIdeal`: the cached initial ideal
     lives in the instance __dict__, outside the tuple, so equality, hash and
-    repr read the three fields only.
+    repr read the two fields only.
     """
 
     @property
@@ -73,10 +70,12 @@ class GroebnerBasis(NamedTuple("GroebnerBasis", [("order", TermOrder),
         return MonomialIdeal.from_gens(self.nvars, (g.lead for g in self.elements))
 
 
-def _check_homogeneous(gens: list[Binomial]) -> None:
+def _degree(gens: list[Binomial]) -> int:
+    """The largest degree of `gens`; InvariantViolation unless each is homogeneous."""
     for g in gens:
         if sum(g.lead) != sum(g.trail):
             raise InvariantViolation(f"non-homogeneous {g}: the packed kernel needs equal degrees")
+    return max([0] + [g.degree for g in gens])
 
 
 def _interreduce(packing: _Packing, keyed: list[tuple[int, int, int]]) -> list[tuple[int, int]]:
@@ -112,29 +111,24 @@ def _unpack(packing: _Packing, pairs: list[tuple[int, int]]) -> tuple[Binomial, 
     return tuple([Binomial(unpack(lead), unpack(trail)) for lead, trail in pairs])
 
 
-def buchberger(gens: Iterable[Binomial], order: TermOrder, cap: int) -> GroebnerBasis:
+def buchberger(gens: Iterable[Binomial], order: TermOrder) -> GroebnerBasis:
     """Reduced Groebner basis of the binomial ideal generated by `gens`.
 
     Generators and S-pairs enter the basis through one step: the lead of
-    their normal form and the cap check; then the new pairs, which for the
-    generators wait until every generator is in (below).  The lead is the
-    larger side once it is irreducible (so the generators may come in either
-    orientation), and a difference that reaches zero on the way drops; the
-    other side is the trail as it stands, since the pair criteria read only
-    leads and the final interreduction reduces every trail.  With a new lead
-    h, a new pair (i, h) is dropped when another new pair's lcm strictly
-    divides its lcm; of the new pairs with one lcm only one is kept, and none
-    when one of them has coprime leads (criterion M of Gebauer-Moeller;
+    their normal form; then the new pairs, which for the generators wait
+    until every generator is in (below).  The lead is the larger side once
+    it is irreducible (so the generators may come in either orientation),
+    and a difference that reaches zero on the way drops; the other side is
+    the trail as it stands, since the pair criteria read only leads and the
+    final interreduction reduces every trail.  With a new lead h, a new pair
+    (i, h) is dropped when another new pair's lcm strictly divides its lcm;
+    of the new pairs with one lcm only one is kept, and none when one of
+    them has coprime leads (criterion M of Gebauer-Moeller;
     Becker-Weispfenning, Groebner Bases, 5.5).  Every pair queued is
     reduced.  Elements whose lead h divides get no further pairs but stay
     reducers.  Pair selection is the normal strategy (lowest lcm degree
     first, ties by the order on the lcm), which together with the final
     interreduction makes the output independent of the generator ordering.
-    A basis element or a selected S-pair of degree above `cap` raises
-    DegreeCapExceeded.  A pair that criterion M, the coprime test or a
-    retirement from pairing drops is never checked against the cap, so an
-    input whose only pairs above the cap are dropped ones returns its basis.
-    The result records the cap it ran under.
 
     Criterion M is one pass over the new pairs sorted by (lcm, i): each class
     of one lcm is a run headed by its first pair, and only the head is tested
@@ -148,9 +142,11 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder, cap: int) -> Groebner
 
     Every generator must be homogeneous (both sides of one degree; toric
     bases, closed forms and quadrics are): InvariantViolation otherwise.
-    Reduction then keeps degrees, and every exponent met is at most
-    top = max(cap, generator degrees).  So each monomial is one int of
-    `_Packing(nvars, top)`: a field per variable with a guard bit on top.
+    Reduction then keeps degrees: a run whose selected S-pairs have degree
+    at most top meets no exponent above top, and each monomial is one int of
+    `_Packing(nvars, top)`, a field per variable with a guard bit on top.
+    top is nvars times the largest generator degree, and an S-pair above it
+    reruns the same algorithm in wider fields (`_widening`): the same basis.
     lead divides m iff (m + G - lead) & G == G for the guard mask G; a
     reduction step is m += trail - lead, packed once per element, and moves
     the order key, itself one int, by a constant stored with it; lcm and
@@ -167,32 +163,50 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder, cap: int) -> Groebner
     route checks the leads at that point and may stop with no pair at all
     (`_buchberger`); this function always makes the pairs.
     """
-    return _run(list(gens), order, cap)
+    return _run(list(gens), order)
 
 
-def _run(gens: list[Binomial], order: TermOrder, cap: int,
+class _Overflow(Exception):
+    """A selected S-pair above its packing's top, of degree args[0]; `_widening` catches it."""
+
+
+def _widening(nvars: int, degree: int, attempt: Callable[[int], GroebnerBasis]) -> GroebnerBasis:
+    """`attempt(top)` for top = nvars * `degree`, the largest generator degree,
+    and while it overflows at an S-pair of degree d, again for top = nvars * d;
+    each attempt builds its packing and starts from its own inputs."""
+    while True:
+        try:
+            return attempt(nvars * degree)
+        except _Overflow as exc:
+            degree = exc.args[0]
+
+
+def _run(gens: list[Binomial], order: TermOrder,
          target: tuple[int, ...] | None = None) -> GroebnerBasis:
     """`buchberger`, with the K-polynomial `target` of `_buchberger`; a basis
     it certifies keeps the certified ideal as its initial ideal."""
-    _check_homogeneous(gens)
-    packing = _Packing(order.nvars, max([cap, 0] + [sum(g.lead) for g in gens]), order.weights)
-    pack = packing.pack
-    pairs, ideal = _buchberger(packing, [(pack(g.lead), pack(g.trail)) for g in gens], cap, target)
-    gb = GroebnerBasis(order, _unpack(packing, pairs), cap)
-    if ideal is not None:
-        gb.__dict__["initial"] = ideal  # fills the cached property
-    return gb
+    def attempt(top: int) -> GroebnerBasis:
+        packing = _Packing(order.nvars, top, order.weights)
+        pack = packing.pack
+        pairs, ideal = _buchberger(packing, [(pack(g.lead), pack(g.trail)) for g in gens], target)
+        gb = GroebnerBasis(order, _unpack(packing, pairs))
+        if ideal is not None:
+            gb.__dict__["initial"] = ideal  # fills the cached property
+        return gb
+
+    return _widening(order.nvars, _degree(gens), attempt)
 
 
-def _buchberger(packing: _Packing, gens: list[tuple[int, int]], cap: int,
+def _buchberger(packing: _Packing, gens: list[tuple[int, int]],
                 target: tuple[int, ...] | None = None,
                 ) -> tuple[list[tuple[int, int]], MonomialIdeal | None]:
     """`buchberger` on packed generators (lead, trail), in either
     orientation, under the order of `packing`: the reduced basis as packed
     (lead, trail) pairs in ascending order of the leads, and the ideal of
     its leads when `target` certified it (None otherwise).  The generators
-    must be homogeneous of degree at most the packing's top, and the cap at
-    most that top, so that every exponent met fits a field.
+    must be homogeneous of degree at most the packing's top.  A selected
+    S-pair of degree above the top raises `_Overflow` before it is reduced,
+    so every monomial met fits a field.
 
     Every generator is reduced before any pair is made.  If `target` is the
     K-polynomial of R/in(I) for the ideal I that the generators are known
@@ -207,8 +221,8 @@ def _buchberger(packing: _Packing, gens: list[tuple[int, int]], cap: int,
     reads only the sequence of leads, and no S-pair is reduced before every
     generator is, so the pairs, the S-pairs reduced and the basis are those
     of making each lead's pairs as it is found."""
-    G = packing.guards
-    degree, key, degree_key = packing.degree, packing.key, packing.degree_key
+    G, top = packing.guards, packing.top
+    key, degree_key = packing.key, packing.degree_key
     field, guard_shift = packing.field, packing.guard_shift
     leads: list[int] = []
     reducers: list[tuple[int, int, int]] = []  # (G - lead, trail - lead, key step)
@@ -236,9 +250,6 @@ def _buchberger(packing: _Packing, gens: list[tuple[int, int]], cap: int,
                 break
             if a == b:
                 return False
-        d = degree(a)
-        if d > cap:
-            raise DegreeCapExceeded(f"basis element of degree {d} exceeds cap {cap}")
         leads.append(a)
         reducers.append((G - a, b - a, kb - ka))
         return True
@@ -282,8 +293,8 @@ def _buchberger(packing: _Packing, gens: list[tuple[int, int]], cap: int,
         pair(h)
     while heap:
         d, k, i, j, lcm = heapq.heappop(heap)
-        if d > cap:
-            raise DegreeCapExceeded(f"S-pair degree {d} exceeds cap {cap}")
+        if d > top:
+            raise _Overflow(d)
         _, step_i, kstep_i = reducers[i]
         _, step_j, kstep_j = reducers[j]
         if add(lcm + step_i, k + kstep_i, lcm + step_j, k + kstep_j):
@@ -315,8 +326,7 @@ def reduce_basis(gens: Iterable[Binomial], order: TermOrder) -> tuple[Binomial, 
     in `buchberger`, every element must be homogeneous and monomials are
     packed ints, here with top the largest degree."""
     gens = list(gens)
-    _check_homogeneous(gens)
-    packing = _Packing(order.nvars, max([0] + [sum(g.lead) for g in gens]), order.weights)
+    packing = _Packing(order.nvars, _degree(gens), order.weights)
     pairs = [(packing.pack(g.lead), packing.pack(g.trail)) for g in gens]
     return _unpack(packing, _interreduce(packing, _keyed(packing, pairs, order)))
 
@@ -550,28 +560,22 @@ def toric_ideal(seq: CurveSequence) -> GroebnerBasis:
     Every curve the benchmark times (m_n <= 101 at n >= 5) is within the
     bounds.
 
-    A guard of 4 (m_n + n) bounds the Buchberger degrees, far above the
-    paper's regularity bounds (ceil((m_n - 1)/(n - 1)) + 1 for arithmetic
-    sequences); no curve tried needs half of it (TestHeadroom in
-    tests/test_grobner.py).  A run past it raises DegreeCapExceeded, and the
-    basis carries it (`GroebnerBasis.cap`) to every run made from it.  The
-    two routes give the same bases on every curve checked (the tests compare
-    them on random n = 5..8 curves).  Every element of the result is checked
-    to lie in I(C).
+    The two routes give the same bases on every curve checked (the tests
+    compare them on random n = 5..8 curves).  Every element of the result
+    is checked to lie in I(C).
     """
-    cap = 4 * (seq.mn + seq.n)
     if _apery_route(seq):
         gens, numerator = presentation(seq)
-        final = _run(gens, TermOrder(seq.n + 1), cap, _curve_k_polynomial(numerator, seq.n + 1))
+        final = _run(gens, TermOrder(seq.n + 1), _curve_k_polynomial(numerator, seq.n + 1))
     else:
-        final = _saturated(seq, cap)
+        final = _saturated(seq)
     for g in final.elements:
         if not is_member_binomial(seq, g):
             raise InvariantViolation(f"non-member {g} in toric basis for ({seq})")
     return final
 
 
-def _saturated(seq: CurveSequence, cap: int) -> GroebnerBasis:
+def _saturated(seq: CurveSequence) -> GroebnerBasis:
     """The reduced degrevlex basis of `toric_ideal` off the Apery route: the
     ideal I(C) = I_L, L the kernel lattice of `lattice_basis`, saturated from the
     binomials of `_degree_reduced(lattice_basis(seq))`: the same lattice, in
@@ -598,39 +602,39 @@ def _saturated(seq: CurveSequence, cap: int) -> GroebnerBasis:
     `_Packing`, and monomials are tuples only in the lattice basis and the
     result.  The lattice binomials are homogeneous: row 2 of the bidegree
     matrix is m_n (1, ..., 1) minus row 1, so every v in L has sum 0; this
-    is checked once, here.  The packing's top is max(cap, generator degrees),
-    the width every pass would get on its own: the x_2 pass raises
-    DegreeCapExceeded on any lattice binomial above the cap (they are
-    independent, so none reduces to zero), and the basis it passes on has
-    degrees at most the cap.  Layout i, the fields of the x_i pass, holds the
-    variables in order with x_i moved last; counting fields from 1 like the
-    variables, field i holds x_{i+1}.  The lattice basis is packed once in
-    layout 2.  After the x_i pass the division takes
-    min(lead >> last, trail >> last) << last from both sides, and swapping
-    field i with the last field puts x_i back in field i and x_{i+1} last:
-    layout i + 1.  Layout n + 1, where field n + 1 is the last, is the
-    identity.
+    is checked once, here.  A pass outputs nothing of higher degree than its
+    generators and S-pairs, so each pass's generators fit the packing; an
+    S-pair above its top reruns the whole chain (`_widening`).
+    Layout i, the fields of the x_i pass, holds the variables in order with
+    x_i moved last; counting fields from 1 like the variables, field i holds
+    x_{i+1}.  The lattice basis is packed once in layout 2.  After the x_i
+    pass the division takes min(lead >> last, trail >> last) << last from
+    both sides, and swapping field i with the last field puts x_i back in
+    field i and x_{i+1} last: layout i + 1.  Layout n + 1, where field n + 1
+    is the last, is the identity.
     """
     nv = seq.n + 1
     plain = TermOrder(nv)
     # v = v+ - v-; the first pass orients each
     gens = [Binomial(tuple(max(x, 0) for x in v), tuple(max(-x, 0) for x in v))
             for v in _degree_reduced(lattice_basis(seq))]
-    _check_homogeneous(gens)
-    packing = _Packing(nv, max([cap, 0] + [g.degree for g in gens]), plain.weights)
-    pack, swap, last = packing.pack, packing.swap, packing.last
-    pairs = [(pack(g.lead[:1] + g.lead[2:] + g.lead[1:2]),  # layout 2: x_2 last
-              pack(g.trail[:1] + g.trail[2:] + g.trail[1:2])) for g in gens]
-    for i in range(1, nv):  # saturate x_{i+1}, held last; field i (from 0) holds x_{i+2}
-        pairs, _ = _buchberger(packing, pairs, cap)
-        divided = []
-        for a, b in pairs:
-            k = min(a >> last, b >> last) << last
-            divided.append((swap(a - k, i), swap(b - k, i)))  # i = n: field i is the last
-        pairs = divided
 
-    return GroebnerBasis(plain, _unpack(packing, _interreduce(
-        packing, _keyed(packing, pairs, plain))), cap)
+    def passes(top: int) -> GroebnerBasis:
+        packing = _Packing(nv, top, plain.weights)
+        pack, swap, last = packing.pack, packing.swap, packing.last
+        pairs = [(pack(g.lead[:1] + g.lead[2:] + g.lead[1:2]),  # layout 2: x_2 last
+                  pack(g.trail[:1] + g.trail[2:] + g.trail[1:2])) for g in gens]
+        for i in range(1, nv):  # saturate x_{i+1}, held last; field i (from 0) holds x_{i+2}
+            pairs, _ = _buchberger(packing, pairs)
+            divided = []
+            for a, b in pairs:
+                k = min(a >> last, b >> last) << last
+                divided.append((swap(a - k, i), swap(b - k, i)))  # i = n: field i is the last
+            pairs = divided
+        return GroebnerBasis(plain, _unpack(packing, _interreduce(
+            packing, _keyed(packing, pairs, plain))))
+
+    return _widening(nv, _degree(gens), passes)
 
 
 def initial_ideal(gb: GroebnerBasis) -> MonomialIdeal:
@@ -642,20 +646,18 @@ def initial_ideal(gb: GroebnerBasis) -> MonomialIdeal:
 def is_generated_by_quadrics(gb: GroebnerBasis) -> bool:
     """True iff the degree-2 members of the ideal generate it, for its reduced
     degrevlex basis `gb` (from `toric_ideal`).  I(C) has no linear forms, so
-    dividing a quadric by `gb` uses only its quadrics G_2, and <I_2> = <G_2>;
-    their basis is computed under the cap of `gb`."""
+    dividing a quadric by `gb` uses only its quadrics G_2, and <I_2> = <G_2>."""
     if gb.order != TermOrder(gb.nvars):
         raise InvariantViolation(f"quadric generation needs degrevlex, not {gb.order.name}")
     quadrics = [g for g in gb.elements if g.degree == 2]
-    return buchberger(quadrics, gb.order, gb.cap).element_set() == gb.element_set()
+    return buchberger(quadrics, gb.order).element_set() == gb.element_set()
 
 
 def has_quadratic_gb(gb: GroebnerBasis, order: TermOrder) -> bool:
     """True iff the reduced Groebner basis under `order` of the ideal with basis
-    `gb` is all quadrics; a basis in another order is computed under the cap
-    of `gb`."""
+    `gb` is all quadrics; a basis in another order is computed from `gb`."""
     if order != gb.order:
-        gb = buchberger(gb.elements, order, gb.cap)
+        gb = buchberger(gb.elements, order)
     return all(g.degree == 2 for g in gb.elements)
 
 

@@ -79,7 +79,7 @@ def koszul_status(seq: CurveSequence, gb: GroebnerBasis | None = None) -> Koszul
     also makes gcd(m_1, d) = 1 whenever a (h, d) fit exists.  `gb` is the
     curve's toric basis when the caller has it (the gcd-reduced sequence has
     the same lattice, hence the same basis); the oracle stage computes it only
-    when it is None, and runs every witness under its cap.
+    when it is None, and runs every witness from it.
     """
     base = seq.with_gcd_one()
     cls = classify(base)
@@ -107,7 +107,7 @@ def koszul_status(seq: CurveSequence, gb: GroebnerBasis | None = None) -> Koszul
 def quadratic_gb_witness(gb: GroebnerBasis) -> str | None:
     """Name of an order under which the toric ideal with degrevlex basis `gb`
     has a quadratic reduced basis: degrevlex first, then each y-dominant order
-    on a sequence variable (each basis computed under the cap of `gb`)."""
+    on a sequence variable (each basis computed from `gb`)."""
     nv = gb.nvars
     if has_quadratic_gb(gb, TermOrder(nv)):
         return "degrevlex"

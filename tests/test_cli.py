@@ -4,6 +4,7 @@ import concurrent.futures
 import functools
 import json
 import multiprocessing
+import os
 import sys
 
 import pytest
@@ -395,12 +396,16 @@ class TestSweep:
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-        for count, pools in (("3", [3]), ("1", [])):
+        # the workers are the fewest of --jobs, the instances and the CPUs
+        # (one when the CPU count is unknown), and one worker needs no pool
+        for count, cpus, pools in (("3", 64, [3]), ("1", 64, []), ("3", 2, [2]),
+                                   ("3", None, [])):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             sizes.clear()
             assert main(["sweep", "--family", "random", "--count", count, "--jobs", "64"]) == 0
             lines = capsys.readouterr().out.splitlines()
             assert json.loads(lines[-1])["summary"]["instances"] == int(count)
-            assert sizes == pools, count
+            assert sizes == pools, (count, cpus)
 
     @pytest.mark.parametrize("family, default", [
         ("arithmetic", sweeps.ArithmeticSweep()), ("generalized", sweeps.GeneralizedSweep()),
@@ -474,7 +479,7 @@ class TestExitCodes:
         assert captured.out == "" and captured.err.startswith("error: ") and str(out) in captured.err
 
     def test_cap_degree_flag_is_a_usage_error(self, capsys):
-        # the degree guard is fixed: the retired flag is refused, not ignored
+        # no degree bound is set: the retired flag is refused, not ignored
         assert main(["invariants", "-m", "4,5,6,7,8", "--cap-degree", "3"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

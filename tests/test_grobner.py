@@ -3,13 +3,14 @@
 import heapq
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcurve import grobner
-from mcurve.errors import DegreeCapExceeded, InvariantViolation
+from mcurve.errors import InvariantViolation, McurveError
 from mcurve.grobner import (
     buchberger,
     has_quadratic_gb,
@@ -43,21 +44,21 @@ TWISTED = _binomials(4, "x2^2 - x1*x3", "x1^2 - x2*x4", "x1*x2 - x3*x4")
 
 class TestBuchberger:
     def test_twisted_cubic_already_groebner(self):
-        gb = buchberger(TWISTED, TermOrder(4), 8)
+        gb = buchberger(TWISTED, TermOrder(4))
         assert gb.element_set() == set(TWISTED)
 
     def test_empty_input(self):
-        gb = buchberger([], TermOrder(4), 2)
+        gb = buchberger([], TermOrder(4))
         assert gb.elements == ()
 
     def test_either_orientation(self):
         swapped = [Binomial(g.trail, g.lead) for g in TWISTED]
-        assert buchberger(swapped, TermOrder(4), 8) == buchberger(TWISTED, TermOrder(4), 8)
+        assert buchberger(swapped, TermOrder(4)) == buchberger(TWISTED, TermOrder(4))
 
     def test_zero_difference_dropped(self):
         zero = Binomial((1, 1, 0, 0), (1, 1, 0, 0))
-        assert buchberger([zero], TermOrder(4), 2).elements == ()
-        assert buchberger([zero, *TWISTED], TermOrder(4), 8) == buchberger(TWISTED, TermOrder(4), 8)
+        assert buchberger([zero], TermOrder(4)).elements == ()
+        assert buchberger([zero, *TWISTED], TermOrder(4)) == buchberger(TWISTED, TermOrder(4))
 
     def test_closed_form_reduces_to_oracle(self):
         from mcurve.arith_forms import gb_arithmetic
@@ -65,14 +66,9 @@ class TestBuchberger:
         s = parse_sequence("10,13,16,19,22")
         closed = gb_arithmetic(arithmetic_profile(s))
         oracle = toric_ideal(s)
-        gb = buchberger(closed, TermOrder(6), oracle.cap)
+        gb = buchberger(closed, TermOrder(6))
         assert gb.element_set() == set(reduce_basis(closed, TermOrder(6)))
         assert gb.element_set() == oracle.element_set()
-
-    def test_cap_exceeded(self):
-        s = parse_sequence("10,13,16,19,22")
-        with pytest.raises(DegreeCapExceeded):
-            grobner._saturated(s, 3)
 
     def test_non_member_raises(self, monkeypatch):
         monkeypatch.setattr(grobner, "is_member_binomial", lambda seq, g: False)
@@ -129,9 +125,9 @@ class TestReducer:
             assert tuple_kernel.reduce_monomial(trail, leads, trails) == small
 
 
-def _buchberger_coprime_only(gens, order, cap):
+def _buchberger_coprime_only(gens, order):
     """Reference: Buchberger with the coprime-leads criterion as the only
-    pair criterion, every other pair selected and cap-checked."""
+    pair criterion, every other pair selected."""
     key = order.key
     leads, trails, pairs = [], [], []
 
@@ -140,8 +136,6 @@ def _buchberger_coprime_only(gens, order, cap):
         if nf is None:
             return
         lead, trail = nf
-        if sum(lead) > cap:
-            raise DegreeCapExceeded(f"basis element of degree {sum(lead)} exceeds cap {cap}")
         for i, other in enumerate(leads):
             lcm = tuple(max(x, y) for x, y in zip(lead, other))
             if all(l == x + y for l, x, y in zip(lcm, lead, other)):
@@ -155,8 +149,6 @@ def _buchberger_coprime_only(gens, order, cap):
     while pairs:
         _, _, i, j = heapq.heappop(pairs)
         lcm = tuple(max(x, y) for x, y in zip(leads[i], leads[j]))
-        if sum(lcm) > cap:
-            raise DegreeCapExceeded(f"S-pair degree {sum(lcm)} exceeds cap {cap}")
         add(tuple(l - x + t for l, x, t in zip(lcm, leads[i], trails[i])),
             tuple(l - x + t for l, x, t in zip(lcm, leads[j], trails[j])))
     return tuple_kernel.reduce_basis([Binomial(a, b) for a, b in zip(leads, trails)], order)
@@ -170,7 +162,7 @@ def _block(nv, k):
 @st.composite
 def binomial_ideals(draw):
     """Up to four homogeneous binomials (both sides of one degree, as
-    `buchberger` requires) in 2..5 variables, a term order and a cap."""
+    `buchberger` requires) in 2..5 variables and a term order."""
     nv = draw(st.integers(2, 5))
     gens = []
     for _ in range(draw(st.integers(1, 4))):
@@ -181,7 +173,27 @@ def binomial_ideals(draw):
                                  + [degrevlex_cheapest(nv, i) for i in range(nv - 1)]
                                  + [yweighted(nv, i) for i in range(nv)]
                                  + [_block(nv, k) for k in range(1, nv)]))
-    return gens, order, draw(st.integers(4, 10))
+    return gens, order
+
+
+# degree-9 generators in three variables whose basis under yweighted:x3
+# reaches x3^65: the first packing, top 3 * 9 = 27, overflows, and the run is
+# made again in a packing of top 3 d for the S-pair degree d that overflowed
+WIDE = [Binomial((0, 1, 8), (2, 4, 3)), Binomial((9, 0, 0), (1, 7, 1))]
+
+
+def _narrowest(widening=grobner._widening):
+    """`grobner._widening` with top the degree itself, not nvars times it:
+    a first packing that holds only the generators, and a rerun at every
+    S-pair degree past the top, so most runs rerun, many several times."""
+    return mock.patch.object(grobner, "_widening",
+                             lambda nvars, degree, attempt: widening(1, degree, attempt))
+
+
+def _packed_run(packing, gens):
+    """`grobner._buchberger` on `gens` packed in `packing`."""
+    return grobner._buchberger(packing, [(packing.pack(g.lead), packing.pack(g.trail))
+                                         for g in gens])
 
 
 class TestPairCriteria:
@@ -189,56 +201,59 @@ class TestPairCriteria:
 
     @given(ideal=binomial_ideals())
     @settings(max_examples=400)
+    @example(ideal=(WIDE, yweighted(3, 2)))  # a rerun in a wider packing
     def test_same_basis_as_coprime_criterion_alone(self, ideal):
-        gens, order, cap = ideal
-        try:
-            gb = buchberger(gens, order, cap)
-        except DegreeCapExceeded:
-            gb = None
-        try:
-            expected = _buchberger_coprime_only(gens, order, cap)
-        except DegreeCapExceeded:
-            pass  # a pair over the cap that the criteria drop: gb may still exist
-        else:
-            assert gb is not None and gb.elements == expected
-        if gb is not None:
-            leads = [g.lead for g in gb.elements]
-            trails = [g.trail for g in gb.elements]
-            for g, h in itertools.combinations(gb.elements, 2):
-                lcm = tuple(max(x, y) for x, y in zip(g.lead, h.lead))
-                sides = [tuple(l - x + t for l, x, t in zip(lcm, f.lead, f.trail)) for f in (g, h)]
-                assert (tuple_kernel.reduce_monomial(sides[0], leads, trails)
-                        == tuple_kernel.reduce_monomial(sides[1], leads, trails)), (g, h)
-
-    def test_dropped_pair_is_not_cap_checked(self):
-        # the reference selects the pair of x1^2*x2 - x3^3 and the new element
-        # x2*x3^2 - x3^3, of degree 5, and raises; buchberger never forms it,
-        # since x1 - x3 retired x1^2*x2 - x3^3 from pairing, and the pair of
-        # x1 - x3 and x2*x3^2 - x3^3 has coprime leads
-        gens = _binomials(3, "x3^3 - x1^2*x2", "x3 - x1")
-        with pytest.raises(DegreeCapExceeded):
-            _buchberger_coprime_only(gens, yweighted(3, 1), 3)
-        assert buchberger(gens, yweighted(3, 1), 3).elements == tuple(
-            _binomials(3, "x1 - x3", "x2*x3^2 - x3^3"))
+        gens, order = ideal
+        gb = buchberger(gens, order)
+        assert gb.elements == _buchberger_coprime_only(gens, order)
+        leads = [g.lead for g in gb.elements]
+        trails = [g.trail for g in gb.elements]
+        for g, h in itertools.combinations(gb.elements, 2):
+            lcm = tuple(max(x, y) for x, y in zip(g.lead, h.lead))
+            sides = [tuple(l - x + t for l, x, t in zip(lcm, f.lead, f.trail)) for f in (g, h)]
+            assert (tuple_kernel.reduce_monomial(sides[0], leads, trails)
+                    == tuple_kernel.reduce_monomial(sides[1], leads, trails)), (g, h)
 
     def test_every_queued_pair_is_cap_checked(self):
         # the pair of leads x2*x3 and x1^5*x2 has degree 7, and the later lead
         # x1^4 divides its lcm; every queued pair is reduced, so it is
-        # selected and meets the cap
+        # selected and meets the one degree check left, the packing's top:
+        # in a packing of top 6 it overflows
         gens = _binomials(3, "x2*x3 - x1^2", "x1^3*x2^3 - x1^3*x2^2*x3", "x1^2 - x3^2")
-        with pytest.raises(DegreeCapExceeded, match="^S-pair degree 7 exceeds cap 6$"):
-            buchberger(gens, yweighted(3, 2), 6)
-        assert buchberger(gens, yweighted(3, 2), 7).elements == _buchberger_coprime_only(
-            gens, yweighted(3, 2), 7)
+        order = yweighted(3, 2)
+        with pytest.raises(grobner._Overflow) as raised:
+            _packed_run(grobner._Packing(3, 6, order.weights), gens)
+        assert raised.value.args == (7,)
+        assert buchberger(gens, order).elements == _buchberger_coprime_only(gens, order)
 
 
-def _outcome(run, *args):
-    """The basis a kernel or a saturation returns, or the message of its
-    DegreeCapExceeded."""
-    try:
-        return run(*args).elements
-    except DegreeCapExceeded as exc:
-        return f"DegreeCapExceeded: {exc}"
+@pytest.fixture
+def packings(monkeypatch):
+    """The tops of the packings `grobner` builds, in order: one per attempt
+    of a Buchberger run or of the saturation passes, so a rerun adds one."""
+    tops = []
+    packing_class = grobner._Packing
+
+    def recording(nvars, top, weights=()):
+        tops.append(top)
+        return packing_class(nvars, top, weights)
+
+    monkeypatch.setattr(grobner, "_Packing", recording)
+    return tops
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """The top of the packing of each `grobner._buchberger` call, in order."""
+    tops = []
+    run = grobner._buchberger
+
+    def counting(packing, gens, target=None):
+        tops.append(packing.top)
+        return run(packing, gens, target)
+
+    monkeypatch.setattr(grobner, "_buchberger", counting)
+    return tops
 
 
 def _packing_orders(nv):
@@ -249,17 +264,17 @@ def _packing_orders(nv):
 
 class TestPackedKernel:
     """The packed-int kernel gives what the tuple kernel (tests/tuple_kernel.py)
-    gives, cap errors included."""
+    gives, reruns in a wider packing included."""
 
-    @given(ideal=binomial_ideals(), slack=st.integers(-1, 4))
+    @given(ideal=binomial_ideals())
     @settings(max_examples=400)
-    def test_same_basis_or_same_cap_error_as_tuple_kernel(self, ideal, slack):
-        # caps from one below the largest generator degree up: about a
-        # quarter of the draws raise, most of them at an S-pair
-        gens, order, _ = ideal
-        cap = max(g.degree for g in gens) + slack
-        assert _outcome(buchberger, gens, order, cap) == _outcome(
-            tuple_kernel.buchberger, gens, order, cap)
+    @example(ideal=(WIDE, yweighted(3, 2)))  # a rerun in a wider packing
+    def test_same_basis_as_tuple_kernel(self, ideal):
+        gens, order = ideal
+        expected = tuple_kernel.buchberger(gens, order).elements
+        assert buchberger(gens, order).elements == expected
+        with _narrowest():
+            assert buchberger(gens, order).elements == expected
 
     @given(nv=st.integers(1, 5), top=st.sampled_from([0, 1, 2, 3, 4, 5, 7, 8, 16, 21, 500]),
            data=st.data())
@@ -283,51 +298,57 @@ class TestPackedKernel:
     def test_non_homogeneous_input_raises(self):
         gens = _binomials(3, "x1^2 - x2", "x2*x3 - x1^2")
         with pytest.raises(InvariantViolation, match="non-homogeneous x1\\^2 - x2"):
-            buchberger(gens, TermOrder(3), 4)
+            buchberger(gens, TermOrder(3))
         with pytest.raises(InvariantViolation, match="non-homogeneous x1\\^2 - x2"):
             reduce_basis(gens, TermOrder(3))
 
     def test_degree_500_elements(self):
-        # 1,500,1000: toric elements of degree 500 (the cap 4012 sets top:
-        # fields of 15 bits)
+        # 1,500,1000: toric elements of degree 500 (the lattice binomial
+        # x1^500 - x2*x4^499 sets top = 4 * 500: fields of 14 bits)
         seq = CurveSequence((1, 500, 1000))
         gb = toric_ideal(seq)
         assert max(g.degree for g in gb.elements) == 500
         assert gb == _toric_ideal_by_tuples(seq)
 
-    @pytest.mark.parametrize("cap", [7, 8, 9, 16])
-    def test_generator_of_degree_top(self, cap):
-        # degree 8 in 4 variables: top = 8 for every cap up to 8, and nv top = 32
-        # is a power of two, the edge of the field width
-        gens = _binomials(4, "x1^8 - x4^8", "x2^3*x3^5 - x1^8", "x1^2*x4^6 - x2^8")
+    @pytest.mark.parametrize("degree", [7, 8, 9, 16])
+    def test_generator_of_degree_top(self, degree, packings):
+        # generators of one degree d in 4 variables: the first packing's top
+        # is 4 d, and nv top = 16 d is a power of two at d = 8 and 16, the
+        # edge of the field width
+        d = degree
+        gens = _binomials(4, f"x1^{d} - x4^{d}", f"x2^3*x3^{d - 3} - x1^{d}",
+                          f"x1^2*x4^{d - 2} - x2^{d}")
         for order in [TermOrder(4), yweighted(4, 3), _block(4, 3)]:
-            assert _outcome(buchberger, gens, order, cap) == _outcome(
-                tuple_kernel.buchberger, gens, order, cap), order
-        if cap < 8:
-            with pytest.raises(DegreeCapExceeded,
-                               match=f"^basis element of degree 8 exceeds cap {cap}$"):
-                buchberger(gens, TermOrder(4), cap)
+            packings.clear()
+            assert buchberger(gens, order).elements == tuple_kernel.buchberger(
+                gens, order).elements, order
+            assert packings[0] == 4 * d, order
 
-    def test_top_comes_from_the_cap(self, run_python):
-        # degree-9 generators in three variables whose basis under yweighted:x3
-        # reaches x3^65: fields sized by the generators alone (nv top = 27:
-        # five bits and a guard) overflow, and the reduction need not end, so
-        # the packed run is a child process under a timeout
-        gens = [Binomial((0, 1, 8), (2, 4, 3)), Binomial((9, 0, 0), (1, 7, 1))]
-        expected = tuple_kernel.buchberger(gens, yweighted(3, 2), 70).elements
+    def test_narrow_packing_signals_overflow(self):
+        # the S-pairs of TWISTED have degree 3: a packing of top 2 holds the
+        # generators but not the pairs, and the packed core signals overflow
+        # at the first one instead of returning a basis
+        with pytest.raises(grobner._Overflow) as raised:
+            _packed_run(grobner._Packing(4, 2), TWISTED)
+        assert raised.value.args == (3,)
+        assert not isinstance(raised.value, McurveError)
+
+    def test_overflow_reruns_once_in_a_wider_packing(self, packings):
+        # WIDE overflows its first packing (top 27) and is run again, from
+        # its generators, with top three times the degree that overflowed
+        expected = tuple_kernel.buchberger(WIDE, yweighted(3, 2)).elements
         assert max(max(g.lead + g.trail) for g in expected) == 65
-        proc = run_python("-c", "from mcurve.grobner import buchberger\n"
-                          "from mcurve.poly import Binomial, yweighted\n"
-                          f"print(repr(buchberger({gens!r}, yweighted(3, 2), 70).elements))")
-        assert proc.stdout == repr(expected) + "\n", proc.stderr
+        assert buchberger(WIDE, yweighted(3, 2)).elements == expected
+        assert len(packings) == 2 and packings[0] == 27 and packings[1] % 3 == 0
+        assert packings[1] > 3 * 27
 
     def test_block_order_with_the_widest_key_digit(self):
         # the row of the block x_1 .. x_5 of six variables spans 5 top: the
         # widest digit of any order the package or the tests use
         gb = toric_ideal(parse_sequence("10,13,16,19,22"))
         for k in range(1, 6):
-            assert _outcome(buchberger, gb.elements, _block(6, k), gb.cap) == _outcome(
-                tuple_kernel.buchberger, gb.elements, _block(6, k), gb.cap), k
+            assert buchberger(gb.elements, _block(6, k)).elements == tuple_kernel.buchberger(
+                gb.elements, _block(6, k)).elements, k
 
     @given(nv=st.integers(2, 6), top=st.sampled_from([0, 1, 2, 3, 4, 5, 7, 8, 16, 21, 500]),
            data=st.data())
@@ -347,12 +368,6 @@ class TestPackedKernel:
             back = m[:i] + (m[-1] - k,) + m[i:-1]
             moved = back[:i + 1] + back[i + 2:] + back[i + 1:i + 2]  # i = nv - 1: back
             assert packing.unpack(packing.swap(p - (k << packing.last), i)) == moved
-
-    def test_pair_over_the_cap_raises_as_before(self):
-        with pytest.raises(DegreeCapExceeded, match="^S-pair degree 3 exceeds cap 2$"):
-            buchberger(TWISTED, TermOrder(4), 2)
-        assert _outcome(buchberger, TWISTED, TermOrder(4), 2) == _outcome(
-            tuple_kernel.buchberger, TWISTED, TermOrder(4), 2)
 
 
 LADDER = [(1, 500, 1000), (5, 26, 32, 38, 101), (11, 17, 23, 41, 53, 60),
@@ -523,9 +538,9 @@ class TestToricIdeal:
             made.append((args, packing_class(*args)))
             return made[-1][1]
 
-        def counting(packing, gens, cap, target=None):
+        def counting(packing, gens, target=None):
             runs.append(packing)
-            pairs, ideal = run(packing, gens, cap, target)
+            pairs, ideal = run(packing, gens, target)
             stopped.append(ideal is not None)
             return pairs, ideal
 
@@ -539,11 +554,13 @@ class TestToricIdeal:
             made.clear()
             runs.clear()
             stopped.clear()
-            toric_ideal(CurveSequence(m))
+            seq = CurveSequence(m)
+            toric_ideal(seq)
             assert not any(stopped), m
             # one packing, and one packed run in it per saturated variable x_2 .. x_{n+1};
-            # its top is the default cap 4 (m_n + n), above every lattice binomial's degree
-            assert [args for args, _ in made] == [(len(m) + 1, 4 * (m[-1] + len(m)), ())], m
+            # its top is n + 1 times the largest degree of a lattice binomial
+            degree = max(sum(map(abs, v)) // 2 for v in grobner._degree_reduced(lattice_basis(seq)))
+            assert [args for args, _ in made] == [(len(m) + 1, (len(m) + 1) * degree, ())], m
             assert runs == [made[0][1]] * len(m), m
         for m in [(10, 13, 16, 19, 22), (1, 2, 3, 4, 6), (7, 30, 39, 48, 57, 66),
                   (1, 2, 3, 4, 128), (5, 26, 32, 38, 101), (1, 2, 3, 4, 5, 360),
@@ -551,73 +568,75 @@ class TestToricIdeal:
             made.clear()
             runs.clear()
             stopped.clear()
-            toric_ideal(CurveSequence(m))
+            seq = CurveSequence(m)
+            toric_ideal(seq)
             # n >= 5 and m_n within the bound: one packing and one run, on the
-            # Apery presentation; its top is the default cap, above every
-            # generator's degree
-            assert [args for args, _ in made] == [(len(m) + 1, 4 * (m[-1] + len(m)), ())], m
+            # Apery presentation; its top is n + 1 times the largest degree
+            # of a generator
+            degree = max(g.degree for g in presentation(seq).binomials)
+            assert [args for args, _ in made] == [(len(m) + 1, (len(m) + 1) * degree, ())], m
             assert runs == [made[0][1]], m
             # the leads of the generators have the curve's Hilbert series: no S-pair
             assert stopped == [True], m
 
-    def test_basis_carries_its_cap(self):
-        s = parse_sequence("10,13,16,19,22")
-        assert grobner._saturated(s, 40).cap == 40
-        assert toric_ideal(s).cap == 4 * (22 + 5)
-        assert buchberger(TWISTED, TermOrder(4), 7).cap == 7
+    @pytest.mark.parametrize("m", [(5, 26, 27), (4, 23, 24)], ids=lambda m: ",".join(map(str, m)))
+    def test_saturation_chain_reruns_once(self, m, packings, runs):
+        # the x_4 pass of the first packing meets an S-pair above its top;
+        # the whole pass chain runs again, from the lattice basis, in a
+        # wider packing, and gives the basis of the tuple loop
+        seq = CurveSequence(m)
+        assert toric_ideal(seq) == _toric_ideal_by_tuples(seq)
+        assert len(packings) == 2 and runs == [packings[0]] * 3 + [packings[1]] * 3, runs
+
+    def test_witness_run_reruns_once(self, packings, runs):
+        # 14,29,39 under its first y-dominant order: one rerun, and the
+        # basis of the tuple kernel
+        gb = toric_ideal(CurveSequence((14, 29, 39)))
+        packings.clear()
+        runs.clear()
+        order = yweighted(4, 0)
+        assert buchberger(gb.elements, order).elements == tuple_kernel.buchberger(
+            gb.elements, order).elements
+        assert len(packings) == 2 and runs == packings, runs
 
 
-def _toric_ideal_by_tuples(seq, cap=None):
+def _toric_ideal_by_tuples(seq):
     """Reference: the saturation passes of `grobner._saturated` on tuples,
     through the tuple kernel, from the same degree-reduced lattice basis.
     Before the x_i pass each element moves x_i to the last coordinate by
     slicing; after it each is divided by the largest power of its last
     variable and x_i moves back."""
     nv = seq.n + 1
-    if cap is None:
-        cap = 4 * (seq.mn + seq.n)
     plain = TermOrder(nv)
     current = [Binomial(tuple(max(x, 0) for x in v), tuple(max(-x, 0) for x in v))
                for v in grobner._degree_reduced(lattice_basis(seq))]
     for i in range(1, nv):
         gb = tuple_kernel.buchberger([Binomial(g.lead[:i] + g.lead[i + 1:] + g.lead[i:i + 1],
                                                g.trail[:i] + g.trail[i + 1:] + g.trail[i:i + 1])
-                                      for g in current], plain, cap)
+                                      for g in current], plain)
         current = []
         for g in gb.elements:
             k = min(g.lead[-1], g.trail[-1])
             current.append(Binomial(g.lead[:i] + (g.lead[-1] - k,) + g.lead[i:-1],
                                     g.trail[:i] + (g.trail[-1] - k,) + g.trail[i:-1]))
-    return grobner.GroebnerBasis(plain, tuple_kernel.reduce_basis(current, plain), cap)
-
-
-@st.composite
-def curves_and_caps(draw):
-    """n = 2..5, m_n <= 30 and an explicit cap from 1 to m_n + 4: about half
-    the draws raise, at a generator or an S-pair of some pass."""
-    m = draw(st.lists(st.integers(1, 30), min_size=2, max_size=5, unique=True))
-    return CurveSequence(tuple(sorted(m))), draw(st.integers(1, max(m) + 4))
+    return grobner.GroebnerBasis(plain, tuple_kernel.reduce_basis(current, plain))
 
 
 class TestPackedSaturation:
     """The saturation route's passes in one packing give what the tuple loop
     gives."""
 
-    @given(curve=curves_and_caps())
+    @given(seq=st.lists(st.integers(1, 30), min_size=2, max_size=5, unique=True).map(
+        lambda m: CurveSequence(tuple(sorted(m)))))
     @settings(max_examples=300)
-    @example(curve=(CurveSequence((1, 2, 3)), 1))  # a lattice binomial over the cap
-    @example(curve=(CurveSequence((1, 2, 3)), 3))  # an S-pair over the cap in the x_3 pass
-    @example(curve=(CurveSequence((1, 6, 12)), 2))  # the degree-reduced basis moved the edge
-    def test_same_basis_or_same_cap_error_as_the_tuple_loop(self, curve):
-        seq, cap = curve
-        assert _outcome(grobner._saturated, seq, cap) == _outcome(_toric_ideal_by_tuples, seq, cap)
-
-    def test_cap_error_names_the_degree_reduced_basis(self):
-        # the LLL basis of 1,6,12 holds a binomial of degree 7; saturation
-        # starts from the degree-reduced basis, whose largest degree is 6
-        assert lattice_basis(CurveSequence((1, 6, 12)))[1] == (-6, 3, -1, 4)
-        with pytest.raises(DegreeCapExceeded, match="^basis element of degree 6 exceeds cap 2$"):
-            grobner._saturated(CurveSequence((1, 6, 12)), 2)
+    @example(seq=CurveSequence((1, 2, 3)))
+    @example(seq=CurveSequence((1, 6, 12)))  # the degree-reduced basis is not LLL's
+    @example(seq=CurveSequence((4, 23, 24)))  # a rerun in a wider packing
+    def test_same_basis_as_the_tuple_loop(self, seq):
+        expected = _toric_ideal_by_tuples(seq)
+        assert grobner._saturated(seq) == expected
+        with _narrowest():
+            assert grobner._saturated(seq) == expected
 
 
 # the fixed curves of the benchmark's report workload: golden, counterexample,
@@ -629,42 +648,43 @@ REPORT_CURVES = [(10, 13, 16, 19, 22), (4, 5, 6, 7, 8), (7, 30, 39, 48, 57, 66),
 
 
 class TestHeadroom:
-    """`toric_ideal`'s fixed guard 4 (m_n + n) is at least twice what these
-    curves need: a kernel change that pushes their degrees past half of it
-    fails here, not in a user's run."""
+    """`toric_ideal` once bounded every Buchberger degree by a guard of
+    4 (m_n + n), and sized its packing from it.  These curves finish in their
+    first packing, with no rerun, and its top is at most half that guard: a
+    kernel change that sends them into a rerun, or widens their first
+    packing past the old one, fails here, not in a user's run."""
 
     @pytest.mark.parametrize("m", REPORT_CURVES, ids=lambda m: ",".join(map(str, m)))
-    def test_half_the_guard_gives_the_same_basis(self, m):
+    def test_half_the_guard_gives_the_same_basis(self, m, packings, runs):
         seq = CurveSequence(m)
-        half = 2 * (seq.mn + seq.n)
-        if grobner._apery_route(seq):
-            gens, numerator = presentation(seq)
-            gb = grobner._run(gens, TermOrder(seq.n + 1), half,
-                              grobner._curve_k_polynomial(numerator, seq.n + 1))
-        else:
-            gb = grobner._saturated(seq, half)
-        assert gb.elements == toric_ideal(seq).elements
+        gb = toric_ideal(seq)
+        assert len(packings) == 1 and packings[0] <= 2 * (seq.mn + seq.n)
+        assert runs == packings * len(runs)
+        assert gb == _toric_ideal_by_tuples(seq)
 
     @pytest.mark.parametrize("text", ["1,2,3,4,6", "2,3,4,5,6,8"])
-    def test_half_the_guard_gives_the_same_witness(self, text):
-        # the Koszul witnesses run Buchberger under other orders, under the
-        # guard the basis carries
+    def test_half_the_guard_gives_the_same_witness(self, text, packings, runs):
+        # the Koszul witness search runs Buchberger from the basis under
+        # each y-dominant order until one is quadratic: each of those runs
+        # finishes in its first packing too
         seq = parse_sequence(text)
         gb = toric_ideal(seq)
-        witness = quadratic_gb_witness(gb)
-        assert witness is not None
-        assert quadratic_gb_witness(gb._replace(cap=2 * (seq.mn + seq.n))) == witness
+        assert quadratic_gb_witness(gb) is not None
+        for idx in range(seq.n - 1):
+            packings.clear()
+            runs.clear()
+            has_quadratic_gb(gb, yweighted(seq.n + 1, idx))
+            assert runs == packings and packings[0] <= 2 * (seq.mn + seq.n), idx
 
 
 def _toric_ideal_every_variable(seq):
     """Reference: saturation by every variable x_1 .. x_{n+1}, each pass under
     the degrevlex order that makes x_i cheapest, dividing by x_i in place."""
     nv = seq.n + 1
-    cap = 4 * (seq.mn + seq.n)
     current = [Binomial(tuple(max(x, 0) for x in v), tuple(max(-x, 0) for x in v))
                for v in lattice_basis(seq)]
     for i in range(nv):
-        gb = buchberger(current, degrevlex_cheapest(nv, i), cap)
+        gb = buchberger(current, degrevlex_cheapest(nv, i))
         current = []
         for g in gb.elements:
             k = min(g.lead[i], g.trail[i])
@@ -751,21 +771,21 @@ class TestInitialIdeal:
         assert ini == expected
 
     def test_empty_gb(self):
-        gb = buchberger([], TermOrder(3), 2)
+        gb = buchberger([], TermOrder(3))
         assert initial_ideal(gb).is_zero
 
 
 def _eliminate(gb, keep_from):
     """Reduced degrevlex basis of I /\\ K[x_{keep_from+1}, ..., x_{n+1}] for the
     ideal I with basis `gb`, by a block order (degree in the eliminated
-    variables first), under the cap of `gb`; it lives in the ring of the last
+    variables first), computed from `gb`; it lives in the ring of the last
     n + 1 - keep_from variables."""
     nv = gb.nvars
     block = TermOrder(nv, ((1,) * keep_from + (0,) * (nv - keep_from),))
     kept = [Binomial(g.lead[keep_from:], g.trail[keep_from:])
-            for g in buchberger(gb.elements, block, gb.cap).elements
+            for g in buchberger(gb.elements, block).elements
             if not any(g.lead[:keep_from]) and not any(g.trail[:keep_from])]
-    return buchberger(kept, TermOrder(nv - keep_from), gb.cap)
+    return buchberger(kept, TermOrder(nv - keep_from))
 
 
 class TestEliminate:
@@ -828,7 +848,7 @@ class TestQuadrics:
         for m in QUADRIC_CURVES:
             s = CurveSequence(m)
             gb = toric_ideal(s)
-            pairs = buchberger(_quadric_pairs(s), TermOrder(s.n + 1), gb.cap)
+            pairs = buchberger(_quadric_pairs(s), TermOrder(s.n + 1))
             assert _quadrics(pairs) == _quadrics(gb), m
 
     def test_generated_by_quadrics(self):
@@ -838,7 +858,7 @@ class TestQuadrics:
     def test_quadric_generation_needs_a_degrevlex_basis(self):
         gb = toric_ideal(CurveSequence((1, 2, 4, 6)))
         with pytest.raises(InvariantViolation):
-            is_generated_by_quadrics(buchberger(gb.elements, yweighted(5, 0), gb.cap))
+            is_generated_by_quadrics(buchberger(gb.elements, yweighted(5, 0)))
 
     def test_quadratic_gb(self):
         assert has_quadratic_gb(toric_ideal(CurveSequence((1, 2, 3))), TermOrder(4))
@@ -850,14 +870,6 @@ class TestQuadrics:
         gb = toric_ideal(CurveSequence((1, 2, 4, 6)))
         assert has_quadratic_gb(gb, yweighted(5, 0))
         assert not has_quadratic_gb(gb, yweighted(5, 2))
-
-    def test_quadric_runs_use_the_cap_of_the_basis(self):
-        s = CurveSequence((1, 2, 4, 6))
-        capped = toric_ideal(s)._replace(cap=2)
-        with pytest.raises(DegreeCapExceeded):
-            has_quadratic_gb(capped, yweighted(5, 2))
-        with pytest.raises(DegreeCapExceeded):
-            is_generated_by_quadrics(toric_ideal(s)._replace(cap=1))
 
 
 class TestSerialization:
@@ -887,7 +899,7 @@ class TestOracleProperties:
         gb = toric_ideal(seq)
         perm = list(gb.elements)
         random.Random(salt).shuffle(perm)
-        again = buchberger(perm, TermOrder(seq.n + 1), gb.cap)
+        again = buchberger(perm, TermOrder(seq.n + 1))
         assert again.elements == gb.elements
 
     @given(seq=seq_strategy)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from mcurve.errors import DegreeCapExceeded, GcdViolation, NotGeneralizedArithmetic, WrongN
+from mcurve.errors import GcdViolation, NotGeneralizedArithmetic, WrongN
 from mcurve.grobner import toric_ideal
 from mcurve.koszul import (
     N3_KOSZUL,
@@ -113,9 +113,6 @@ class TestCascade:
         for m in [(1, 2, 3, 4, 6), (2, 4, 6, 8, 12), (2, 3, 4, 5, 6, 8)]:
             s = CurveSequence(m)
             assert koszul_status(s, toric_ideal(s)) == koszul_status(s), m
-        s = CurveSequence((1, 2, 3, 4, 6))
-        with pytest.raises(DegreeCapExceeded):
-            koszul_status(s, toric_ideal(s)._replace(cap=2))
 
     def test_fall_through_is_legal(self):
         st = koszul_status(CurveSequence((1, 2, 5)))

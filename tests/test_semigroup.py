@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcurve import grobner
-from mcurve.errors import DegreeCapExceeded
 from mcurve.grobner import buchberger, initial_ideal, toric_ideal
 from mcurve.monideal import MonomialIdeal, hs_numerator
 from mcurve.poly import Binomial, TermOrder, bidegree
@@ -132,7 +131,7 @@ class TestPresentation:
     def test_coprime_parts_deduplicated(self):
         gens = presentation(CurveSequence((25, 54, 58))).binomials
         assert len(gens) == 17
-        assert buchberger(gens, TermOrder(4), 4 * 61) == toric_ideal(CurveSequence((25, 54, 58)))
+        assert buchberger(gens, TermOrder(4)) == toric_ideal(CurveSequence((25, 54, 58)))
 
     @pytest.mark.parametrize("text", GOLDENS)
     def test_coprime_members(self, text):
@@ -164,7 +163,7 @@ class TestPresentation:
         # degree of N
         seq = parse_sequence(text)
         num = presentation(seq).numerator
-        ini = initial_ideal(grobner._saturated(seq, 4 * (seq.mn + seq.n)))
+        ini = initial_ideal(grobner._saturated(seq))
         assert num == hs_numerator(ini)
         series = list(num) + [0] * 3
         for _ in range(2):
@@ -175,11 +174,11 @@ class TestPresentation:
 @st.composite
 def long_curves(draw):
     """n = 5..8 and m_n <= 30, with a common factor g > 1 in about half the
-    draws, and an explicit cap from 1 to m_n + 4."""
+    draws."""
     g = draw(st.sampled_from([1, 1, 2, 3]))
     n = draw(st.integers(5, 8))
     m = draw(st.lists(st.integers(1, 30 // g), min_size=n, max_size=n, unique=True))
-    return CurveSequence(tuple(sorted(g * x for x in m))), draw(st.integers(1, max(m) * g + 4))
+    return CurveSequence(tuple(sorted(g * x for x in m)))
 
 
 def _stopped(gb):
@@ -188,10 +187,10 @@ def _stopped(gb):
     return "initial" in vars(gb)
 
 
-def _certified_run(seq, gens, cap):
+def _certified_run(seq, gens):
     """The Apery route's run on `gens`, certified against the curve's
     Hilbert series."""
-    return grobner._run(gens, TermOrder(seq.n + 1), cap,
+    return grobner._run(gens, TermOrder(seq.n + 1),
                         grobner._curve_k_polynomial(presentation(seq).numerator, seq.n + 1))
 
 
@@ -199,26 +198,19 @@ class TestAperyRoute:
     """`toric_ideal` for n >= 5 and m_n within APERY_MAX_MN's bound for n
     against the saturation route."""
 
-    @given(curve=long_curves())
+    @given(seq=long_curves())
     @settings(max_examples=200)
-    @example(curve=(CurveSequence((4, 6, 7, 8, 13)), 5))  # saturation raises at this cap
-    @example(curve=(CurveSequence((10, 13, 16, 19, 22)), 4))
-    @example(curve=(CurveSequence((7, 30, 39, 48, 57, 66)), 20))
-    @example(curve=(CurveSequence((3, 22, 57, 65, 94)), 30))
-    def test_same_basis_as_saturation(self, curve):
+    @example(seq=CurveSequence((4, 6, 7, 8, 13)))
+    @example(seq=CurveSequence((10, 13, 16, 19, 22)))
+    @example(seq=CurveSequence((7, 30, 39, 48, 57, 66)))
+    @example(seq=CurveSequence((3, 22, 57, 65, 94)))
+    def test_same_basis_as_saturation(self, seq):
         # the stopped run, the full run on the same generators and the
         # saturation route give one basis
-        seq, cap = curve
-        default = 4 * (seq.mn + seq.n)
         gb = toric_ideal(seq)
-        full = buchberger(presentation(seq).binomials, TermOrder(seq.n + 1), default)
-        assert gb == full == grobner._saturated(seq, default)
+        full = buchberger(presentation(seq).binomials, TermOrder(seq.n + 1))
+        assert gb == full == grobner._saturated(seq)
         assert initial_ideal(gb) == MonomialIdeal.from_gens(seq.n + 1, (g.lead for g in gb.elements))
-        try:
-            capped = _certified_run(seq, presentation(seq).binomials, cap)
-        except DegreeCapExceeded:
-            return
-        assert capped == gb._replace(cap=cap)
 
     @pytest.mark.parametrize("text", ["7,30,39,48,57,66", "1,2,3,4,128", "5,26,32,38,101",
                                       "13,29,31,47,59,71,80"])
@@ -236,22 +228,20 @@ class TestAperyRoute:
         seq = parse_sequence(text)
         gb = toric_ideal(seq)
         assert not _stopped(gb)
-        assert gb == grobner._saturated(seq, 4 * (seq.mn + seq.n))
+        assert gb == grobner._saturated(seq)
 
-    @given(curve=long_curves())
+    @given(seq=long_curves())
     @settings(max_examples=30, deadline=None)
-    @example(curve=(CurveSequence((10, 13, 16, 19, 22)), 1))
-    @example(curve=(CurveSequence((3, 22, 57, 65, 94)), 1))
-    def test_no_stop_on_a_smaller_ideal(self, curve):
+    @example(seq=CurveSequence((10, 13, 16, 19, 22)))
+    @example(seq=CurveSequence((3, 22, 57, 65, 94)))
+    def test_no_stop_on_a_smaller_ideal(self, seq):
         # with one presentation binomial left out, the run either makes its
         # pairs or still gives the basis of I(C): the check never accepts
         # leads of a proper subideal
-        seq = curve[0]
-        cap = 4 * (seq.mn + seq.n)
-        truth = grobner._saturated(seq, cap)
+        truth = grobner._saturated(seq)
         gens = presentation(seq).binomials
         for i in range(len(gens)):
-            gb = _certified_run(seq, gens[:i] + gens[i + 1:], cap)
+            gb = _certified_run(seq, gens[:i] + gens[i + 1:])
             assert not _stopped(gb) or gb == truth, (seq, gens[i])
 
     def test_a_missing_generator_fails_the_check(self):
@@ -262,4 +252,4 @@ class TestAperyRoute:
         quadrics = [i for i, g in enumerate(gens) if g.degree == 2]
         assert quadrics
         for i in quadrics:
-            assert not _stopped(_certified_run(seq, gens[:i] + gens[i + 1:], 108))
+            assert not _stopped(_certified_run(seq, gens[:i] + gens[i + 1:]))

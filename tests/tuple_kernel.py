@@ -3,16 +3,17 @@
 The package's kernel (`mcurve.grobner.buchberger`, `reduce_basis`) packs each
 monomial into one int.  This is the same algorithm on plain tuples, with the
 order read from `TermOrder.key`: the same lead of each normal form, the same
-criterion M, coprime test and retirement from pairing, the same pair
-selection and the same cap checks in the same sequence.  The tests compare the two, and `toric_ideal` with the
-tuple saturation loop built on this one (`_toric_ideal_by_tuples` in
-test_grobner.py), so it must stay a reference only.  It needs no
+criterion M, coprime test and retirement from pairing and the same pair
+selection in the same sequence.  Tuples have no width, so it takes no
+degree bound and never reruns.  The tests compare the two, and `toric_ideal`
+with the tuple saturation loop built on this one (`_toric_ideal_by_tuples`
+in test_grobner.py), so it must stay a reference only.  It needs no
 homogeneous input.
 """
 
 import heapq
 
-from mcurve.errors import DegreeCapExceeded, InvariantViolation
+from mcurve.errors import InvariantViolation
 from mcurve.grobner import GroebnerBasis
 from mcurve.poly import Binomial, mono_divides
 
@@ -76,8 +77,8 @@ def reduce_basis(gens, order):
     return tuple(Binomial(lt, reduce_monomial(tt, leads, trails)) for lt, tt in zip(leads, trails))
 
 
-def buchberger(gens, order, cap):
-    """Reduced Groebner basis under `order` and `cap`, as the package's
+def buchberger(gens, order):
+    """Reduced Groebner basis under `order`, as the package's
     `buchberger` computes it (see its docstring for the criteria)."""
     key = order.key
     leads, trails = [], []
@@ -89,8 +90,6 @@ def buchberger(gens, order, cap):
         if nf is None:
             return
         lead, trail = nf
-        if sum(lead) > cap:
-            raise DegreeCapExceeded(f"basis element of degree {sum(lead)} exceeds cap {cap}")
         h = len(leads)
         lcms = [tuple(map(max, leads[i], lead)) for i in paired]  # criterion M
         by_lcm = {}
@@ -117,10 +116,8 @@ def buchberger(gens, order, cap):
 
     while heap:
         _, _, i, j, lcm = heapq.heappop(heap)
-        if sum(lcm) > cap:
-            raise DegreeCapExceeded(f"S-pair degree {sum(lcm)} exceeds cap {cap}")
         add(tuple(l - x + t for l, x, t in zip(lcm, leads[i], trails[i])),
             tuple(l - x + t for l, x, t in zip(lcm, leads[j], trails[j])))
 
     basis = [Binomial(a, b) for a, b in zip(leads, trails)]
-    return GroebnerBasis(order, reduce_basis(basis, order), cap)
+    return GroebnerBasis(order, reduce_basis(basis, order))
