@@ -11,8 +11,9 @@ decomposition, `reg_nested_type`, `hs_numerator`, `hs_general_split`,
 `cm_type_oracle` (Cohen-Macaulay curves only) and `last_step_check` at that
 regularity; and `koszul_status`.  An exception is an answer too, by its type
 and message.  No internal step (the lattice basis, the route `toric_ideal`
-takes, the width of the kernel's packed fields and any rerun in wider ones)
-is hashed, so changing one keeps every hash while the answers stay.
+takes, the presentation's generator set, the width of the kernel's packed
+fields and any rerun in wider ones) is hashed, so changing one keeps every
+hash while the answers stay.
 
 It prints one `sha256  count  bucket` line per bucket, the scale bucket's
 line after the CPU seconds of `toric_ideal` on each of its curves (the

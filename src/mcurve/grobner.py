@@ -24,7 +24,9 @@ The Buchberger kernel holds each monomial as one int (`poly._Packing`).  The
 public `buchberger` and `reduce_basis` pack their tuples on entry and unpack
 the basis they return; the saturation route packs the lattice basis once and
 runs every pass in that one packing, moving the next variable last by
-swapping two fields, and unpacks only the final basis.
+swapping two fields, and unpacks only the final basis; the Apery route runs
+in the packing `semigroup.presentation` builds its binomials in, and
+unpacks only the basis too.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .poly import (
     format_binomial,
     is_member_binomial,
 )
-from .semigroup import presentation
+from .semigroup import Presentation, presentation
 from .seq import CurveSequence
 
 
@@ -70,11 +72,15 @@ class GroebnerBasis(NamedTuple("GroebnerBasis", [("order", TermOrder),
         return MonomialIdeal.from_gens(self.nvars, (g.lead for g in self.elements))
 
 
+def _non_homogeneous(g: Binomial) -> InvariantViolation:
+    return InvariantViolation(f"non-homogeneous {g}: the packed kernel needs equal degrees")
+
+
 def _degree(gens: list[Binomial]) -> int:
     """The largest degree of `gens`; InvariantViolation unless each is homogeneous."""
     for g in gens:
         if sum(g.lead) != sum(g.trail):
-            raise InvariantViolation(f"non-homogeneous {g}: the packed kernel needs equal degrees")
+            raise _non_homogeneous(g)
     return max([0] + [g.degree for g in gens])
 
 
@@ -181,20 +187,29 @@ def _widening(nvars: int, degree: int, attempt: Callable[[int], GroebnerBasis]) 
             degree = exc.args[0]
 
 
-def _run(gens: list[Binomial], order: TermOrder,
-         target: tuple[int, ...] | None = None) -> GroebnerBasis:
-    """`buchberger`, with the K-polynomial `target` of `_buchberger`; a basis
-    it certifies keeps the certified ideal as its initial ideal."""
+def _certified(packing: _Packing, gens: list[tuple[int, int]], order: TermOrder,
+               target: tuple[int, ...] | None = None) -> GroebnerBasis:
+    """`_buchberger` on the packed `gens` in `packing`, whose order is
+    `order`, as a basis; one that `target` certifies keeps the certified
+    ideal as its initial ideal."""
+    pairs, ideal = _buchberger(packing, gens, target)
+    gb = GroebnerBasis(order, _unpack(packing, pairs))
+    if ideal is not None:
+        gb.__dict__["initial"] = ideal  # fills the cached property
+    return gb
+
+
+def _run(gens: list[Binomial], order: TermOrder, target: tuple[int, ...] | None = None,
+         degree: int = 0) -> GroebnerBasis:
+    """`buchberger`, with the K-polynomial `target` of `_buchberger`, from a
+    first packing of top nvars times the larger of `degree` and the largest
+    degree of `gens`."""
     def attempt(top: int) -> GroebnerBasis:
         packing = _Packing(order.nvars, top, order.weights)
         pack = packing.pack
-        pairs, ideal = _buchberger(packing, [(pack(g.lead), pack(g.trail)) for g in gens], target)
-        gb = GroebnerBasis(order, _unpack(packing, pairs))
-        if ideal is not None:
-            gb.__dict__["initial"] = ideal  # fills the cached property
-        return gb
+        return _certified(packing, [(pack(g.lead), pack(g.trail)) for g in gens], order, target)
 
-    return _widening(order.nvars, _degree(gens), attempt)
+    return _widening(order.nvars, max(degree, _degree(gens)), attempt)
 
 
 def _buchberger(packing: _Packing, gens: list[tuple[int, int]],
@@ -523,18 +538,22 @@ def toric_ideal(seq: CurveSequence) -> GroebnerBasis:
     of two routes that give the same basis; n and m_n of `seq` pick it.
 
     For n >= 5 and m_n at most APERY_MAX_MN's bound for n (`_apery_route`),
-    one Buchberger run (`_run`) on the Apery-set presentation of
+    one Buchberger run (`_presented`) on the Apery-set presentation of
     `semigroup.presentation`: binomials read off the Apery set of the
     semigroup with respect to x_n and x_{n+1}, which generate I(C), so
-    their reduced basis is that of I(C).  The run reduces
+    their reduced basis is that of I(C).  They come packed, in the packing
+    the run uses.  The run reduces
     every generator first and compares the K-polynomial of their leads with
     N(t) (1 - t)^(n - 1), N(t) the Hilbert numerator of K[C] read off the
     same Apery walk; if they agree it stops there, with no S-pair, and the
     basis keeps that ideal of leads as its initial ideal (`initial_ideal`),
     K-polynomial computed.  That holds on most curves: all but 5 of the
-    9,127 gcd-1 curves with n = 5, m_5 <= 17 and n = 6, m_6 <= 14, and 557
-    of 600 seeded n = 5..9 curves with m_n <= 128 (3,22,57,65,94 and
-    10,13,18,20,35,47 make their pairs).  The basis is the same either way.
+    9,127 gcd-1 curves with n = 5, m_5 <= 17 and n = 6, m_6 <= 14, and 567
+    of 600 seeded n = 5..9 curves with 10 <= m_n <= 128 (`random.Random(11)`;
+    3,22,57,65,94 and 10,13,18,20,35,47 make their pairs too).  With every
+    (B) candidate kept, 570 of the 600 stop: the three more, such as
+    1,17,37,49,51,56,60, now make pairs, and the presentation's fewer
+    generators still win on the whole set.  The basis is the same either way.
 
     Otherwise the saturation route of `_saturated`, from a lattice basis.
     The Apery route needs no lattice basis and no saturation passes, whose
@@ -565,14 +584,30 @@ def toric_ideal(seq: CurveSequence) -> GroebnerBasis:
     is checked to lie in I(C).
     """
     if _apery_route(seq):
-        gens, numerator = presentation(seq)
-        final = _run(gens, TermOrder(seq.n + 1), _curve_k_polynomial(numerator, seq.n + 1))
+        final = _presented(presentation(seq), seq.n + 1)
     else:
         final = _saturated(seq)
     for g in final.elements:
         if not is_member_binomial(seq, g):
             raise InvariantViolation(f"non-member {g} in toric basis for ({seq})")
     return final
+
+
+def _presented(p: Presentation, nvars: int) -> GroebnerBasis:
+    """The Apery route of `toric_ideal`: one run on the packed presentation
+    `p`, certified by its numerator, in the packing it comes in.  An S-pair
+    above that packing's top reruns it wider from `p.binomials`
+    (`_widening`).  InvariantViolation unless every pair is homogeneous."""
+    packing = p.packing
+    degree, unpack = packing.degree, packing.unpack
+    for a, b in p.pairs:
+        if degree(a) != degree(b):
+            raise _non_homogeneous(Binomial(unpack(a), unpack(b)))
+    order, target = TermOrder(nvars), _curve_k_polynomial(p.numerator, nvars)
+    try:
+        return _certified(packing, p.pairs, order, target)
+    except _Overflow as exc:
+        return _run(p.binomials, order, target, exc.args[0])
 
 
 def _saturated(seq: CurveSequence) -> GroebnerBasis:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from mcurve import grobner, sweeps
+from presentations import every_candidate
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "corpus_digest.py"
 _spec = importlib.util.spec_from_file_location("corpus_digest", SCRIPT)
@@ -42,6 +43,8 @@ def _flipped_lattice_basis(seq):
     ("lattice_basis", _flipped_lattice_basis),  # the same lattice, another basis
     # every bound 0: every curve on the saturation route
     pytest.param("APERY_MAX_MN", {5: 0}, id="APERY_MAX_MN-0"),
+    # the Apery presentation with every (B) candidate kept
+    pytest.param("presentation", every_candidate, id="presentation-every-candidate"),
 ])
 def test_internal_step_keeps_the_hashes(monkeypatch, name, value):
     monkeypatch.setattr(grobner, name, value)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mcurve import grobner
+from mcurve import grobner, semigroup
 from mcurve.errors import InvariantViolation, McurveError
 from mcurve.grobner import (
     buchberger,
@@ -24,7 +24,7 @@ from mcurve.grobner import (
 from mcurve.koszul import quadratic_gb_witness
 from mcurve.monideal import MonomialIdeal
 from mcurve.poly import Binomial, TermOrder, bidegree, is_member_binomial, yweighted
-from mcurve.semigroup import presentation
+from mcurve.semigroup import apery, presentation
 from mcurve.seq import CurveSequence, parse_sequence
 import tuple_kernel
 from orders import degrevlex_cheapest
@@ -229,8 +229,9 @@ class TestPairCriteria:
 
 @pytest.fixture
 def packings(monkeypatch):
-    """The tops of the packings `grobner` builds, in order: one per attempt
-    of a Buchberger run or of the saturation passes, so a rerun adds one."""
+    """The tops of the packings `grobner` builds, and the one `semigroup`
+    packs the Apery presentation in, in order: one per attempt of a
+    Buchberger run or of the saturation passes, so a rerun adds one."""
     tops = []
     packing_class = grobner._Packing
 
@@ -239,6 +240,7 @@ def packings(monkeypatch):
         return packing_class(nvars, top, weights)
 
     monkeypatch.setattr(grobner, "_Packing", recording)
+    monkeypatch.setattr(semigroup, "_Packing", recording)
     return tops
 
 
@@ -301,6 +303,17 @@ class TestPackedKernel:
             buchberger(gens, TermOrder(3))
         with pytest.raises(InvariantViolation, match="non-homogeneous x1\\^2 - x2"):
             reduce_basis(gens, TermOrder(3))
+
+    def test_non_homogeneous_packed_generator_raises(self, monkeypatch):
+        # the Apery route hands its packed pairs to the kernel as they come:
+        # a pair of two degrees raises as a non-homogeneous binomial does
+        seq = parse_sequence("10,13,16,19,22")
+        p = presentation(seq)
+        pack = p.packing.pack
+        bad = p._replace(pairs=p.pairs + [(pack((2, 0, 0, 0, 0, 0)), pack((0, 1, 0, 0, 0, 0)))])
+        monkeypatch.setattr(grobner, "presentation", lambda seq: bad)
+        with pytest.raises(InvariantViolation, match="non-homogeneous x1\\^2 - x2"):
+            toric_ideal(seq)
 
     def test_degree_500_elements(self):
         # 1,500,1000: toric elements of degree 500 (the lattice binomial
@@ -545,6 +558,7 @@ class TestToricIdeal:
             return pairs, ideal
 
         monkeypatch.setattr(grobner, "_Packing", packing)
+        monkeypatch.setattr(semigroup, "_Packing", packing)
         monkeypatch.setattr(grobner, "_buchberger", counting)
         # n <= 4, and n >= 5 with m_n above APERY_MAX_MN's bound for n (128
         # at n = 5, 360 at n = 6, 1600 from n = 7 on): the saturation route
@@ -565,16 +579,18 @@ class TestToricIdeal:
         for m in [(10, 13, 16, 19, 22), (1, 2, 3, 4, 6), (7, 30, 39, 48, 57, 66),
                   (1, 2, 3, 4, 128), (5, 26, 32, 38, 101), (1, 2, 3, 4, 5, 360),
                   (1, 2, 3, 4, 5, 6, 1600), (11, 12, 15, 79, 113, 130, 159, 277)]:
+            seq = CurveSequence(m)
+            # n >= 5 and m_n within the bound: one packing, the presentation's,
+            # and one run in it; its top is (n + 1)(D + 1), D the degree of
+            # the last Apery layer, and here D + 1 is the largest degree of a
+            # generator, so the top is the one the kernel would pick
+            top = max(apery(seq.m)[0].values()) + 1
+            assert max(g.degree for g in presentation(seq).binomials) == top, m
             made.clear()
             runs.clear()
             stopped.clear()
-            seq = CurveSequence(m)
             toric_ideal(seq)
-            # n >= 5 and m_n within the bound: one packing and one run, on the
-            # Apery presentation; its top is n + 1 times the largest degree
-            # of a generator
-            degree = max(g.degree for g in presentation(seq).binomials)
-            assert [args for args, _ in made] == [(len(m) + 1, (len(m) + 1) * degree, ())], m
+            assert [args for args, _ in made] == [(len(m) + 1, (len(m) + 1) * top)], m
             assert runs == [made[0][1]], m
             # the leads of the generators have the curve's Hilbert series: no S-pair
             assert stopped == [True], m

@@ -11,12 +11,18 @@ from mcurve import grobner
 from mcurve.grobner import buchberger, initial_ideal, toric_ideal
 from mcurve.monideal import MonomialIdeal, hs_numerator
 from mcurve.poly import Binomial, TermOrder, bidegree
-from mcurve.semigroup import _cover, apery, presentation
+from mcurve.semigroup import apery, presentation
 from mcurve.seq import CurveSequence, parse_sequence
+from presentations import full_presentation
 
 GOLDENS = ["10,13,16,19,22", "4,5,6,7,8", "7,30,39,48,57,66", "5,26,32,38", "2,35,46,57,68"]
 # n >= 5 curves whose presentation leads fall short of in(I(C)): the run makes pairs
 FALLBACKS = ["3,22,57,65,94", "10,13,18,20,35,47"]
+# the n = 4 curves of the benchmark's `report` workload: 5,26,32,38 and its
+# same-m_n variants
+REPORT_N4 = ["5,26,32,38", "14,31,36,38", "15,25,34,38", "2,16,29,38", "6,14,31,38",
+             "8,9,22,38", "7,16,17,38", "11,25,33,38", "3,6,31,38", "9,21,33,38",
+             "10,15,34,38", "13,33,35,38", "9,11,18,38"]
 
 
 def _brute_layer(m, d):
@@ -73,50 +79,6 @@ class TestApery:
                 assert covered == _brute_layer(m, d), (m, d)
 
 
-def _full_presentation(seq):
-    """The (B) and (C) binomials on exponent tuples, every (B) candidate
-    included, divided by their gcds, without duplicates or zeros, each side
-    and the list in the order of `presentation` (the later exponents
-    weigh most)."""
-    m = seq.with_gcd_one().m
-    n, mn = len(m), m[-1]
-    degree, classes = apery(m)
-
-    def mono(base, j=None, y=0, z=0):
-        e = list(base)
-        if j is not None:
-            e[j] += 1
-        e[n - 1] += y
-        e[n] += z
-        return tuple(e)
-
-    mu = {0: (0,) * (n + 1)}
-    for x, d in degree.items():
-        if d:
-            j = next(j for j in range(n - 1) if degree.get(x - m[j]) == d - 1)
-            mu[x] = mono(mu[x - m[j]], j)
-    found = set()
-
-    def add(a, b):
-        g = tuple(map(min, a, b))
-        a, b = tuple(x - y for x, y in zip(a, g)), tuple(x - y for x, y in zip(b, g))
-        if a != b:
-            found.add((a, b) if a[::-1] > b[::-1] else (b, a))
-
-    for x, d in degree.items():
-        for j in range(n - 1):
-            y = x + m[j]
-            w = _cover(degree, classes, mn, d + 1, y)
-            c = (y - w) // mn
-            add(mono(mu[x], j), mono(mu[w], y=c, z=d + 1 - degree[w] - c))
-    for gens in classes.values():
-        for w1, w2 in zip(gens, gens[1:]):
-            u1, u2 = w1 // mn, w2 // mn
-            add(mono(mu[w1], y=u2 - u1), mono(mu[w2], z=degree[w1] - u1 - degree[w2] + u2))
-    return [Binomial(a, b) for a, b in sorted(found, key=lambda p: (sum(p[0]), p[0][::-1],
-                                                                     p[1][::-1]))]
-
-
 def _layer_sizes(m, top):
     """|S_d| for d = 0..top: S_d = S_{d-1} + {0, m_1, ..., m_n}, since
     x_{n+1} adds (1, 0)."""
@@ -146,15 +108,20 @@ class TestPresentation:
         assert presentation(CurveSequence((20, 26, 32, 38, 44))) == presentation(
             CurveSequence((10, 13, 16, 19, 22)))
 
-    def test_skipped_candidates_are_duplicates(self):
-        # the (B) candidates that `presentation` skips change nothing: every
-        # gcd-1 curve with n = 5, m_5 <= 12 and n = 6, m_6 <= 11
+    def test_pruned_presentation_is_a_subset_with_the_same_basis(self):
+        # the (B) candidates that `presentation` skips are implied by lower
+        # degrees: what it keeps is part of the whole presentation, and
+        # both give one reduced basis; every gcd-1 curve with n = 5,
+        # m_5 <= 12 and n = 6, m_6 <= 11
         for n, top in [(5, 12), (6, 11)]:
             for c in itertools.combinations(range(1, top), n - 1):
                 for mn in range(c[-1] + 1, top + 1):
                     seq = CurveSequence(c + (mn,))
                     if math.gcd(*seq.m) == 1:
-                        assert presentation(seq).binomials == _full_presentation(seq), seq
+                        kept, full = presentation(seq).binomials, full_presentation(seq)
+                        assert set(kept) <= set(full), seq
+                        order = TermOrder(n + 1)
+                        assert buchberger(kept, order) == buchberger(full, order), seq
 
     @pytest.mark.parametrize("text", GOLDENS + ["5,26,32,38,101"])
     def test_hilbert_numerator_from_the_classes(self, text):
@@ -253,3 +220,22 @@ class TestAperyRoute:
         assert quadrics
         for i in quadrics:
             assert not _stopped(_certified_run(seq, gens[:i] + gens[i + 1:]))
+
+
+class TestSaturationCertificate:
+    """The Apery numerator certifies the saturation route's basis as it
+    certifies the Apery route's run; checked here only, at no cost to the
+    route."""
+
+    @pytest.mark.parametrize("text", REPORT_N4 + FALLBACKS)
+    def test_leads_have_the_curve_k_polynomial(self, text):
+        # in(I(C)) from `_saturated` has K-polynomial N(t) (1 - t)^(n - 1),
+        # and without any one lead of the reduced basis it has another
+        seq = parse_sequence(text)
+        target = grobner._curve_k_polynomial(presentation(seq).numerator, seq.n + 1)
+        leads = [g.lead for g in grobner._saturated(seq).elements]
+        assert MonomialIdeal.from_gens(seq.n + 1, leads).k_polynomial == target
+        for i in range(len(leads)):
+            dropped = MonomialIdeal.from_gens(seq.n + 1, leads[:i] + leads[i + 1:])
+            assert dropped.k_polynomial != target, (seq, leads[i])
+
