@@ -23,17 +23,20 @@ Everything stays a pure difference throughout; coefficients never leave
 The Buchberger kernel holds each monomial as one int (`poly._Packing`).  The
 public `buchberger` and `reduce_basis` pack their tuples on entry and unpack
 the basis they return; the saturation route packs the lattice basis once and
-runs every pass in that one packing, moving the next variable last by
-swapping two fields, and unpacks only the final basis; the Apery route runs
-in the packing `semigroup.presentation` builds its binomials in, and
-unpacks only the basis too.
+runs every pass in that one packing (a wider one from a pass that reruns
+on), moving the next variable last by swapping two fields, and unpacks only
+the final basis; the Apery route runs in the packing
+`semigroup.presentation` builds its binomials in, and unpacks only the
+basis too.  The kernel alone decides the field width: a run whose S-pair
+outgrows its packing repacks its own generators wider, runs again, and
+returns the packing its basis is in.
 """
 
 from __future__ import annotations
 
 import heapq
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import InvariantViolation
 from .monideal import MonomialIdeal
@@ -44,7 +47,7 @@ from .poly import (
     format_binomial,
     is_member_binomial,
 )
-from .semigroup import Presentation, presentation
+from .semigroup import presentation
 from .seq import CurveSequence
 
 
@@ -152,7 +155,7 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder) -> GroebnerBasis:
     at most top meets no exponent above top, and each monomial is one int of
     `_Packing(nvars, top)`, a field per variable with a guard bit on top.
     top is nvars times the largest generator degree, and an S-pair above it
-    reruns the same algorithm in wider fields (`_widening`): the same basis.
+    reruns the same algorithm in wider fields (`_buchberger`): the same basis.
     lead divides m iff (m + G - lead) & G == G for the guard mask G; a
     reduction step is m += trail - lead, packed once per element, and moves
     the order key, itself one int, by a constant stored with it; lcm and
@@ -160,8 +163,9 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder) -> GroebnerBasis:
     is their product, which packed is their sum: so criterion M runs on ints
     too.
     Monomials are tuples only at entry and in the returned basis: the
-    packed core `_buchberger` runs on ints of a `_Packing` its caller builds,
-    so `toric_ideal` keeps one packing over all its saturation passes.
+    packed core `_buchberger` runs on ints of a `_Packing` its caller builds
+    and returns the packing its basis is in, so `toric_ideal` carries one
+    packing from each saturation pass to the next.
 
     Every generator is reduced before the first pair is made; the pairs are
     then made lead by lead, in the order the leads were found, which gives
@@ -169,59 +173,41 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder) -> GroebnerBasis:
     route checks the leads at that point and may stop with no pair at all
     (`_buchberger`); this function always makes the pairs.
     """
-    return _run(list(gens), order)
+    gens = list(gens)
+    packing = _Packing(order.nvars, order.nvars * _degree(gens), order.weights)
+    pack = packing.pack
+    return _run(packing, [(pack(g.lead), pack(g.trail)) for g in gens], order)
 
 
-class _Overflow(Exception):
-    """A selected S-pair above its packing's top, of degree args[0]; `_widening` catches it."""
-
-
-def _widening(nvars: int, degree: int, attempt: Callable[[int], GroebnerBasis]) -> GroebnerBasis:
-    """`attempt(top)` for top = nvars * `degree`, the largest generator degree,
-    and while it overflows at an S-pair of degree d, again for top = nvars * d;
-    each attempt builds its packing and starts from its own inputs."""
-    while True:
-        try:
-            return attempt(nvars * degree)
-        except _Overflow as exc:
-            degree = exc.args[0]
-
-
-def _certified(packing: _Packing, gens: list[tuple[int, int]], order: TermOrder,
-               target: tuple[int, ...] | None = None) -> GroebnerBasis:
+def _run(packing: _Packing, gens: list[tuple[int, int]], order: TermOrder,
+         target: tuple[int, ...] | None = None) -> GroebnerBasis:
     """`_buchberger` on the packed `gens` in `packing`, whose order is
-    `order`, as a basis; one that `target` certifies keeps the certified
-    ideal as its initial ideal."""
-    pairs, ideal = _buchberger(packing, gens, target)
+    `order`, unpacked into a basis; one that `target` certifies keeps the
+    certified ideal as its initial ideal."""
+    packing, pairs, ideal = _buchberger(packing, gens, target)
     gb = GroebnerBasis(order, _unpack(packing, pairs))
     if ideal is not None:
         gb.__dict__["initial"] = ideal  # fills the cached property
     return gb
 
 
-def _run(gens: list[Binomial], order: TermOrder, target: tuple[int, ...] | None = None,
-         degree: int = 0) -> GroebnerBasis:
-    """`buchberger`, with the K-polynomial `target` of `_buchberger`, from a
-    first packing of top nvars times the larger of `degree` and the largest
-    degree of `gens`."""
-    def attempt(top: int) -> GroebnerBasis:
-        packing = _Packing(order.nvars, top, order.weights)
-        pack = packing.pack
-        return _certified(packing, [(pack(g.lead), pack(g.trail)) for g in gens], order, target)
-
-    return _widening(order.nvars, max(degree, _degree(gens)), attempt)
-
-
 def _buchberger(packing: _Packing, gens: list[tuple[int, int]],
                 target: tuple[int, ...] | None = None,
-                ) -> tuple[list[tuple[int, int]], MonomialIdeal | None]:
+                ) -> tuple[_Packing, list[tuple[int, int]], MonomialIdeal | None]:
     """`buchberger` on packed generators (lead, trail), in either
-    orientation, under the order of `packing`: the reduced basis as packed
-    (lead, trail) pairs in ascending order of the leads, and the ideal of
-    its leads when `target` certified it (None otherwise).  The generators
-    must be homogeneous of degree at most the packing's top.  A selected
-    S-pair of degree above the top raises `_Overflow` before it is reduced,
-    so every monomial met fits a field.
+    orientation, under the order of `packing`: (packing, pairs, ideal),
+    the reduced basis as packed (lead, trail) pairs of the returned packing
+    in ascending order of the leads, and the ideal of its leads when
+    `target` certified it (None otherwise).  The generators must be
+    homogeneous of degree at most the packing's top.
+
+    A selected S-pair of degree d above the top is never reduced: the run
+    repacks its own `gens` into `_Packing(nvars, nvars d)`, same order and
+    same fields, and returns the run on them there.  That is the same
+    deterministic algorithm on wider ints, so the basis is the one a wide
+    enough first packing gives, and every monomial met fits a field.  The
+    rerun takes no `target`: the leads of the generators, the same in any
+    packing, already failed it.
 
     Every generator is reduced before any pair is made.  If `target` is the
     K-polynomial of R/in(I) for the ideal I that the generators are known
@@ -302,19 +288,22 @@ def _buchberger(packing: _Packing, gens: list[tuple[int, int]],
     if target is not None:
         ideal = MonomialIdeal.from_gens(len(packing.shifts), map(packing.unpack, leads))
         if ideal.k_polynomial == target:
-            return basis(), ideal
+            return packing, basis(), ideal
 
     for h in range(len(leads)):
         pair(h)
     while heap:
         d, k, i, j, lcm = heapq.heappop(heap)
-        if d > top:
-            raise _Overflow(d)
+        if d > top:  # rerun wider; the leads of `gens` already failed `target`
+            nvars, _, weights = packing.args
+            wider, unpack = _Packing(nvars, nvars * d, weights), packing.unpack
+            pack = wider.pack
+            return _buchberger(wider, [(pack(unpack(a)), pack(unpack(b))) for a, b in gens])
         _, step_i, kstep_i = reducers[i]
         _, step_j, kstep_j = reducers[j]
         if add(lcm + step_i, k + kstep_i, lcm + step_j, k + kstep_j):
             pair(len(leads) - 1)
-    return basis(), None
+    return packing, basis(), None
 
 
 def _keyed(packing: _Packing, pairs: list[tuple[int, int]],
@@ -538,11 +527,11 @@ def toric_ideal(seq: CurveSequence) -> GroebnerBasis:
     of two routes that give the same basis; n and m_n of `seq` pick it.
 
     For n >= 5 and m_n at most APERY_MAX_MN's bound for n (`_apery_route`),
-    one Buchberger run (`_presented`) on the Apery-set presentation of
+    one Buchberger run on the Apery-set presentation of
     `semigroup.presentation`: binomials read off the Apery set of the
     semigroup with respect to x_n and x_{n+1}, which generate I(C), so
     their reduced basis is that of I(C).  They come packed, in the packing
-    the run uses.  The run reduces
+    the run starts in, and are checked homogeneous there.  The run reduces
     every generator first and compares the K-polynomial of their leads with
     N(t) (1 - t)^(n - 1), N(t) the Hilbert numerator of K[C] read off the
     same Apery walk; if they agree it stops there, with no S-pair, and the
@@ -584,30 +573,18 @@ def toric_ideal(seq: CurveSequence) -> GroebnerBasis:
     is checked to lie in I(C).
     """
     if _apery_route(seq):
-        final = _presented(presentation(seq), seq.n + 1)
+        p, nv = presentation(seq), seq.n + 1
+        degree, unpack = p.packing.degree, p.packing.unpack
+        for a, b in p.pairs:
+            if degree(a) != degree(b):
+                raise _non_homogeneous(Binomial(unpack(a), unpack(b)))
+        final = _run(p.packing, p.pairs, TermOrder(nv), _curve_k_polynomial(p.numerator, nv))
     else:
         final = _saturated(seq)
     for g in final.elements:
         if not is_member_binomial(seq, g):
             raise InvariantViolation(f"non-member {g} in toric basis for ({seq})")
     return final
-
-
-def _presented(p: Presentation, nvars: int) -> GroebnerBasis:
-    """The Apery route of `toric_ideal`: one run on the packed presentation
-    `p`, certified by its numerator, in the packing it comes in.  An S-pair
-    above that packing's top reruns it wider from `p.binomials`
-    (`_widening`).  InvariantViolation unless every pair is homogeneous."""
-    packing = p.packing
-    degree, unpack = packing.degree, packing.unpack
-    for a, b in p.pairs:
-        if degree(a) != degree(b):
-            raise _non_homogeneous(Binomial(unpack(a), unpack(b)))
-    order, target = TermOrder(nvars), _curve_k_polynomial(p.numerator, nvars)
-    try:
-        return _certified(packing, p.pairs, order, target)
-    except _Overflow as exc:
-        return _run(p.binomials, order, target, exc.args[0])
 
 
 def _saturated(seq: CurveSequence) -> GroebnerBasis:
@@ -634,12 +611,15 @@ def _saturated(seq: CurveSequence) -> GroebnerBasis:
     does not depend on the basis of L that the passes start from.
 
     Every pass runs the packed kernel `_buchberger` on ints of one
-    `_Packing`, and monomials are tuples only in the lattice basis and the
-    result.  The lattice binomials are homogeneous: row 2 of the bidegree
-    matrix is m_n (1, ..., 1) minus row 1, so every v in L has sum 0; this
-    is checked once, here.  A pass outputs nothing of higher degree than its
-    generators and S-pairs, so each pass's generators fit the packing; an
-    S-pair above its top reruns the whole chain (`_widening`).
+    `_Packing` (a wider one after a rerun, below), and monomials are tuples
+    only in the lattice basis and the result.  The lattice binomials are
+    homogeneous: row 2 of the bidegree matrix is m_n (1, ..., 1) minus row
+    1, so every v in L has sum 0; this is checked once, here.  A pass
+    outputs nothing of higher degree than its generators and S-pairs, so
+    each pass's generators fit the packing the previous pass returned.  An
+    S-pair above its top reruns that pass alone, in a wider packing that
+    `_buchberger` returns, with the fields in the same order, so the
+    layouts below hold in every packing.
     Layout i, the fields of the x_i pass, holds the variables in order with
     x_i moved last; counting fields from 1 like the variables, field i holds
     x_{i+1}.  The lattice basis is packed once in layout 2.  After the x_i
@@ -653,23 +633,20 @@ def _saturated(seq: CurveSequence) -> GroebnerBasis:
     # v = v+ - v-; the first pass orients each
     gens = [Binomial(tuple(max(x, 0) for x in v), tuple(max(-x, 0) for x in v))
             for v in _degree_reduced(lattice_basis(seq))]
-
-    def passes(top: int) -> GroebnerBasis:
-        packing = _Packing(nv, top, plain.weights)
-        pack, swap, last = packing.pack, packing.swap, packing.last
-        pairs = [(pack(g.lead[:1] + g.lead[2:] + g.lead[1:2]),  # layout 2: x_2 last
-                  pack(g.trail[:1] + g.trail[2:] + g.trail[1:2])) for g in gens]
-        for i in range(1, nv):  # saturate x_{i+1}, held last; field i (from 0) holds x_{i+2}
-            pairs, _ = _buchberger(packing, pairs)
-            divided = []
-            for a, b in pairs:
-                k = min(a >> last, b >> last) << last
-                divided.append((swap(a - k, i), swap(b - k, i)))  # i = n: field i is the last
-            pairs = divided
-        return GroebnerBasis(plain, _unpack(packing, _interreduce(
-            packing, _keyed(packing, pairs, plain))))
-
-    return _widening(nv, _degree(gens), passes)
+    packing = _Packing(nv, nv * _degree(gens), plain.weights)
+    pack = packing.pack
+    pairs = [(pack(g.lead[:1] + g.lead[2:] + g.lead[1:2]),  # layout 2: x_2 last
+              pack(g.trail[:1] + g.trail[2:] + g.trail[1:2])) for g in gens]
+    for i in range(1, nv):  # saturate x_{i+1}, held last; field i (from 0) holds x_{i+2}
+        packing, pairs, _ = _buchberger(packing, pairs)
+        swap, last = packing.swap, packing.last
+        divided = []
+        for a, b in pairs:
+            k = min(a >> last, b >> last) << last
+            divided.append((swap(a - k, i), swap(b - k, i)))  # i = n: field i is the last
+        pairs = divided
+    return GroebnerBasis(plain, _unpack(packing, _interreduce(
+        packing, _keyed(packing, pairs, plain))))
 
 
 def initial_ideal(gb: GroebnerBasis) -> MonomialIdeal:

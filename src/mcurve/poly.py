@@ -100,12 +100,6 @@ class _Packing:
     def key(self, p: int) -> int:
         return self.degree_key(p)[1]
 
-    def __eq__(self, other: object) -> bool:  # one layout per arguments
-        return isinstance(other, _Packing) and self.args == other.args
-
-    def __hash__(self) -> int:
-        return hash(self.args)
-
     def __reduce__(self):  # closures do not pickle: rebuild from the arguments
         return _Packing, self.args
 

@@ -61,7 +61,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from typing import NamedTuple
 
-from .poly import Binomial, _Packing
+from .poly import _Packing
 from .seq import CurveSequence
 
 
@@ -117,11 +117,6 @@ class Presentation(NamedTuple):
     packing: _Packing
     pairs: list[tuple[int, int]]
     numerator: tuple[int, ...]
-
-    @property
-    def binomials(self) -> list[Binomial]:
-        unpack = self.packing.unpack
-        return [Binomial(unpack(a), unpack(b)) for a, b in self.pairs]
 
 
 def _numerator(mn: int, degree: dict[int, int], classes: dict[int, list[int]]) -> tuple[int, ...]:
@@ -179,7 +174,8 @@ def presentation(seq: CurveSequence) -> Presentation:
 
     The pairs are ints of one `poly._Packing` under plain degrevlex, of top
     (n + 1)(D + 1), D the degree of the last nonempty layer: the packing
-    `grobner.toric_ideal` runs them in, with no re-pack.  An Apery element
+    `grobner.toric_ideal` starts its run in, with no re-pack (the kernel
+    repacks them itself if an S-pair outgrows it).  An Apery element
     has degree at most D, so every exponent met is at most 2 D (a (C)
     binomial has the degree u2 + v1 of an lcm), within that top, and the
     gcd takes, in each field, the side whose guard does not survive the

@@ -54,6 +54,12 @@ def full_presentation(seq):
                                                                      p[1][::-1]))]
 
 
+def binomials(p):
+    """The pairs of the presentation `p`, unpacked into binomials."""
+    unpack = p.packing.unpack
+    return [Binomial(unpack(a), unpack(b)) for a, b in p.pairs]
+
+
 def every_candidate(seq):
     """`presentation(seq)` with the pairs of `full_presentation(seq)`, packed
     in the same packing."""

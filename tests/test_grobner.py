@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcurve import grobner, semigroup
-from mcurve.errors import InvariantViolation, McurveError
+from mcurve.errors import InvariantViolation
 from mcurve.grobner import (
     buchberger,
     has_quadratic_gb,
@@ -28,6 +28,7 @@ from mcurve.semigroup import apery, presentation
 from mcurve.seq import CurveSequence, parse_sequence
 import tuple_kernel
 from orders import degrevlex_cheapest
+from presentations import binomials
 from textforms import parse_binomial, parse_monomial
 
 
@@ -182,18 +183,20 @@ def binomial_ideals(draw):
 WIDE = [Binomial((0, 1, 8), (2, 4, 3)), Binomial((9, 0, 0), (1, 7, 1))]
 
 
-def _narrowest(widening=grobner._widening):
-    """`grobner._widening` with top the degree itself, not nvars times it:
+def _narrowest(packing_class=grobner._Packing):
+    """`grobner._Packing` with top the degree itself, not nvars times it:
     a first packing that holds only the generators, and a rerun at every
     S-pair degree past the top, so most runs rerun, many several times."""
-    return mock.patch.object(grobner, "_widening",
-                             lambda nvars, degree, attempt: widening(1, degree, attempt))
+    return mock.patch.object(grobner, "_Packing", lambda nvars, top, weights=():
+                             packing_class(nvars, top // nvars, weights))
 
 
 def _packed_run(packing, gens):
-    """`grobner._buchberger` on `gens` packed in `packing`."""
-    return grobner._buchberger(packing, [(packing.pack(g.lead), packing.pack(g.trail))
-                                         for g in gens])
+    """`grobner._buchberger` on `gens` packed in `packing`, its basis
+    unpacked, and the top of the packing that basis came in."""
+    packing, pairs, _ = grobner._buchberger(
+        packing, [(packing.pack(g.lead), packing.pack(g.trail)) for g in gens])
+    return grobner._unpack(packing, pairs), packing.top
 
 
 class TestPairCriteria:
@@ -218,20 +221,20 @@ class TestPairCriteria:
         # the pair of leads x2*x3 and x1^5*x2 has degree 7, and the later lead
         # x1^4 divides its lcm; every queued pair is reduced, so it is
         # selected and meets the one degree check left, the packing's top:
-        # in a packing of top 6 it overflows
+        # in a packing of top 6 it overflows, and the run is made again in a
+        # packing of top 3 * 7
         gens = _binomials(3, "x2*x3 - x1^2", "x1^3*x2^3 - x1^3*x2^2*x3", "x1^2 - x3^2")
         order = yweighted(3, 2)
-        with pytest.raises(grobner._Overflow) as raised:
-            _packed_run(grobner._Packing(3, 6, order.weights), gens)
-        assert raised.value.args == (7,)
-        assert buchberger(gens, order).elements == _buchberger_coprime_only(gens, order)
+        expected = _buchberger_coprime_only(gens, order)
+        assert _packed_run(grobner._Packing(3, 6, order.weights), gens) == (expected, 21)
+        assert buchberger(gens, order).elements == expected
 
 
 @pytest.fixture
 def packings(monkeypatch):
     """The tops of the packings `grobner` builds, and the one `semigroup`
-    packs the Apery presentation in, in order: one per attempt of a
-    Buchberger run or of the saturation passes, so a rerun adds one."""
+    packs the Apery presentation in, in order: one per `buchberger` call or
+    chain of saturation passes, and one more per rerun in a wider packing."""
     tops = []
     packing_class = grobner._Packing
 
@@ -337,14 +340,14 @@ class TestPackedKernel:
                 gens, order).elements, order
             assert packings[0] == 4 * d, order
 
-    def test_narrow_packing_signals_overflow(self):
+    def test_narrow_packing_reruns_at_the_overflowing_degree(self, runs):
         # the S-pairs of TWISTED have degree 3: a packing of top 2 holds the
-        # generators but not the pairs, and the packed core signals overflow
-        # at the first one instead of returning a basis
-        with pytest.raises(grobner._Overflow) as raised:
-            _packed_run(grobner._Packing(4, 2), TWISTED)
-        assert raised.value.args == (3,)
-        assert not isinstance(raised.value, McurveError)
+        # generators but not the pairs, so the packed core reruns itself at
+        # the first one, in a packing of top 4 * 3, and returns the tuple
+        # kernel's basis from there
+        expected = tuple_kernel.buchberger(TWISTED, TermOrder(4)).elements
+        assert _packed_run(grobner._Packing(4, 2), TWISTED) == (expected, 12)
+        assert runs == [2, 12]
 
     def test_overflow_reruns_once_in_a_wider_packing(self, packings):
         # WIDE overflows its first packing (top 27) and is run again, from
@@ -553,9 +556,9 @@ class TestToricIdeal:
 
         def counting(packing, gens, target=None):
             runs.append(packing)
-            pairs, ideal = run(packing, gens, target)
+            packing, pairs, ideal = run(packing, gens, target)
             stopped.append(ideal is not None)
-            return pairs, ideal
+            return packing, pairs, ideal
 
         monkeypatch.setattr(grobner, "_Packing", packing)
         monkeypatch.setattr(semigroup, "_Packing", packing)
@@ -585,7 +588,7 @@ class TestToricIdeal:
             # the last Apery layer, and here D + 1 is the largest degree of a
             # generator, so the top is the one the kernel would pick
             top = max(apery(seq.m)[0].values()) + 1
-            assert max(g.degree for g in presentation(seq).binomials) == top, m
+            assert max(g.degree for g in binomials(presentation(seq))) == top, m
             made.clear()
             runs.clear()
             stopped.clear()
@@ -596,13 +599,23 @@ class TestToricIdeal:
             assert stopped == [True], m
 
     @pytest.mark.parametrize("m", [(5, 26, 27), (4, 23, 24)], ids=lambda m: ",".join(map(str, m)))
-    def test_saturation_chain_reruns_once(self, m, packings, runs):
+    def test_saturation_chain_reruns_once(self, m, packings, monkeypatch):
         # the x_4 pass of the first packing meets an S-pair above its top;
-        # the whole pass chain runs again, from the lattice basis, in a
-        # wider packing, and gives the basis of the tuple loop
+        # that pass alone runs again, on its own generators repacked in a
+        # wider packing, the passes before it are not repeated, and the
+        # chain gives the basis of the tuple loop
+        calls, run = [], grobner._buchberger  # (top, unpacked generators) of each run
+
+        def recording(packing, gens, target=None):
+            calls.append((packing.top, [tuple(map(packing.unpack, g)) for g in gens]))
+            return run(packing, gens, target)
+
+        monkeypatch.setattr(grobner, "_buchberger", recording)
         seq = CurveSequence(m)
         assert toric_ideal(seq) == _toric_ideal_by_tuples(seq)
-        assert len(packings) == 2 and runs == [packings[0]] * 3 + [packings[1]] * 3, runs
+        runs = [top for top, _ in calls]
+        assert len(packings) == 2 and runs == [packings[0]] * 3 + [packings[1]], runs
+        assert calls[2][1] == calls[3][1]
 
     def test_witness_run_reruns_once(self, packings, runs):
         # 14,29,39 under its first y-dominant order: one rerun, and the

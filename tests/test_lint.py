@@ -44,6 +44,20 @@ def test_semigroup_imports_no_groebner_or_monomial_ideal_code():
     assert not names & {"grobner", "monideal"}, sorted(imported)
 
 
+def test_grobner_has_no_try_and_defines_no_exception():
+    # the kernel decides its field width alone: a run that outgrows its
+    # packing reruns itself wider, so no exception carries that decision to
+    # a caller that catches it
+    from mcurve import grobner
+    path = PACKAGE / "grobner.py"
+    found = [f"try at line {node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+             if type(node).__name__ in ("Try", "TryStar")]
+    found += [name for name, obj in vars(grobner).items()
+              if isinstance(obj, type) and issubclass(obj, BaseException)
+              and obj.__module__ == grobner.__name__]
+    assert not found, found
+
+
 def test_import_loads_no_pool_parser_or_dataclasses(run_python):
     # start-up is most of a one-curve command: the process pool (only
     # sweep --jobs N > 1 needs it) and argparse load when a command runs, and

@@ -13,7 +13,7 @@ from mcurve.monideal import MonomialIdeal, hs_numerator
 from mcurve.poly import Binomial, TermOrder, bidegree
 from mcurve.semigroup import apery, presentation
 from mcurve.seq import CurveSequence, parse_sequence
-from presentations import full_presentation
+from presentations import binomials, full_presentation
 
 GOLDENS = ["10,13,16,19,22", "4,5,6,7,8", "7,30,39,48,57,66", "5,26,32,38", "2,35,46,57,68"]
 # n >= 5 curves whose presentation leads fall short of in(I(C)): the run makes pairs
@@ -91,22 +91,23 @@ def _layer_sizes(m, top):
 
 class TestPresentation:
     def test_coprime_parts_deduplicated(self):
-        gens = presentation(CurveSequence((25, 54, 58))).binomials
+        gens = binomials(presentation(CurveSequence((25, 54, 58))))
         assert len(gens) == 17
         assert buchberger(gens, TermOrder(4)) == toric_ideal(CurveSequence((25, 54, 58)))
 
     @pytest.mark.parametrize("text", GOLDENS)
     def test_coprime_members(self, text):
         seq = parse_sequence(text)
-        gens = presentation(seq).binomials
+        gens = binomials(presentation(seq))
         assert len(set(gens)) == len(gens)
         for g in gens:
             assert bidegree(seq, g.lead) == bidegree(seq, g.trail)
             assert g.lead != g.trail and not any(map(min, g.lead, g.trail))
 
     def test_common_factor_gives_the_same_presentation(self):
-        assert presentation(CurveSequence((20, 26, 32, 38, 44))) == presentation(
+        p, q = presentation(CurveSequence((20, 26, 32, 38, 44))), presentation(
             CurveSequence((10, 13, 16, 19, 22)))
+        assert (p.packing.args, p.pairs, p.numerator) == (q.packing.args, q.pairs, q.numerator)
 
     def test_pruned_presentation_is_a_subset_with_the_same_basis(self):
         # the (B) candidates that `presentation` skips are implied by lower
@@ -118,7 +119,7 @@ class TestPresentation:
                 for mn in range(c[-1] + 1, top + 1):
                     seq = CurveSequence(c + (mn,))
                     if math.gcd(*seq.m) == 1:
-                        kept, full = presentation(seq).binomials, full_presentation(seq)
+                        kept, full = binomials(presentation(seq)), full_presentation(seq)
                         assert set(kept) <= set(full), seq
                         order = TermOrder(n + 1)
                         assert buchberger(kept, order) == buchberger(full, order), seq
@@ -154,11 +155,15 @@ def _stopped(gb):
     return "initial" in vars(gb)
 
 
-def _certified_run(seq, gens):
+def _certified_run(seq, gens, top=None):
     """The Apery route's run on `gens`, certified against the curve's
-    Hilbert series."""
-    return grobner._run(gens, TermOrder(seq.n + 1),
-                        grobner._curve_k_polynomial(presentation(seq).numerator, seq.n + 1))
+    Hilbert series, from a packing of top `top` (by default n + 1 times the
+    largest degree of `gens`, as `buchberger` picks)."""
+    nv = seq.n + 1
+    packing = grobner._Packing(nv, top or nv * grobner._degree(gens))
+    pack = packing.pack
+    return grobner._run(packing, [(pack(g.lead), pack(g.trail)) for g in gens], TermOrder(nv),
+                        grobner._curve_k_polynomial(presentation(seq).numerator, nv))
 
 
 class TestAperyRoute:
@@ -175,7 +180,7 @@ class TestAperyRoute:
         # the stopped run, the full run on the same generators and the
         # saturation route give one basis
         gb = toric_ideal(seq)
-        full = buchberger(presentation(seq).binomials, TermOrder(seq.n + 1))
+        full = buchberger(binomials(presentation(seq)), TermOrder(seq.n + 1))
         assert gb == full == grobner._saturated(seq)
         assert initial_ideal(gb) == MonomialIdeal.from_gens(seq.n + 1, (g.lead for g in gb.elements))
 
@@ -197,6 +202,25 @@ class TestAperyRoute:
         assert not _stopped(gb)
         assert gb == grobner._saturated(seq)
 
+    @pytest.mark.parametrize("text", FALLBACKS)
+    def test_fallback_rerun_keeps_the_basis(self, text, monkeypatch):
+        # a first packing of top the largest generator degree holds the
+        # presentation but not its S-pairs: the run reruns wider on its own
+        # generators, with no certificate, and gives the route's basis
+        seq = parse_sequence(text)
+        gens = binomials(presentation(seq))
+        tops, run = [], grobner._buchberger
+
+        def recording(packing, gens, target=None):
+            tops.append(packing.top)
+            return run(packing, gens, target)
+
+        monkeypatch.setattr(grobner, "_buchberger", recording)
+        gb = _certified_run(seq, gens, grobner._degree(gens))
+        assert len(tops) >= 2 and tops[0] == grobner._degree(gens)
+        assert not _stopped(gb)
+        assert gb == toric_ideal(seq)
+
     @given(seq=long_curves())
     @settings(max_examples=30, deadline=None)
     @example(seq=CurveSequence((10, 13, 16, 19, 22)))
@@ -206,7 +230,7 @@ class TestAperyRoute:
         # pairs or still gives the basis of I(C): the check never accepts
         # leads of a proper subideal
         truth = grobner._saturated(seq)
-        gens = presentation(seq).binomials
+        gens = binomials(presentation(seq))
         for i in range(len(gens)):
             gb = _certified_run(seq, gens[:i] + gens[i + 1:])
             assert not _stopped(gb) or gb == truth, (seq, gens[i])
@@ -215,7 +239,7 @@ class TestAperyRoute:
         # the degree-2 binomials of 10,13,16,19,22 are minimal generators of
         # I(C): without one of them the leads fall short
         seq = parse_sequence("10,13,16,19,22")
-        gens = presentation(seq).binomials
+        gens = binomials(presentation(seq))
         quadrics = [i for i, g in enumerate(gens) if g.degree == 2]
         assert quadrics
         for i in quadrics:
