@@ -10,7 +10,8 @@ reads its families from ``sweeps.FAMILIES``; each of --max-mn, --h, --count
 and --seed sets one field of the chosen family's config (SWEEP_FLAGS), and a
 flag whose field that config lacks is a usage error.
 
-Exit codes: 0 success, 1 verification failure, 2 usage, input or other error.
+Exit codes: 0 success, 1 verification failure, 2 usage, input or other error
+(a closed output too: a reader that stops early gets exit 2 and no message).
 
 argparse and the process pool load only when a command needs them (a parsed
 command line; sweep --jobs N > 1): a one-curve command spends longer starting
@@ -30,6 +31,7 @@ from . import sweeps
 from .errors import McurveError, SequenceError
 from .grobner import buchberger, reduce_basis, render_gb
 from .koszul import koszul_status
+from .monideal import hf_quotient
 from .poly import TermOrder, format_binomial, parse_order
 from .seq import CurveSequence, classify, closed_profile, parse_sequence
 
@@ -195,7 +197,7 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
     seq = parse_sequence(args.sequence)
     curve = sweeps.Curve(seq, closed_profile(seq))
     rows = [(s, curve.hilbert.hf_at(s) if curve.hilbert else None, counted)
-            for s, counted in enumerate(curve.hf(args.max_degree + 1))]
+            for s, counted in enumerate(hf_quotient(curve.ini, args.max_degree + 1))]
     mismatch = any(f is not None and f != c for _, f, c in rows)
     if args.json:
         payload = {
@@ -340,6 +342,14 @@ def main(argv: list[str] | None = None) -> int:
     except Mismatch as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader closed the output (`mcurve sweep | head -1`), and stderr
+        # may go to the same pipe: write nothing more, and send stdout to
+        # devnull so that the flush at exit does not fail as well
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     except (McurveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,8 +9,8 @@ Apery walk gives the Hilbert series of K[C], and the run stops once the
 leads of its reduced generators have it (Traverso, Hilbert functions and
 the Buchberger algorithm, JSC 1996): then they already generate in(I(C)),
 and no S-pair is made.  Otherwise, where that run loses to few saturation
-passes or the Apery set (at least m_n elements) outgrows them: the integer
-kernel of the 2 x (n+1) bidegree matrix (unimodular column reduction, so the
+passes or the Apery set (at least m_n elements) outgrows them: a basis of
+the kernel lattice from one extended-Euclid chain over m_1, ..., m_n (so the
 lattice is saturated), a short basis from integral LLL (integer Gram
 determinants, no rationals, updated in place on a swap), then a pairwise L1
 size reduction of that basis (`_degree_reduced`: LLL shortens the Euclidean
@@ -35,6 +35,7 @@ returns the packing its basis is in.
 from __future__ import annotations
 
 import heapq
+import math
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -335,52 +336,6 @@ def reduce_basis(gens: Iterable[Binomial], order: TermOrder) -> tuple[Binomial, 
     return _unpack(packing, _interreduce(packing, _keyed(packing, pairs, order)))
 
 
-# -- integer kernel of the bidegree matrix ---------------------------------------
-
-def _integer_kernel(rows: list[list[int]]) -> list[list[int]]:
-    """Basis of the saturated kernel {v : rows . v = 0} via unimodular column ops."""
-    ncols = len(rows[0])
-    A = [list(r) for r in rows]
-    U = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def col_addmul(dst: int, src: int, q: int) -> None:
-        for r in A:
-            r[dst] -= q * r[src]
-        for r in U:
-            r[dst] -= q * r[src]
-
-    def col_swap(i: int, j: int) -> None:
-        for r in A:
-            r[i], r[j] = r[j], r[i]
-        for r in U:
-            r[i], r[j] = r[j], r[i]
-
-    rank = 0
-    for row in range(len(A)):
-        # euclidean elimination across columns rank..ncols-1 on this row
-        while True:
-            nz = [j for j in range(rank, ncols) if A[row][j] != 0]
-            if not nz:
-                break
-            piv = min(nz, key=lambda j: abs(A[row][j]))
-            col_swap(rank, piv)
-            done = True
-            for j in range(rank + 1, ncols):
-                if A[row][j] != 0:
-                    q = A[row][j] // A[row][rank]
-                    col_addmul(j, rank, q)
-                    if A[row][j] != 0:
-                        done = False
-            if done:
-                rank += 1
-                break
-    kernel = [[U[i][j] for i in range(ncols)] for j in range(rank, ncols)]
-    for v in kernel:
-        if any(sum(r[i] * v[i] for i in range(ncols)) != 0 for r in rows):
-            raise InvariantViolation(f"kernel vector {v} not in the kernel")
-    return kernel
-
-
 def _lll(basis: list[list[int]]) -> list[list[int]]:
     """LLL with delta = 99/100 in integers (Cohen, A Course in Computational
     Algebraic Number Theory, Alg. 2.6.7): the Gram determinants d[i] of
@@ -431,17 +386,36 @@ def _lll(basis: list[list[int]]) -> list[list[int]]:
 
 
 def lattice_basis(seq: CurveSequence) -> list[tuple[int, ...]]:
-    """Short basis of ker{v in Z^{n+1} : sum v_i a_i = (0, 0)} for the
-    bidegree columns a_i; rank is n - 1 and the lattice is saturated."""
-    n = seq.n
-    rows = [
-        [seq.m[i] for i in range(n)] + [0],
-        [seq.mn - seq.m[i] for i in range(n)] + [seq.mn],
-    ]
-    kernel = _integer_kernel(rows)
-    if len(kernel) != n - 1:
-        raise InvariantViolation(f"kernel rank {len(kernel)} != n-1 for ({seq})")
-    return [tuple(v) for v in _lll(kernel)]
+    """Short basis of the kernel lattice L = {v in Z^{n+1} : sum v_i a_i =
+    (0, 0)} of the bidegree columns a_i = (m_i, m_n - m_i), a_{n+1} =
+    (0, m_n): `_lll` of the classical basis of one integer row.
+
+    v is in L iff sum_{i <= n} v_i m_i = 0 and v_{n+1} = -(v_1 + ... + v_n),
+    so a basis of the kernel of the row (m_1, ..., m_n), each vector with
+    that last entry appended, is one of L.  The chain: g = m_1 and c = e_1,
+    with c . m = g; for k = 2..n, h = gcd(g, m_k) gives the kernel vector
+    (m_k / h) c - (g / h) e_k, then c = s c + t e_k and g = h for
+    s g + t m_k = h.  A kernel vector on x_1..x_k has its k-th entry
+    divisible by g / h, so a multiple of the k-th vector takes it onto
+    x_1..x_{k-1}: the n - 1 vectors span the kernel, and L is saturated.
+    Once the running gcd is 1, s = 1 and t = 0, so the entries stay small."""
+    m = seq.m
+    g, c = m[0], [1] + [0] * (seq.n - 1)
+    kernel = []
+    for k in range(1, seq.n):
+        h = math.gcd(g, m[k])
+        v = [m[k] // h * x for x in c]
+        v[k] = -(g // h)
+        kernel.append(v + [-sum(v)])
+        s = pow(g // h, -1, m[k] // h)
+        c = [s * x for x in c]
+        c[k] = (h - s * g) // m[k]
+        g = h
+    basis = [tuple(v) for v in _lll(kernel)]
+    for v in basis:
+        if sum([x * y for x, y in zip(v, m)]) or sum(v):
+            raise InvariantViolation(f"lattice vector {v} not in the kernel for ({seq})")
+    return basis
 
 
 def _best_multiple(u: list[int], v: list[int]) -> int:
@@ -613,8 +587,8 @@ def _saturated(seq: CurveSequence) -> GroebnerBasis:
     Every pass runs the packed kernel `_buchberger` on ints of one
     `_Packing` (a wider one after a rerun, below), and monomials are tuples
     only in the lattice basis and the result.  The lattice binomials are
-    homogeneous: row 2 of the bidegree matrix is m_n (1, ..., 1) minus row
-    1, so every v in L has sum 0; this is checked once, here.  A pass
+    homogeneous: every v in L has sum 0 (`lattice_basis` checks it of each
+    vector), and `_degree` checks it once more of the binomials.  A pass
     outputs nothing of higher degree than its generators and S-pairs, so
     each pass's generators fit the packing the previous pass returned.  An
     S-pair above its top reruns that pass alone, in a wider packing that

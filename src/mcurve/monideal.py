@@ -337,21 +337,20 @@ def _k_value(packing: _Packing, gens: list[int], b: int) -> int:
     return _k_value(packing, plus, b) + (_k_value(packing, colon, b) << b * e)
 
 
-def hf_quotient(ideal: MonomialIdeal, s: int) -> int:
-    """Hilbert function of R/I at degree s: sum_k K_k C(s - k + n - 1, n - 1)
-    for the K-polynomial K of R/I in n variables."""
-    if s < 0:
-        return 0
-    k, n = ideal.k_polynomial, ideal.nvars
-    if n == 0:
-        return k[s] if s < len(k) else 0
-    return sum(c * math.comb(s - j + n - 1, n - 1) for j, c in enumerate(k[:s + 1]))
+def hf_quotient(ideal: MonomialIdeal, top: int) -> list[int]:
+    """Hilbert function of R/I at the degrees 0..top-1: the first `top`
+    coefficients of K(t) / (1 - t)^n for the K-polynomial K of R/I in n
+    variables, n prefix sums of K padded to `top`."""
+    values = (list(ideal.k_polynomial) + [0] * top)[:top]
+    for _ in range(ideal.nvars):
+        values = list(itertools.accumulate(values))
+    return values
 
 
 def fitted_polynomial(ideal: MonomialIdeal, reg: int) -> tuple[int, int]:
     """(slope, constant) of the line through the Hilbert function of R/I at
     reg + 2 and reg + 3, beyond the regularity `reg`."""
-    a, b = hf_quotient(ideal, reg + 2), hf_quotient(ideal, reg + 3)
+    a, b = hf_quotient(ideal, reg + 4)[-2:]
     return b - a, b - (b - a) * (reg + 3)
 
 

@@ -62,6 +62,7 @@ from .monideal import (
     cm_type_oracle,
     cm_via_initial,
     fitted_polynomial,
+    hf_quotient,
     hs_general_split,
     hs_numerator,
     is_nested_type,
@@ -119,16 +120,6 @@ class Curve:
     def hs(self) -> tuple[int, ...]:
         """The Hilbert-series numerator of in(I(C))."""
         return hs_numerator(self.ini)
-
-    def hf(self, top: int) -> list[int]:
-        """The Hilbert function of R/in(I(C)) at the degrees 0..top-1, counted:
-        the first `top` coefficients of K(t) / (1 - t)^n for the K-polynomial
-        K in n variables, n prefix sums of K padded to `top` (the values of
-        monideal.hf_quotient, in one pass)."""
-        values = (list(self.ini.k_polynomial) + [0] * top)[:top]
-        for _ in range(self.ini.nvars):
-            values = list(itertools.accumulate(values))
-        return values
 
 
 class Claim(NamedTuple):
@@ -191,7 +182,8 @@ def _closed_checks(c: Curve, reg: int) -> dict[str, bool]:
     family with both sides, as closed == oracle."""
     return {
         "gb_equals_oracle": set(reduce_basis(c.closed_gb, c.gb.order)) == c.gb.element_set(),
-        "hf_counts": all(c.hilbert.hf_at(s) == v for s, v in enumerate(c.hf(reg + 4))),
+        "hf_counts": all(c.hilbert.hf_at(s) == v
+                         for s, v in enumerate(hf_quotient(c.ini, reg + 4))),
         **{claim.name: claim.closed(c) == claim.oracle(c)
            for claim in CLAIMS[type(c.profile)] if claim.closed and claim.oracle},
     }
@@ -376,7 +368,7 @@ def check_random_instance(seq: CurveSequence) -> dict[str, bool]:
         "deterministic": deterministic,
         "nested_type": is_nested_type(ini),
         "decomposition_membership": dec_ok,
-        "hf_convolution": all(v == convolved(s) for s, v in enumerate(curve.hf(reg + 4))),
+        "hf_convolution": all(v == convolved(s) for s, v in enumerate(hf_quotient(ini, reg + 4))),
         "split_combination": _trim(_polyadd(list(main), [0] + [-c for c in corr])) == num,
         "witness_implies_not_cm": (witness is None) or (not cm),
         "cm_implies_zero_correction": (not cm) or corr == (),

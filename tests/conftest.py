@@ -18,16 +18,20 @@ settings.load_profile("ci")
 
 
 @pytest.fixture
-def run_python():
+def child_env():
+    """The environment of a child process that imports this mcurve."""
+    src = str(Path(mcurve.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+@pytest.fixture
+def run_python(child_env):
     """Run `python *args` in a child process that imports this mcurve, under a
     timeout: a test of a former hang then fails on a regression instead of
     hanging."""
-    src = str(Path(mcurve.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-
     def run(*args: str) -> subprocess.CompletedProcess:
         return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                              env=env, timeout=60)
+                              env=child_env, timeout=60)
 
     return run

@@ -55,8 +55,9 @@ def test_golden_arithmetic_10_13_16_19_22():
     assert cm_type_arithmetic(prof) == 1 == cm_type_oracle(s, ini)
     assert is_gorenstein(prof)
     assert hilbert_arithmetic(prof).hs_numerator == (1, 4, 4, 4, 4, 4, 1)
+    values = hf_quotient(ini, 10)
     for t in range(5, 10):
-        assert hf_quotient(ini, t) == 22 * t - 44
+        assert values[t] == 22 * t - 44
 
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"took {elapsed:.2f}s, budget 5s"
@@ -74,9 +75,10 @@ def test_golden_arithmetic_4_5_6_7_8():
     assert reg_arithmetic(prof) == 2 == reg_nested_type(ini)
     assert cm_type_arithmetic(prof) == 3 == cm_type_oracle(s, ini)
     assert hil.hs_numerator == (1, 4, 3)
-    assert hf_quotient(ini, 0) == 1
+    values = hf_quotient(ini, 6)
+    assert values[0] == 1
     for t in range(1, 6):
-        assert hf_quotient(ini, t) == 8 * t - 2 == hil.hf_at(t)
+        assert values[t] == 8 * t - 2 == hil.hf_at(t)
     assert hil.hf_reg == 1
 
     elapsed = time.perf_counter() - started
@@ -264,8 +266,8 @@ def test_property_no_monomial_in_toric(seq):
     # sumset of {0, m_1, ..., m_n}, counted without any Groebner basis
     ini = initial_ideal(gb)
     sums = {0}
-    for s in range(9):
-        assert hf_quotient(ini, s) == len(sums), (seq, s)
+    for s, value in enumerate(hf_quotient(ini, 9)):
+        assert value == len(sums), (seq, s)
         sums = {x + a for x in sums for a in (0,) + seq.m}
 
 

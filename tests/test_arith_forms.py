@@ -131,8 +131,8 @@ class TestHilbert:
             prof = arithmetic_profile(s)
             hil = hilbert_arithmetic(prof)
             reg = reg_arithmetic(prof)
-            for t in range(reg + 4):
-                assert hil.hf_at(t) == hf_quotient(ini, t)
+            for t, value in enumerate(hf_quotient(ini, reg + 4)):
+                assert hil.hf_at(t) == value
 
     def test_numerator_degree_is_regularity(self):
         # Cohen-Macaulay: regularity equals the h-polynomial degree

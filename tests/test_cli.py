@@ -5,6 +5,7 @@ import functools
 import json
 import multiprocessing
 import os
+import subprocess
 import sys
 
 import pytest
@@ -477,6 +478,19 @@ class TestExitCodes:
         assert main(["sweep", "--family", "n3", "--max-mn", "5", "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ") and str(out) in captured.err
+
+    def test_closed_output_exits_2(self, child_env):
+        # `mcurve sweep 2>&1 | head -1`: once the reader is gone, nothing more
+        # is written, not even to stderr in the same pipe, and the exit code is
+        # not 1 (a mismatch).  The sweep writes about 90 KB, more than a pipe
+        # holds, so it is still writing when the read end closes.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mcurve.cli", "sweep", "--family", "n3", "--max-mn", "20"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=child_env)
+        first = json.loads(proc.stdout.readline())
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 2
+        assert first["ok"]
 
     def test_cap_degree_flag_is_a_usage_error(self, capsys):
         # no degree bound is set: the retired flag is refused, not ignored

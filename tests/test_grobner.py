@@ -2,6 +2,7 @@
 
 import heapq
 import itertools
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -475,6 +476,14 @@ def integer_bases(draw):
     return draw(st.lists(vector, min_size=size, max_size=size).filter(_independent))
 
 
+@st.composite
+def curve_sequences(draw):
+    """n = 2..6 and m_n <= 40, with a common factor g > 1 in about half the draws."""
+    g = draw(st.sampled_from([1, 1, 2, 3]))
+    m = draw(st.lists(st.integers(1, 40 // g), min_size=2, max_size=6, unique=True))
+    return CurveSequence(tuple(sorted(g * x for x in m)))
+
+
 class TestLatticeBasis:
     def test_rank_and_kernel(self):
         for m in [(1, 2), (3, 5, 7), (10, 13, 16, 19, 22), (2, 35, 46, 57, 68)] + LADDER:
@@ -489,12 +498,12 @@ class TestLatticeBasis:
 
     def test_ladder_pinned(self):
         expected = [
-            [(0, -2, 1, 1), (-500, 167, -83, 416)],
-            [(0, 1, -2, 1, 0, 0), (-1, -1, -1, -1, 1, 3), (3, -2, -2, 0, 1, 0), (-1, -3, 1, 4, -1, 0)],
-            [(1, 0, -1, -1, 1, 0, 0), (1, -2, 1, 0, 0, 0, 0), (-1, 0, -1, 1, 1, -1, 1),
-             (-1, 1, 1, -2, 1, 0, 0), (1, 2, 0, 2, 1, -3, -3)],
-            [(1, -1, -1, 1, 0, 0, 0, 0), (0, 0, 0, 1, -2, 1, 0, 0), (2, 0, 0, -1, -1, 0, 1, -1),
-             (0, -1, 0, 1, 0, 2, -2, 0), (-1, 1, -1, -1, 0, 2, -1, 1), (1, -2, 0, -1, -1, 1, 1, 1)],
+            [(0, 2, -1, -1), (500, -167, 83, -416)],
+            [(0, -1, 2, -1, 0, 0), (1, 1, 1, 1, -1, -3), (-3, 2, 2, 0, -1, 0), (1, 3, -1, -4, 1, 0)],
+            [(-1, 0, 1, 1, -1, 0, 0), (-1, 2, -1, 0, 0, 0, 0), (-1, 0, -1, 1, 1, -1, 1),
+             (-1, 1, 1, -2, 1, 0, 0), (2, 0, 1, 2, 1, -3, -3)],
+            [(-1, 1, 1, -1, 0, 0, 0, 0), (0, 0, 0, -1, 2, -1, 0, 0), (-2, 0, 0, 1, 1, 0, -1, 1),
+             (-1, 0, 1, 0, 0, 2, -2, 0), (0, 0, 2, 0, 0, -2, 1, -1), (0, 1, -1, 2, 1, -1, -1, -1)],
         ]
         assert [lattice_basis(CurveSequence(m)) for m in LADDER] == expected
 
@@ -507,8 +516,28 @@ class TestLatticeBasis:
     @settings(max_examples=200)
     def test_same_as_fraction_lll_on_kernels(self, m):
         seq = CurveSequence(tuple(sorted(m)))
-        kernel = grobner._integer_kernel([list(seq.m) + [0], [seq.mn - x for x in seq.m] + [seq.mn]])
-        assert lattice_basis(seq) == [tuple(v) for v in _lll_fraction(kernel)]
+        with mock.patch.object(grobner, "_lll", wraps=grobner._lll) as lll:
+            basis = lattice_basis(seq)
+        (chain,), _ = lll.call_args  # the extended-Euclid kernel basis
+        assert basis == [tuple(v) for v in _lll_fraction(chain)]
+
+    @given(seq=curve_sequences())
+    @settings(max_examples=200)
+    @example(seq=CurveSequence((6, 10, 15)))  # gcd 1, no two entries coprime
+    @example(seq=CurveSequence((4, 6, 9, 12)))
+    def test_covolume_of_the_saturated_kernel(self, seq):
+        # Cauchy-Binet: det(A A^T) is the sum of the squared 2 x 2 minors of
+        # the bidegree matrix A, and their gcd d is the index of A's row
+        # lattice in its saturation, whose covolume the kernel shares
+        columns = [(x, seq.mn - x) for x in seq.m] + [(0, seq.mn)]
+        minors = [a * d - b * c for (a, b), (c, d) in itertools.combinations(columns, 2)]
+        d = math.gcd(*minors)
+        assert _gram_determinant(lattice_basis(seq)) == sum(x * x for x in minors) // (d * d)
+
+    @given(seq=curve_sequences())
+    @settings(max_examples=100)
+    def test_gcd_free(self, seq):
+        assert lattice_basis(seq) == lattice_basis(seq.with_gcd_one())
 
     def test_dependent_basis_raises(self):
         with pytest.raises(InvariantViolation, match="dependent"):
@@ -723,14 +752,6 @@ def _toric_ideal_every_variable(seq):
     return reduce_basis(current, TermOrder(nv))
 
 
-@st.composite
-def curve_sequences(draw):
-    """n = 2..6 and m_n <= 40, with a common factor g > 1 in about half the draws."""
-    g = draw(st.sampled_from([1, 1, 2, 3]))
-    m = draw(st.lists(st.integers(1, 40 // g), min_size=2, max_size=6, unique=True))
-    return CurveSequence(tuple(sorted(g * x for x in m)))
-
-
 class TestSaturation:
     """Saturating x_2 .. x_{n+1} gives the basis of saturating every variable."""
 
@@ -780,7 +801,7 @@ class TestDegreeReduced:
 
     def test_pinned(self):
         assert grobner._degree_reduced(lattice_basis(CurveSequence((1, 500, 1000)))) == [
-            (0, -2, 1, 1), (-500, 1, 0, 499)]
+            (0, 2, -1, -1), (500, -1, 0, -499)]
         gb = toric_ideal(CurveSequence((1, 2000, 4000)))
         assert gb.elements == tuple(_binomials(4, "x2^2 - x3*x4", "x1^2000 - x2*x4^1999"))
 
