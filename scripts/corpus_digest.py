@@ -5,15 +5,15 @@ Usage: PYTHONPATH=src python3 scripts/corpus_digest.py
 
 The curves are built here, in the named BUCKETS.  `line(m)` is one curve's
 public answers: the verified report (`build_report(seq, verify=True)` as
-sorted JSON); the elements of `toric_ideal`; `is_generated_by_quadrics` and
-`quadratic_gb_witness` of that basis; of its initial ideal the irreducible
-decomposition, `reg_nested_type`, `hs_numerator`, `hs_general_split`,
-`cm_type_oracle` (Cohen-Macaulay curves only) and `last_step_check` at that
-regularity; and `koszul_status`.  An exception is an answer too, by its type
-and message.  No internal step (the lattice basis, the route `toric_ideal`
-takes, the presentation's generator set, the width of the kernel's packed
-fields and any rerun in wider ones) is hashed, so changing one keeps every
-hash while the answers stay.
+sorted JSON); the elements of `toric_ideal`; `is_generated_by_quadrics`,
+`quadratic_gb_witness` and `cm_type_oracle` (Cohen-Macaulay curves only) of
+that basis; of its initial ideal the irreducible decomposition,
+`reg_nested_type`, `hs_numerator`, `hs_general_split` and `last_step_check`
+at that regularity; and `koszul_status`.  An exception is an answer too, by
+its type and message.  No internal step (the lattice basis, the route
+`toric_ideal` takes, the presentation's generator set, the width of the
+kernel's packed fields and any rerun in wider ones) is hashed, so changing
+one keeps every hash while the answers stay.
 
 It prints one `sha256  count  bucket` line per bucket, the scale bucket's
 line after the CPU seconds of `toric_ideal` on each of its curves (the
@@ -82,6 +82,14 @@ BUCKETS = {
     # seeded gcd-1 draws: n = 3..6 with m_n <= 40, and n = 7, 8 with m_n in 200..300
     "random": seeded(31, 300, range(3, 7), 6, 40),
     "scale": seeded(16, 8, range(7, 9), 200, 300),
+    # Cohen-Macaulay curves with large staircases (m_n standard monomials),
+    # and the first four CM curves of seeded(37, 400, range(n, n + 1), 1000, 5000)
+    # for n = 3 and n = 4
+    "hard_cm": [(1, 2000, 4000), (1, 100, 200, 300, 100000), (1, 2, 3, 4, 1000),
+                (1, 2, 3, 4, 5, 512),
+                (3102, 3468, 4789), (1183, 1480, 3226), (664, 721, 1096), (559, 580, 1172),
+                (3059, 3419, 3449, 3725), (1551, 1734, 1819, 2154), (534, 1398, 1437, 3661),
+                (132, 201, 306, 1120)],
 }
 
 EXPECTED = {
@@ -93,6 +101,7 @@ EXPECTED = {
     "generalized": "4f0a028be794e15861a0d8c815c66ee970dfd64b3e266eced028976ff264f9f8",
     "random": "3fcbea8935b7897ac29ac05d365a0831a3a4d3148f5fde24bb012c8f514e146f",
     "scale": "cb43252b98bb7901308e8429dc1eb0fb48bb810763c9bd5f3ac3558ff2826258",
+    "hard_cm": "af438964f2ba43bf1b330363763c1bd67cb53385c2f564a8ffc9b1e2b064e3de",
 }
 
 
@@ -116,7 +125,7 @@ def line(m: tuple[int, ...]) -> str:
                   answer(quadratic_gb_witness, gb), answer(lambda: ini.decomposition),
                   answer(reg_nested_type, ini), answer(hs_numerator, ini),
                   answer(hs_general_split, ini),
-                  answer(cm_type_oracle, seq, ini) if cm_via_initial(ini) else "not CM",
+                  answer(cm_type_oracle, seq, gb) if cm_via_initial(ini) else "not CM",
                   answer(lambda: last_step_check(ini, reg_nested_type(ini)))]
     parts.append(answer(koszul_status, seq))
     return f"{','.join(map(str, m))} | " + " | ".join(parts) + "\n"

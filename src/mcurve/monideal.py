@@ -4,8 +4,9 @@ Irreducible decomposition by adding one generator at a time, nested-type
 regularity, the K-polynomial (Hilbert function and series of the quotient:
 Bigatti's pivot recursion, closed by Taylor's inclusion-exclusion once at
 most four generators are mixed), Cohen-Macaulay detection on initial
-ideals, the Cohen-Macaulay type as the count of maximal bidegrees (each
-bidegree one int key), and the last-step F-set regularity check.
+ideals, the Cohen-Macaulay type from the corners of the staircase (one
+normal form modulo the toric basis per corner and variable), and the
+last-step F-set regularity check.
 
 Minimalization, the K-polynomial and the decomposition run on the Buchberger
 kernel's packed ints (`poly._Packing`, one field per variable with a guard
@@ -16,11 +17,13 @@ irreducible component is one int of that packing, with an absent variable
 at top, above every exponent.  Only the results are unpacked, so `gens`, the
 components' `powers` and the K-polynomial are tuples.
 
-The last three checks read the standard monomials of the artinian reduction
-in(I(C)) + <x_n, x_{n+1}>, found by one staircase walk per ideal and cached
-on it.  The walk stays on tuples: its output is in grid order.  Every finite
-monomial set here comes from that walk: the last-step F-set and the
-Hilbert-series jump term are each the difference of two walks.
+Two checks, the Hilbert-series split and the last-step check, read the
+standard monomials of the artinian reduction in(I(C)) + <x_n, x_{n+1}>,
+found by one staircase walk per ideal and cached on it; the CM type reads
+only the corners of that staircase, from the decomposition.  The walk stays
+on tuples: its output is in grid order.  Every finite monomial set here
+comes from that walk: the last-step F-set and the Hilbert-series jump term
+are each the difference of two walks.
 """
 
 from __future__ import annotations
@@ -29,12 +32,14 @@ import itertools
 import math
 from collections import Counter
 from functools import cached_property
-from operator import mul
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import InvariantViolation, NonTerminating, NotCohenMacaulay, NotNestedType
 from .poly import Monomial, _Packing, mono_divides
 from .seq import CurveSequence
+
+if TYPE_CHECKING:  # an annotation only: grobner imports this module
+    from .grobner import GroebnerBasis
 
 _GRID_CAP = 5_000_000  # hard cap on the grid of every checked staircase walk
 
@@ -458,27 +463,74 @@ def cm_via_initial(ideal: MonomialIdeal) -> bool:
     return all(g[-2] == 0 and g[-1] == 0 for g in ideal.gens)
 
 
-def cm_type_oracle(seq: CurveSequence, ideal: MonomialIdeal) -> int:
-    """Cohen-Macaulay type as the count of maximal bidegrees.
+def cm_type_oracle(seq: CurveSequence, gb: GroebnerBasis) -> int:
+    """Cohen-Macaulay type of the curve, from its reduced degrevlex basis
+    `gb` of I(C) (`grobner.toric_ideal`): the number of corners u of the
+    staircase of in(I(C)) = `gb.initial` such that, for every i <= n-1, the
+    normal form of u x_i modulo `gb` involves x_n or x_{n+1}.
 
-    E is the set of bidegrees of standard monomials modulo
-    in(I(C)) + <x_n, x_{n+1}>; the type is #{e in E : e + a_i not in E for
-    all i <= n-1}, where a_i = (m_i, m_n - m_i).
+    Why.  Let C be Cohen-Macaulay: no minimal generator of in(I(C)) holds x_n
+    or x_{n+1}, so it is generated by an ideal J on x_1..x_{n-1}, and x_n,
+    x_{n+1} are a regular sequence on K[C].  A = K[C]/(x_n, x_{n+1}) has the
+    basis t^s, s in the Apery set Ap of the curve's semigroup with respect to
+    (m_n, 0) and (0, m_n); x_i sends t^s to t^(s + a_i), a_i = (m_i, m_n - m_i),
+    when s + a_i is in Ap and to 0 otherwise.  So the socle of A is spanned by
+    the t^s with s maximal in Ap (no s + a_i in Ap), and their number is the
+    type (Cavaliere-Niesi, Manuscripta Math. 1983).  The standard monomials
+    on x_1..x_{n-1} are those of J; each is the one standard monomial of its
+    fibre (the monomials of its bidegree), and x_n or x_{n+1} times a
+    standard monomial is standard, so they map one to one onto Ap: their
+    image is the set E of the bidegrees b(u).  If u x_i is standard,
+    b(u) + a_i = b(u x_i) lies in E; so a maximal u has every u x_i in J: it
+    is a corner, u = x^(e - 1) for a component <x_1^e_1, ..., x_{n-1}^e_{n-1}>
+    of J, one corner per irreducible component (Miller-Sturmfels,
+    Combinatorial Commutative Algebra, ch. 5).  A corner u is maximal iff no
+    b(u) + a_i lies in E, iff the normal form of u x_i, the standard monomial
+    of its fibre, lies off x_1..x_{n-1} for every i.  The leads are free of
+    x_n and x_{n+1}, so a reduction step never lowers their exponents: the
+    normal form involves them iff some step reaches them, and the reduction
+    stops there.
 
-    Such a monomial u, on x_1..x_{n-1}, has bidegree (s, m_n deg u - s) with
-    s = sum m_i u_i, so (s, deg u) determines it.  The count keys u by the
-    int s + B deg u = sum (m_i + B) u_i, where B = m_n (D + 2) + 1 and D is
-    the largest degree of such a u.  Every s met, those of e + a_i included,
-    is below m_n (D + 1) < B, so two keys are equal iff the bidegrees are,
-    and a step a_i adds m_i + B to the key.
+    The components are the cached decomposition (`MonomialIdeal.decomposition`,
+    which `reg_nested_type` reads too).  J is artinian iff every component
+    holds a power of each of x_1..x_{n-1}; a component that misses one (or
+    the zero ideal) raises NonTerminating, as the staircase walk does, and is
+    never read as a corner.  The basis is packed once into the reducers of
+    `grobner._interreduce`, (G - lead, trail - lead), in the ideal's own
+    packing (`MonomialIdeal._packed`): its top is above the largest degree D
+    of the leads, so above every exponent of a component, and every
+    monomial met has degree deg u + 1 <= (n - 1)(D - 1) + 1, within the
+    nvars top that a field holds without carrying.  That is at most n - 1
+    normal forms per component.
     """
+    ideal = gb.initial
     if not cm_via_initial(ideal):
         raise NotCohenMacaulay(f"({seq}) initial ideal has a generator in x_n or x_{{n+1}}")
-    standard = ideal.artinian_standard
-    base = seq.mn * (max(map(sum, standard), default=0) + 2) + 1
-    steps = [m + base for m in seq.m[:-1]]
-    keys = {sum(map(mul, steps, u)) for u in standard}
-    return sum(1 for key in keys if all(key + a not in keys for a in steps))
+    k = ideal.nvars - 2
+    if ideal.is_zero or any(len(c.powers) != k for c in ideal.decomposition.components):
+        raise NonTerminating("quotient is not artinian: some variable has no pure power")
+    corners = [[e - 1 for _, e in c.powers] + [0, 0] for c in ideal.decomposition.components]
+    packing = ideal._packed[0]
+    pack, guards, field = packing.pack, packing.guards, packing.field
+    off = (field << packing.shifts[k]) | (field << packing.last)  # the fields of x_n, x_{n+1}
+    reducers = [(guards - lead, pack(g.trail) - lead)
+                for g in gb.elements for lead in [pack(g.lead)]]
+    count = 0
+    for u in map(pack, corners):
+        for s in packing.shifts[:k]:
+            m = u + (1 << s)
+            while not m & off:
+                for neg, step in reducers:
+                    if (m + neg) & guards == guards:
+                        m += step
+                        break
+                else:
+                    break  # a normal form on x_1..x_{n-1}: u is not maximal
+            if not m & off:
+                break
+        else:
+            count += 1
+    return count
 
 
 # -- last-step regularity witness ------------------------------------------------

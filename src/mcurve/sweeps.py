@@ -109,7 +109,7 @@ class Curve:
     @cached_property
     def cm_type(self) -> int:
         """The CM type, counted (NotCohenMacaulay when the curve is not CM)."""
-        return cm_type_oracle(self.seq, self.ini)
+        return cm_type_oracle(self.seq, self.gb)
 
     @cached_property
     def reg(self) -> int:

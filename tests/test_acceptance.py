@@ -52,7 +52,7 @@ def test_golden_arithmetic_10_13_16_19_22():
     gb = toric_ideal(s)
     ini = initial_ideal(gb)
     assert reg_arithmetic(prof) == 6 == reg_nested_type(ini)
-    assert cm_type_arithmetic(prof) == 1 == cm_type_oracle(s, ini)
+    assert cm_type_arithmetic(prof) == 1 == cm_type_oracle(s, gb)
     assert is_gorenstein(prof)
     assert hilbert_arithmetic(prof).hs_numerator == (1, 4, 4, 4, 4, 4, 1)
     values = hf_quotient(ini, 10)
@@ -73,7 +73,7 @@ def test_golden_arithmetic_4_5_6_7_8():
     hil = hilbert_arithmetic(prof)
 
     assert reg_arithmetic(prof) == 2 == reg_nested_type(ini)
-    assert cm_type_arithmetic(prof) == 3 == cm_type_oracle(s, ini)
+    assert cm_type_arithmetic(prof) == 3 == cm_type_oracle(s, gb)
     assert hil.hs_numerator == (1, 4, 3)
     values = hf_quotient(ini, 6)
     assert values[0] == 1

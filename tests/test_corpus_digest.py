@@ -11,6 +11,7 @@ import pytest
 
 from mcurve import grobner, sweeps
 from presentations import every_candidate
+import tuple_monideal
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "corpus_digest.py"
 _spec = importlib.util.spec_from_file_location("corpus_digest", SCRIPT)
@@ -23,7 +24,8 @@ SMALL = ("report", "n3")
 def test_bucket_sizes():
     sizes = {name: len(set(curves)) for name, curves in corpus.BUCKETS.items()}
     assert sizes == {"report": 11, "n3": 196, "n4": 205, "n5": 786, "arithmetic": 370,
-                     "generalized": 1620, "random": 300, "scale": 8}
+                     "generalized": 1620, "random": 300, "scale": 8,
+                     "hard_cm": 12}
     assert set(corpus.EXPECTED) == set(corpus.BUCKETS)
 
 
@@ -39,15 +41,25 @@ def _flipped_lattice_basis(seq):
     return [tuple(-x for x in v) for v in reversed(_LATTICE_BASIS(seq))]
 
 
-@pytest.mark.parametrize("name, value", [
-    ("lattice_basis", _flipped_lattice_basis),  # the same lattice, another basis
+def _staircase_cm_type(seq, gb):
+    """The CM type from every standard monomial's bidegree, not the corners."""
+    return tuple_monideal.cm_type(seq, gb.initial)
+
+
+@pytest.mark.parametrize("modules, name, value", [
+    # the same lattice, another basis
+    pytest.param((grobner,), "lattice_basis", _flipped_lattice_basis,
+                 id="lattice_basis-_flipped_lattice_basis"),
     # every bound 0: every curve on the saturation route
-    pytest.param("APERY_MAX_MN", {5: 0}, id="APERY_MAX_MN-0"),
+    pytest.param((grobner,), "APERY_MAX_MN", {5: 0}, id="APERY_MAX_MN-0"),
     # the Apery presentation with every (B) candidate kept
-    pytest.param("presentation", every_candidate, id="presentation-every-candidate"),
+    pytest.param((grobner,), "presentation", every_candidate, id="presentation-every-candidate"),
+    # the CM type from the whole staircase, in the reports and in the script's own lines
+    pytest.param((sweeps, corpus), "cm_type_oracle", _staircase_cm_type, id="cm_type-staircase"),
 ])
-def test_internal_step_keeps_the_hashes(monkeypatch, name, value):
-    monkeypatch.setattr(grobner, name, value)
+def test_internal_step_keeps_the_hashes(monkeypatch, modules, name, value):
+    for module in modules:
+        monkeypatch.setattr(module, name, value)
     for bucket in SMALL:
         assert corpus.digest(corpus.BUCKETS[bucket]) == corpus.EXPECTED[bucket], bucket
 

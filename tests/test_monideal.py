@@ -6,12 +6,12 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mcurve import monideal, sweeps
 from mcurve.errors import InvariantViolation, NonTerminating, NotCohenMacaulay, NotNestedType
-from mcurve.grobner import initial_ideal, toric_ideal
+from mcurve.grobner import GroebnerBasis, initial_ideal, toric_ideal
 from mcurve.monideal import (
     IrreducibleComponent,
     IrreducibleDecomposition,
@@ -26,7 +26,7 @@ from mcurve.monideal import (
     last_step_check,
     reg_nested_type,
 )
-from mcurve.poly import mono_divides
+from mcurve.poly import Binomial, TermOrder, mono_divides
 from mcurve.seq import CurveSequence, parse_sequence
 from mcurve.sweeps import GeneralizedSweep, generalized_instances
 import tuple_monideal
@@ -471,52 +471,121 @@ class TestCohenMacaulay:
         assert cm_via_initial(MonomialIdeal.from_gens(4, []))
 
     def test_cm_type_goldens(self):
-        assert cm_type_oracle(GOLDEN, initial_ideal(toric_ideal(GOLDEN))) == 1
+        assert cm_type_oracle(GOLDEN, toric_ideal(GOLDEN)) == 1
         s = parse_sequence("4,5,6,7,8")
-        assert cm_type_oracle(s, initial_ideal(toric_ideal(s))) == 3
+        assert cm_type_oracle(s, toric_ideal(s)) == 3
         s = parse_sequence("3,5,7")
-        assert cm_type_oracle(s, initial_ideal(toric_ideal(s))) == 2
+        assert cm_type_oracle(s, toric_ideal(s)) == 2
 
     def test_cm_type_rejects_non_cm(self):
         with pytest.raises(NotCohenMacaulay):
-            cm_type_oracle(GOLDEN_GEN, initial_ideal(toric_ideal(GOLDEN_GEN)))
+            cm_type_oracle(GOLDEN_GEN, toric_ideal(GOLDEN_GEN))
+
+    def test_cm_type_rejects_a_hand_made_non_cm_basis(self):
+        # the lead x1*x3 holds x_n = x3 of the curve ring K[x1..x4]
+        gb = GroebnerBasis(TermOrder(4), (Binomial((1, 0, 1, 0), (0, 2, 0, 0)),))
+        with pytest.raises(NotCohenMacaulay):
+            cm_type_oracle(GOLDEN, gb)
+
+    @pytest.mark.parametrize("leads", [
+        [],  # the zero ideal: no component at all
+        [(2, 0, 0, 0, 0), (1, 1, 0, 0, 0)],  # <x1> /\ <x1^2, x2>: both miss x2 or x3
+        # <x1, x2, x3^2> /\ <x2, x3>: the first has a corner, the second misses x1
+        [(1, 0, 1, 0, 0), (0, 1, 0, 0, 0), (0, 0, 2, 0, 0)],
+    ])
+    def test_cm_type_rejects_a_hand_made_non_artinian_reduction(self, leads):
+        # trails on x_n, x_{n+1} only: the normal forms would all leave x_1..x_{n-1}
+        nvars = 5
+        gb = GroebnerBasis(TermOrder(nvars), tuple(
+            Binomial(lead, (0,) * (nvars - 1) + (sum(lead),)) for lead in leads))
+        with pytest.raises(NonTerminating,
+                           match="^quotient is not artinian: some variable has no pure power$"):
+            cm_type_oracle(GOLDEN, gb)
 
 
 def _random_cm_curves(count, seed=13):
     """`count` distinct seeded gcd-1 curves, n = 3..6 and m_n <= 40, whose
-    initial ideal is Cohen-Macaulay."""
+    initial ideal is Cohen-Macaulay, with their toric bases."""
     rng, found = random.Random(seed), {}
     while len(found) < count:
         n, mn = rng.randint(3, 6), rng.randint(7, 40)
         seq = CurveSequence(tuple(sorted(rng.sample(range(1, mn), n - 1))) + (mn,))
         if math.gcd(*seq.m) == 1 and seq not in found:
-            ini = initial_ideal(toric_ideal(seq))
-            if cm_via_initial(ini):
-                found[seq] = ini
+            gb = toric_ideal(seq)
+            if cm_via_initial(gb.initial):
+                found[seq] = gb
     return found.items()
 
 
+@st.composite
+def _cm_prone_curves(draw):
+    """gcd-1 curves with n = 3..7 and m_n <= 300 whose other terms lie within
+    3n of 0 or of m_n, where most curves are Cohen-Macaulay (uniform draws
+    with n >= 4 rarely are)."""
+    n = draw(st.integers(3, 7))
+    mn = draw(st.integers(3 * n + 1, 300))
+    low = draw(st.sampled_from([1, mn - 3 * n]))
+    rest = draw(st.lists(st.integers(low, low + 3 * n - 1), min_size=n - 1, max_size=n - 1,
+                         unique=True))
+    m = tuple(sorted(rest)) + (mn,)
+    assume(math.gcd(*m) == 1)
+    return CurveSequence(m)
+
+
 class TestCmTypeReference:
-    """cm_type_oracle keys each bidegree by one int; tuple_monideal.cm_type
-    counts the bidegree pairs."""
+    """cm_type_oracle counts the staircase's corners with a normal form
+    each; tuple_monideal.cm_type counts the maximal bidegrees of every
+    standard monomial, as pairs."""
 
     def test_every_cm_arithmetic_curve(self):
         count = 0
         for seq in sweeps.arithmetic_instances(sweeps.ArithmeticSweep(max_mn=30)):
-            ini = initial_ideal(toric_ideal(seq))
-            if cm_via_initial(ini):
-                assert cm_type_oracle(seq, ini) == tuple_monideal.cm_type(seq, ini), seq
+            gb = toric_ideal(seq)
+            if cm_via_initial(gb.initial):
+                assert cm_type_oracle(seq, gb) == tuple_monideal.cm_type(seq, gb.initial), seq
                 count += 1
         assert count == 370  # every arithmetic curve of the sweep is CM
 
     def test_1_500_1000(self):
         seq = parse_sequence("1,500,1000")
-        ini = initial_ideal(toric_ideal(seq))
-        assert cm_type_oracle(seq, ini) == tuple_monideal.cm_type(seq, ini) == 1
+        gb = toric_ideal(seq)
+        assert cm_type_oracle(seq, gb) == tuple_monideal.cm_type(seq, gb.initial) == 1
+
+    @pytest.mark.parametrize("text, cm_type", [
+        ("1,2000,4000", 1),
+        ("1,2,3,4,1000", 3),
+        ("1,2,3,4,5,512", 1),
+        ("1,100,200,300,100000", 3),  # 100,000 standard monomials, 3 corners
+    ])
+    def test_hard_curves(self, text, cm_type):
+        seq = parse_sequence(text)
+        gb = toric_ideal(seq)
+        assert cm_type_oracle(seq, gb) == tuple_monideal.cm_type(seq, gb.initial) == cm_type
 
     def test_seeded_random_cm_curves(self):
-        for seq, ini in _random_cm_curves(60):
-            assert cm_type_oracle(seq, ini) == tuple_monideal.cm_type(seq, ini), seq
+        for seq, gb in _random_cm_curves(60):
+            assert cm_type_oracle(seq, gb) == tuple_monideal.cm_type(seq, gb.initial), seq
+
+    @given(seq=_cm_prone_curves())
+    @example(seq=CurveSequence((1, 2, 3, 4, 5, 6, 300)))
+    @example(seq=CurveSequence((291, 293, 294, 297, 299, 300)))
+    @settings(max_examples=150)
+    def test_cm_curves_up_to_300(self, seq):
+        gb = toric_ideal(seq)
+        assume(cm_via_initial(gb.initial))
+        assert cm_type_oracle(seq, gb) == tuple_monideal.cm_type(seq, gb.initial), seq
+
+    def test_no_staircase_walk(self, monkeypatch):
+        def walk(*args):
+            raise AssertionError("cm_type_oracle walked the staircase")
+
+        monkeypatch.setattr(monideal, "_standard_monomials", walk)
+        monkeypatch.setattr(monideal, "_staircase", walk)
+        for text, cm_type in [("10,13,16,19,22", 1), ("4,5,6,7,8", 3), ("1,2,3,4,1000", 3)]:
+            seq = parse_sequence(text)
+            gb = toric_ideal(seq)
+            assert cm_type_oracle(seq, gb) == cm_type
+            assert "artinian_standard" not in vars(gb.initial)
 
 
 class TestLastStep:
@@ -660,8 +729,6 @@ class TestArtinianWalk:
     def test_grid_cap_of_an_initial_ideal(self, monkeypatch):
         ini = initial_ideal(toric_ideal(GOLDEN))
         monkeypatch.setattr(monideal, "_GRID_CAP", 4)
-        with pytest.raises(NonTerminating, match="^standard-monomial grid exceeds 4$"):
-            cm_type_oracle(GOLDEN, ini)
         with pytest.raises(NonTerminating, match="^standard-monomial grid exceeds 4$"):
             last_step_check(ini, 6)
 

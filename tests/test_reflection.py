@@ -38,9 +38,10 @@ def graded_invariants(m):
     """(cm, cm type or None, regularity, Hilbert-series numerator), read off
     the initial ideal of the curve's toric basis."""
     seq = CurveSequence(m)
-    ini = initial_ideal(toric_ideal(seq))
+    gb = toric_ideal(seq)
+    ini = initial_ideal(gb)
     cm = cm_via_initial(ini)
-    return cm, cm_type_oracle(seq, ini) if cm else None, reg_nested_type(ini), hs_numerator(ini)
+    return cm, cm_type_oracle(seq, gb) if cm else None, reg_nested_type(ini), hs_numerator(ini)
 
 
 class TestReflection:

@@ -7,8 +7,9 @@ and the same one-generator-at-a-time decomposition.  The K-polynomial here
 takes the package's pivot but recurses down to pairwise coprime generators,
 where the package stops at a node with few mixed generators and sums over
 their subsets, so it checks that leaf too.  `cm_type` counts the maximal
-bidegrees as pairs, where the package keys each bidegree by one int.  The
-tests compare the two, so they must stay references only.
+bidegrees of every standard monomial as pairs, where the package reduces
+only the staircase's corners times each variable modulo the toric basis.
+The tests compare the two, so they must stay references only.
 """
 
 import itertools
