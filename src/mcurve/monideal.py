@@ -17,20 +17,19 @@ irreducible component is one int of that packing, with an absent variable
 at top, above every exponent.  Only the results are unpacked, so `gens`, the
 components' `powers` and the K-polynomial are tuples.
 
-Two checks, the Hilbert-series split and the last-step check, read the
-standard monomials of the artinian reduction in(I(C)) + <x_n, x_{n+1}>,
-found by one staircase walk per ideal and cached on it; the CM type reads
-only the corners of that staircase, from the decomposition.  The walk stays
-on tuples: its output is in grid order.  Every finite monomial set here
-comes from that walk: the last-step F-set and the Hilbert-series jump term
-are each the difference of two walks.
+Every Hilbert series here comes from a K-polynomial, and no monomial set is
+listed.  The two checks that count finite sets of standard monomials by
+degree, the Hilbert-series split and the last-step check, divide
+K-polynomials of artinian ideals by (1-t)^nvars (`_artinian_series`); the
+jump term of the split and the F-set of the last step lie between two nested
+staircases, so each is the difference of two such series.  The CM type reads
+only the corners of the staircase of in(I(C)) + <x_n, x_{n+1}>, from the
+decomposition.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from collections import Counter
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -40,9 +39,6 @@ from .seq import CurveSequence
 
 if TYPE_CHECKING:  # an annotation only: grobner imports this module
     from .grobner import GroebnerBasis
-
-_GRID_CAP = 5_000_000  # hard cap on the grid of every checked staircase walk
-
 
 def _pack(nvars: int, gens: tuple[Monomial, ...]) -> tuple[_Packing, list[int]]:
     """The generators as ints of a packing whose top is above every degree,
@@ -107,14 +103,6 @@ class MonomialIdeal(NamedTuple("MonomialIdeal",
     def decomposition(self) -> "IrreducibleDecomposition":
         """Irredundant irreducible decomposition, computed once per ideal."""
         return irreducible_decomposition(self)
-
-    @cached_property
-    def artinian_standard(self) -> tuple[Monomial, ...]:
-        """Standard monomials modulo self + <x_n, x_{n+1}> (the last two
-        variables) on x_1..x_{n-1}, walked once per ideal."""
-        n = self.nvars - 2  # generators free of x_n, x_{n+1} stay minimal on x_1..x_{n-1}
-        return tuple(_standard_monomials(
-            tuple(g[:n] for g in self.gens if g[n] == 0 and g[n + 1] == 0), n))
 
     def restrict(self, start: int) -> "MonomialIdeal":
         """Intersection with the subring on variables x_{start+1}, ...: the
@@ -257,19 +245,20 @@ def _k_polynomial(packing: _Packing, gens: list[int]) -> tuple[int, ...]:
     """Coefficients of the K-polynomial of R/<gens>, for N minimal generators
     packed in `packing`.  Taylor's resolution writes it as the sum over the
     subsets S of the generators of (-1)^|S| t^deg lcm(S), so no coefficient
-    reaches 2^N in size.  `_k_value` gives its value at t = 2^b, b = N + 2,
-    and the coefficients are the signed base-2^b digits of that int."""
-    b = len(gens) + 2
+    reaches 2^N in size.  `_k_value` gives its value at t = 2^b, the
+    multiple b of 8 at or above N + 2, and the coefficients are the signed
+    base-2^b digits of that int.  Adding 2^(b-1) to every digit makes each
+    one nonnegative and below 2^b, so the digits are the b/8-byte slices of
+    the biased int's bytes, read in one pass: peeling them off one at a time
+    would shift the whole int once per digit."""
+    b = 8 * -(-(len(gens) + 2) // 8)
     value = _k_value(packing, gens, b)
-    half, digit = 1 << (b - 1), (1 << b) - 1
-    coeffs = []
-    while value:
-        c = value & digit
-        if c >= half:
-            c -= digit + 1
-        coeffs.append(c)
-        value = (value - c) >> b
-    return tuple(coeffs)
+    width, half = b // 8, 1 << (b - 1)
+    count = value.bit_length() // b + 1  # no nonzero digit at this index or above
+    biased = value + int.from_bytes(half.to_bytes(width, "little") * count, "little")
+    raw = biased.to_bytes(width * count, "little")
+    return _trim([int.from_bytes(raw[i:i + width], "little") - half
+                  for i in range(0, len(raw), width)])
 
 
 # A node with at most this many mixed generators is a leaf of `_k_value`.  On
@@ -359,67 +348,41 @@ def fitted_polynomial(ideal: MonomialIdeal, reg: int) -> tuple[int, int]:
     return b - a, b - (b - a) * (reg + 3)
 
 
+def _divided(num: Iterable[int], k: int, message: str) -> tuple[int, ...]:
+    """num(t) / (1-t)^k, trimmed, for an integer polynomial num with no
+    trailing zero; NonTerminating(message) when the division is not exact.
+    Dividing by 1 - t takes prefix sums, exact iff the coefficients sum to
+    zero, and the last prefix sum is then that zero."""
+    num = list(num)
+    for _ in range(k):
+        if sum(num) != 0:
+            raise NonTerminating(message)
+        num = list(itertools.accumulate(num))[:-1]
+    return _trim(num)
+
+
 def hs_numerator(ideal: MonomialIdeal) -> tuple[int, ...]:
     """Numerator of the Hilbert series of R/I over (1-t)^2: K(t) / (1-t)^(n-2).
 
     K(t) = (1-t)^(n - dim) Q(t) with Q(1) > 0, so the division is exact iff
-    dim R/I <= 2; otherwise NonTerminating.  Dividing by 1 - t takes prefix
-    sums, exact iff the coefficients sum to zero."""
-    num = list(ideal.k_polynomial)
-    for _ in range(ideal.nvars - 2):
-        if sum(num) != 0:
-            raise NonTerminating("K-polynomial not divisible by (1-t)^(n-2): quotient dimension > 2")
-        num = list(itertools.accumulate(num))[:-1]
+    dim R/I <= 2; otherwise NonTerminating."""
+    num = list(_divided(ideal.k_polynomial, ideal.nvars - 2,
+                        "K-polynomial not divisible by (1-t)^(n-2): quotient dimension > 2"))
     for _ in range(2 - ideal.nvars):
         num = _polymul(num, [1, -1])
     return _trim(num)
 
 
-def _standard_monomials(gens: tuple[Monomial, ...], nvars: int) -> list[Monomial]:
-    """All standard monomials of an artinian monomial ideal, in the order of
-    the grid itertools.product(range(b_1), ..., range(b_nvars)) that the
-    variables' least pure powers x_i^{b_i} bound.  The unit ideal (a zero
-    generator) has none: R/<1> = 0."""
-    if not all(map(any, gens)):
-        return []
-    bounds = [min((g[i] for g in gens if g[i] == sum(g) > 0), default=None)
-              for i in range(nvars)]
-    if None in bounds:
-        raise NonTerminating("quotient is not artinian: some variable has no pure power")
-    if math.prod(bounds) > _GRID_CAP:
-        raise NonTerminating(f"standard-monomial grid exceeds {_GRID_CAP}")
-    return _staircase(gens, nvars)
-
-
-def _staircase(gens: Iterable[Monomial], nvars: int) -> list[Monomial]:
-    """The standard monomials of <gens> with x_1 exponent e are x_1^e times
-    those of the generators with g_1 <= e, restricted to x_2..x_nvars.  That
-    set of generators grows only at the g_1 values, so each distinct set is
-    walked once.  A pure power of x_1 among them ends the walk, and one is
-    reached: the ideal must be artinian (or the unit ideal)."""
-    if not nvars:
-        return [] if gens else [()]
-    out: list[Monomial] = []
-    kept: list[Monomial] = []
-    todo = sorted(gens)  # by g_1 first
-    e = i = 0
-    while True:
-        while i < len(todo) and todo[i][0] <= e:
-            rest = todo[i][1:]
-            if not any(rest):
-                return out
-            kept.append(rest)
-            i += 1
-        tails = _staircase(kept, nvars - 1)
-        for e in range(e, todo[i][0]):
-            out += [(e,) + t for t in tails]
-        e += 1
-
-
-def _degree_counts(monos: Iterable[Monomial]) -> tuple[int, ...]:
-    """Coefficients of the sum of t^deg(m) over the given monomials."""
-    counts = Counter(sum(m) for m in monos)
-    return tuple(counts[d] for d in range(max(counts, default=-1) + 1))
+def _artinian_series(nvars: int, gens: Iterable[Monomial]) -> tuple[int, ...]:
+    """The number of standard monomials of <gens> in each degree, in nvars
+    variables: the Hilbert series K(t) / (1-t)^nvars of the quotient, K its
+    K-polynomial (Bigatti, J. Pure Appl. Algebra 1997; Miller-Sturmfels,
+    Combinatorial Commutative Algebra, ch. 2).  It is a polynomial, and the
+    division exact, iff the quotient is artinian (dim 0), that is iff each
+    variable has a pure power among the generators; otherwise
+    NonTerminating.  The unit ideal has no standard monomial: series ()."""
+    return _divided(MonomialIdeal.from_gens(nvars, gens).k_polynomial, nvars,
+                    "quotient is not artinian: some variable has no pure power")
 
 
 def hs_general_split(ideal: MonomialIdeal) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -430,29 +393,40 @@ def hs_general_split(ideal: MonomialIdeal) -> tuple[tuple[int, ...], tuple[int, 
     corr: degrees of monomials x^g with g_{n+1} = 0, x^g outside in(I(C))
     but x_n * x^g inside it (the non-Cohen-Macaulay jump term).
 
+    Both count finite monomial sets by degree, so both are read off
+    K-polynomials (`_artinian_series`).  The standard monomials of main are
+    those on x_1..x_{n-1} of the ideal J0 of the generators free of x_n and
+    x_{n+1}: main is the series of J0, NonTerminating when J0 is not
+    artinian.
+
     No generator holds x_{n+1}, so corr lives on x_1..x_n, modulo the ideal J
     of the generators there.  Let b be the largest x_n exponent among them.
     If x^g is in corr, some generator f divides x_n * x^g but not x^g, so
     f_n = g_n + 1 <= b.  Hence corr is the set of standard monomials of
     J + <x_n^b> that lie in J : x_n, that is, those of J + <x_n^b> minus those
     of (J : x_n) + <x_n^b>; J : x_n is generated by f / x_n for each generator
-    f with f_n >= 1 and by f for the others.  It is empty when b = 0 (the
-    Cohen-Macaulay case).  J holds the pure powers of x_1..x_{n-1} that the
-    artinian reduction needs, so both ideals are artinian, and the second,
-    being larger, walks a subset of the first's grid.
+    f with f_n >= 1 and by f for the others.  The second ideal contains the
+    first, so its standard monomials are a subset of the first's, and corr is
+    the difference of the two series.  J holds the pure powers of
+    x_1..x_{n-1} that J0 holds, so both ideals are artinian when J0 is.
+
+    When b = 0 (the Cohen-Macaulay case) corr is empty and J0 has all the
+    generators of in(I(C)).  A K-polynomial depends only on the generators,
+    so main is the K-polynomial of in(I(C)), cached on the ideal, over
+    (1-t)^(n-1).
     """
     n = ideal.nvars - 1
     if any(g[n] for g in ideal.gens):
         raise InvariantViolation("x_{n+1} in a minimal generator")
-
-    main = _degree_counts(ideal.artinian_standard)
     b = max((g[n - 1] for g in ideal.gens), default=0)
     if not b:
-        return main, ()
+        return _divided(ideal.k_polynomial, n - 1,
+                        "quotient is not artinian: some variable has no pure power"), ()
+    main = _artinian_series(n - 1, [g[:n - 1] for g in ideal.gens if not g[n - 1]])
     xn_b = (0,) * (n - 1) + (b,)
-    jump = _standard_monomials(tuple(g[:n] for g in ideal.gens) + (xn_b,), n)
-    colon = _staircase([g[:n - 1] + (max(g[n - 1] - 1, 0),) for g in ideal.gens] + [xn_b], n)
-    return main, _degree_counts(set(jump).difference(colon))
+    jump = _artinian_series(n, [g[:n] for g in ideal.gens] + [xn_b])
+    colon = _artinian_series(n, [g[:n - 1] + (max(g[n - 1] - 1, 0),) for g in ideal.gens] + [xn_b])
+    return main, _trim(_polyadd(list(jump), [-c for c in colon]))
 
 
 # -- Cohen-Macaulay detection and type ------------------------------------------
@@ -494,7 +468,7 @@ def cm_type_oracle(seq: CurveSequence, gb: GroebnerBasis) -> int:
     The components are the cached decomposition (`MonomialIdeal.decomposition`,
     which `reg_nested_type` reads too).  J is artinian iff every component
     holds a power of each of x_1..x_{n-1}; a component that misses one (or
-    the zero ideal) raises NonTerminating, as the staircase walk does, and is
+    the zero ideal) raises `_artinian_series`'s NonTerminating, and is
     never read as a corner.  The basis is packed once into the reducers of
     `grobner._interreduce`, (G - lead, trail - lead), in the ideal's own
     packing (`MonomialIdeal._packed`): its top is above the largest degree D
@@ -542,11 +516,15 @@ def last_step_check(ideal: MonomialIdeal, reg: int) -> bool:
                              x^g not in I|_{x_n=x_{n+1}=0}},
 
     which certifies that the regularity is attained at the last step of the
-    minimal graded free resolution.  The x_n = x_{n+1} = 1 ideal contains the
-    x_n = x_{n+1} = 0 one, so F is the difference of their standard monomials.
+    minimal graded free resolution (-1 when F is empty).  The x_n = x_{n+1} = 1
+    ideal contains the x_n = x_{n+1} = 0 one, so F is the set of standard
+    monomials of the second less those of the first, and the series of the
+    second less that of the first counts F by degree: the largest degree in F
+    is the index of its last nonzero coefficient.  The second must be
+    artinian (NonTerminating otherwise); the first, larger, then is too, or
+    is the unit ideal, with series ().
     """
     n = ideal.nvars - 1
-    ones = MonomialIdeal.from_gens(n - 1, [g[:n - 1] for g in ideal.gens])  # x_n = x_{n+1} = 1
-    # the walk's checks passed on the smaller ideal; `ones` may be the unit ideal
-    f_set = set(ideal.artinian_standard).difference(_staircase(ones.gens, n - 1))
-    return max(map(sum, f_set), default=-1) == reg
+    zeros = _artinian_series(n - 1, [g[:n - 1] for g in ideal.gens if not g[n - 1] and not g[n]])
+    ones = _artinian_series(n - 1, [g[:n - 1] for g in ideal.gens])
+    return len(_trim(_polyadd(list(zeros), [-c for c in ones]))) - 1 == reg

@@ -46,20 +46,31 @@ def _staircase_cm_type(seq, gb):
     return tuple_monideal.cm_type(seq, gb.initial)
 
 
-@pytest.mark.parametrize("modules, name, value", [
+def _scanned_last_step(ideal, reg):
+    """last_step_check from a scan of each standard monomial, not series."""
+    return tuple_monideal.last_step_by_scan(ideal) == reg
+
+
+@pytest.mark.parametrize("modules, replacements", [
     # the same lattice, another basis
-    pytest.param((grobner,), "lattice_basis", _flipped_lattice_basis,
+    pytest.param((grobner,), {"lattice_basis": _flipped_lattice_basis},
                  id="lattice_basis-_flipped_lattice_basis"),
     # every bound 0: every curve on the saturation route
-    pytest.param((grobner,), "APERY_MAX_MN", {5: 0}, id="APERY_MAX_MN-0"),
+    pytest.param((grobner,), {"APERY_MAX_MN": {5: 0}}, id="APERY_MAX_MN-0"),
     # the Apery presentation with every (B) candidate kept
-    pytest.param((grobner,), "presentation", every_candidate, id="presentation-every-candidate"),
+    pytest.param((grobner,), {"presentation": every_candidate}, id="presentation-every-candidate"),
     # the CM type from the whole staircase, in the reports and in the script's own lines
-    pytest.param((sweeps, corpus), "cm_type_oracle", _staircase_cm_type, id="cm_type-staircase"),
+    pytest.param((sweeps, corpus), {"cm_type_oracle": _staircase_cm_type}, id="cm_type-staircase"),
+    # the split and the last step from listed standard monomials, not from
+    # K-polynomials; an exception hashes by its message, so the messages stay too
+    pytest.param((sweeps, corpus), {"hs_general_split": tuple_monideal.hs_general_split,
+                                    "last_step_check": _scanned_last_step},
+                 id="split-last-step-listed"),
 ])
-def test_internal_step_keeps_the_hashes(monkeypatch, modules, name, value):
+def test_internal_step_keeps_the_hashes(monkeypatch, modules, replacements):
     for module in modules:
-        monkeypatch.setattr(module, name, value)
+        for name, value in replacements.items():
+            monkeypatch.setattr(module, name, value)
     for bucket in SMALL:
         assert corpus.digest(corpus.BUCKETS[bucket]) == corpus.EXPECTED[bucket], bucket
 

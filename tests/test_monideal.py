@@ -237,6 +237,7 @@ class TestPackedAgainstTuples:
     @given(ideal=_generator_lists())
     @_edge_examples
     @example(ideal=(0, [(), ()]))
+    @example(ideal=(2, [(100_001, 0), (1, 1), (0, 2)]))  # degree 100,002: the decode is linear
     @settings(max_examples=300)
     def test_k_polynomial(self, ideal):
         ideal = MonomialIdeal.from_gens(*ideal)
@@ -575,19 +576,6 @@ class TestCmTypeReference:
         assume(cm_via_initial(gb.initial))
         assert cm_type_oracle(seq, gb) == tuple_monideal.cm_type(seq, gb.initial), seq
 
-    def test_no_staircase_walk(self, monkeypatch):
-        def walk(*args):
-            raise AssertionError("cm_type_oracle walked the staircase")
-
-        monkeypatch.setattr(monideal, "_standard_monomials", walk)
-        monkeypatch.setattr(monideal, "_staircase", walk)
-        for text, cm_type in [("10,13,16,19,22", 1), ("4,5,6,7,8", 3), ("1,2,3,4,1000", 3)]:
-            seq = parse_sequence(text)
-            gb = toric_ideal(seq)
-            assert cm_type_oracle(seq, gb) == cm_type
-            assert "artinian_standard" not in vars(gb.initial)
-
-
 class TestLastStep:
     def test_golden_generalized(self):
         ini = initial_ideal(toric_ideal(GOLDEN_GEN))
@@ -603,63 +591,6 @@ class TestLastStep:
         ones = {g[:n - 1] for g in ini.gens}
         expected_max = prof.delta + prof.beta[prof.delta_prime - 1] - 2
         assert expected_max == 14
-
-
-def _standard_monomials_by_grid(gens, nvars):
-    """Reference for the staircase walk: the points of the grid that the least
-    pure powers x_i^{b_i} bound, in itertools.product order, that no
-    generator divides; none for the unit ideal; the walk's NonTerminating
-    checks, at the current _GRID_CAP."""
-    if any(not any(g) for g in gens):
-        return []
-    bounds = [min((g[i] for g in gens if g[i] == sum(g) > 0), default=None)
-              for i in range(nvars)]
-    if None in bounds:
-        raise NonTerminating("quotient is not artinian: some variable has no pure power")
-    if math.prod(bounds) > monideal._GRID_CAP:
-        raise NonTerminating(f"standard-monomial grid exceeds {monideal._GRID_CAP}")
-    return [m for m in itertools.product(*(range(b) for b in bounds))
-            if not any(mono_divides(g, m) for g in gens)]
-
-
-def _last_step_by_scan(ideal):
-    """Reference for last_step_check: the largest degree of a grid point
-    standard modulo the x_n = x_{n+1} = 0 ideal that a generator of the
-    x_n = x_{n+1} = 1 ideal divides (-1 if none does)."""
-    n = ideal.nvars - 1
-    zeros = tuple_monideal.minimalize(g[:n - 1] for g in ideal.gens if g[n - 1] == 0 and g[n] == 0)
-    ones = tuple_monideal.minimalize(g[:n - 1] for g in ideal.gens)
-    best = -1
-    for m in _standard_monomials_by_grid(zeros, n - 1):
-        if any(mono_divides(g, m) for g in ones):
-            best = max(best, sum(m))
-    return best
-
-
-def _jump_term_by_search(ideal):
-    """Reference for the jump term of hs_general_split: a search from each
-    x^g / x_n (g a generator with g_n >= 1) up through the monomials on
-    x_1..x_n outside the ideal.  Raising x_n lands on a multiple of g, so the
-    search is finite when the ideal holds a pure power of each of
-    x_1..x_{n-1}."""
-    n = ideal.nvars - 1
-    qualifying = set()
-    seen = set()
-    for g in ideal.gens:
-        if g[n - 1] == 0:
-            continue
-        stack = [tuple(e - 1 if i == n - 1 else e for i, e in enumerate(g))]
-        while stack:
-            m = stack.pop()
-            if m in seen:
-                continue
-            seen.add(m)
-            if ideal.contains(m):
-                continue
-            qualifying.add(m)
-            for i in range(n):  # never extend x_{n+1}
-                stack.append(tuple(e + 1 if j == i else e for j, e in enumerate(m)))
-    return monideal._degree_counts(qualifying)
 
 
 def _outcome(fn, *args):
@@ -699,38 +630,23 @@ NON_CM_B1 = MonomialIdeal.from_gens(5, [
 
 
 class TestArtinianWalk:
-    """The staircase walk gives the grid's standard monomials,
-    last_step_check the per-monomial scan's answer, and hs_general_split the
-    search's jump term."""
+    """The series of an artinian ideal counts the grid's standard monomials,
+    last_step_check gives the per-monomial scan's answer, and
+    hs_general_split the search's jump term."""
 
-    @given(ideal=_generator_sets(st.integers(0, 5)))
+    @given(ideal=_generator_sets(st.integers(1, 5), artinian=False))
     @example(ideal=(0, ()))
     @example(ideal=(0, ((),)))
     @example(ideal=(2, ((0, 0), (3, 0), (0, 2))))
+    @example(ideal=(3, ((1, 1, 0), (2, 0, 0))))
+    @example(ideal=(2, ((3, 0), (0, 4))))
     @settings(max_examples=200)
-    def test_walk_is_the_grid_in_order(self, ideal):
+    def test_same_nonterminating_as_the_grid(self, ideal):
         nvars, gens = ideal
-        walk = monideal._standard_monomials(gens, nvars)
-        assert walk == _standard_monomials_by_grid(gens, nvars)
-
-    @given(ideal=_generator_sets(st.integers(1, 5), artinian=False),
-           cap=st.sampled_from([None, 0, 1, 5, 30, 200]))
-    @example(ideal=(3, ((1, 1, 0), (2, 0, 0))), cap=None)
-    @example(ideal=(2, ((3, 0), (0, 4))), cap=11)
-    @settings(max_examples=200)
-    def test_same_nonterminating_as_the_grid(self, ideal, cap):
-        nvars, gens = ideal
-        with pytest.MonkeyPatch.context() as patch:
-            if cap is not None:
-                patch.setattr(monideal, "_GRID_CAP", cap)
-            assert _outcome(monideal._standard_monomials, gens, nvars) == _outcome(
-                _standard_monomials_by_grid, gens, nvars)
-
-    def test_grid_cap_of_an_initial_ideal(self, monkeypatch):
-        ini = initial_ideal(toric_ideal(GOLDEN))
-        monkeypatch.setattr(monideal, "_GRID_CAP", 4)
-        with pytest.raises(NonTerminating, match="^standard-monomial grid exceeds 4$"):
-            last_step_check(ini, 6)
+        grid = _outcome(tuple_monideal.standard_monomials, gens, nvars)
+        if not isinstance(grid, str):
+            grid = tuple_monideal.degree_counts(grid)
+        assert _outcome(monideal._artinian_series, nvars, gens) == grid
 
     @given(ideal=_generator_sets(st.integers(3, 6), free=2))
     @example(ideal=(3, ((0, 0, 0), (2, 0, 0))))  # the unit ideal: last_step_check(unit, -1)
@@ -738,7 +654,7 @@ class TestArtinianWalk:
     @settings(max_examples=200)
     def test_last_step_is_the_scan_on_random_ideals(self, ideal):
         ideal = MonomialIdeal.from_gens(*ideal)
-        best = _outcome(_last_step_by_scan, ideal)
+        best = _outcome(tuple_monideal.last_step_by_scan, ideal)
         if isinstance(best, str):
             assert _outcome(last_step_check, ideal, 0) == best
             return
@@ -749,7 +665,7 @@ class TestArtinianWalk:
         seqs = list(generalized_instances(GeneralizedSweep()))
         for seq in seqs:
             ini = initial_ideal(toric_ideal(seq))
-            best = _last_step_by_scan(ini)
+            best = tuple_monideal.last_step_by_scan(ini)
             assert [last_step_check(ini, r) for r in (best - 1, best, best + 1)] == [
                 False, True, False], seq
             assert best == reg_nested_type(ini), seq
@@ -762,33 +678,19 @@ class TestArtinianWalk:
     @example(ideal=MonomialIdeal.from_gens(4, [(0, 0, 0, 0)]))  # the unit ideal: no jump term
     @settings(max_examples=200)
     def test_jump_term_is_the_search(self, ideal):
-        assert hs_general_split(ideal)[1] == _jump_term_by_search(ideal)
+        assert hs_general_split(ideal)[1] == tuple_monideal.jump_term_by_search(ideal)
 
     def test_non_cm_b1_is_the_initial_ideal(self):
         assert initial_ideal(toric_ideal(CurveSequence((5, 26, 32, 38)))) == NON_CM_B1
 
-    def test_grid_cap_of_the_jump_term(self, monkeypatch):
-        # the artinian grid is 8*3*5*13 = 1560 and b = 9: the jump term walks 14,040
-        ini = initial_ideal(toric_ideal(parse_sequence("3,8,11,23,24")))
-        monkeypatch.setattr(monideal, "_GRID_CAP", 2000)
-        assert ini.artinian_standard
-        with pytest.raises(NonTerminating, match="^standard-monomial grid exceeds 2000$"):
-            hs_general_split(ini)
-
-    @pytest.mark.parametrize("check, m", [
-        (sweeps.check_arithmetic_instance, (10, 13, 16, 19, 22)),
-        (sweeps.check_generalized_instance, (7, 30, 39, 48, 57, 66)),
-        (sweeps.check_random_instance, (3, 5, 7, 11)),
-        (sweeps.check_random_instance, (5, 26, 32, 38)),  # not CM: the jump term walks too
-    ])
-    def test_sweep_checker_walks_each_ideal_once(self, monkeypatch, check, m):
-        calls = Counter()
-        walk = monideal._standard_monomials
-
-        def counted(gens, nvars):
-            calls[nvars, gens] += 1
-            return walk(gens, nvars)
-
-        monkeypatch.setattr(monideal, "_standard_monomials", counted)
-        assert all(check(CurveSequence(m)).values())
-        assert calls and set(calls.values()) == {1}
+    def test_large_staircase_without_a_toric_run(self):
+        # in(I(C)) of 1,2,3,4,1000000, built by hand: m_n = 10^6 standard
+        # monomials modulo <x5, x6>, a K-polynomial of degree 250,004
+        ini = MonomialIdeal.from_gens(6, [
+            (0, 0, 0, 250_000, 0, 0), (0, 0, 2, 0, 0, 0), (0, 1, 1, 0, 0, 0), (0, 2, 0, 0, 0, 0),
+            (1, 0, 1, 0, 0, 0), (1, 1, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0)])
+        main, corr = hs_general_split(ini)
+        assert (main, corr) == (hs_numerator(ini), ())
+        assert len(main) == 250_001 and main[:3] == (1, 4, 4) and main[-3:] == (4, 4, 3)
+        assert sum(main) == 1_000_000
+        assert last_step_check(ini, -1)
