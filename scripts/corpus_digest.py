@@ -35,7 +35,7 @@ import sys
 import time
 
 from mcurve.cli import build_report
-from mcurve.grobner import initial_ideal, is_generated_by_quadrics, toric_ideal
+from mcurve.grobner import is_generated_by_quadrics, toric_ideal
 from mcurve.koszul import koszul_status, quadratic_gb_witness
 from mcurve.monideal import (cm_type_oracle, cm_via_initial, hs_general_split, hs_numerator,
                              last_step_check, reg_nested_type)
@@ -120,7 +120,7 @@ def line(m: tuple[int, ...]) -> str:
     except Exception as exc:  # as in answer(); the answers read from the basis then have no input
         parts.append(f"{type(exc).__name__}: {exc}")
     else:
-        ini = initial_ideal(gb)
+        ini = gb.initial
         parts += [repr(gb.elements), answer(is_generated_by_quadrics, gb),
                   answer(quadratic_gb_witness, gb), answer(lambda: ini.decomposition),
                   answer(reg_nested_type, ini), answer(hs_numerator, ini),

@@ -29,11 +29,10 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import sweeps
 from .errors import McurveError, SequenceError
-from .grobner import buchberger, reduce_basis, render_gb
+from .grobner import buchberger, render_gb
 from .koszul import koszul_status
-from .monideal import hf_quotient
 from .poly import TermOrder, format_binomial, parse_order
-from .seq import CurveSequence, classify, closed_profile, parse_sequence
+from .seq import CurveSequence, classify, parse_sequence
 
 if TYPE_CHECKING:  # argparse loads in build_parser, when a command line is parsed
     import argparse
@@ -117,7 +116,7 @@ def build_report(seq: CurveSequence, verify: bool) -> InvariantReport:
     settled.  The oracle sides run, on one toric basis, when verifying or when
     no closed form applies, and the Koszul cascade reuses that basis."""
     cls = classify(seq)
-    curve = sweeps.Curve(seq, closed_profile(seq))
+    curve = sweeps.Curve(seq)
     oracle = verify or curve.profile is None
     values = dict.fromkeys(InvariantReport._fields)
     prov: dict[str, str] = {}
@@ -130,8 +129,7 @@ def build_report(seq: CurveSequence, verify: bool) -> InvariantReport:
             prov[claim.name] = ("closed_form" if found is None else
                                 "oracle" if closed is None else "both-agree")
             values[claim.name] = closed if closed is not None else found
-    if (verify and curve.profile is not None
-            and set(reduce_basis(curve.closed_gb, curve.gb.order)) != curve.gb.element_set()):
+    if verify and curve.profile and set(curve.closed_basis) != curve.gb.element_set():
         raise Mismatch(f"groebner basis: closed form != oracle for ({seq})")
 
     status = koszul_status(seq, curve.gb if oracle else None)
@@ -156,29 +154,26 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 def cmd_gb(args: argparse.Namespace) -> int:
     seq = parse_sequence(args.sequence)
-    curve = sweeps.Curve(seq, closed_profile(seq))
+    curve = sweeps.Curve(seq)
     order = parse_order(args.order, seq.n + 1)
 
     if args.diff or args.source == "closed":
         if order != TermOrder(seq.n + 1):
             raise ValueError("--order applies to the oracle basis only, not to --diff "
                              "or --source closed")
-        if curve.closed_gb is None:
+        closed = curve.closed_basis
+        if closed is None:
             print(f"no closed form applies to ({seq})", file=sys.stderr)
             return 2
-        closed = reduce_basis(curve.closed_gb, order)
 
     if args.diff:
-        oracle = curve.gb
-        only_closed = sorted(set(closed) - oracle.element_set(), key=str)
-        only_oracle = sorted(oracle.element_set() - set(closed), key=str)
-        for b in only_closed:
-            print(f"closed only: {format_binomial(b)}")
-        for b in only_oracle:
-            print(f"oracle only: {format_binomial(b)}")
-        if only_closed or only_oracle:
+        oracle, mine = curve.gb.element_set(), set(closed)
+        for side, only in (("closed", mine - oracle), ("oracle", oracle - mine)):
+            for g in sorted(only, key=str):
+                print(f"{side} only: {format_binomial(g)}")
+        if mine != oracle:
             return 1
-        print(f"# diff empty: {len(oracle.elements)} elements agree")
+        print(f"# diff empty: {len(oracle)} elements agree")
         return 0
 
     if args.source == "closed":
@@ -195,9 +190,8 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
     if args.max_degree < 0:
         raise ValueError(f"--max-degree must be at least 0, got {args.max_degree}")
     seq = parse_sequence(args.sequence)
-    curve = sweeps.Curve(seq, closed_profile(seq))
-    rows = [(s, curve.hilbert.hf_at(s) if curve.hilbert else None, counted)
-            for s, counted in enumerate(hf_quotient(curve.ini, args.max_degree + 1))]
+    curve = sweeps.Curve(seq)
+    rows = curve.hf_rows(args.max_degree + 1)
     mismatch = any(f is not None and f != c for _, f, c in rows)
     if args.json:
         payload = {

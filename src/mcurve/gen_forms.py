@@ -20,7 +20,8 @@ from typing import NamedTuple
 from .arith_forms import (ArithHilbert, _mono, _require_oriented_members, gb_arithmetic,
                           hilbert_arithmetic, irred_dec_arithmetic)
 from .errors import CaseNotApplicable, InvariantViolation, NotGeneralizedArithmetic
-from .monideal import IrreducibleComponent, IrreducibleDecomposition, _polyadd, _polymul, _trim
+from .monideal import (IrreducibleComponent, IrreducibleDecomposition, _polyadd, _polymul,
+                       _polysub, _trim)
 from .poly import Binomial, TermOrder
 from .seq import CurveSequence, GeneralizedProfile, generalized_class, hd_fit
 
@@ -157,13 +158,11 @@ def hilbert_generalized(prof: GeneralizedProfile) -> GenHilbert:
     h, delta, dp = prof.h, prof.delta, prof.delta_prime
     tail = hilbert_arithmetic(prof.tail)
 
-    num = _polymul([1] * h, list(tail.hs_numerator))
-    num = _polyadd(num, [0] * h + [1] * (delta - h))
     corr = [0] * (delta + h)
     for i in range(1, dp):
         corr[i * h + prof.beta[i]] += 1
-    corr = _polymul([1] * h, corr)
-    num = _polyadd(num, [-c for c in corr])
+    num = _polyadd(_polymul([1] * h, list(tail.hs_numerator)), [0] * h + [1] * (delta - h))
+    num = _polysub(num, _polymul([1] * h, corr))
 
     gamma = tail.hp_constant
     if seq.mn * (h - 1) % 2:
@@ -171,7 +170,7 @@ def hilbert_generalized(prof: GeneralizedProfile) -> GenHilbert:
     constant = (-seq.mn * (h - 1) // 2 + h * gamma
                 + h * sum(prof.beta[1:dp]))
     return GenHilbert(
-        hs_numerator=_trim(num),
+        hs_numerator=num,
         hp_slope=seq.mn,
         hp_constant=constant,
         gamma=gamma,

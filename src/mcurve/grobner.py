@@ -40,7 +40,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import InvariantViolation
-from .monideal import MonomialIdeal
+from .monideal import MonomialIdeal, _times_one_minus_t
 from .poly import (
     Binomial,
     TermOrder,
@@ -477,15 +477,6 @@ def _degree_reduced(basis: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return [tuple(v) for v in b]
 
 
-def _curve_k_polynomial(numerator: tuple[int, ...], nvars: int) -> tuple[int, ...]:
-    """The K-polynomial N(t) (1 - t)^(nvars - 2) of R/I(C), R in `nvars`
-    variables, for the Hilbert-series numerator N(t) of K[C] over (1 - t)^2."""
-    k = list(numerator)
-    for _ in range(nvars - 2):
-        k = [a - b for a, b in zip(k + [0], [0] + k)]
-    return tuple(k)
-
-
 # The largest m_n that takes the Apery route of `toric_ideal`, by n: n above
 # the last key takes its bound, and n below the first key takes the other route.
 APERY_MAX_MN = {5: 128, 6: 360, 7: 1600}
@@ -509,14 +500,15 @@ def toric_ideal(seq: CurveSequence) -> GroebnerBasis:
     every generator first and compares the K-polynomial of their leads with
     N(t) (1 - t)^(n - 1), N(t) the Hilbert numerator of K[C] read off the
     same Apery walk; if they agree it stops there, with no S-pair, and the
-    basis keeps that ideal of leads as its initial ideal (`initial_ideal`),
-    K-polynomial computed.  That holds on most curves: all but 5 of the
-    9,127 gcd-1 curves with n = 5, m_5 <= 17 and n = 6, m_6 <= 14, and 567
-    of 600 seeded n = 5..9 curves with 10 <= m_n <= 128 (`random.Random(11)`;
-    3,22,57,65,94 and 10,13,18,20,35,47 make their pairs too).  With every
-    (B) candidate kept, 570 of the 600 stop: the three more, such as
-    1,17,37,49,51,56,60, now make pairs, and the presentation's fewer
-    generators still win on the whole set.  The basis is the same either way.
+    basis keeps that ideal of leads, K-polynomial computed, as its initial
+    ideal (`GroebnerBasis.initial`).  That holds on most curves: all but 5
+    of the 9,127 gcd-1 curves with n = 5, m_5 <= 17 and n = 6, m_6 <= 14,
+    and 567 of 600 seeded n = 5..9 curves with 10 <= m_n <= 128
+    (`random.Random(11)`; 3,22,57,65,94 and 10,13,18,20,35,47 make their
+    pairs too).  With every (B) candidate kept, 570 of the 600 stop: the
+    three more, such as 1,17,37,49,51,56,60, now make pairs, and the
+    presentation's fewer generators still win on the whole set.  The basis
+    is the same either way.
 
     Otherwise the saturation route of `_saturated`, from a lattice basis.
     The Apery route needs no lattice basis and no saturation passes, whose
@@ -552,7 +544,8 @@ def toric_ideal(seq: CurveSequence) -> GroebnerBasis:
         for a, b in p.pairs:
             if degree(a) != degree(b):
                 raise _non_homogeneous(Binomial(unpack(a), unpack(b)))
-        final = _run(p.packing, p.pairs, TermOrder(nv), _curve_k_polynomial(p.numerator, nv))
+        k_poly = _times_one_minus_t(p.numerator, nv - 2, "a curve has at least three variables")
+        final = _run(p.packing, p.pairs, TermOrder(nv), k_poly)
     else:
         final = _saturated(seq)
     for g in final.elements:
@@ -621,12 +614,6 @@ def _saturated(seq: CurveSequence) -> GroebnerBasis:
         pairs = divided
     return GroebnerBasis(plain, _unpack(packing, _interreduce(
         packing, _keyed(packing, pairs, plain))))
-
-
-def initial_ideal(gb: GroebnerBasis) -> MonomialIdeal:
-    """Monomial ideal of lead terms (minimal generators for a reduced basis),
-    built once per basis (`GroebnerBasis.initial`)."""
-    return gb.initial
 
 
 def is_generated_by_quadrics(gb: GroebnerBasis) -> bool:

@@ -40,6 +40,9 @@ from .seq import CurveSequence
 if TYPE_CHECKING:  # an annotation only: grobner imports this module
     from .grobner import GroebnerBasis
 
+_NOT_ARTINIAN = "quotient is not artinian: some variable has no pure power"
+
+
 def _pack(nvars: int, gens: tuple[Monomial, ...]) -> tuple[_Packing, list[int]]:
     """The generators as ints of a packing whose top is above every degree,
     so above every exponent (room for the decomposition's mark of an absent
@@ -241,6 +244,10 @@ def _trim(coeffs: list[int]) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+def _polysub(a: Iterable[int], b: Iterable[int]) -> tuple[int, ...]:
+    return _trim([x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+
 def _k_polynomial(packing: _Packing, gens: list[int]) -> tuple[int, ...]:
     """Coefficients of the K-polynomial of R/<gens>, for N minimal generators
     packed in `packing`.  Taylor's resolution writes it as the sum over the
@@ -348,13 +355,14 @@ def fitted_polynomial(ideal: MonomialIdeal, reg: int) -> tuple[int, int]:
     return b - a, b - (b - a) * (reg + 3)
 
 
-def _divided(num: Iterable[int], k: int, message: str) -> tuple[int, ...]:
-    """num(t) / (1-t)^k, trimmed, for an integer polynomial num with no
-    trailing zero; NonTerminating(message) when the division is not exact.
-    Dividing by 1 - t takes prefix sums, exact iff the coefficients sum to
-    zero, and the last prefix sum is then that zero."""
+def _times_one_minus_t(num: Iterable[int], k: int, message: str) -> tuple[int, ...]:
+    """num(t) (1-t)^k, trimmed, for num with no trailing zero; for k < 0 an
+    exact quotient, else NonTerminating(message).  Dividing by 1 - t takes
+    prefix sums, exact iff the coefficients sum to zero (the last sum)."""
     num = list(num)
     for _ in range(k):
+        num = [a - b for a, b in zip(num + [0], [0] + num)]
+    for _ in range(-k):
         if sum(num) != 0:
             raise NonTerminating(message)
         num = list(itertools.accumulate(num))[:-1]
@@ -366,11 +374,8 @@ def hs_numerator(ideal: MonomialIdeal) -> tuple[int, ...]:
 
     K(t) = (1-t)^(n - dim) Q(t) with Q(1) > 0, so the division is exact iff
     dim R/I <= 2; otherwise NonTerminating."""
-    num = list(_divided(ideal.k_polynomial, ideal.nvars - 2,
-                        "K-polynomial not divisible by (1-t)^(n-2): quotient dimension > 2"))
-    for _ in range(2 - ideal.nvars):
-        num = _polymul(num, [1, -1])
-    return _trim(num)
+    return _times_one_minus_t(ideal.k_polynomial, 2 - ideal.nvars,
+                              "K-polynomial not divisible by (1-t)^(n-2): quotient dimension > 2")
 
 
 def _artinian_series(nvars: int, gens: Iterable[Monomial]) -> tuple[int, ...]:
@@ -381,8 +386,8 @@ def _artinian_series(nvars: int, gens: Iterable[Monomial]) -> tuple[int, ...]:
     division exact, iff the quotient is artinian (dim 0), that is iff each
     variable has a pure power among the generators; otherwise
     NonTerminating.  The unit ideal has no standard monomial: series ()."""
-    return _divided(MonomialIdeal.from_gens(nvars, gens).k_polynomial, nvars,
-                    "quotient is not artinian: some variable has no pure power")
+    return _times_one_minus_t(MonomialIdeal.from_gens(nvars, gens).k_polynomial, -nvars,
+                              _NOT_ARTINIAN)
 
 
 def hs_general_split(ideal: MonomialIdeal) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -420,13 +425,12 @@ def hs_general_split(ideal: MonomialIdeal) -> tuple[tuple[int, ...], tuple[int, 
         raise InvariantViolation("x_{n+1} in a minimal generator")
     b = max((g[n - 1] for g in ideal.gens), default=0)
     if not b:
-        return _divided(ideal.k_polynomial, n - 1,
-                        "quotient is not artinian: some variable has no pure power"), ()
+        return _times_one_minus_t(ideal.k_polynomial, 1 - n, _NOT_ARTINIAN), ()
     main = _artinian_series(n - 1, [g[:n - 1] for g in ideal.gens if not g[n - 1]])
     xn_b = (0,) * (n - 1) + (b,)
     jump = _artinian_series(n, [g[:n] for g in ideal.gens] + [xn_b])
     colon = _artinian_series(n, [g[:n - 1] + (max(g[n - 1] - 1, 0),) for g in ideal.gens] + [xn_b])
-    return main, _trim(_polyadd(list(jump), [-c for c in colon]))
+    return main, _polysub(jump, colon)
 
 
 # -- Cohen-Macaulay detection and type ------------------------------------------
@@ -482,7 +486,7 @@ def cm_type_oracle(seq: CurveSequence, gb: GroebnerBasis) -> int:
         raise NotCohenMacaulay(f"({seq}) initial ideal has a generator in x_n or x_{{n+1}}")
     k = ideal.nvars - 2
     if ideal.is_zero or any(len(c.powers) != k for c in ideal.decomposition.components):
-        raise NonTerminating("quotient is not artinian: some variable has no pure power")
+        raise NonTerminating(_NOT_ARTINIAN)
     corners = [[e - 1 for _, e in c.powers] + [0, 0] for c in ideal.decomposition.components]
     packing = ideal._packed[0]
     pack, guards, field = packing.pack, packing.guards, packing.field
@@ -522,9 +526,12 @@ def last_step_check(ideal: MonomialIdeal, reg: int) -> bool:
     second less that of the first counts F by degree: the largest degree in F
     is the index of its last nonzero coefficient.  The second must be
     artinian (NonTerminating otherwise); the first, larger, then is too, or
-    is the unit ideal, with series ().
+    is the unit ideal, with series ().  If no generator holds x_n or x_{n+1}
+    (the CM case) the two have the same generators: one series, F empty.
     """
     n = ideal.nvars - 1
-    zeros = _artinian_series(n - 1, [g[:n - 1] for g in ideal.gens if not g[n - 1] and not g[n]])
-    ones = _artinian_series(n - 1, [g[:n - 1] for g in ideal.gens])
-    return len(_trim(_polyadd(list(zeros), [-c for c in ones]))) - 1 == reg
+    kept = [g[:n - 1] for g in ideal.gens if not g[n - 1] and not g[n]]
+    zeros = _artinian_series(n - 1, kept)
+    ones = (zeros if len(kept) == len(ideal.gens) else
+            _artinian_series(n - 1, [g[:n - 1] for g in ideal.gens]))
+    return len(_polysub(zeros, ones)) - 1 == reg

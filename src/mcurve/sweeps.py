@@ -1,12 +1,14 @@
 """The paper's claims about K[C] in one table, and the family sweeps that check them.
 
-CLAIMS is keyed by the type of seq.closed_profile's profile (ArithmeticProfile,
-GeneralizedProfile, or NoneType when no closed form applies).  A claim names
-the InvariantReport field it settles and has a closed side (a Curve's profile
-and closed forms -> value) and an oracle side (its toric basis and initial
-ideal -> value).  A side is None where the family has none; a side that
-returns None has no value for that curve.  cli.build_report settles every
-claim of a curve's family, and gb and hilbert read a Curve's closed data.
+A Curve, built from a sequence alone, works out every closed and oracle value
+of it.  CLAIMS is keyed by the type of its profile (seq.closed_profile:
+ArithmeticProfile, GeneralizedProfile, or NoneType when no closed form
+applies).  A claim names the InvariantReport field it settles and has a
+closed side (a Curve's profile and closed forms -> value) and an oracle side
+(its toric basis and initial ideal -> value).  A side is None where the
+family has none; a side that returns None has no value for that curve.
+cli.build_report settles every claim of a curve's family, and gb and hilbert
+read a Curve's closed data.
 
 A checker returns a dict of named boolean results; an instance passes when all
 are true.  The arithmetic and generalized checkers are every claim of their
@@ -49,7 +51,6 @@ from .gen_forms import (
 from .grobner import (
     GroebnerBasis,
     buchberger,
-    initial_ideal,
     is_generated_by_quadrics,
     reduce_basis,
     toric_ideal,
@@ -57,8 +58,7 @@ from .grobner import (
 from .koszul import N3_KOSZUL, N4_KOSZUL, quadratic_gb_witness
 from .monideal import (
     MonomialIdeal,
-    _polyadd,
-    _trim,
+    _polysub,
     cm_type_oracle,
     cm_via_initial,
     fitted_polynomial,
@@ -71,24 +71,33 @@ from .monideal import (
 )
 from .poly import Binomial, TermOrder, is_member_binomial
 from .seq import (ArithmeticProfile, CurveSequence, GeneralizedProfile, arithmetic_profile,
-                  generalized_profile, min_multiple)
+                  closed_profile, generalized_profile, min_multiple)
 
 
 class Curve:
-    """One curve as the claims read it: its sequence and the profile of its
-    family (None: no closed form applies).  Every value below is computed once,
-    on first use, by a function looked up on this module when it runs, so a
-    function replaced here (a test double, or a tracing wrapper) is what runs."""
+    """One curve as the claims read it: its sequence and every closed and
+    oracle value of it, each computed once, on first use, by a function looked
+    up on this module when it runs, so a test double or tracing wrapper set
+    here is what runs."""
 
-    def __init__(self, seq: CurveSequence,
-                 profile: ArithmeticProfile | GeneralizedProfile | None = None):
-        self.seq, self.profile = seq, profile
+    def __init__(self, seq: CurveSequence):
+        self.seq = seq
+
+    @cached_property
+    def profile(self) -> ArithmeticProfile | GeneralizedProfile | None:
+        """The profile of the curve's family; None when no closed form applies."""
+        return closed_profile(self.seq)
 
     @cached_property
     def closed_gb(self) -> list[Binomial] | None:
         """The closed-form basis, minimal but not reduced."""
         form = gb_arithmetic if isinstance(self.profile, ArithmeticProfile) else gb_generalized
         return self.profile and form(self.profile)
+
+    @cached_property
+    def closed_basis(self) -> tuple[Binomial, ...] | None:
+        """The closed-form basis reduced under degrevlex, the oracle's order."""
+        return self.closed_gb and reduce_basis(self.closed_gb, TermOrder(self.seq.n + 1))
 
     @cached_property
     def hilbert(self) -> ArithHilbert | GenHilbert | None:
@@ -104,7 +113,7 @@ class Curve:
 
     @cached_property
     def ini(self) -> MonomialIdeal:
-        return initial_ideal(self.gb)
+        return self.gb.initial
 
     @cached_property
     def cm_type(self) -> int:
@@ -120,6 +129,11 @@ class Curve:
     def hs(self) -> tuple[int, ...]:
         """The Hilbert-series numerator of in(I(C))."""
         return hs_numerator(self.ini)
+
+    def hf_rows(self, top: int) -> list[tuple[int, int | None, int]]:
+        """(s, closed form or None, counted on in(I(C))) of the Hilbert function, s < top."""
+        return [(s, self.hilbert.hf_at(s) if self.hilbert else None, counted)
+                for s, counted in enumerate(hf_quotient(self.ini, top))]
 
 
 class Claim(NamedTuple):
@@ -181,9 +195,8 @@ def _closed_checks(c: Curve, reg: int) -> dict[str, bool]:
     regularity `reg`) against the oracle's, and every claim of the curve's
     family with both sides, as closed == oracle."""
     return {
-        "gb_equals_oracle": set(reduce_basis(c.closed_gb, c.gb.order)) == c.gb.element_set(),
-        "hf_counts": all(c.hilbert.hf_at(s) == v
-                         for s, v in enumerate(hf_quotient(c.ini, reg + 4))),
+        "gb_equals_oracle": set(c.closed_basis) == c.gb.element_set(),
+        "hf_counts": all(closed == counted for _, closed, counted in c.hf_rows(reg + 4)),
         **{claim.name: claim.closed(c) == claim.oracle(c)
            for claim in CLAIMS[type(c.profile)] if claim.closed and claim.oracle},
     }
@@ -283,8 +296,8 @@ def random_instances(cfg: RandomSweep) -> Iterator[CurveSequence]:
 
 def check_arithmetic_instance(seq: CurveSequence) -> dict[str, bool]:
     """Every claim of the arithmetic family against the oracle."""
-    prof = arithmetic_profile(seq)
-    c = Curve(seq, prof)
+    c = Curve(seq)  # a sequence outside the family gets the error of arithmetic_profile
+    prof = c.profile if isinstance(c.profile, ArithmeticProfile) else arithmetic_profile(seq)
     reg = reg_arithmetic(prof)
     return {
         **_closed_checks(c, reg),
@@ -298,14 +311,13 @@ def check_arithmetic_instance(seq: CurveSequence) -> dict[str, bool]:
 
 def check_generalized_instance(seq: CurveSequence) -> dict[str, bool]:
     """Every claim of the h >= 2, h | d family against the oracle."""
-    prof = generalized_profile(seq)
-    c = Curve(seq, prof)
+    c = Curve(seq)  # a sequence outside the family gets the error of generalized_profile
+    prof = c.profile if isinstance(c.profile, GeneralizedProfile) else generalized_profile(seq)
     reg = reg_generalized(prof)
-    tail_ini = initial_ideal(toric_ideal(CurveSequence(seq.m[1:])))
     checks = {
         **_closed_checks(c, reg),
         "not_cm_witness_found": not_cm_witness(seq) is not None,
-        "elimination_equality": c.ini.restrict(1) == tail_ini,
+        "elimination_equality": c.ini.restrict(1) == Curve(CurveSequence(seq.m[1:])).ini,
         "nested_type": is_nested_type(c.ini),
         "reg_last_component": reg == prof.delta + prof.beta[prof.delta_prime - 1] - 2,
         "last_step": last_step_check(c.ini, reg),
@@ -320,7 +332,7 @@ def check_generalized_instance(seq: CurveSequence) -> dict[str, bool]:
 def _check_koszul_list(seq: CurveSequence, koszul: frozenset) -> dict[str, bool]:
     """A Koszul list against the oracle: quadric generation iff listed, and a
     quadratic Groebner basis for every listed sequence."""
-    gb = toric_ideal(seq)
+    gb = Curve(seq).gb
     listed = seq.m in koszul
     checks = {"quadric_iff_listed": is_generated_by_quadrics(gb) == listed}
     if listed:
@@ -341,7 +353,6 @@ def check_random_instance(seq: CurveSequence) -> dict[str, bool]:
     curve = Curve(seq)
     gb, ini, reg, num = curve.gb, curve.ini, curve.reg, curve.hs
     rng = random.Random(hash(seq.m) & 0xFFFF)
-    dec = ini.decomposition if not ini.is_zero else None
     main, corr = hs_general_split(ini)
 
     def convolved(s: int) -> int:
@@ -354,10 +365,10 @@ def check_random_instance(seq: CurveSequence) -> dict[str, bool]:
     deterministic = buchberger(perm, TermOrder(seq.n + 1)).elements == gb.elements
 
     dec_ok = True
-    if dec is not None:
+    if not ini.is_zero:
         for _ in range(50):
             m = tuple(rng.randrange(0, reg + 3) for _ in range(seq.n + 1))
-            dec_ok &= ini.contains(m) == dec.contains(m)
+            dec_ok &= ini.contains(m) == ini.decomposition.contains(m)
 
     witness = not_cm_witness(seq)
     cm = cm_via_initial(ini)
@@ -369,7 +380,7 @@ def check_random_instance(seq: CurveSequence) -> dict[str, bool]:
         "nested_type": is_nested_type(ini),
         "decomposition_membership": dec_ok,
         "hf_convolution": all(v == convolved(s) for s, v in enumerate(hf_quotient(ini, reg + 4))),
-        "split_combination": _trim(_polyadd(list(main), [0] + [-c for c in corr])) == num,
+        "split_combination": _polysub(main, (0, *corr)) == num,
         "witness_implies_not_cm": (witness is None) or (not cm),
         "cm_implies_zero_correction": (not cm) or corr == (),
     }

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import mcurve.sweeps as sweeps
 from mcurve.arith_forms import hilbert_arithmetic, reg_arithmetic, cm_type_arithmetic, is_gorenstein
 from mcurve.gen_forms import hilbert_generalized, is_cm_generalized, reg_generalized
-from mcurve.grobner import buchberger, initial_ideal, toric_ideal
+from mcurve.grobner import buchberger, toric_ideal
 from mcurve.koszul import N3_KOSZUL, N4_KOSZUL, quadratic_gb_witness
 from mcurve.monideal import (
     MonomialIdeal,
@@ -50,7 +50,7 @@ def test_golden_arithmetic_10_13_16_19_22():
     assert (prof.alpha, prof.k) == (5, 3)
 
     gb = toric_ideal(s)
-    ini = initial_ideal(gb)
+    ini = gb.initial
     assert reg_arithmetic(prof) == 6 == reg_nested_type(ini)
     assert cm_type_arithmetic(prof) == 1 == cm_type_oracle(s, gb)
     assert is_gorenstein(prof)
@@ -69,7 +69,7 @@ def test_golden_arithmetic_4_5_6_7_8():
     s = parse_sequence("4,5,6,7,8")
     prof = arithmetic_profile(s)
     gb = toric_ideal(s)
-    ini = initial_ideal(gb)
+    ini = gb.initial
     hil = hilbert_arithmetic(prof)
 
     assert reg_arithmetic(prof) == 2 == reg_nested_type(ini)
@@ -94,7 +94,7 @@ def test_golden_generalized_7_30_39_48_57_66():
     assert prof.beta == (6, 5, 3, 2, 1, 0)
 
     gb = toric_ideal(s)
-    ini = initial_ideal(gb)
+    ini = gb.initial
     reg = reg_generalized(prof)
     assert reg == 14 == reg_nested_type(ini)
     assert last_step_check(ini, 14)
@@ -112,8 +112,8 @@ def test_elimination_restriction_counterexamples():
     started = time.perf_counter()
 
     s = parse_sequence("2,35,46,57,68")
-    ini = initial_ideal(toric_ideal(s))
-    tail_ini = initial_ideal(toric_ideal(CurveSequence(s.m[1:])))
+    ini = toric_ideal(s).initial
+    tail_ini = toric_ideal(CurveSequence(s.m[1:])).initial
     expected_tail = MonomialIdeal.from_gens(
         5, [parse_monomial(t, 5) for t in ["x1^23", "x1^22*x2", "x2^2", "x2*x3", "x3^2"]])
     expected_restr = MonomialIdeal.from_gens(
@@ -123,8 +123,8 @@ def test_elimination_restriction_counterexamples():
     assert ini.restrict(1) != tail_ini
 
     s = parse_sequence("5,26,32,38")
-    ini = initial_ideal(toric_ideal(s))
-    tail_ini = initial_ideal(toric_ideal(CurveSequence(s.m[1:])))
+    ini = toric_ideal(s).initial
+    tail_ini = toric_ideal(CurveSequence(s.m[1:])).initial
     expected_tail = MonomialIdeal.from_gens(
         4, [parse_monomial(t, 4) for t in ["x1^10", "x1^9*x2", "x2^2"]])
     expected_restr = MonomialIdeal.from_gens(
@@ -264,7 +264,7 @@ def test_property_no_monomial_in_toric(seq):
         assert is_member_binomial(seq, g)
     # complete, not only sound: HF(s) of K[C] is the size of the s-fold
     # sumset of {0, m_1, ..., m_n}, counted without any Groebner basis
-    ini = initial_ideal(gb)
+    ini = gb.initial
     sums = {0}
     for s, value in enumerate(hf_quotient(ini, 9)):
         assert value == len(sums), (seq, s)
@@ -274,7 +274,7 @@ def test_property_no_monomial_in_toric(seq):
 @given(seq=_seqs, data=st.data())
 @settings(max_examples=200)
 def test_property_decomposition_membership(seq, data):
-    ini = initial_ideal(toric_ideal(seq))
+    ini = toric_ideal(seq).initial
     if ini.is_zero:
         return
     dec = irreducible_decomposition(ini)

@@ -17,7 +17,7 @@ from mcurve.arith_forms import (
     reg_arithmetic,
 )
 from mcurve.errors import InvariantViolation
-from mcurve.grobner import initial_ideal, reduce_basis, toric_ideal
+from mcurve.grobner import reduce_basis, toric_ideal
 from mcurve.monideal import (
     cm_type_oracle,
     hf_quotient,
@@ -73,7 +73,7 @@ class TestDecomposition:
         dec = irred_dec_arithmetic(prof)
         x1_exps = sorted(dict(c.powers)[0] for c in dec.components)
         assert x1_exps == [5, 5, 6]
-        assert dec == irreducible_decomposition(initial_ideal(toric_ideal(GOLDEN)))
+        assert dec == irreducible_decomposition(toric_ideal(GOLDEN).initial)
 
     def test_k_equals_one(self):
         # k = 1: every component of in(I(C)) = <x1^2, x_i x_j : 2<=i<=j<=4>
@@ -82,7 +82,7 @@ class TestDecomposition:
         dec = irred_dec_arithmetic(arithmetic_profile(s))
         x1_exps = sorted(dict(c.powers)[0] for c in dec.components)
         assert x1_exps == [2, 2, 2]
-        assert dec == irreducible_decomposition(initial_ideal(toric_ideal(s)))
+        assert dec == irreducible_decomposition(toric_ideal(s).initial)
 
     def test_k_equals_n_minus_one_appends_component(self):
         s = CurveSequence((3, 5, 7))  # n=3, k=2=n-1
@@ -91,7 +91,7 @@ class TestDecomposition:
         assert len(dec.components) == 2
         powers = sorted(tuple(dict(c.powers).items()) for c in dec.components)
         assert powers == [((0, prof.alpha), (1, 2)), ((0, prof.alpha + 1), (1, 1))]
-        assert dec == irreducible_decomposition(initial_ideal(toric_ideal(s)))
+        assert dec == irreducible_decomposition(toric_ideal(s).initial)
 
 
 class TestRegularity:
@@ -104,7 +104,7 @@ class TestRegularity:
         for m in [(1, 2), (1, 2, 3), (3, 5, 7), (5, 8, 11, 14)]:
             s = CurveSequence(m)
             assert reg_arithmetic(arithmetic_profile(s)) == reg_nested_type(
-                initial_ideal(toric_ideal(s)))
+                toric_ideal(s).initial)
 
 
 class TestHilbert:
@@ -127,7 +127,7 @@ class TestHilbert:
     def test_hf_matches_counting(self):
         for m in [(1, 2), (3, 5, 7), (10, 13, 16, 19, 22)]:
             s = CurveSequence(m)
-            ini = initial_ideal(toric_ideal(s))
+            ini = toric_ideal(s).initial
             prof = arithmetic_profile(s)
             hil = hilbert_arithmetic(prof)
             reg = reg_arithmetic(prof)

@@ -13,7 +13,8 @@ import pytest
 import mcurve
 from mcurve import cli, grobner, koszul, sweeps
 from mcurve.cli import build_report, main
-from mcurve.errors import InvariantViolation
+from mcurve.errors import (GcdViolation, HNotDividingD, InvariantViolation, NotArithmetic,
+                           NotGeneralizedArithmetic)
 from mcurve.seq import parse_sequence
 
 
@@ -102,6 +103,19 @@ class TestInvariants:
         for m, want in (("10,13,16,19,22", arith), ("4,5,6,7,8", arith),
                         ("7,30,39,48,57,66", gen)):
             assert profiles(lambda s: build_report(s, verify=True), m) == want, m
+
+    @pytest.mark.parametrize("check, m, error", [
+        (sweeps.check_arithmetic_instance, "7,30,39,48,57,66", NotArithmetic),
+        (sweeps.check_arithmetic_instance, "6,9,12", GcdViolation),
+        (sweeps.check_generalized_instance, "5,26,32,38", HNotDividingD),
+        (sweeps.check_generalized_instance, "10,13,16,19,22", NotGeneralizedArithmetic),
+        (sweeps.check_generalized_instance, "4,10,12", GcdViolation),
+    ])
+    def test_checker_raises_outside_its_family(self, check, m, error):
+        # the Curve finds the profile of another family, or none: the
+        # checker raises what its family's profile raises on the sequence
+        with pytest.raises(error, match=r"\(" + m + r"\)"):
+            check(parse_sequence(m))
 
 
 def _report(seq, kind, h, d, cm, cm_type, gorenstein, ci, reg, hf_reg, betti1, hs, hp,
@@ -203,6 +217,31 @@ class TestReportContract:
         _rebind(monkeypatch, mcurve.monideal.cm_via_initial, lambda ideal: False)
         assert main(["invariants", "-m", "10,13,16,19,22", "--verify"]) == 1
         assert capsys.readouterr().err.startswith("verification failure: cm:")
+
+
+class TestWrongClosedBasis:
+    """A closed basis short of one element: every reader of
+    `Curve.closed_basis` reports it, and nothing else does."""
+
+    @pytest.fixture(autouse=True)
+    def short_basis(self, monkeypatch):
+        full = sweeps.gb_arithmetic
+        monkeypatch.setattr(sweeps, "gb_arithmetic", lambda prof: full(prof)[1:])
+
+    def test_verified_report_exits_1(self, capsys):
+        assert main(["invariants", "-m", "10,13,16,19,22", "--verify"]) == 1
+        assert capsys.readouterr().err == (
+            "verification failure: groebner basis: closed form != oracle for (10,13,16,19,22)\n")
+        assert main(["invariants", "-m", "10,13,16,19,22"]) == 0
+
+    def test_sweep_check_fails_on_the_basis_only(self):
+        checks = sweeps.check_arithmetic_instance(parse_sequence("10,13,16,19,22"))
+        assert [name for name, ok in checks.items() if not ok] == ["gb_equals_oracle"]
+
+    def test_diff_names_the_missing_element(self, capsys):
+        assert main(["gb", "-m", "10,13,16,19,22", "--diff"]) == 1
+        assert any(line.startswith("oracle only: ")
+                   for line in capsys.readouterr().out.splitlines())
 
 
 class TestGb:

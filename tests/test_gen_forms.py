@@ -18,7 +18,7 @@ from mcurve.gen_forms import (
     not_cm_witness,
     reg_generalized,
 )
-from mcurve.grobner import initial_ideal, reduce_basis, toric_ideal
+from mcurve.grobner import reduce_basis, toric_ideal
 from mcurve.monideal import (
     cm_via_initial,
     hf_quotient,
@@ -71,7 +71,7 @@ class TestNotCmWitness:
         assert w is not None and w.h > 1
         assert w.missing == w.h * 2 and w.missing not in (2, 35, 46, 57, 68)
         # the witness certifies the oracle verdict
-        ini = initial_ideal(toric_ideal(parse_sequence("2,35,46,57,68")))
+        ini = toric_ideal(parse_sequence("2,35,46,57,68")).initial
         assert not cm_via_initial(ini)
 
     @given(data=st.data())
@@ -95,7 +95,7 @@ class TestNotCmWitness:
             s = CurveSequence(m)
             w = not_cm_witness(s)
             if w is not None:
-                assert not cm_via_initial(initial_ideal(toric_ideal(s)))
+                assert not cm_via_initial(toric_ideal(s).initial)
 
 
 class TestCmAndCi:
@@ -150,7 +150,7 @@ class TestGroebnerClosedForm:
 class TestDecomposition:
     def test_golden(self):
         dec = irred_dec_generalized(GOLDEN_PROF)
-        oracle = irreducible_decomposition(initial_ideal(toric_ideal(GOLDEN)))
+        oracle = irreducible_decomposition(toric_ideal(GOLDEN).initial)
         assert dec == oracle
 
     def test_last_component_regularity(self):
@@ -160,7 +160,7 @@ class TestDecomposition:
     def test_irredundancy_witness_monomials(self):
         # x1^{jh-1} x2^{beta_{j-1}-1} lies outside the initial ideal
         prof = GOLDEN_PROF
-        ini = initial_ideal(toric_ideal(GOLDEN))
+        ini = toric_ideal(GOLDEN).initial
         for j in range(2, prof.delta_prime + 1):
             m = [0] * 7
             m[0] = j * prof.h - 1
@@ -176,7 +176,7 @@ class TestRegularity:
     def test_oracle_agreement(self):
         for m in [(7, 30, 39, 48, 57, 66), (3, 10, 14), (5, 14, 18), (2, 9, 12, 15)]:
             s = CurveSequence(m)
-            ini = initial_ideal(toric_ideal(s))
+            ini = toric_ideal(s).initial
             reg = reg_generalized(generalized_profile(s))
             assert reg == reg_nested_type(ini)
             assert last_step_check(ini, reg)
@@ -188,14 +188,14 @@ class TestRegularity:
         s2 = CurveSequence((2, 9, 12))  # n-1 = 2 divides m_1 = 2 -> delta
         prof2 = generalized_profile(s2)
         assert reg_generalized(prof2) == prof2.delta
-        assert reg_generalized(prof2) == reg_nested_type(initial_ideal(toric_ideal(s2)))
+        assert reg_generalized(prof2) == reg_nested_type(toric_ideal(s2).initial)
 
     def test_gcd_precondition_rejected(self):
         # (4,18,24,30) has gcd(m_1, d) = 2; the equivalent reduced curve
         # (2,9,12,15) is the object the closed form speaks about
         with pytest.raises(GcdViolation):
             generalized_profile(CurveSequence((4, 18, 24, 30)))
-        assert reg_nested_type(initial_ideal(toric_ideal(CurveSequence((4, 18, 24, 30))))) == 5
+        assert reg_nested_type(toric_ideal(CurveSequence((4, 18, 24, 30))).initial) == 5
         assert reg_generalized(generalized_profile(CurveSequence((2, 9, 12, 15)))) == 5
 
 
@@ -212,7 +212,7 @@ class TestHilbert:
     def test_hf_matches_counting(self):
         for m in [(7, 30, 39, 48, 57, 66), (3, 10, 14), (5, 14, 18), (2, 9, 12, 15)]:
             s = CurveSequence(m)
-            ini = initial_ideal(toric_ideal(s))
+            ini = toric_ideal(s).initial
             prof = generalized_profile(s)
             hil = hilbert_generalized(prof)
             reg = reg_generalized(prof)
@@ -222,7 +222,7 @@ class TestHilbert:
     def test_polynomial_matches_fitted_line(self):
         for m in [(7, 30, 39, 48, 57, 66), (3, 10, 14), (2, 9, 12, 15)]:
             s = CurveSequence(m)
-            ini = initial_ideal(toric_ideal(s))
+            ini = toric_ideal(s).initial
             prof = generalized_profile(s)
             hil = hilbert_generalized(prof)
             reg = reg_generalized(prof)
@@ -234,7 +234,7 @@ class TestHilbert:
         for m in [(7, 30, 39, 48, 57, 66), (3, 10, 14), (5, 24, 28, 32, 36)]:
             s = CurveSequence(m)
             assert hilbert_generalized(generalized_profile(s)).hs_numerator == hs_numerator(
-                initial_ideal(toric_ideal(s)))
+                toric_ideal(s).initial)
 
     def test_delta_stabilizes(self):
         prof = GOLDEN_PROF

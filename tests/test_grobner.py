@@ -15,7 +15,6 @@ from mcurve.errors import InvariantViolation
 from mcurve.grobner import (
     buchberger,
     has_quadratic_gb,
-    initial_ideal,
     is_generated_by_quadrics,
     lattice_basis,
     reduce_basis,
@@ -558,7 +557,7 @@ class TestToricIdeal:
 
     def test_restriction_golden(self):
         # tail restriction of in(I(C)) for (5,26,32,38)
-        ini = initial_ideal(toric_ideal(parse_sequence("5,26,32,38")))
+        ini = toric_ideal(parse_sequence("5,26,32,38")).initial
         assert ini.restrict(1) == _ideal(4, "x1^6", "x1^5*x2", "x2^2")
 
     def test_all_members_and_no_monomials(self):
@@ -808,11 +807,11 @@ class TestDegreeReduced:
 
 class TestInitialIdeal:
     def test_twisted_cubic(self):
-        ini = initial_ideal(toric_ideal(CurveSequence((1, 2, 3))))
+        ini = toric_ideal(CurveSequence((1, 2, 3))).initial
         assert ini == _ideal(4, "x2^2", "x1^2", "x1*x2")
 
     def test_golden_staircase(self):
-        ini = initial_ideal(toric_ideal(parse_sequence("10,13,16,19,22")))
+        ini = toric_ideal(parse_sequence("10,13,16,19,22")).initial
         expected = _ideal(
             6,
             "x2^2", "x2*x3", "x2*x4", "x3^2", "x3*x4", "x4^2",
@@ -822,7 +821,7 @@ class TestInitialIdeal:
 
     def test_empty_gb(self):
         gb = buchberger([], TermOrder(3))
-        assert initial_ideal(gb).is_zero
+        assert gb.initial.is_zero
 
 
 def _eliminate(gb, keep_from):
@@ -853,9 +852,9 @@ class TestEliminate:
     def test_h_divides_d_restriction_equality(self):
         s = parse_sequence("7,30,39,48,57,66")
         gb = toric_ideal(s)
-        tail_ini = initial_ideal(toric_ideal(CurveSequence(s.m[1:])))
-        assert initial_ideal(gb).restrict(1) == tail_ini
-        assert initial_ideal(_eliminate(gb, 1)) == tail_ini
+        tail_ini = toric_ideal(CurveSequence(s.m[1:])).initial
+        assert gb.initial.restrict(1) == tail_ini
+        assert _eliminate(gb, 1).initial == tail_ini
 
 
 def _quadrics(gb):

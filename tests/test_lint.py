@@ -1,6 +1,8 @@
 """Source checks on the package itself."""
 
 import ast
+import inspect
+import types
 from pathlib import Path
 
 import mcurve
@@ -72,6 +74,16 @@ print(sorted(set({heavy!r}) & (set(sys.modules) - before)))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
+
+def test_benchmark_tracer_resolves_every_named_function():
+    # the benchmark traces these functions by module and name, and its
+    # self-test fails when one is gone: a deletion or rename fails here first.
+    # The tracer is read and run from its file, so nothing is written beside it
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tracer = types.ModuleType("tracer")
+    exec(compile(path.read_text(), str(path), "exec"), tracer.__dict__)
+    resolved = dict(tracer.targets())  # AttributeError for a name that is gone
+    assert all(inspect.isfunction(resolved.get(name)) for name in tracer.NAMED)
 
 
 def test_package_reads_no_environment_variable():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mcurve import monideal, sweeps
 from mcurve.errors import InvariantViolation, NonTerminating, NotCohenMacaulay, NotNestedType
-from mcurve.grobner import GroebnerBasis, initial_ideal, toric_ideal
+from mcurve.grobner import GroebnerBasis, toric_ideal
 from mcurve.monideal import (
     IrreducibleComponent,
     IrreducibleDecomposition,
@@ -66,7 +66,7 @@ GOLDEN_GEN = parse_sequence("7,30,39,48,57,66")
 
 class TestDecomposition:
     def test_golden_arithmetic(self):
-        ini = initial_ideal(toric_ideal(GOLDEN))
+        ini = toric_ideal(GOLDEN).initial
         dec = irreducible_decomposition(ini)
         expected = {
             _comp(x1=5, x2=2, x3=1, x4=1),
@@ -89,7 +89,7 @@ class TestDecomposition:
         assert all(dec.contains(m) for m in _degree_monomials(3, 3))
 
     def test_property_matches_function(self):
-        ini = initial_ideal(toric_ideal(GOLDEN))
+        ini = toric_ideal(GOLDEN).initial
         assert ini.decomposition == irreducible_decomposition(ini)
         assert ini.decomposition is ini.decomposition
 
@@ -111,7 +111,7 @@ class TestDecomposition:
         assert calls and set(calls.values()) == {1}
 
     def test_golden_generalized(self):
-        ini = initial_ideal(toric_ideal(GOLDEN_GEN))
+        ini = toric_ideal(GOLDEN_GEN).initial
         dec = irreducible_decomposition(ini)
         beta = (6, 5, 3, 2, 1, 0)
         expected = set()
@@ -128,7 +128,7 @@ class TestDecomposition:
 
     def test_irredundancy_witness(self):
         # dropping any component changes the intersection
-        ini = initial_ideal(toric_ideal(GOLDEN))
+        ini = toric_ideal(GOLDEN).initial
         dec = irreducible_decomposition(ini)
         for skip in dec.components:
             others = [c for c in dec.components if c != skip]
@@ -148,7 +148,7 @@ class TestDecomposition:
                 (7, 30, 39, 48, 57, 66), (2, 35, 46, 57, 68)]
         m_tuple = data.draw(st.sampled_from(seqs))
         s = CurveSequence(m_tuple)
-        ini = initial_ideal(toric_ideal(s))
+        ini = toric_ideal(s).initial
         dec = irreducible_decomposition(ini)
         mono = data.draw(st.tuples(*([st.integers(0, 6)] * (s.n + 1))))
         assert ini.contains(mono) == dec.contains(mono)
@@ -261,7 +261,7 @@ class TestPackedAgainstTuples:
 
     def test_decomposition_on_the_initial_ideals(self):
         for m in [(10, 13, 16, 19, 22), (7, 30, 39, 48, 57, 66), (5, 26, 32, 38), (1, 500, 1000)]:
-            ini = initial_ideal(toric_ideal(CurveSequence(m)))
+            ini = toric_ideal(CurveSequence(m)).initial
             assert ini.decomposition == tuple_monideal.irreducible_decomposition(ini), m
             assert ini.k_polynomial == monideal._trim(
                 tuple_monideal.k_polynomial(ini.gens, ini.nvars)), m
@@ -343,13 +343,13 @@ class TestRegularity:
             {0: 15, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1}).regularity() == 14
 
     def test_nested_type_detection(self):
-        assert is_nested_type(initial_ideal(toric_ideal(GOLDEN)))
+        assert is_nested_type(toric_ideal(GOLDEN).initial)
         assert not is_nested_type(_ideal(3, "x2"))
 
     def test_reg_nested_type_goldens(self):
-        assert reg_nested_type(initial_ideal(toric_ideal(GOLDEN))) == 6
-        assert reg_nested_type(initial_ideal(toric_ideal(parse_sequence("4,5,6,7,8")))) == 2
-        assert reg_nested_type(initial_ideal(toric_ideal(GOLDEN_GEN))) == 14
+        assert reg_nested_type(toric_ideal(GOLDEN).initial) == 6
+        assert reg_nested_type(toric_ideal(parse_sequence("4,5,6,7,8")).initial) == 2
+        assert reg_nested_type(toric_ideal(GOLDEN_GEN).initial) == 14
 
     def test_reg_nested_type_rejects(self):
         with pytest.raises(NotNestedType):
@@ -369,26 +369,26 @@ class TestHilbertCounting:
         assert hf_quotient(MonomialIdeal.from_gens(3, []), 3) == [1, 3, 6]
 
     def test_golden_counts(self):
-        ini = initial_ideal(toric_ideal(parse_sequence("4,5,6,7,8")))
+        ini = toric_ideal(parse_sequence("4,5,6,7,8")).initial
         assert hf_quotient(ini, 4)[3] == 22
-        ini = initial_ideal(toric_ideal(GOLDEN))
+        ini = toric_ideal(GOLDEN).initial
         assert hf_quotient(ini, 8)[7] == 110
 
     def test_brute_force_agreement(self):
         for m in [(1, 2, 3), (3, 5, 7), (4, 5, 6, 7, 8), (7, 30, 39, 48, 57, 66)]:
-            ini = initial_ideal(toric_ideal(CurveSequence(m)))
+            ini = toric_ideal(CurveSequence(m)).initial
             assert hf_quotient(ini, 8) == [_count_standard_brute(ini.gens, ini.nvars, s)
                                            for s in range(8)]
 
     def test_hs_numerator_goldens(self):
-        assert hs_numerator(initial_ideal(toric_ideal(GOLDEN))) == (1, 4, 4, 4, 4, 4, 1)
-        assert hs_numerator(initial_ideal(toric_ideal(parse_sequence("4,5,6,7,8")))) == (1, 4, 3)
-        assert hs_numerator(initial_ideal(toric_ideal(GOLDEN_GEN))) == (
+        assert hs_numerator(toric_ideal(GOLDEN).initial) == (1, 4, 4, 4, 4, 4, 1)
+        assert hs_numerator(toric_ideal(parse_sequence("4,5,6,7,8")).initial) == (1, 4, 3)
+        assert hs_numerator(toric_ideal(GOLDEN_GEN).initial) == (
             1, 5, 9, 13, 13, 13, 10, 6, 1, -1, -1, -1, 0, -1, 0, -1)
 
     def test_numerator_reproduces_hf_by_convolution(self):
         for m in [(10, 13, 16, 19, 22), (7, 30, 39, 48, 57, 66), (2, 35, 46, 57, 68)]:
-            ini = initial_ideal(toric_ideal(CurveSequence(m)))
+            ini = toric_ideal(CurveSequence(m)).initial
             num = hs_numerator(ini)
             reg = reg_nested_type(ini)
             for s, value in enumerate(hf_quotient(ini, reg + 4)):
@@ -396,13 +396,13 @@ class TestHilbertCounting:
                 assert conv == value
 
     def test_split_cm_correction_is_zero(self):
-        ini = initial_ideal(toric_ideal(GOLDEN))
+        ini = toric_ideal(GOLDEN).initial
         main, corr = hs_general_split(ini)
         assert main == (1, 4, 4, 4, 4, 4, 1)
         assert corr == ()
 
     def test_split_non_cm_combination(self):
-        ini = initial_ideal(toric_ideal(GOLDEN_GEN))
+        ini = toric_ideal(GOLDEN_GEN).initial
         main, corr = hs_general_split(ini)
         assert corr != ()
         combined = list(main) + [0] * (len(corr) + 2)
@@ -452,6 +452,19 @@ class TestKPolynomial:
         for s, count in zip(degrees, counts):
             assert sum(c * (s - j + 1) for j, c in enumerate(num) if j <= s) == count
 
+    @given(num=st.lists(st.integers(-5, 5), max_size=6), k=st.integers(0, 4))
+    def test_times_one_minus_t_divides_back(self, num, k):
+        num = monideal._trim(num)
+        product = list(num)
+        for _ in range(k):
+            product = monideal._polymul(product, [1, -1])
+        times = monideal._times_one_minus_t(num, k, "not exact")
+        assert times == monideal._trim(product)
+        assert monideal._times_one_minus_t(times, -k, "not exact") == num
+        if sum(num):
+            with pytest.raises(NonTerminating, match="^not exact$"):
+                monideal._times_one_minus_t(times, -k - 1, "not exact")
+
     @pytest.mark.parametrize("text, reg, numerator, hf", [
         ("1,500,1000", 500, (1,) + (2,) * 499 + (1,), (253000, 254000)),
         ("13,29,31,47,59,71,80", 6, (1, 6, 19, 37, 32, -4, -9, -2), (525, 605)),
@@ -459,7 +472,7 @@ class TestKPolynomial:
     def test_hard_ladder_pins(self, text, reg, numerator, hf):
         # pinned from degree-by-degree standard-monomial counting; brute force
         # cannot reach degrees near 500
-        ini = initial_ideal(toric_ideal(parse_sequence(text)))
+        ini = toric_ideal(parse_sequence(text)).initial
         assert reg_nested_type(ini) == reg
         assert hs_numerator(ini) == numerator
         assert tuple(hf_quotient(ini, reg + 4)[reg + 2:]) == hf
@@ -467,8 +480,8 @@ class TestKPolynomial:
 
 class TestCohenMacaulay:
     def test_cm_flags(self):
-        assert cm_via_initial(initial_ideal(toric_ideal(GOLDEN)))
-        assert not cm_via_initial(initial_ideal(toric_ideal(GOLDEN_GEN)))
+        assert cm_via_initial(toric_ideal(GOLDEN).initial)
+        assert not cm_via_initial(toric_ideal(GOLDEN_GEN).initial)
         assert cm_via_initial(MonomialIdeal.from_gens(4, []))
 
     def test_cm_type_goldens(self):
@@ -578,7 +591,7 @@ class TestCmTypeReference:
 
 class TestLastStep:
     def test_golden_generalized(self):
-        ini = initial_ideal(toric_ideal(GOLDEN_GEN))
+        ini = toric_ideal(GOLDEN_GEN).initial
         assert last_step_check(ini, 14)
         assert not last_step_check(ini, 13)
 
@@ -586,7 +599,7 @@ class TestLastStep:
         # F = {(g1, g2, 0, ...): jh <= g1 < (j+1)h, g2 < beta_j, 1 <= j < delta/h}
         from mcurve.seq import generalized_profile
         prof = generalized_profile(GOLDEN_GEN)
-        ini = initial_ideal(toric_ideal(GOLDEN_GEN))
+        ini = toric_ideal(GOLDEN_GEN).initial
         n = GOLDEN_GEN.n
         ones = {g[:n - 1] for g in ini.gens}
         expected_max = prof.delta + prof.beta[prof.delta_prime - 1] - 2
@@ -664,7 +677,7 @@ class TestArtinianWalk:
     def test_last_step_is_the_scan_on_the_generalized_sweep(self):
         seqs = list(generalized_instances(GeneralizedSweep()))
         for seq in seqs:
-            ini = initial_ideal(toric_ideal(seq))
+            ini = toric_ideal(seq).initial
             best = tuple_monideal.last_step_by_scan(ini)
             assert [last_step_check(ini, r) for r in (best - 1, best, best + 1)] == [
                 False, True, False], seq
@@ -681,7 +694,26 @@ class TestArtinianWalk:
         assert hs_general_split(ideal)[1] == tuple_monideal.jump_term_by_search(ideal)
 
     def test_non_cm_b1_is_the_initial_ideal(self):
-        assert initial_ideal(toric_ideal(CurveSequence((5, 26, 32, 38)))) == NON_CM_B1
+        assert toric_ideal(CurveSequence((5, 26, 32, 38))).initial == NON_CM_B1
+
+    def test_last_step_on_a_cm_ideal_takes_one_series(self, monkeypatch):
+        # no generator holds x_n or x_{n+1}: the two ideals of the F-set are
+        # one, so one K-polynomial serves both, and F is empty
+        calls = []
+        series = monideal._artinian_series
+
+        def counted(nvars, gens):
+            calls.append(nvars)
+            return series(nvars, gens)
+
+        monkeypatch.setattr(monideal, "_artinian_series", counted)
+        ini = toric_ideal(GOLDEN).initial
+        assert cm_via_initial(ini)
+        assert [last_step_check(ini, r) for r in (-1, 0, 6)] == [True, False, False]
+        assert len(calls) == 3
+        calls.clear()
+        assert last_step_check(NON_CM_B1, 13)
+        assert len(calls) == 2
 
     def test_large_staircase_without_a_toric_run(self):
         # in(I(C)) of 1,2,3,4,1000000, built by hand: m_n = 10^6 standard

@@ -8,7 +8,7 @@ import pickle
 import pytest
 
 from mcurve.errors import NonIncreasing
-from mcurve.grobner import GroebnerBasis, initial_ideal, toric_ideal
+from mcurve.grobner import GroebnerBasis, toric_ideal
 from mcurve.koszul import koszul_status
 from mcurve.monideal import MonomialIdeal, irreducible_decomposition
 from mcurve.seq import CurveSequence, parse_sequence
@@ -23,7 +23,7 @@ GB_357 = ("GroebnerBasis(order=TermOrder(nvars=4, weights=()), elements=("
 def test_reprs_the_digests_hash():
     seq = CurveSequence((3, 5, 7))
     gb = toric_ideal(seq)
-    ini = initial_ideal(gb)
+    ini = gb.initial
     assert repr(gb) == GB_357
     assert repr(gb.elements[0]) == "Binomial(lead=(0, 2, 0, 0), trail=(1, 0, 1, 0))"
     assert repr(ini) == "MonomialIdeal(nvars=4, gens=((0, 2, 0, 0), (3, 1, 0, 0), (4, 0, 0, 0)))"
@@ -50,7 +50,7 @@ def test_equal_records_hash_as_their_fields():
 
 
 def test_cached_ideal_values_stay_out_of_equality_and_repr():
-    ini = initial_ideal(toric_ideal(CurveSequence((3, 5, 7))))
+    ini = toric_ideal(CurveSequence((3, 5, 7))).initial
     fresh = MonomialIdeal(ini.nvars, ini.gens)
     assert ini.decomposition.components and ini.k_polynomial  # fills the cache
     assert ini == fresh and hash(ini) == hash(fresh) and repr(ini) == repr(fresh)
@@ -59,7 +59,7 @@ def test_cached_ideal_values_stay_out_of_equality_and_repr():
 def test_ideal_with_its_caches_pickles():
     # the cache holds the packed generators with their packing, whose
     # closures do not pickle: the packing pickles as its arguments
-    ini = initial_ideal(toric_ideal(CurveSequence((3, 5, 7))))
+    ini = toric_ideal(CurveSequence((3, 5, 7))).initial
     assert ini.decomposition.components and ini.k_polynomial  # fills the cache
     back = pickle.loads(pickle.dumps(ini))
     assert back == ini and back.__dict__.keys() == ini.__dict__.keys()

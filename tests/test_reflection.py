@@ -13,7 +13,7 @@ import math
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mcurve.grobner import initial_ideal, toric_ideal
+from mcurve.grobner import toric_ideal
 from mcurve.monideal import cm_type_oracle, cm_via_initial, hs_numerator, reg_nested_type
 from mcurve.seq import CurveSequence
 
@@ -39,7 +39,7 @@ def graded_invariants(m):
     the initial ideal of the curve's toric basis."""
     seq = CurveSequence(m)
     gb = toric_ideal(seq)
-    ini = initial_ideal(gb)
+    ini = gb.initial
     cm = cm_via_initial(ini)
     return cm, cm_type_oracle(seq, gb) if cm else None, reg_nested_type(ini), hs_numerator(ini)
 
