@@ -11,7 +11,7 @@ that basis; of its initial ideal the irreducible decomposition,
 `reg_nested_type`, `hs_numerator`, `hs_general_split` and `last_step_check`
 at that regularity; and `koszul_status`.  An exception is an answer too, by
 its type and message.  No internal step (the lattice basis, the route
-`toric_ideal` takes, the presentation's generator set, the width of the
+`toric_ideal` takes, how the Apery route finds its basis, the width of the
 kernel's packed fields and any rerun in wider ones) is hashed, so changing
 one keeps every hash while the answers stay.
 

@@ -2,34 +2,33 @@
 
 The toric ideal of a curve is built from scratch by one of two routes, which
 give the same reduced basis (`toric_ideal` picks by n and m_n).  For n >= 5
-and m_n up to a bound that grows with n (APERY_MAX_MN), one Buchberger run
-under plain degrevlex on binomials read off the Apery set of the curve's
-semigroup (`semigroup.presentation`), which generate the ideal.  The same
-Apery walk gives the Hilbert series of K[C], and the run stops once the
-leads of its reduced generators have it (Traverso, Hilbert functions and
-the Buchberger algorithm, JSC 1996): then they already generate in(I(C)),
-and no S-pair is made.  Otherwise, where that run loses to few saturation
-passes or the Apery set (at least m_n elements) outgrows them: a basis of
-the kernel lattice from one extended-Euclid chain over m_1, ..., m_n (so the
-lattice is saturated), a short basis from integral LLL (integer Gram
-determinants, no rationals, updated in place on a swap), then a pairwise L1
-size reduction of that basis (`_degree_reduced`: LLL shortens the Euclidean
-norm, Buchberger pays for the binomial degree, half the L1 norm), the
-lattice-basis binomial ideal, and successive saturation with respect to x_2,
-..., x_{n+1}, each under plain degrevlex with that variable moved last.
-Everything stays a pure difference throughout; coefficients never leave
-{+1, -1}.
+and m_n up to a bound that grows with n (APERY_MAX_MN), no Buchberger run:
+under degrevlex with x_n, x_{n+1} last the normal form of a monomial is read
+off the Apery decomposition of its element in the curve's semigroup, so the
+leads and trails of the reduced basis are too (`semigroup.reduced_basis`).
+The same Apery walk gives the Hilbert series of K[C], and the leads must
+have it (Traverso, Hilbert functions and the Buchberger algorithm, JSC
+1996): then they generate in(I(C)).  Otherwise, where the Apery set (at
+least m_n elements) outgrows few saturation passes: a basis of the kernel
+lattice from one extended-Euclid chain over m_1, ..., m_n (so the lattice is
+saturated), a short basis from integral LLL (integer Gram determinants, no
+rationals, updated in place on a swap), then a pairwise L1 size reduction of
+that basis (`_degree_reduced`: LLL shortens the Euclidean norm, Buchberger
+pays for the binomial degree, half the L1 norm), the lattice-basis binomial
+ideal, and successive saturation with respect to x_2, ..., x_{n+1}, each
+under plain degrevlex with that variable moved last.  Everything stays a
+pure difference throughout; coefficients never leave {+1, -1}.
 
 The Buchberger kernel holds each monomial as one int (`poly._Packing`).  The
 public `buchberger` and `reduce_basis` pack their tuples on entry and unpack
 the basis they return; the saturation route packs the lattice basis once and
 runs every pass in that one packing (a wider one from a pass that reruns
 on), moving the next variable last by swapping two fields, and unpacks only
-the final basis; the Apery route runs in the packing
-`semigroup.presentation` builds its binomials in, and unpacks only the
-basis too.  The kernel alone decides the field width: a run whose S-pair
-outgrows its packing repacks its own generators wider, runs again, and
-returns the packing its basis is in.
+the final basis; the Apery route sorts its pairs in the packing
+`semigroup.reduced_basis` builds them in and unpacks them once.  The kernel
+alone decides the field width: a run whose S-pair outgrows its packing
+repacks its own generators wider, runs again, and returns the packing its
+basis is in.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from .poly import (
     format_binomial,
     is_member_binomial,
 )
-from .semigroup import presentation
+from .semigroup import reduced_basis
 from .seq import CurveSequence
 
 
@@ -71,20 +70,16 @@ class GroebnerBasis(NamedTuple("GroebnerBasis", [("order", TermOrder),
 
     @cached_property
     def initial(self) -> MonomialIdeal:
-        """The ideal of the leads, built once; a certified Apery run of
-        `toric_ideal` fills it with the ideal whose K-polynomial it checked."""
+        """The ideal of the leads, built once; `toric_ideal`'s Apery route
+        fills it with the ideal whose K-polynomial it checked."""
         return MonomialIdeal.from_gens(self.nvars, (g.lead for g in self.elements))
-
-
-def _non_homogeneous(g: Binomial) -> InvariantViolation:
-    return InvariantViolation(f"non-homogeneous {g}: the packed kernel needs equal degrees")
 
 
 def _degree(gens: list[Binomial]) -> int:
     """The largest degree of `gens`; InvariantViolation unless each is homogeneous."""
     for g in gens:
         if sum(g.lead) != sum(g.trail):
-            raise _non_homogeneous(g)
+            raise InvariantViolation(f"non-homogeneous {g}: the packed kernel needs equal degrees")
     return max([0] + [g.degree for g in gens])
 
 
@@ -125,8 +120,7 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder) -> GroebnerBasis:
     """Reduced Groebner basis of the binomial ideal generated by `gens`.
 
     Generators and S-pairs enter the basis through one step: the lead of
-    their normal form; then the new pairs, which for the generators wait
-    until every generator is in (below).  The lead is the larger side once
+    their normal form, then the new pairs.  The lead is the larger side once
     it is irreducible (so the generators may come in either orientation),
     and a difference that reaches zero on the way drops; the other side is
     the trail as it stands, since the pair criteria read only leads and the
@@ -167,62 +161,27 @@ def buchberger(gens: Iterable[Binomial], order: TermOrder) -> GroebnerBasis:
     packed core `_buchberger` runs on ints of a `_Packing` its caller builds
     and returns the packing its basis is in, so `toric_ideal` carries one
     packing from each saturation pass to the next.
-
-    Every generator is reduced before the first pair is made; the pairs are
-    then made lead by lead, in the order the leads were found, which gives
-    the pairs of making them as each lead is found.  `toric_ideal`'s Apery
-    route checks the leads at that point and may stop with no pair at all
-    (`_buchberger`); this function always makes the pairs.
     """
     gens = list(gens)
     packing = _Packing(order.nvars, order.nvars * _degree(gens), order.weights)
     pack = packing.pack
-    return _run(packing, [(pack(g.lead), pack(g.trail)) for g in gens], order)
-
-
-def _run(packing: _Packing, gens: list[tuple[int, int]], order: TermOrder,
-         target: tuple[int, ...] | None = None) -> GroebnerBasis:
-    """`_buchberger` on the packed `gens` in `packing`, whose order is
-    `order`, unpacked into a basis; one that `target` certifies keeps the
-    certified ideal as its initial ideal."""
-    packing, pairs, ideal = _buchberger(packing, gens, target)
-    gb = GroebnerBasis(order, _unpack(packing, pairs))
-    if ideal is not None:
-        gb.__dict__["initial"] = ideal  # fills the cached property
-    return gb
+    packing, pairs = _buchberger(packing, [(pack(g.lead), pack(g.trail)) for g in gens])
+    return GroebnerBasis(order, _unpack(packing, pairs))
 
 
 def _buchberger(packing: _Packing, gens: list[tuple[int, int]],
-                target: tuple[int, ...] | None = None,
-                ) -> tuple[_Packing, list[tuple[int, int]], MonomialIdeal | None]:
+                ) -> tuple[_Packing, list[tuple[int, int]]]:
     """`buchberger` on packed generators (lead, trail), in either
-    orientation, under the order of `packing`: (packing, pairs, ideal),
-    the reduced basis as packed (lead, trail) pairs of the returned packing
-    in ascending order of the leads, and the ideal of its leads when
-    `target` certified it (None otherwise).  The generators must be
-    homogeneous of degree at most the packing's top.
+    orientation, under the order of `packing`: (packing, pairs), the
+    reduced basis as packed (lead, trail) pairs of the returned packing in
+    ascending order of the leads.  The generators must be homogeneous of
+    degree at most the packing's top.
 
     A selected S-pair of degree d above the top is never reduced: the run
     repacks its own `gens` into `_Packing(nvars, nvars d)`, same order and
     same fields, and returns the run on them there.  That is the same
     deterministic algorithm on wider ints, so the basis is the one a wide
-    enough first packing gives, and every monomial met fits a field.  The
-    rerun takes no `target`: the leads of the generators, the same in any
-    packing, already failed it.
-
-    Every generator is reduced before any pair is made.  If `target` is the
-    K-polynomial of R/in(I) for the ideal I that the generators are known
-    to lie in, and the leads so far have it, the run stops there: no pair,
-    no criterion M.  The leads lie in in(I), and the ideal L they generate
-    has the Hilbert function of R/in(I) in every degree, so L = in(I); the
-    elements are then a Groebner basis of I, and the ideal they generate is
-    I, so every S-pair reduces to zero and `_interreduce` gives the reduced
-    basis of I.  That holds whatever the generators are, and a set that
-    generates a smaller ideal has too few leads to pass.  Otherwise the
-    pairs of the leads are made in order and the loop runs.  Pair creation
-    reads only the sequence of leads, and no S-pair is reduced before every
-    generator is, so the pairs, the S-pairs reduced and the basis are those
-    of making each lead's pairs as it is found."""
+    enough first packing gives, and every monomial met fits a field."""
     G, top = packing.guards, packing.top
     key, degree_key = packing.key, packing.degree_key
     field, guard_shift = packing.field, packing.guard_shift
@@ -280,22 +239,12 @@ def _buchberger(packing: _Packing, gens: list[tuple[int, int]],
         # lcm == lead i when h divides it: i stops pairing
         paired[:] = [i for i, lcm in zip(paired, lcms) if lcm != leads[i]] + [h]
 
-    def basis() -> list[tuple[int, int]]:
-        return _interreduce(packing, [(key(lead), lead, lead + step)
-                                      for lead, (_, step, _) in zip(leads, reducers)])
-
     for a, b in gens:
-        add(a, key(a), b, key(b))
-    if target is not None:
-        ideal = MonomialIdeal.from_gens(len(packing.shifts), map(packing.unpack, leads))
-        if ideal.k_polynomial == target:
-            return packing, basis(), ideal
-
-    for h in range(len(leads)):
-        pair(h)
+        if add(a, key(a), b, key(b)):
+            pair(len(leads) - 1)
     while heap:
         d, k, i, j, lcm = heapq.heappop(heap)
-        if d > top:  # rerun wider; the leads of `gens` already failed `target`
+        if d > top:  # rerun wider
             nvars, _, weights = packing.args
             wider, unpack = _Packing(nvars, nvars * d, weights), packing.unpack
             pack = wider.pack
@@ -304,7 +253,8 @@ def _buchberger(packing: _Packing, gens: list[tuple[int, int]],
         _, step_j, kstep_j = reducers[j]
         if add(lcm + step_i, k + kstep_i, lcm + step_j, k + kstep_j):
             pair(len(leads) - 1)
-    return packing, basis(), None
+    return packing, _interreduce(packing, [(key(lead), lead, lead + step)
+                                           for lead, (_, step, _) in zip(leads, reducers)])
 
 
 def _keyed(packing: _Packing, pairs: list[tuple[int, int]],
@@ -492,23 +442,25 @@ def toric_ideal(seq: CurveSequence) -> GroebnerBasis:
     of two routes that give the same basis; n and m_n of `seq` pick it.
 
     For n >= 5 and m_n at most APERY_MAX_MN's bound for n (`_apery_route`),
-    one Buchberger run on the Apery-set presentation of
-    `semigroup.presentation`: binomials read off the Apery set of the
-    semigroup with respect to x_n and x_{n+1}, which generate I(C), so
-    their reduced basis is that of I(C).  They come packed, in the packing
-    the run starts in, and are checked homogeneous there.  The run reduces
-    every generator first and compares the K-polynomial of their leads with
-    N(t) (1 - t)^(n - 1), N(t) the Hilbert numerator of K[C] read off the
-    same Apery walk; if they agree it stops there, with no S-pair, and the
-    basis keeps that ideal of leads, K-polynomial computed, as its initial
-    ideal (`GroebnerBasis.initial`).  That holds on most curves: all but 5
-    of the 9,127 gcd-1 curves with n = 5, m_5 <= 17 and n = 6, m_6 <= 14,
-    and 567 of 600 seeded n = 5..9 curves with 10 <= m_n <= 128
-    (`random.Random(11)`; 3,22,57,65,94 and 10,13,18,20,35,47 make their
-    pairs too).  With every (B) candidate kept, 570 of the 600 stop: the
-    three more, such as 1,17,37,49,51,56,60, now make pairs, and the
-    presentation's fewer generators still win on the whole set.  The basis
-    is the same either way.
+    the basis `semigroup.reduced_basis` reads off the Apery set of the
+    semigroup with respect to x_n and x_{n+1}, with no Buchberger run.
+    Under degrevlex with x_n, x_{n+1} last, the normal form of the element
+    w + c a_n + c' a_{n+1}, w in Ap and c' as large as it goes, is
+    mu(w) x_n^c x_{n+1}^c', mu(w) the least factorization of w; the leads
+    are the minimal monomials that are not such a form, and each trail is
+    the normal form of its lead.  The pairs come packed; here they are
+    oriented and sorted by the packing's degrevlex key (`_keyed`, which
+    raises on a pair whose lead does not lead) and unpacked once.  The
+    basis is then checked, not trusted: the leads must be the minimal
+    generators of an ideal whose K-polynomial is N(t) (1 - t)^(n - 1),
+    N(t) the Hilbert numerator of K[C] read off the same Apery walk, or
+    InvariantViolation.  Leads of members of I(C) whose ideal has the
+    Hilbert function of in(I(C)) generate it, so the pairs are a Groebner
+    basis of I(C); a lead left out, or one too many, fails.  The trails
+    are normal forms by construction and are not checked again (the tests
+    compare the basis with the saturation route and with a Buchberger run
+    on an Apery-set presentation).  The basis keeps that ideal,
+    K-polynomial computed, as its initial ideal (`GroebnerBasis.initial`).
 
     Otherwise the saturation route of `_saturated`, from a lattice basis.
     The Apery route needs no lattice basis and no saturation passes, whose
@@ -520,9 +472,12 @@ def toric_ideal(seq: CurveSequence) -> GroebnerBasis:
     saturation passes stay cheap: 1,100,200,300,100000 takes 1.4 s against
     6 ms, and 1,2,3,4,1000000 10 s and 380 MB against 0.9 s and 13 MB.
     Hence APERY_MAX_MN, from the crossovers per n (best of two to five
-    calls per route on a shared 2-core box).  n = 5 takes 128: on 531 n = 5
-    curves with m_n from 80 to 128 the Apery route lost at most 1.4 times
-    and 1.2 ms, and 1,2,3,4,m_n loses from m_n = 160 on.  n = 6 takes 360:
+    calls per route on a shared 2-core box), measured when the Apery route
+    still ran Buchberger on an Apery-set presentation; the route without
+    that run is cheaper, so the crossovers may lie higher now (ROADMAP,
+    item 16).  n = 5 takes 128: on 531 n = 5 curves with m_n from 80 to
+    128 the Apery route lost at most 1.4 times and 1.2 ms, and
+    1,2,3,4,m_n loses from m_n = 160 on.  n = 6 takes 360:
     1,2,3,4,5,m_n loses from about 380, and 300 seeded n = 6 curves with
     m_n from 300 to 360 all won (2.3 s against 14.0 s);
     1,2,4,8,16,m_n loses 1.8 times (0.8 ms) at 360.  n >= 7 takes 1600:
@@ -535,17 +490,19 @@ def toric_ideal(seq: CurveSequence) -> GroebnerBasis:
     bounds.
 
     The two routes give the same bases on every curve checked (the tests
-    compare them on random n = 5..8 curves).  Every element of the result
+    compare them on random n = 5..9 curves).  Every element of the result
     is checked to lie in I(C).
     """
     if _apery_route(seq):
-        p, nv = presentation(seq), seq.n + 1
-        degree, unpack = p.packing.degree, p.packing.unpack
-        for a, b in p.pairs:
-            if degree(a) != degree(b):
-                raise _non_homogeneous(Binomial(unpack(a), unpack(b)))
-        k_poly = _times_one_minus_t(p.numerator, nv - 2, "a curve has at least three variables")
-        final = _run(p.packing, p.pairs, TermOrder(nv), k_poly)
+        b, order = reduced_basis(seq), TermOrder(seq.n + 1)
+        keyed = sorted(_keyed(b.packing, b.pairs, order))
+        final = GroebnerBasis(order, _unpack(b.packing, [pair[1:] for pair in keyed]))
+        ideal = MonomialIdeal.from_gens(order.nvars, [g.lead for g in final.elements])
+        if (len(ideal.gens) != len(keyed) or ideal.k_polynomial != _times_one_minus_t(
+                b.numerator, seq.n - 1, "a curve has at least three variables")):
+            raise InvariantViolation(f"Apery basis of ({seq}): its leads are not the minimal "
+                                     "generators of an ideal with the curve's Hilbert series")
+        final.__dict__["initial"] = ideal  # fills the cached property
     else:
         final = _saturated(seq)
     for g in final.elements:
@@ -605,7 +562,7 @@ def _saturated(seq: CurveSequence) -> GroebnerBasis:
     pairs = [(pack(g.lead[:1] + g.lead[2:] + g.lead[1:2]),  # layout 2: x_2 last
               pack(g.trail[:1] + g.trail[2:] + g.trail[1:2])) for g in gens]
     for i in range(1, nv):  # saturate x_{i+1}, held last; field i (from 0) holds x_{i+2}
-        packing, pairs, _ = _buchberger(packing, pairs)
+        packing, pairs = _buchberger(packing, pairs)
         swap, last = packing.swap, packing.last
         divided = []
         for a, b in pairs:

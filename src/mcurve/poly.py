@@ -30,7 +30,7 @@ class _Packing:
     held as one int: x_i's exponent in a field of w = (nvars top).bit_length()
     + 1 bits starting at bit `shifts[i]` = w i, whose top bit is a guard and
     stays 0.  The Buchberger kernel (`grobner`), the monomial-ideal layer
-    (`monideal`) and the Apery-set presentation (`semigroup`) share it.
+    (`monideal`) and the Apery route's basis (`semigroup`) share it.
 
     A sum of exponents, at most nvars top < 2^(w-1), never carries out of a
     field, so: lead divides m iff every guard survives the subtraction,

@@ -20,32 +20,37 @@ empty layer and needs no Frobenius bound.  Its cost is a bisection per
 candidate, about (n - 1) |Ap| of them, and |Ap| >= m_n: no table over the
 degree-d parts of S, whose sizes grow with d m_n.
 
-`presentation` reads binomials off the Apery set that generate the toric
-ideal I(C) (the Apery-set presentation of a simplicial affine semigroup;
-Rosales and Garcia-Sanchez, Finitely Generated Commutative Monoids, 1999).
-Every factorization of an Apery element w uses only x_1 .. x_{n-1}; fix one,
-mu(w): mu(0) = 1, and mu(w) = x_j mu(w - a_j) for the first j < n with
-w - a_j in Ap.
-- (B) For w in Ap and j < n, w + a_j = w' + c a_n + c' a_{n+1} for some w'
-  in Ap (w' = w + a_j and c = c' = 0 when that is in Ap); the binomial is
-  x_j mu(w) - mu(w') x_n^c x_{n+1}^c'.
-- (C) For neighbouring generators y^u1 z^v1 and y^u2 z^v2 (u1 < u2,
-  v1 > v2) of one I_r, of the Apery elements w1 and w2, the binomial is
-  mu(w1) x_n^(u2 - u1) - mu(w2) x_{n+1}^(v1 - v2).
-Each is a difference of two factorizations of one element, so it lies in
-I(C).  They generate it: the (B) moves rewrite any monomial, one x_j at a
-time, to a normal form mu(w) x_n^c x_{n+1}^c', and two normal forms of one
-element lie in one class r, where a chain of (C) moves between neighbouring
-generators of I_r joins them.  Most (B) candidates follow from those of
-lower degree: `presentation` skips (w, j) when neither w + a_j nor
-v + a_j is in Ap, v = w - a_j' for the first variable x_j' of mu(w) (its
-docstring has the proof), which drops a fifth to a third of the
-generators.  It packs the binomials in the
-packing `grobner.toric_ideal` runs them in, so they reach the kernel with
-no tuple in between.
+`reduced_basis` reads the reduced degrevlex basis of the toric ideal I(C)
+off the Apery set, with no Buchberger run (for the Apery-set presentation
+it refines, Rosales and Garcia-Sanchez, Finitely Generated Commutative
+Monoids, 1999).  Under degrevlex with x_n, x_{n+1} last, the normal form of a
+monomial is the least monomial of its element s, the one with the most
+x_{n+1}, then the most x_n, and so on back to x_1.  Write
+s = w + c a_n + c' a_{n+1} with c' as large as possible, then c (`_cover`):
+w is in Ap, and the normal form is mu(w) x_n^c x_{n+1}^c', mu(w) the least
+factorization of w.  Every factorization of an Apery element uses only
+x_1 .. x_{n-1}; the least one holds x_j for the largest j with w - a_j in
+Ap (none holds a later variable), and dividing a least monomial by a
+variable leaves a least one, so mu(0) = 1 and mu(w) = x_j mu(w - a_j) for
+that j.
+
+The standard monomials are these normal forms: mu(w) x_n^c x_{n+1}^c' with
+c below the gap u2 - u1 from the generator y^u1 z^v1 of w to the next one
+y^u2 z^v2 of its I_r (any c when w is the last), and any c'.  So no lead
+holds x_{n+1}, and a lead is either
+- x_j mu(w), a product that is not the mu of its element, or
+- mu(w1) x_n^(u2 - u1), w1 and w2 neighbouring generators of one I_r
+  (divided by x_n it is standard, so it is mu(w1) x_n^c with c - 1 below
+  the gap and c not), whose trail is mu(w2) x_{n+1}^(v1 - v2).
+A non-standard monomial is a lead iff dividing it by each variable of its
+support leaves a standard monomial, and a divisor of mu(w) by x_k is
+mu(w - a_k): the test is local, one lookup per variable.  A lead
+x_j mu(w) is counted once, at the largest j of its support, the j >= the
+last variable of mu(w).  Each trail is the normal form of the lead's
+element, from `_cover`.
 
 The same walk gives the Hilbert series of K[C] = K[S], N(t) / (1 - t)^2
-(`Presentation.numerator`).  The degree-d elements of S are the disjoint
+(`AperyBasis.numerator`).  The degree-d elements of S are the disjoint
 union over r of those of (0, r) + I_r, and K[y, z] / I_r has the K-polynomial
 1 - sum t^deg g + sum t^deg lcm over the generators g of I_r and the lcms of
 neighbouring ones; so, counting I_r itself, N(t) = sum_r (sum t^deg g - sum
@@ -109,10 +114,10 @@ def apery(m: tuple[int, ...]) -> tuple[dict[int, int], dict[int, list[int]]]:
     return degree, classes
 
 
-class Presentation(NamedTuple):
-    """The Apery-set presentation of I(C), as packed (a, b) pairs of
-    `packing`, and the Hilbert-series numerator of K[C] over (1 - t)^2, read
-    off one Apery walk."""
+class AperyBasis(NamedTuple):
+    """The reduced degrevlex basis of I(C), as packed (lead, trail) pairs of
+    `packing` in no set order, and the Hilbert-series numerator of K[C]
+    over (1 - t)^2, read off one Apery walk."""
 
     packing: _Packing
     pairs: list[tuple[int, int]]
@@ -134,95 +139,59 @@ def _numerator(mn: int, degree: dict[int, int], classes: dict[int, list[int]]) -
     return tuple(coeffs)
 
 
-def presentation(seq: CurveSequence) -> Presentation:
-    """The (B) and (C) binomials of `seq` that lower degrees do not already
-    imply, each divided by the gcd of its two monomials, without duplicates
-    or zeros, in ascending degree, and the numerator N(t) of `_numerator`,
-    from one `apery` walk.
+def reduced_basis(seq: CurveSequence) -> AperyBasis:
+    """The reduced degrevlex basis of I(C) and the numerator N(t) of
+    `_numerator`, from one `apery` walk (the module docstring has the
+    argument).  A common factor of `seq` defines the same curve, so the
+    Apery set is that of the sequence divided by it.
 
-    I(C) is prime and holds no monomial, so x^g (x^a - x^b) in I(C) puts
-    x^a - x^b in I(C): the coprime parts generate it as the binomials do.
-    A common factor of `seq` defines the same curve, so the Apery set is
-    that of the sequence divided by it.  For (B), w' is the Apery element of
-    the generator that covers w + a_j (w + a_j itself when that is in Ap).
-
-    A (B) candidate (w, j), w != 0, is skipped in three cases; let
-    j' = first[w], the first variable of mu(w) = x_j' mu(v), v = w - a_j'.
-    1. w + a_j in Ap and mu(w + a_j) starts with x_j: the binomial is 0.
-    2. w + a_j in Ap and mu(w + a_j) starts with x_j': then v + a_j, a
-       summand of w + a_j, is in Ap too, and mu(w + a_j) = x_j' mu(v + a_j).
-    3. w + a_j and v + a_j both not in Ap.
-    The kept ones still generate I(C).  Call mu(w') x_n^c x_{n+1}^c', w' in
-    Ap, a normal form of w' + c a_n + c' a_{n+1}, and J the ideal of the kept
-    binomials before division.  Two normal forms of one element are
-    congruent mod J: they lie in one class r, where a chain of (C) moves
-    between neighbouring generators of I_r, all kept, joins them.  Claim:
-    for w in Ap and j < n, x_j mu(w) is congruent to a normal form of
-    w + a_j.  A kept candidate's binomial says so, and so does case 1.  In
-    cases 2 and 3, by induction on deg w: x_j mu(w) = x_j' x_j mu(v), and
-    deg v < deg w, so x_j mu(v) is congruent to a normal form
-    mu(w'') x_n^c x_{n+1}^c' of v + a_j.  In case 2, c = c' = 0 and
-    x_j' mu(w'') = mu(w + a_j).  In case 3, c + c' >= 1, as v + a_j is not in
-    Ap, so deg w'' < deg w: x_j' mu(w'') is congruent to a normal form of
-    w'' + a_j', and x_j mu(w) to that normal form times x_n^c x_{n+1}^c', a
-    normal form of w + a_j.  Rewriting one variable at a time, every monomial
-    is congruent to a normal form of its element, so any two monomials of
-    one element are congruent: J = I(C), and the coprime parts, which lie in
-    I(C), generate it too.  Skipping (w, j) also when first[w] < j keeps the
-    bases but loses `grobner.toric_ideal`'s certified stop far more often
-    (on 24 of the 9,127 small curves of its docstring, not 5).
-
-    The pairs are ints of one `poly._Packing` under plain degrevlex, of top
-    (n + 1)(D + 1), D the degree of the last nonempty layer: the packing
-    `grobner.toric_ideal` starts its run in, with no re-pack (the kernel
-    repacks them itself if an S-pair outgrows it).  An Apery element
-    has degree at most D, so every exponent met is at most 2 D (a (C)
-    binomial has the degree u2 + v1 of an lcm), within that top, and the
-    gcd takes, in each field, the side whose guard does not survive the
-    other's subtraction.  A (B) binomial has degree at most D + 1, so the
-    top is n + 1 times the largest generator degree whenever a (B) binomial
-    of the last layer survives, the top the kernel would pick itself."""
+    The pairs are ints of a `poly._Packing` under plain degrevlex, of top
+    2 D, D the degree of the last nonempty layer: a lead x_j mu(w) has
+    degree at most D + 1, and a lead mu(w1) x_n^(u2 - u1) the degree
+    u2 + v1 <= 2 D of an lcm of two generators."""
     m = seq.with_gcd_one().m
     n, mn = len(m), m[-1]
     degree, classes = apery(m)
-    packing = _Packing(n + 1, (n + 1) * (max(degree.values()) + 1))
-    G, field, guard_shift = packing.guards, packing.field, packing.guard_shift
+    packing = _Packing(n + 1, 2 * max(degree.values()))
     unit = [1 << s for s in packing.shifts]
     y_unit, z_unit = unit[n - 1], unit[n]
     get = degree.get
-    mu, first = {0: 0}, {0: -1}  # first[x]: the j of mu(x) = x_j mu(x - a_j)
+    mu, support = {0: 0}, {0: ()}  # support[x]: the variables of mu(x), the last first
     for x, d in degree.items():  # by degree: the mu of degree d - 1 come first
         if d:
-            for j in range(n - 1):
+            for j in range(n - 2, -1, -1):
                 if get(x - m[j]) == d - 1:
                     break
-            first[x], mu[x] = j, mu[x - m[j]] + unit[j]
-
-    found = set()
-
-    def add(a: int, b: int) -> None:
-        if a != b:
-            ge = (((a + G - b) & G) >> guard_shift) * field  # the fields where a >= b
-            g = (b & ge) | (a & ~ge)
-            found.add((a - g, b - g) if a > b else (b - g, a - g))
-
-    for x, d in degree.items():  # (B)
-        d1, fx, mu_x = d + 1, first[x], mu[x]
-        v = x - m[fx]  # mu(x) = x_fx mu(v); unused at x = 0
-        for j in range(n - 1):
-            y = x + m[j]
-            if get(y) == d1:  # w + a_j in Ap: w' = w + a_j, c = c' = 0
-                if first[y] != fx and first[y] != j:  # else 0 or a duplicate
-                    add(mu_x + unit[j], mu[y])
-            elif not x or get(v + m[j]) == d:  # else implied by lower degrees
-                w = _cover(degree, classes, mn, d1, y)  # w + a_j is in S
-                c = (y - w) // mn
-                add(mu_x + unit[j], mu[w] + c * y_unit + (d1 - degree[w] - c) * z_unit)
-    for gens in classes.values():  # (C)
+            v = x - m[j]
+            mu[x], ks = mu[v] + unit[j], support[v]
+            support[x] = ks if ks and ks[0] == j else (j,) + ks
+    mu_get = mu.get
+    gap = {}  # gap[x]: u2 - u1 from x to the next generator of its I_r; none for the last
+    for gens in classes.values():
         for w1, w2 in zip(gens, gens[1:]):
-            u1, u2 = w1 // mn, w2 // mn
-            add(mu[w1] + (u2 - u1) * y_unit,
-                mu[w2] + (degree[w1] - u1 - degree[w2] + u2) * z_unit)
-    degree_of = packing.degree
-    return Presentation(packing, sorted(found, key=lambda p: (degree_of(p[0]), p)),
-                        _numerator(mn, degree, classes))
+            gap[w1] = w2 // mn - w1 // mn
+
+    pairs = []
+    for x, d in degree.items():  # leads x_j mu(w), j >= the last variable of mu(w)
+        mu_x, ks = mu[x], support[x]
+        for j in range(ks[0] if ks else 0, n - 1):
+            lead, y = mu_x + unit[j], x + m[j]
+            if mu_get(y) == lead:  # standard
+                continue
+            for k in ks:  # lead / x_k = x_j mu(w - a_k) must be standard
+                if k != j and mu_get(y - m[k]) != mu[x - m[k]] + unit[j]:
+                    break
+            else:
+                w = _cover(degree, classes, mn, d + 1, y)  # w + a_j is in S
+                c = (y - w) // mn
+                pairs.append((lead, mu[w] + c * y_unit + (d + 1 - degree[w] - c) * z_unit))
+    for gens in classes.values():  # leads mu(w1) x_n^c, c the gap of w1
+        for w1, w2 in zip(gens, gens[1:]):
+            c = gap[w1]
+            for k in support[w1]:  # mu(w1 - a_k) x_n^c must be standard
+                if gap.get(w1 - m[k], c + 1) <= c:
+                    break
+            else:
+                pairs.append((mu[w1] + c * y_unit,
+                              mu[w2] + (degree[w1] - degree[w2] + c) * z_unit))
+    return AperyBasis(packing, pairs, _numerator(mn, degree, classes))

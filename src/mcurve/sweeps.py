@@ -317,7 +317,7 @@ def check_generalized_instance(seq: CurveSequence) -> dict[str, bool]:
     checks = {
         **_closed_checks(c, reg),
         "not_cm_witness_found": not_cm_witness(seq) is not None,
-        "elimination_equality": c.ini.restrict(1) == Curve(CurveSequence(seq.m[1:])).ini,
+        "elimination_equality": c.ini.restrict(1) == toric_ideal(CurveSequence(seq.m[1:])).initial,
         "nested_type": is_nested_type(c.ini),
         "reg_last_component": reg == prof.delta + prof.beta[prof.delta_prime - 1] - 2,
         "last_step": last_step_check(c.ini, reg),
@@ -332,7 +332,7 @@ def check_generalized_instance(seq: CurveSequence) -> dict[str, bool]:
 def _check_koszul_list(seq: CurveSequence, koszul: frozenset) -> dict[str, bool]:
     """A Koszul list against the oracle: quadric generation iff listed, and a
     quadratic Groebner basis for every listed sequence."""
-    gb = Curve(seq).gb
+    gb = toric_ideal(seq)
     listed = seq.m in koszul
     checks = {"quadric_iff_listed": is_generated_by_quadrics(gb) == listed}
     if listed:

@@ -1,20 +1,28 @@
-"""Test-side Apery-set presentations that keep every (B) candidate.
+"""A test-side Apery-set presentation that keeps every (B) candidate.
 
-`semigroup.presentation` skips the (B) candidates that lower degrees imply.
-These keep them all, on exponent tuples, so that the tests can check the
-pruned presentation against the whole one: a subset of it, with the same
-reduced basis and the same answers.
+`semigroup.reduced_basis` reads the reduced basis of I(C) off the Apery set
+with no Buchberger run.  The binomials here generate I(C) by another
+argument (below), on exponent tuples, so a Buchberger run on them is an
+independent route to the same basis.
 """
 
-from mcurve.poly import Binomial
-from mcurve.semigroup import _cover, apery, presentation
+from mcurve.grobner import buchberger
+from mcurve.poly import Binomial, TermOrder, _Packing
+from mcurve.semigroup import _cover, apery, reduced_basis
 
 
 def full_presentation(seq):
-    """The (B) and (C) binomials on exponent tuples, every (B) candidate
-    included, divided by their gcds, without duplicates or zeros, each side
-    and the list in the order of `presentation` (the later exponents
-    weigh most)."""
+    """The (B) and (C) binomials of the Apery-set presentation on exponent
+    tuples, divided by their gcds, without duplicates or zeros, each side
+    and the list in ascending order (the later exponents weigh most).
+
+    mu(w) here is one factorization of the Apery element w, over the first
+    j < n with w - a_j in Ap.  (B): for w in Ap and j < n,
+    x_j mu(w) - mu(w') x_n^c x_{n+1}^c', w + a_j = w' + c a_n + c' a_{n+1}
+    from `_cover`.  (C): mu(w1) x_n^(u2 - u1) - mu(w2) x_{n+1}^(v1 - v2) for
+    neighbouring generators y^u1 z^v1, y^u2 z^v2 of one class.  The (B)
+    moves rewrite any monomial to mu(w) x_n^c x_{n+1}^c' and the (C) moves
+    join two such forms of one element, so they generate I(C)."""
     m = seq.with_gcd_one().m
     n, mn = len(m), m[-1]
     degree, classes = apery(m)
@@ -54,15 +62,19 @@ def full_presentation(seq):
                                                                      p[1][::-1]))]
 
 
-def binomials(p):
-    """The pairs of the presentation `p`, unpacked into binomials."""
-    unpack = p.packing.unpack
-    return [Binomial(unpack(a), unpack(b)) for a, b in p.pairs]
+def binomials(b):
+    """The pairs of the Apery basis `b`, unpacked into binomials."""
+    unpack = b.packing.unpack
+    return [Binomial(unpack(lead), unpack(trail)) for lead, trail in b.pairs]
 
 
-def every_candidate(seq):
-    """`presentation(seq)` with the pairs of `full_presentation(seq)`, packed
-    in the same packing."""
-    p = presentation(seq)
-    pack = p.packing.pack
-    return p._replace(pairs=[(pack(g.lead), pack(g.trail)) for g in full_presentation(seq)])
+def presented_basis(seq):
+    """`reduced_basis(seq)` with its pairs and packing replaced by those of a
+    Buchberger run on `full_presentation(seq)`: the Apery route's basis by
+    the independent route, its numerator kept."""
+    nv = seq.n + 1
+    gb = buchberger(full_presentation(seq), TermOrder(nv))
+    packing = _Packing(nv, max(g.degree for g in gb.elements))
+    pack = packing.pack
+    return reduced_basis(seq)._replace(
+        packing=packing, pairs=[(pack(g.lead), pack(g.trail)) for g in gb.elements])

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from mcurve import grobner, sweeps
-from presentations import every_candidate
+from presentations import presented_basis
 import tuple_monideal
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "corpus_digest.py"
@@ -57,8 +57,9 @@ def _scanned_last_step(ideal, reg):
                  id="lattice_basis-_flipped_lattice_basis"),
     # every bound 0: every curve on the saturation route
     pytest.param((grobner,), {"APERY_MAX_MN": {5: 0}}, id="APERY_MAX_MN-0"),
-    # the Apery presentation with every (B) candidate kept
-    pytest.param((grobner,), {"presentation": every_candidate}, id="presentation-every-candidate"),
+    # the Apery route's basis from a Buchberger run on the presentation
+    # with every (B) candidate kept, not read off the walk
+    pytest.param((grobner,), {"reduced_basis": presented_basis}, id="presentation-every-candidate"),
     # the CM type from the whole staircase, in the reports and in the script's own lines
     pytest.param((sweeps, corpus), {"cm_type_oracle": _staircase_cm_type}, id="cm_type-staircase"),
     # the split and the last step from listed standard monomials, not from

@@ -24,7 +24,7 @@ from mcurve.grobner import (
 from mcurve.koszul import quadratic_gb_witness
 from mcurve.monideal import MonomialIdeal
 from mcurve.poly import Binomial, TermOrder, bidegree, is_member_binomial, yweighted
-from mcurve.semigroup import apery, presentation
+from mcurve.semigroup import apery, reduced_basis
 from mcurve.seq import CurveSequence, parse_sequence
 import tuple_kernel
 from orders import degrevlex_cheapest
@@ -194,7 +194,7 @@ def _narrowest(packing_class=grobner._Packing):
 def _packed_run(packing, gens):
     """`grobner._buchberger` on `gens` packed in `packing`, its basis
     unpacked, and the top of the packing that basis came in."""
-    packing, pairs, _ = grobner._buchberger(
+    packing, pairs = grobner._buchberger(
         packing, [(packing.pack(g.lead), packing.pack(g.trail)) for g in gens])
     return grobner._unpack(packing, pairs), packing.top
 
@@ -233,8 +233,9 @@ class TestPairCriteria:
 @pytest.fixture
 def packings(monkeypatch):
     """The tops of the packings `grobner` builds, and the one `semigroup`
-    packs the Apery presentation in, in order: one per `buchberger` call or
-    chain of saturation passes, and one more per rerun in a wider packing."""
+    packs the Apery route's basis in, in order: one per `buchberger` call,
+    chain of saturation passes or Apery basis, and one more per rerun in a
+    wider packing."""
     tops = []
     packing_class = grobner._Packing
 
@@ -253,9 +254,9 @@ def runs(monkeypatch):
     tops = []
     run = grobner._buchberger
 
-    def counting(packing, gens, target=None):
+    def counting(packing, gens):
         tops.append(packing.top)
-        return run(packing, gens, target)
+        return run(packing, gens)
 
     monkeypatch.setattr(grobner, "_buchberger", counting)
     return tops
@@ -308,14 +309,18 @@ class TestPackedKernel:
             reduce_basis(gens, TermOrder(3))
 
     def test_non_homogeneous_packed_generator_raises(self, monkeypatch):
-        # the Apery route hands its packed pairs to the kernel as they come:
-        # a pair of two degrees raises as a non-homogeneous binomial does
+        # the Apery route's packed pairs reach no kernel run, so none is
+        # checked homogeneous on its own: a pair of two degrees whose lead
+        # is right keeps the certificate and fails the membership check
         seq = parse_sequence("10,13,16,19,22")
-        p = presentation(seq)
-        pack = p.packing.pack
-        bad = p._replace(pairs=p.pairs + [(pack((2, 0, 0, 0, 0, 0)), pack((0, 1, 0, 0, 0, 0)))])
-        monkeypatch.setattr(grobner, "presentation", lambda seq: bad)
-        with pytest.raises(InvariantViolation, match="non-homogeneous x1\\^2 - x2"):
+        b = reduced_basis(seq)
+        pack = b.packing.pack
+        lead = pack((0, 2, 0, 0, 0, 0))
+        assert lead in [a for a, _ in b.pairs]
+        bad = b._replace(pairs=[(a, pack((1, 0, 0, 0, 0, 0)) if a == lead else t)
+                                for a, t in b.pairs])
+        monkeypatch.setattr(grobner, "reduced_basis", lambda seq: bad)
+        with pytest.raises(InvariantViolation, match="non-member x2\\^2 - x1 in toric basis"):
             toric_ideal(seq)
 
     def test_degree_500_elements(self):
@@ -575,18 +580,15 @@ class TestToricIdeal:
 
     def test_one_buchberger_run_per_variable(self, monkeypatch):
         made, runs = [], []  # (arguments, packing) of each _Packing; the packing of each run
-        stopped = []  # per run, whether it stopped after its generators
         packing_class, run = grobner._Packing, grobner._buchberger
 
         def packing(*args):
             made.append((args, packing_class(*args)))
             return made[-1][1]
 
-        def counting(packing, gens, target=None):
+        def counting(packing, gens):
             runs.append(packing)
-            packing, pairs, ideal = run(packing, gens, target)
-            stopped.append(ideal is not None)
-            return packing, pairs, ideal
+            return run(packing, gens)
 
         monkeypatch.setattr(grobner, "_Packing", packing)
         monkeypatch.setattr(semigroup, "_Packing", packing)
@@ -598,10 +600,8 @@ class TestToricIdeal:
                   (1, 2, 3, 4, 5, 6, 1601)]:
             made.clear()
             runs.clear()
-            stopped.clear()
             seq = CurveSequence(m)
             toric_ideal(seq)
-            assert not any(stopped), m
             # one packing, and one packed run in it per saturated variable x_2 .. x_{n+1};
             # its top is n + 1 times the largest degree of a lattice binomial
             degree = max(sum(map(abs, v)) // 2 for v in grobner._degree_reduced(lattice_basis(seq)))
@@ -611,20 +611,15 @@ class TestToricIdeal:
                   (1, 2, 3, 4, 128), (5, 26, 32, 38, 101), (1, 2, 3, 4, 5, 360),
                   (1, 2, 3, 4, 5, 6, 1600), (11, 12, 15, 79, 113, 130, 159, 277)]:
             seq = CurveSequence(m)
-            # n >= 5 and m_n within the bound: one packing, the presentation's,
-            # and one run in it; its top is (n + 1)(D + 1), D the degree of
-            # the last Apery layer, and here D + 1 is the largest degree of a
-            # generator, so the top is the one the kernel would pick
-            top = max(apery(seq.m)[0].values()) + 1
-            assert max(g.degree for g in binomials(presentation(seq))) == top, m
+            # n >= 5 and m_n within the bound: one packing, the Apery basis's,
+            # of top 2 D, D the degree of the last Apery layer, and no run
+            top = 2 * max(apery(seq.m)[0].values())
+            assert max(g.degree for g in binomials(reduced_basis(seq))) <= top, m
             made.clear()
             runs.clear()
-            stopped.clear()
             toric_ideal(seq)
-            assert [args for args, _ in made] == [(len(m) + 1, (len(m) + 1) * top)], m
-            assert runs == [made[0][1]], m
-            # the leads of the generators have the curve's Hilbert series: no S-pair
-            assert stopped == [True], m
+            assert [args for args, _ in made] == [(len(m) + 1, top)], m
+            assert runs == [], m
 
     @pytest.mark.parametrize("m", [(5, 26, 27), (4, 23, 24)], ids=lambda m: ",".join(map(str, m)))
     def test_saturation_chain_reruns_once(self, m, packings, monkeypatch):
@@ -634,9 +629,9 @@ class TestToricIdeal:
         # chain gives the basis of the tuple loop
         calls, run = [], grobner._buchberger  # (top, unpacked generators) of each run
 
-        def recording(packing, gens, target=None):
+        def recording(packing, gens):
             calls.append((packing.top, [tuple(map(packing.unpack, g)) for g in gens]))
-            return run(packing, gens, target)
+            return run(packing, gens)
 
         monkeypatch.setattr(grobner, "_buchberger", recording)
         seq = CurveSequence(m)
@@ -709,14 +704,15 @@ class TestHeadroom:
     4 (m_n + n), and sized its packing from it.  These curves finish in their
     first packing, with no rerun, and its top is at most half that guard: a
     kernel change that sends them into a rerun, or widens their first
-    packing past the old one, fails here, not in a user's run."""
+    packing past the old one, fails here, not in a user's run.  The Apery
+    route's one packing holds its basis, and it makes no kernel run."""
 
     @pytest.mark.parametrize("m", REPORT_CURVES, ids=lambda m: ",".join(map(str, m)))
     def test_half_the_guard_gives_the_same_basis(self, m, packings, runs):
         seq = CurveSequence(m)
         gb = toric_ideal(seq)
         assert len(packings) == 1 and packings[0] <= 2 * (seq.mn + seq.n)
-        assert runs == packings * len(runs)
+        assert runs == ([] if grobner._apery_route(seq) else packings * seq.n)
         assert gb == _toric_ideal_by_tuples(seq)
 
     @pytest.mark.parametrize("text", ["1,2,3,4,6", "2,3,4,5,6,8"])

@@ -1,23 +1,28 @@
-"""The semigroup layers, the Apery set and the Apery-set presentation."""
+"""The semigroup layers, the Apery set and the reduced basis read off it."""
 
 import itertools
 import math
+
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcurve import grobner
+from mcurve.errors import InvariantViolation
 from mcurve.grobner import buchberger, toric_ideal
 from mcurve.monideal import MonomialIdeal, _times_one_minus_t, hs_numerator
-from mcurve.poly import Binomial, TermOrder, bidegree
-from mcurve.semigroup import apery, presentation
+from mcurve.poly import TermOrder, bidegree
+from mcurve.semigroup import apery, reduced_basis
 from mcurve.seq import CurveSequence, parse_sequence
 from presentations import binomials, full_presentation
 
 GOLDENS = ["10,13,16,19,22", "4,5,6,7,8", "7,30,39,48,57,66", "5,26,32,38", "2,35,46,57,68"]
-# n >= 5 curves whose presentation leads fall short of in(I(C)): the run makes pairs
-FALLBACKS = ["3,22,57,65,94", "10,13,18,20,35,47"]
+# n >= 5 curves on which a Buchberger run from an Apery-set presentation
+# once had to make S-pairs: the generators' leads fell short of in(I(C))
+PAIRED = ["3,22,57,65,94", "10,13,18,20,35,47", "58,60,66,72,76,100,110,119",
+          "1,17,37,49,51,56,60", "12,17,31,38,40,66,78,82", "9,14,31,40,51,68,70,85,98"]
 # the n = 4 curves of the benchmark's `report` workload: 5,26,32,38 and its
 # same-m_n variants
 REPORT_N4 = ["5,26,32,38", "14,31,36,38", "15,25,34,38", "2,16,29,38", "6,14,31,38",
@@ -90,39 +95,43 @@ def _layer_sizes(m, top):
 
 
 class TestPresentation:
+    """The reduced basis that `reduced_basis` reads off the Apery set: a
+    presentation of I(C), and `toric_ideal`'s basis on the Apery route."""
+
     def test_coprime_parts_deduplicated(self):
-        gens = binomials(presentation(CurveSequence((25, 54, 58))))
-        assert len(gens) == 17
-        assert buchberger(gens, TermOrder(4)) == toric_ideal(CurveSequence((25, 54, 58)))
+        # each side coprime to the other, no pair twice, and the saturation
+        # route's basis, on a curve of n = 3 that route keeps
+        seq = CurveSequence((25, 54, 58))
+        gens = binomials(reduced_basis(seq))
+        assert len(set(gens)) == len(gens) == 17
+        assert all(not any(map(min, g.lead, g.trail)) for g in gens)
+        assert set(gens) == toric_ideal(seq).element_set()
 
     @pytest.mark.parametrize("text", GOLDENS)
     def test_coprime_members(self, text):
         seq = parse_sequence(text)
-        gens = binomials(presentation(seq))
+        gens = binomials(reduced_basis(seq))
         assert len(set(gens)) == len(gens)
         for g in gens:
             assert bidegree(seq, g.lead) == bidegree(seq, g.trail)
             assert g.lead != g.trail and not any(map(min, g.lead, g.trail))
 
     def test_common_factor_gives_the_same_presentation(self):
-        p, q = presentation(CurveSequence((20, 26, 32, 38, 44))), presentation(
+        p, q = reduced_basis(CurveSequence((20, 26, 32, 38, 44))), reduced_basis(
             CurveSequence((10, 13, 16, 19, 22)))
         assert (p.packing.args, p.pairs, p.numerator) == (q.packing.args, q.pairs, q.numerator)
 
-    def test_pruned_presentation_is_a_subset_with_the_same_basis(self):
-        # the (B) candidates that `presentation` skips are implied by lower
-        # degrees: what it keeps is part of the whole presentation, and
-        # both give one reduced basis; every gcd-1 curve with n = 5,
-        # m_5 <= 12 and n = 6, m_6 <= 11
-        for n, top in [(5, 12), (6, 11)]:
+    def test_same_basis_as_the_whole_presentation(self):
+        # a Buchberger run on every (B) and (C) binomial gives the pairs
+        # read off the walk, on every gcd-1 curve with n = 3, m_3 <= 13;
+        # n = 4, m_4 <= 12; n = 5, m_5 <= 12 and n = 6, m_6 <= 11
+        for n, top in [(3, 13), (4, 12), (5, 12), (6, 11)]:
             for c in itertools.combinations(range(1, top), n - 1):
                 for mn in range(c[-1] + 1, top + 1):
                     seq = CurveSequence(c + (mn,))
                     if math.gcd(*seq.m) == 1:
-                        kept, full = binomials(presentation(seq)), full_presentation(seq)
-                        assert set(kept) <= set(full), seq
-                        order = TermOrder(n + 1)
-                        assert buchberger(kept, order) == buchberger(full, order), seq
+                        gb = buchberger(full_presentation(seq), TermOrder(n + 1))
+                        assert set(binomials(reduced_basis(seq))) == gb.element_set(), seq
 
     @pytest.mark.parametrize("text", GOLDENS + ["5,26,32,38,101"])
     def test_hilbert_numerator_from_the_classes(self, text):
@@ -130,7 +139,7 @@ class TestPresentation:
         # saturation route's basis, and against |S_d| counted to past the
         # degree of N
         seq = parse_sequence(text)
-        num = presentation(seq).numerator
+        num = reduced_basis(seq).numerator
         ini = grobner._saturated(seq).initial
         assert num == hs_numerator(ini)
         series = list(num) + [0] * 3
@@ -141,125 +150,101 @@ class TestPresentation:
 
 @st.composite
 def long_curves(draw):
-    """n = 5..8 and m_n <= 30, with a common factor g > 1 in about half the
+    """n = 5..9 and m_n <= 30, with a common factor g > 1 in about half the
     draws."""
     g = draw(st.sampled_from([1, 1, 2, 3]))
-    n = draw(st.integers(5, 8))
+    n = draw(st.integers(5, 9))
     m = draw(st.lists(st.integers(1, 30 // g), min_size=n, max_size=n, unique=True))
     return CurveSequence(tuple(sorted(g * x for x in m)))
 
 
-def _stopped(gb):
-    """True iff the run stopped after its generators: a certified run keeps
-    the ideal it checked as its initial ideal."""
-    return "initial" in vars(gb)
-
-
-def _certified_run(seq, gens, top=None):
-    """The Apery route's run on `gens`, certified against the curve's
-    Hilbert series, from a packing of top `top` (by default n + 1 times the
-    largest degree of `gens`, as `buchberger` picks)."""
-    nv = seq.n + 1
-    packing = grobner._Packing(nv, top or nv * grobner._degree(gens))
-    pack = packing.pack
-    return grobner._run(packing, [(pack(g.lead), pack(g.trail)) for g in gens], TermOrder(nv),
-                        _times_one_minus_t(presentation(seq).numerator, nv - 2, "not exact"))
+def _with_pairs(seq, pairs):
+    """`toric_ideal(seq)` on the Apery route, its basis's pairs replaced by
+    `pairs(b)` for the real Apery basis b."""
+    b = reduced_basis(seq)
+    with mock.patch.object(grobner, "reduced_basis", lambda seq: b._replace(pairs=pairs(b))):
+        return toric_ideal(seq)
 
 
 class TestAperyRoute:
     """`toric_ideal` for n >= 5 and m_n within APERY_MAX_MN's bound for n
-    against the saturation route."""
+    against the saturation route and a Buchberger run on the whole
+    presentation."""
 
     @given(seq=long_curves())
-    @settings(max_examples=200)
+    @settings(max_examples=200, deadline=None)
     @example(seq=CurveSequence((4, 6, 7, 8, 13)))
     @example(seq=CurveSequence((10, 13, 16, 19, 22)))
+    @example(seq=CurveSequence((20, 26, 32, 38, 44)))
     @example(seq=CurveSequence((7, 30, 39, 48, 57, 66)))
-    @example(seq=CurveSequence((3, 22, 57, 65, 94)))
+    @example(seq=parse_sequence(PAIRED[0]))
+    @example(seq=parse_sequence(PAIRED[1]))
+    @example(seq=parse_sequence(PAIRED[2]))
+    @example(seq=parse_sequence(PAIRED[3]))
+    @example(seq=parse_sequence(PAIRED[4]))
+    @example(seq=parse_sequence(PAIRED[5]))
     def test_same_basis_as_saturation(self, seq):
-        # the stopped run, the full run on the same generators and the
-        # saturation route give one basis
+        # the basis read off the walk, the saturation route and a run on
+        # the whole presentation give one basis, in one order
         gb = toric_ideal(seq)
-        full = buchberger(binomials(presentation(seq)), TermOrder(seq.n + 1))
-        assert gb == full == grobner._saturated(seq)
+        full = buchberger(full_presentation(seq), TermOrder(seq.n + 1))
+        assert gb == grobner._saturated(seq) == full
         assert gb.initial == MonomialIdeal.from_gens(seq.n + 1, (g.lead for g in gb.elements))
 
     @pytest.mark.parametrize("text", ["7,30,39,48,57,66", "1,2,3,4,128", "5,26,32,38,101",
                                       "13,29,31,47,59,71,80"])
     def test_stops_with_its_initial_ideal(self, text):
-        # the certified ideal is the curve's initial ideal, its K-polynomial
-        # already computed
+        # the route makes no pair at all, and the basis keeps the ideal of
+        # the leads it certified, K-polynomial computed
         gb = toric_ideal(parse_sequence(text))
-        assert _stopped(gb)
-        ini = gb.initial
+        ini = vars(gb)["initial"]
         assert "k_polynomial" in vars(ini)
         assert ini == MonomialIdeal.from_gens(gb.nvars, (g.lead for g in gb.elements))
-
-    @pytest.mark.parametrize("text", FALLBACKS)
-    def test_fallback_makes_the_pairs(self, text):
-        seq = parse_sequence(text)
-        gb = toric_ideal(seq)
-        assert not _stopped(gb)
-        assert gb == grobner._saturated(seq)
-
-    @pytest.mark.parametrize("text", FALLBACKS)
-    def test_fallback_rerun_keeps_the_basis(self, text, monkeypatch):
-        # a first packing of top the largest generator degree holds the
-        # presentation but not its S-pairs: the run reruns wider on its own
-        # generators, with no certificate, and gives the route's basis
-        seq = parse_sequence(text)
-        gens = binomials(presentation(seq))
-        tops, run = [], grobner._buchberger
-
-        def recording(packing, gens, target=None):
-            tops.append(packing.top)
-            return run(packing, gens, target)
-
-        monkeypatch.setattr(grobner, "_buchberger", recording)
-        gb = _certified_run(seq, gens, grobner._degree(gens))
-        assert len(tops) >= 2 and tops[0] == grobner._degree(gens)
-        assert not _stopped(gb)
-        assert gb == toric_ideal(seq)
 
     @given(seq=long_curves())
     @settings(max_examples=30, deadline=None)
     @example(seq=CurveSequence((10, 13, 16, 19, 22)))
-    @example(seq=CurveSequence((3, 22, 57, 65, 94)))
+    @example(seq=parse_sequence(PAIRED[0]))
     def test_no_stop_on_a_smaller_ideal(self, seq):
-        # with one presentation binomial left out, the run either makes its
-        # pairs or still gives the basis of I(C): the check never accepts
-        # leads of a proper subideal
-        truth = grobner._saturated(seq)
-        gens = binomials(presentation(seq))
-        for i in range(len(gens)):
-            gb = _certified_run(seq, gens[:i] + gens[i + 1:])
-            assert not _stopped(gb) or gb == truth, (seq, gens[i])
+        # with any one pair left out, the leads generate a smaller ideal
+        # than in(I(C)), and the certificate raises
+        for i in range(len(reduced_basis(seq).pairs)):
+            with pytest.raises(InvariantViolation, match="Hilbert series"):
+                _with_pairs(seq, lambda b: b.pairs[:i] + b.pairs[i + 1:])
 
     def test_a_missing_generator_fails_the_check(self):
-        # the degree-2 binomials of 10,13,16,19,22 are minimal generators of
-        # I(C): without one of them the leads fall short
+        # the degree-2 elements of 10,13,16,19,22 are minimal generators of
+        # I(C): without one of them the leads fall short; a pair the wrong
+        # way round fails the orientation check, and a multiple of a lead
+        # fails the count of minimal generators
         seq = parse_sequence("10,13,16,19,22")
-        gens = binomials(presentation(seq))
-        quadrics = [i for i, g in enumerate(gens) if g.degree == 2]
+        b = reduced_basis(seq)
+        quadrics = [i for i, g in enumerate(binomials(b)) if g.degree == 2]
         assert quadrics
         for i in quadrics:
-            assert not _stopped(_certified_run(seq, gens[:i] + gens[i + 1:]))
+            with pytest.raises(InvariantViolation, match="Hilbert series"):
+                _with_pairs(seq, lambda b: b.pairs[:i] + b.pairs[i + 1:])
+        with pytest.raises(InvariantViolation, match="misoriented"):
+            _with_pairs(seq, lambda b: [(t, a) for a, t in b.pairs[:1]] + b.pairs[1:])
+        lead, trail = b.pairs[0]
+        with pytest.raises(InvariantViolation, match="Hilbert series"):
+            _with_pairs(seq, lambda b: b.pairs + [(lead + b.packing.pack((1,) + (0,) * 5),
+                                                   trail + b.packing.pack((1,) + (0,) * 5))])
 
 
 class TestSaturationCertificate:
     """The Apery numerator certifies the saturation route's basis as it
-    certifies the Apery route's run; checked here only, at no cost to the
+    certifies the Apery route's leads; checked here only, at no cost to the
     route."""
 
-    @pytest.mark.parametrize("text", REPORT_N4 + FALLBACKS)
+    @pytest.mark.parametrize("text", REPORT_N4 + PAIRED[:2])
     def test_leads_have_the_curve_k_polynomial(self, text):
         # in(I(C)) from `_saturated` has K-polynomial N(t) (1 - t)^(n - 1),
         # and without any one lead of the reduced basis it has another
         seq = parse_sequence(text)
-        target = _times_one_minus_t(presentation(seq).numerator, seq.n - 1, "not exact")
+        target = _times_one_minus_t(reduced_basis(seq).numerator, seq.n - 1, "not exact")
         leads = [g.lead for g in grobner._saturated(seq).elements]
         assert MonomialIdeal.from_gens(seq.n + 1, leads).k_polynomial == target
         for i in range(len(leads)):
             dropped = MonomialIdeal.from_gens(seq.n + 1, leads[:i] + leads[i + 1:])
             assert dropped.k_polynomial != target, (seq, leads[i])
-
