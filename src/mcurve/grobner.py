@@ -1,11 +1,11 @@
 """The independent oracle: Buchberger's algorithm on pure-difference binomials.
 
 The toric ideal of a curve is built from scratch by one of two routes, which
-give the same reduced basis (`toric_ideal` picks by n and m_n).  For n >= 5
-and m_n up to a bound that grows with n (APERY_MAX_MN), no Buchberger run:
-under degrevlex with x_n, x_{n+1} last the normal form of a monomial is read
-off the Apery decomposition of its element in the curve's semigroup, so the
-leads and trails of the reduced basis are too (`semigroup.reduced_basis`).
+give the same reduced basis.  For n >= 5 and m_n <= APERY_MAX_MN, one bound
+for every n, no Buchberger run: under degrevlex with x_n, x_{n+1} last the
+normal form of a monomial is read off the Apery decomposition of its element
+in the curve's semigroup, so the leads and trails of the reduced basis are
+too (`semigroup.reduced_basis`).
 The same Apery walk gives the Hilbert series of K[C], and the leads must
 have it (Traverso, Hilbert functions and the Buchberger algorithm, JSC
 1996): then they generate in(I(C)).  Otherwise, where the Apery set (at
@@ -427,23 +427,17 @@ def _degree_reduced(basis: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return [tuple(v) for v in b]
 
 
-# The largest m_n that takes the Apery route of `toric_ideal`, by n: n above
-# the last key takes its bound, and n below the first key takes the other route.
-APERY_MAX_MN = {5: 128, 6: 360, 7: 1600}
-
-
-def _apery_route(seq: CurveSequence) -> bool:
-    """True iff `toric_ideal` builds the basis of `seq` from its Apery set."""
-    return seq.mn <= APERY_MAX_MN.get(min(seq.n, max(APERY_MAX_MN)), 0)
+# The largest m_n that takes the Apery route of `toric_ideal` at n >= 5.
+APERY_MAX_MN = 2048
 
 
 def toric_ideal(seq: CurveSequence) -> GroebnerBasis:
     """Reduced degrevlex Groebner basis of the vanishing ideal I(C), by one
     of two routes that give the same basis; n and m_n of `seq` pick it.
 
-    For n >= 5 and m_n at most APERY_MAX_MN's bound for n (`_apery_route`),
-    the basis `semigroup.reduced_basis` reads off the Apery set of the
-    semigroup with respect to x_n and x_{n+1}, with no Buchberger run.
+    For n >= 5 and m_n <= APERY_MAX_MN, the basis `semigroup.reduced_basis`
+    reads off the Apery set of the semigroup with respect to x_n and
+    x_{n+1}, with no Buchberger run.
     Under degrevlex with x_n, x_{n+1} last, the normal form of the element
     w + c a_n + c' a_{n+1}, w in Ap and c' as large as it goes, is
     mu(w) x_n^c x_{n+1}^c', mu(w) the least factorization of w; the leads
@@ -463,37 +457,33 @@ def toric_ideal(seq: CurveSequence) -> GroebnerBasis:
     K-polynomial computed, as its initial ideal (`GroebnerBasis.initial`).
 
     Otherwise the saturation route of `_saturated`, from a lattice basis.
-    The Apery route needs no lattice basis and no saturation passes, whose
-    count grows with n; its own time and memory grow with the Apery set,
-    which has at least m_n elements.  At n = 3, with two passes, it loses on
-    most curves (1,2000,4000 has 4000 Apery elements, and its passes take
-    about 0.3 ms), so the cut is at n >= 5; n = 4 stays on saturation for now
-    (ROADMAP, item 3).  At n >= 5 it loses where m_n is large and the
-    saturation passes stay cheap: 1,100,200,300,100000 takes 1.4 s against
-    6 ms, and 1,2,3,4,1000000 10 s and 380 MB against 0.9 s and 13 MB.
-    Hence APERY_MAX_MN, from the crossovers per n (best of two to five
-    calls per route on a shared 2-core box), measured when the Apery route
-    still ran Buchberger on an Apery-set presentation; the route without
-    that run is cheaper, so the crossovers may lie higher now (ROADMAP,
-    item 16).  n = 5 takes 128: on 531 n = 5 curves with m_n from 80 to
-    128 the Apery route lost at most 1.4 times and 1.2 ms, and
-    1,2,3,4,m_n loses from m_n = 160 on.  n = 6 takes 360:
-    1,2,3,4,5,m_n loses from about 380, and 300 seeded n = 6 curves with
-    m_n from 300 to 360 all won (2.3 s against 14.0 s);
-    1,2,4,8,16,m_n loses 1.8 times (0.8 ms) at 360.  n >= 7 takes 1600:
-    there 1, ..., n - 1, m_n did not lose up to m_n = 6,400 (n = 7, 8),
-    20 seeded n = 7 curves with m_n from 1,200 to 1,600 all won (1.2 s
-    against 18.3 s), and seeded n = 7, 8 and 10 curves up to 3,200 won 10
-    to 50 times; 1,2,4,...,2^(n-2),m_n loses up to 2.8 times (7 ms) at
-    1,600, and a seeded n = 13 curve with m_13 = 1,600 peaks at 20 MB.
-    Every curve the benchmark times (m_n <= 101 at n >= 5) is within the
-    bounds.
+    The walk needs no lattice basis and no saturation passes, whose count
+    grows with n; its own time and memory grow with the Apery set, which
+    has at least m_n elements.  At n = 3, with two passes, it loses on most
+    curves, so the cut is at n >= 5; n = 4 stays on saturation for now
+    (ROADMAP, item 16).  At n >= 5 one bound on m_n, for every n: the walk
+    loses by a few ms where the passes stay tiny, and wins by up to seconds
+    where they do not (toric_ideal per route, one process per curve, best
+    of 2 to 5, shared 2-core box):
+
+        curve                      walk      saturation
+        1,2,4,8,2048               5.8 ms    0.5 ms
+        1,100,200,300,2048         8.1 ms    3.5 ms
+        1,2,3,4,5,6,2048           11.6 ms   64.3 ms
+        1,2,3,4,1023,1024          310 ms    over 120 s
+        1,2,3,2047,2048            1.0 s     17.7 s
+
+    On 192 seeded n = 5..8 curves with m_n from 60 to 2,048 the walk won
+    188 and took at most 98 ms, against up to 12 s on saturation.  Above
+    the bound the Apery set outgrows the passes: 1,100,200,300,100000
+    takes 555 ms on the walk against 5.1 ms.  Every curve the benchmark
+    times (m_n <= 101 at n >= 5) takes the walk.
 
     The two routes give the same bases on every curve checked (the tests
     compare them on random n = 5..9 curves).  Every element of the result
     is checked to lie in I(C).
     """
-    if _apery_route(seq):
+    if seq.n >= 5 and seq.mn <= APERY_MAX_MN:
         b, order = reduced_basis(seq), TermOrder(seq.n + 1)
         keyed = sorted(_keyed(b.packing, b.pairs, order))
         final = GroebnerBasis(order, _unpack(b.packing, [pair[1:] for pair in keyed]))

@@ -55,8 +55,8 @@ def _scanned_last_step(ideal, reg):
     # the same lattice, another basis
     pytest.param((grobner,), {"lattice_basis": _flipped_lattice_basis},
                  id="lattice_basis-_flipped_lattice_basis"),
-    # every bound 0: every curve on the saturation route
-    pytest.param((grobner,), {"APERY_MAX_MN": {5: 0}}, id="APERY_MAX_MN-0"),
+    # the bound 0: every curve on the saturation route
+    pytest.param((grobner,), {"APERY_MAX_MN": 0}, id="APERY_MAX_MN-0"),
     # the Apery route's basis from a Buchberger run on the presentation
     # with every (B) candidate kept, not read off the walk
     pytest.param((grobner,), {"reduced_basis": presented_basis}, id="presentation-every-candidate"),

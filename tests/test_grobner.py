@@ -593,11 +593,9 @@ class TestToricIdeal:
         monkeypatch.setattr(grobner, "_Packing", packing)
         monkeypatch.setattr(semigroup, "_Packing", packing)
         monkeypatch.setattr(grobner, "_buchberger", counting)
-        # n <= 4, and n >= 5 with m_n above APERY_MAX_MN's bound for n (128
-        # at n = 5, 360 at n = 6, 1600 from n = 7 on): the saturation route
+        # n <= 4, and n >= 5 with m_n above APERY_MAX_MN (2048): the saturation route
         for m in [(1, 2, 3), (3, 5, 7), (5, 26, 32, 38), (1, 2, 3, 4), (2, 3, 7, 11),
-                  (1, 2, 3, 4, 129), (1, 100, 200, 300, 100000), (1, 2, 3, 4, 5, 361),
-                  (1, 2, 3, 4, 5, 6, 1601)]:
+                  (1, 2, 3, 4, 2049), (1, 100, 200, 300, 100000), (1, 2, 3, 4, 5, 6, 2049)]:
             made.clear()
             runs.clear()
             seq = CurveSequence(m)
@@ -608,8 +606,9 @@ class TestToricIdeal:
             assert [args for args, _ in made] == [(len(m) + 1, (len(m) + 1) * degree, ())], m
             assert runs == [made[0][1]] * len(m), m
         for m in [(10, 13, 16, 19, 22), (1, 2, 3, 4, 6), (7, 30, 39, 48, 57, 66),
-                  (1, 2, 3, 4, 128), (5, 26, 32, 38, 101), (1, 2, 3, 4, 5, 360),
-                  (1, 2, 3, 4, 5, 6, 1600), (11, 12, 15, 79, 113, 130, 159, 277)]:
+                  (1, 2, 3, 4, 128), (1, 2, 3, 4, 129), (5, 26, 32, 38, 101),
+                  (1, 2, 3, 4, 5, 360), (1, 2, 3, 4, 5, 361), (1, 2, 3, 4, 5, 6, 1600),
+                  (1, 2, 3, 4, 5, 6, 1601), (11, 12, 15, 79, 113, 130, 159, 277)]:
             seq = CurveSequence(m)
             # n >= 5 and m_n within the bound: one packing, the Apery basis's,
             # of top 2 D, D the degree of the last Apery layer, and no run
@@ -712,7 +711,7 @@ class TestHeadroom:
         seq = CurveSequence(m)
         gb = toric_ideal(seq)
         assert len(packings) == 1 and packings[0] <= 2 * (seq.mn + seq.n)
-        assert runs == ([] if grobner._apery_route(seq) else packings * seq.n)
+        assert runs == ([] if seq.n >= 5 else packings * seq.n)
         assert gb == _toric_ideal_by_tuples(seq)
 
     @pytest.mark.parametrize("text", ["1,2,3,4,6", "2,3,4,5,6,8"])

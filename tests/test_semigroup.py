@@ -167,9 +167,8 @@ def _with_pairs(seq, pairs):
 
 
 class TestAperyRoute:
-    """`toric_ideal` for n >= 5 and m_n within APERY_MAX_MN's bound for n
-    against the saturation route and a Buchberger run on the whole
-    presentation."""
+    """`toric_ideal` for n >= 5 and m_n <= APERY_MAX_MN against the
+    saturation route and a Buchberger run on the whole presentation."""
 
     @given(seq=long_curves())
     @settings(max_examples=200, deadline=None)
@@ -200,6 +199,24 @@ class TestAperyRoute:
         ini = vars(gb)["initial"]
         assert "k_polynomial" in vars(ini)
         assert ini == MonomialIdeal.from_gens(gb.nvars, (g.lead for g in gb.elements))
+
+    def test_finishes_where_saturation_hung(self, monkeypatch):
+        # saturation ran past 300 s on this curve; a Buchberger run raises
+        # at once, so a curve sent off the walk fails here and does not hang
+        def no_run(packing, gens):
+            raise AssertionError("a Buchberger run on the Apery route")
+
+        monkeypatch.setattr(grobner, "_buchberger", no_run)
+        assert "initial" in vars(toric_ideal(parse_sequence("1,2,3,4,1023,1024")))
+
+    @pytest.mark.parametrize("text", ["1,2,3,4,255,256", "1,2,3,4,5,361"])
+    def test_moved_curves_give_the_saturation_basis(self, text):
+        # above the former per-n bounds (128 at n = 5, 360 at n = 6): the
+        # walk, whose basis keeps its certified initial ideal
+        seq = parse_sequence(text)
+        gb = toric_ideal(seq)
+        assert "initial" in vars(gb)
+        assert gb == grobner._saturated(seq)
 
     @given(seq=long_curves())
     @settings(max_examples=30, deadline=None)
